@@ -363,9 +363,6 @@ class AuthorizationCache:
         self.version += 1
         return len(entry.authorized)
 
-    def evict(self, input_key: InputKey) -> int:
-        return self.invalidate(input_key)
-
     # -- prompt accounting helper ------------------------------------------------
 
     def prompt_free_replay(self, keys: list[PathKey]) -> bool:

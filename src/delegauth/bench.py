@@ -1,14 +1,14 @@
 """Micro-benchmark suites.
 
 Shapes, not absolutes: timings are hardware-bound, so the suites report
-per-step costs and linear fits. A shared host's speed can drift by a factor
-of two or more within a second, so the suites that fit a line
-(`graph_construction`, `cache_rw`) measure their x values round-robin: each
-round times one short batch per x value, and each round is divided by its
-own mean before the rounds are combined (see `round_robin`), so a slow
-spell is spread over every point instead of landing on a few. `enforcement`
-discards a priming run and averages the middle 8 of 10 measurement runs of
-each point. No CPU pinning, governor change or cache drop is used; the
+per-step costs, linear fits and ratios between points. A shared host's speed
+can drift by a factor of two or more within a second, so every timed suite
+(`graph_construction`, `cache_rw`, `enforcement`, `scaling`) measures its
+points round-robin: each round times one short batch per point, and each
+round is divided by its own mean before the rounds are combined (see
+`round_robin`), so a slow spell is spread over every point instead of
+landing on a few, and points compared with each other are measured at the
+same moments. No CPU pinning, governor change or cache drop is used; the
 suites take the host as it is.
 """
 
@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .auth import AuthorizationCache
-from .graph import GraphStore, InputKey, PathKey
+from .auth import AuthorizationCache, ScriptedPolicy
+from .engine import Engine
+from .graph import GraphStore, PathKey
 from .model import (
     HandoffEvent,
     InputEvent,
@@ -35,39 +36,7 @@ from .runner import run_scenario
 from .scenario import Scenario
 from .workload import WorkloadParams, generate_workload
 
-SUITES = ("graph_construction", "cache_rw", "enforcement", "ambiguity", "two_level", "memory")
-
-
-def middle_mean(values: list[float], keep: int = 8) -> float:
-    """Mean of the middle `keep` values (drops extremes symmetrically)."""
-    ordered = sorted(values)
-    drop = max(0, len(ordered) - keep) // 2
-    trimmed = ordered[drop : len(ordered) - drop] if drop else ordered
-    return sum(trimmed) / len(trimmed)
-
-
-def timed_runs(fn, runs: int = 10, prime: bool = True, best_of: int = 3) -> list[float]:
-    """fn() must return (ops, elapsed_ns); yields per-op microseconds per run.
-
-    Measures one point on its own: a priming call, then `runs` runs, each
-    keeping the best of `best_of` back-to-back batches, which excises
-    preemption stalls; callers aggregate the runs with `middle_mean`. A slow
-    spell longer than a run still shifts the whole point, so suites that fit
-    a line across points use `round_robin` instead.
-    """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        if prime:
-            fn()
-        out = []
-        for _ in range(runs):
-            best = min(elapsed / ops for ops, elapsed in (fn() for _ in range(best_of)))
-            out.append(best / 1000.0)
-        return out
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+SUITES = ("graph_construction", "cache_rw", "enforcement", "scaling", "ambiguity", "two_level", "memory")
 
 
 def round_robin(batches, rounds: int) -> dict:
@@ -304,34 +273,125 @@ def _chain_scenario(k: int) -> Scenario:
 
 
 def enforcement(max_handoffs: int = 10, inner: int = 5, runs: int = 10) -> dict:
-    """Full mediation vs pass-through baseline over chain lengths 1..10."""
+    """Full mediation vs pass-through baseline over chain lengths 1..10.
+
+    Every chain length, mediated and baseline, is one point of `round_robin`
+    over `runs` rounds; each batch runs the chain's scenario `inner` times.
+    So the two sides of each `overhead_us` are timed in the same rounds and
+    normalised by the same factor.
+    """
+    ks = list(range(1, max_handoffs + 1))
+
+    def chain_batch(scn: Scenario, mediation: bool):
+        def fn():
+            t0 = time.perf_counter_ns()
+            for _ in range(inner):
+                run_scenario(scn, mediation=mediation)
+            return inner, time.perf_counter_ns() - t0
+
+        return fn
+
+    scenarios = [_chain_scenario(k) for k in ks]
+    m = round_robin([chain_batch(scn, med) for scn in scenarios for med in (True, False)], rounds=runs)
     rows = []
-    for k in range(1, max_handoffs + 1):
-        scn = _chain_scenario(k)
-
-        def run_once(mediation: bool):
-            def fn():
-                t0 = time.perf_counter_ns()
-                for _ in range(inner):
-                    run_scenario(scn, mediation=mediation)
-                return inner, time.perf_counter_ns() - t0
-
-            return middle_mean(timed_runs(fn, runs=runs))
-
-        with_us = run_once(True)
-        without_us = run_once(False)
+    for i, k in enumerate(ks):
+        with_us, without_us = m["us"][2 * i], m["us"][2 * i + 1]
         rows.append(
             {
                 "handoffs": k,
                 "mediated_us": with_us,
                 "baseline_us": without_us,
                 "overhead_us": with_us - without_us,
+                "mediated_iqr_us": m["iqr_us"][2 * i],
+                "baseline_iqr_us": m["iqr_us"][2 * i + 1],
             }
         )
-    return {"suite": "enforcement", "rows": rows}
+    return {"suite": "enforcement", "rows": rows, "round_spread": m["round_spread"]}
 
 
-# -- suite 4: ambiguity-prevention workload ----------------------------------------
+# -- suite 4: cost of one event against history and idle programs ----------------
+
+
+def scaling(
+    sealed_roots: tuple[int, ...] = (1000, 15000),
+    programs: tuple[int, ...] = (3, 1003),
+    n_inputs: int = 2000,
+    inner: int = 200,
+    runs: int = 20,
+) -> dict:
+    """Whether the cost of one event grows with run length or idle programs.
+
+    `unattributed_request`: µs for the engine to deny one request that no
+    input reaches, after `sealed_roots` inputs have come and gone. Each
+    batch submits `inner` such requests to an engine set up once per point.
+
+    `per_event`: µs per event of a `n_inputs` workload (`WorkloadParams`,
+    no noise apps) when `programs` programs are registered; all but the
+    workload's 3 never run. Each batch is one `run_scenario`, timed by its
+    own `wall_ms` (the engine's run, without set-up).
+
+    Both are measured by `round_robin` over `runs` rounds. A flat cost gives
+    rows within their IQR of each other; `growth` is the last row over the first.
+    """
+    request_engines = [_engine_with_sealed_roots(n) for n in sealed_roots]
+    counter = [0]
+
+    def request_batch(engine: Engine):
+        requester = next(reversed(engine.registry.programs))  # never received an input
+
+        def fn():
+            submit = engine.submit
+            t0 = time.perf_counter_ns()
+            for _ in range(inner):
+                counter[0] += 1
+                submit(OperationRequest(f"u{counter[0]}", requester, "capture_picture", "Camera", engine.now))
+            return inner, time.perf_counter_ns() - t0
+
+        return fn
+
+    base = generate_workload(WorkloadParams(n_inputs=n_inputs))
+
+    def workload_batch(n_programs: int):
+        scn = replace(base, programs=base.programs + [
+            {"name": f"idle app {i + 1}", "mark": f"I{i + 1}"} for i in range(n_programs - len(base.programs))
+        ])
+
+        def fn():
+            gc.collect()  # each batch starts without the previous engine's garbage
+            report, engine = run_scenario(scn)
+            return engine.stats.total_events, report.wall_ms * 1e6
+
+        return fn
+
+    result = {"suite": "scaling"}
+    for name, x_name, xs, batches in (
+        ("unattributed_request", "sealed_roots", sealed_roots, [request_batch(e) for e in request_engines]),
+        ("per_event", "programs", programs, [workload_batch(n) for n in programs]),
+    ):
+        m = round_robin(batches, rounds=runs)
+        result[name] = {
+            "rows": [{x_name: x, "us": us, "iqr_us": iqr} for x, us, iqr in zip(xs, m["us"], m["iqr_us"])],
+            "growth": m["us"][-1] / m["us"][0],
+            "round_spread": m["round_spread"],
+        }
+    return result
+
+
+def _engine_with_sealed_roots(n_roots: int) -> Engine:
+    """An engine whose `n_roots` inputs, one window apart, have all expired."""
+    registry = _bench_registry(2)
+    allow = ScriptedPolicy.allow_all()
+    engine = Engine(registry, authorizers={"preliminary": allow, "main": allow})
+    widget = registry.resolve_widget("bench command").id
+    receiver = next(iter(registry.programs))
+    window = engine.config.scheduler.window_ms
+    for i in range(n_roots):
+        engine.schedule(i * (window + 10), {"kind": "input", "widget": widget, "program": receiver})
+    engine.run_to_quiescence()
+    return engine
+
+
+# -- suite 5: ambiguity-prevention workload ----------------------------------------
 
 
 def ambiguity(params: WorkloadParams | None = None) -> dict:
@@ -355,7 +415,7 @@ def ambiguity(params: WorkloadParams | None = None) -> dict:
     }
 
 
-# -- suite 5: two-level queue scheduling ---------------------------------------------
+# -- suite 6: two-level queue scheduling ---------------------------------------------
 
 
 def two_level(
@@ -388,7 +448,7 @@ def two_level(
     return {"suite": "two_level", "rows": rows}
 
 
-# -- suite 6: memory footprint -----------------------------------------------------------
+# -- suite 7: memory footprint -----------------------------------------------------------
 
 
 def memory(n_programs: int = 1000, seed: int = 7) -> dict:
@@ -432,6 +492,8 @@ def run_suite(name: str, **kwargs) -> dict:
         return cache_rw(**kwargs)
     if name == "enforcement":
         return enforcement(**kwargs)
+    if name == "scaling":
+        return scaling(**kwargs)
     if name == "ambiguity":
         return ambiguity(**kwargs)
     if name == "two_level":

@@ -152,6 +152,8 @@ class Engine:
         self._event_seq = 0
         self._exec_seq = 0
         self._programs: dict[str, ProgramState] = {}
+        self._waiting: set[str] = set()  # programs with a non-empty queue
+        self._rank: dict[str, int] = {}  # program -> registration order
         self._busy_exec: dict[str, _HandlerExec] = {}
         self._root_tickets: dict[str, list[Ticket]] = {}
         self._label_ids: dict[str, str] = {}
@@ -159,7 +161,6 @@ class Engine:
         self._root_phase: dict[str, str] = {}
         self._advance_log: list = []
 
-        self.tickets: dict[str, Ticket] = {}
         self.decisions: list[Decision] = []
         self.prompts: list[dict] = []
         self.delivered_log: list[tuple] = []
@@ -349,7 +350,6 @@ class Engine:
                 event=ev, kind=kind, priority=HIGH, derived=derived_root is not None,
                 root_id=derived_root, submit_t=ev.t, deadline=ev.t, status=DELIVERED, deliver_t=ev.t,
             )
-            self.tickets[ev.event_id] = ticket
             self.stats.record_submit(kind, ticket.derived)
             self.stats.record_delivery(kind, 0, ticket.derived)
             self._emit("admit", event=self._event_payload(ev), priority=HIGH, derived=ticket.derived, phase=phase)
@@ -375,7 +375,6 @@ class Engine:
             submit_t=ev.t, deadline=ev.t + self.config.scheduler.window_ms,
         )
         ticket.phase = phase
-        self.tickets[ev.event_id] = ticket
         self.stats.record_submit(kind, derived)
         self._emit("admit", event=self._event_payload(ev), priority=priority, derived=derived, phase=phase)
 
@@ -397,6 +396,7 @@ class Engine:
             self.backpressure_rejections += 1
             self._emit("expire", what="event", event_id=ev.event_id, reason="backpressure")
             raise
+        self._waiting.add(state.program_id)
         if derived and root_id is not None:
             self._root_tickets.setdefault(root_id, []).append(ticket)
         self._push(ticket.deadline + 1, "deadline", ticket)
@@ -442,7 +442,7 @@ class Engine:
         while state.idle:
             ticket = self._next_ticket(state)
             if ticket is None:
-                return
+                break
             if self.now > ticket.deadline:
                 # bounded delay: never delivered late, even if just unblocked
                 if state.high and state.high[0] is ticket:
@@ -453,7 +453,7 @@ class Engine:
                 continue
             verdict = self._gate(ticket)
             if verdict == "blocked":
-                return  # strict priority: never skip past a blocked high head
+                break  # strict priority: never skip past a blocked high head
             if state.high and state.high[0] is ticket:
                 state.high.popleft()
             else:
@@ -468,6 +468,8 @@ class Engine:
                 )
             else:
                 self._deliver(ticket, ticket.phase, as_repeat=(verdict == "deliver_repeat"))
+        if not (state.high or state.low):
+            self._waiting.discard(state.program_id)
 
     def _expire_ticket(self, ticket: Ticket, reason: str) -> None:
         ticket.status = T_EXPIRED
@@ -619,14 +621,15 @@ class Engine:
         g = self.store.live.get(root_id)
         if g is None:
             return
-        freed = list(g.join_t)
-        self.store.expire_graph(root_id, self.now)
+        affected = set(g.join_t)
+        # only a root that will prompt needs its snapshot: it goes into the cache
+        self.store.expire_graph(root_id, self.now, snapshot=root_id in self._pending)
+        self._root_phase.pop(root_id, None)
         self._emit("expire", what="root", root=root_id)
         self._flush_root(root_id)
         for ticket in self._root_tickets.pop(root_id, []):
             if ticket.status == QUEUED:
                 self._expire_ticket(ticket, "root_expired")
-        affected = set(freed)
         for pid in list(self._busy_exec):
             exec_ = self._busy_exec[pid]
             if exec_.derived and exec_.root_id == root_id:
@@ -636,9 +639,17 @@ class Engine:
                 state.busy_with = None
                 del self._busy_exec[pid]
                 affected.add(pid)
-        for pid in self.registry.programs:
-            if pid in affected or self._program(pid).queue_len():
-                self._try_dispatch(self._program(pid))
+        # waiting programs too: expiring this root's held tickets can unblock a
+        # queue outside the root (test_root_expiry_dispatches_programs_waiting_outside_the_root)
+        for pid in sorted(affected | self._waiting, key=self._registration_rank):
+            self._try_dispatch(self._program(pid))
+
+    def _registration_rank(self, program_id: str) -> int:
+        rank = self._rank.get(program_id)
+        if rank is None:  # registered after the last refresh
+            self._rank = {pid: i for i, pid in enumerate(self.registry.programs)}
+            rank = self._rank[program_id]
+        return rank
 
     # -- authorization ------------------------------------------------------------------------
 

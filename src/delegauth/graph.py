@@ -10,6 +10,13 @@ increasing in time.
 Requests are attributed by membership: the requester must belong to exactly
 one live graph at request time. The scheduler guarantees that; with the
 scheduler disabled the same query surfaces AmbiguousAttribution.
+
+When a root's window closes it is sealed: its live state is dropped, and each
+of its programs keeps only the earliest deadline of a sealed root it was in,
+which is all an unattributed request needs to be told "expired". A JSON
+snapshot of the graph is taken at sealing only when the caller asks for one;
+the engine asks only for roots whose new paths go into a prompt, because the
+snapshot is what their cache entries keep.
 """
 
 from __future__ import annotations
@@ -181,7 +188,13 @@ class ExpiryStats:
 
 
 class GraphStore:
-    """Holds all live graphs, membership indexes, and sealed snapshots."""
+    """Holds all live graphs, membership indexes, and the snapshots kept at sealing.
+
+    `sealed` maps a root to the serialized graph taken when it sealed, for
+    the roots sealed with `snapshot=True` only (the default of `expire_graph`
+    and `expire_due`). `expired_deadline` maps a program to the earliest
+    deadline of any sealed root that contained it.
+    """
 
     def __init__(self, registry: Registry, window_ms: int):
         if window_ms <= 0:
@@ -190,8 +203,7 @@ class GraphStore:
         self.window_ms = window_ms
         self.live: dict[str, _LiveGraph] = {}  # root event_id -> graph
         self.sealed: dict[str, bytes] = {}  # root event_id -> serialized snapshot
-        # root -> (input key, deadline, member programs)
-        self.sealed_meta: dict[str, tuple[InputKey, int, frozenset[str]]] = {}
+        self.expired_deadline: dict[str, int] = {}  # program -> min deadline of its sealed roots
         self.membership: dict[str, set[str]] = {}  # program -> live root ids
         self.received_root: dict[str, str] = {}  # program -> live root it received
         self._request_index: dict[str, tuple[str, OperationRequest]] = {}  # event_id -> (root, r)
@@ -229,11 +241,9 @@ class GraphStore:
         return out
 
     def expired_roots_reaching(self, program_id: str, t: int) -> bool:
-        """Whether some sealed graph contained the program (expired attribution)."""
-        for _key, deadline, members in self.sealed_meta.values():
-            if t > deadline and program_id in members:
-                return True
-        return False
+        """Whether some sealed graph whose window closed before t contained the program."""
+        deadline = self.expired_deadline.get(program_id)
+        return deadline is not None and t > deadline
 
     def attachability(self, h: HandoffEvent, root_id: str, t: int) -> str:
         g = self.live.get(root_id)
@@ -368,29 +378,31 @@ class GraphStore:
 
     # -- expiry and sealing ------------------------------------------------------
 
-    def expire_graph(self, root_id: str, now: int) -> bool:
-        """Seal one root if its window has passed; returns whether it sealed."""
+    def expire_graph(self, root_id: str, now: int, snapshot: bool = True) -> bool:
+        """Seal one root if its window has passed; returns whether it sealed.
+
+        With `snapshot`, the graph is serialized into `sealed` first, so that
+        `serialize_graph` still answers for it after its live state is gone.
+        """
         g = self.live.get(root_id)
         if g is None or g.live_at(now):
             return False
-        self._seal(root_id, g)
+        self._seal(root_id, g, snapshot)
         return True
 
     def expire_due(self, now: int) -> ExpiryStats:
+        """Seal every root whose window has passed, each with a snapshot."""
         due = [rid for rid, g in self.live.items() if not g.live_at(now)]
         for rid in due:
-            self._seal(rid, self.live[rid])
+            self._seal(rid, self.live[rid], snapshot=True)
         return ExpiryStats(sealed=len(due), live=len(self.live), evicted_total=self.eviction_count)
 
-    def _seal(self, root_id: str, g: _LiveGraph) -> None:
-        # copy-on-seal: snapshot survives eviction of live state
-        self.sealed[root_id] = self.serialize_graph(root_id)
-        self.sealed_meta[root_id] = (
-            InputKey(widget_id=g.root.widget_id, program_id=g.root.program_id),
-            g.deadline,
-            frozenset(g.join_t),
-        )
+    def _seal(self, root_id: str, g: _LiveGraph, snapshot: bool) -> None:
+        if snapshot:
+            self.sealed[root_id] = self.serialize_graph(root_id)
         for pid in g.join_t:
+            # min, not first: roots need not seal in deadline order
+            self.expired_deadline[pid] = min(g.deadline, self.expired_deadline.get(pid, g.deadline))
             members = self.membership.get(pid)
             if members is not None:
                 members.discard(root_id)

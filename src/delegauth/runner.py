@@ -9,7 +9,7 @@ from pathlib import Path
 from .auth import ALLOWED, CACHED, AuthorizationCache, InteractivePrompt, ScriptedPolicy
 from .engine import MODE_DELEGATION, MODE_FIRST_USE, Engine, EngineConfig
 from .errors import TraceDivergence
-from .scenario import Scenario, TraceWriter, load_scenario, loads_scenario, read_trace
+from .scenario import Scenario, TraceWriter, loads_scenario, read_trace
 
 
 @dataclass
@@ -272,7 +272,3 @@ def replay(trace_path: str | Path) -> RunReport:
     if len(writer.lines) != len(lines):
         raise TraceDivergence(len(lines), "re-executed trace has extra records")
     return report
-
-
-def load(path: str | Path) -> Scenario:
-    return load_scenario(path)

@@ -11,17 +11,12 @@ from delegauth.bench import (
     graph_construction,
     linear_fit,
     memory,
-    middle_mean,
     round_robin,
     run_suite,
+    scaling,
     two_level,
 )
 from delegauth.workload import WorkloadParams
-
-
-def test_middle_mean_trims_extremes():
-    values = [100.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, -50.0]
-    assert middle_mean(values, keep=8) == pytest.approx(sum(range(1, 9)) / 8)
 
 
 def test_linear_fit_recovers_known_line():
@@ -101,6 +96,18 @@ def test_enforcement_reports_overhead():
     assert len(result["rows"]) == 2
     for row in result["rows"]:
         assert row["mediated_us"] > 0 and row["baseline_us"] > 0
+
+
+def test_scaling_rows_small():
+    result = scaling(sealed_roots=(5, 20), programs=(3, 13), n_inputs=20, inner=5, runs=3)
+    for name, x_name, xs in (
+        ("unattributed_request", "sealed_roots", [5, 20]),
+        ("per_event", "programs", [3, 13]),
+    ):
+        part = result[name]
+        assert [r[x_name] for r in part["rows"]] == xs
+        assert all(r["us"] > 0 and r["iqr_us"] >= 0 for r in part["rows"])
+        assert part["growth"] > 0 and part["round_spread"] >= 1.0
 
 
 def test_ambiguity_suite_small():

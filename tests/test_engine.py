@@ -5,6 +5,7 @@ import pytest
 from delegauth.auth import ScriptedPolicy
 from delegauth.engine import FRESH, HOLD, REPEAT, Engine, EngineConfig
 from delegauth.errors import Backpressure, ProtocolViolation
+from delegauth.graph import InputKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
 from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable, SchedulerConfig
 
@@ -393,3 +394,67 @@ def test_determinism_identical_transcripts():
         return records
 
     assert run() == run()
+
+
+def test_root_expiry_dispatches_programs_waiting_outside_the_root():
+    # P3 holds a derived handoff from root x1 behind its own root x2, and a
+    # plain handoff behind that. x1's expiry drops the held handoff and must
+    # dispatch P3 then, although P3 never joined x1.
+    handlers = [
+        HandlerSpec(
+            program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+            actions=(EmitHandoff(to="P3", after_ms=2),), complete=Complete(after_ms=3),
+        ),
+        HandlerSpec(
+            program_id="P3", trigger_kind="widget", trigger_value="second cmd",
+            complete=Complete(after_ms=3),
+        ),
+    ]
+    engine, (a, b, c), _ = build_engine(handlers=handlers)
+    engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
+    engine.submit(InputEvent("x2", wid(engine, "second cmd"), c, 1))
+    plain = engine.submit(HandoffEvent("n1", b, c, 3))
+    engine.advance(WINDOW)
+    assert plain.status == "queued"
+    assert c not in engine.store.live["x1"].join_t
+    engine.run_to_quiescence()
+    assert plain.deliver_t == WINDOW + 1  # x1's expiry, not x2's at WINDOW + 2
+
+
+def test_only_prompted_roots_keep_a_snapshot_and_the_cache_gets_it():
+    handlers = [
+        HandlerSpec(
+            program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+            actions=(EmitRequest(op="capture_picture", sensor="Camera", after_ms=2),),
+            complete=Complete(after_ms=3),
+        ),
+        HandlerSpec(
+            program_id="P1", trigger_kind="widget", trigger_value="second cmd",
+            actions=(EmitHandoff(to="P2", after_ms=2),), complete=Complete(after_ms=3),
+        ),
+        HandlerSpec(
+            program_id="P2", trigger_kind="handoff", trigger_value="*",
+            actions=(EmitRequest(op="capture_picture", sensor="Camera", after_ms=2),),
+            complete=Complete(after_ms=3),
+        ),
+    ]
+    engine, (a, _, _), _ = build_engine(handlers=handlers)
+    live_blobs = {}  # root -> its graph serialised just before it seals
+    expire_graph = engine.store.expire_graph
+
+    def capture(root_id, now, *args, **kwargs):
+        live_blobs[root_id] = engine.store.serialize_graph(root_id)
+        return expire_graph(root_id, now, *args, **kwargs)
+
+    engine.store.expire_graph = capture
+    labels = ["first cmd", "second cmd", "first cmd", "second cmd", "first cmd"]
+    for i, label in enumerate(labels):
+        engine.submit(InputEvent(f"x{i}", wid(engine, label), a, i * 400))
+    engine.run_to_quiescence()
+
+    assert len(live_blobs) == len(labels)
+    assert [p["root"] for p in engine.prompts] == ["x0", "x1"]
+    assert engine.store.sealed.keys() == {"x0", "x1"}
+    for root, label in (("x0", "first cmd"), ("x1", "second cmd")):
+        entry = engine.cache.entries[InputKey(wid(engine, label), a)]
+        assert entry.graph_blob == live_blobs[root] == engine.store.sealed[root]

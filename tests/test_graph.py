@@ -318,3 +318,42 @@ def test_paths_always_strictly_increase(ts):
     path.validate()
     times = [path.input.t] + [h.t for h in path.handoffs] + [path.request.t]
     assert all(x < y for x, y in zip(times, times[1:]))
+
+
+@st.composite
+def sealing_histories(draw):
+    """Roots with member chains, a sealing order and query times."""
+    n_roots = draw(st.integers(min_value=1, max_value=8))
+    roots = []
+    for n in range(n_roots):
+        t = draw(st.integers(min_value=0, max_value=2000))
+        chain = draw(st.permutations(range(4)))[: draw(st.integers(min_value=1, max_value=4))]
+        roots.append((f"i{n}", t, chain))
+    order = draw(st.permutations(range(n_roots)))
+    queries = draw(st.lists(st.integers(min_value=0, max_value=2400), min_size=1, max_size=6))
+    return roots, order, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(sealing_histories())
+def test_expired_roots_reaching_matches_a_scan_of_sealed_roots(history):
+    roots, order, queries = history
+    reg = chain_registry(4)
+    pids = list(reg.programs)
+    wid = reg.resolve_widget("go").id
+    store = make_store(reg)
+    members = {}
+    for root, t, chain in roots:
+        store.record_input(InputEvent(root, wid, pids[chain[0]], t))
+        for j, (src, dst) in enumerate(zip(chain, chain[1:])):
+            store.record_handoff(HandoffEvent(f"{root}-h{j}", pids[src], pids[dst], t + 1 + j, provenance=root))
+        members[root] = (t + WINDOW, {pids[k] for k in chain})
+    sealed = []
+    for ix in order:  # any order, so deadlines need not rise
+        root = roots[ix][0]
+        assert store.expire_graph(root, 10_000)
+        sealed.append(root)
+        for pid in pids:
+            for q in queries:
+                scan = any(q > members[r][0] and pid in members[r][1] for r in sealed)
+                assert store.expired_roots_reaching(pid, q) == scan

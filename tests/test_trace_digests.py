@@ -1,0 +1,75 @@
+"""Byte-identical traces: the sha256 of each `run_with_trace` output is pinned.
+
+The pins in `data/trace_digests.json` guard refactors and optimisations of
+the engine and graph store, which must not change a single trace record.
+Re-pin only for a change that means to alter traces:
+
+    PYTHONPATH=src python tests/test_trace_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from delegauth import WorkloadParams, generate_workload, load_scenario, loads_scenario, run_with_trace
+
+from conftest import DATA, scenario_path
+
+DIGESTS = DATA / "trace_digests.json"
+
+# An app that asks for the Microphone about every 10 s of virtual time. No
+# input ever reaches it, so every request is unattributed, after more and
+# more sealed roots.
+RECORDER = {"name": "background recorder", "mark": "BR"}
+RECORDER_GAP_MS = (9500, 10500)
+
+
+def many_programs():
+    """2,000 inputs, 300 noise apps and the recorder: 304 registered programs."""
+    scn = generate_workload(WorkloadParams(n_inputs=2000, noise_apps=300, noise_burst_prob=0.5))
+    scn.programs.append(dict(RECORDER))
+    rng = random.Random("recorder")
+    end = scn.timeline[-1]["t"]
+    t = rng.randint(*RECORDER_GAP_MS)
+    while t < end:
+        scn.timeline.append(
+            {"phase": "main", "t": t, "kind": "request", "program": RECORDER["name"],
+             "op": "record_audio", "sensor": "Microphone"}
+        )
+        t += rng.randint(*RECORDER_GAP_MS)
+    scn.timeline.sort(key=lambda e: e["t"])  # stable: inputs stay ahead at equal t
+    return loads_scenario(scn.dump())
+
+
+SCENARIOS = {
+    "task_a": lambda: load_scenario(scenario_path("task_a")),
+    "task_b": lambda: load_scenario(scenario_path("task_b")),
+    "task_c": lambda: load_scenario(scenario_path("task_c")),
+    "workload_15k": lambda: generate_workload(WorkloadParams()),
+    "many_programs": many_programs,
+}
+
+
+def trace_digest(name: str, directory: Path) -> str:
+    path = directory / f"{name}.trace"
+    run_with_trace(SCENARIOS[name](), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_trace_digest_is_pinned(name, tmp_path):
+    pinned = json.loads(DIGESTS.read_text())
+    assert trace_digest(name, tmp_path) == pinned[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: trace_digest(name, Path(tmp)) for name in SCENARIOS}
+    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+    print(f"wrote {DIGESTS}")
