@@ -20,8 +20,6 @@ import statistics
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .auth import AuthorizationCache, ScriptedPolicy
 from .engine import Engine
 from .graph import GraphStore, PathKey
@@ -93,12 +91,14 @@ def _heap_trimmer():
 
 
 def linear_fit(xs, ys) -> dict:
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    """Least-squares line through the points, in closed form, with its R²."""
+    n = len(xs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    intercept = my - slope * mx
+    ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - my) ** 2 for y in ys)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
 

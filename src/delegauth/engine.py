@@ -194,9 +194,7 @@ class Engine:
         if self._trace is None:
             return
         self._trace_seq += 1
-        rec = {"seq": self._trace_seq, "t": self.now, "kind": kind}
-        rec.update(payload)
-        self._trace(rec)
+        self._trace({"seq": self._trace_seq, "t": self.now, "kind": kind, **payload})
 
     def _program(self, program_id: str) -> ProgramState:
         state = self._programs.get(program_id)

@@ -206,7 +206,7 @@ class GraphStore:
         self.expired_deadline: dict[str, int] = {}  # program -> min deadline of its sealed roots
         self.membership: dict[str, set[str]] = {}  # program -> live root ids
         self.received_root: dict[str, str] = {}  # program -> live root it received
-        self._request_index: dict[str, tuple[str, OperationRequest]] = {}  # event_id -> (root, r)
+        self._request_index: dict[str, tuple[str, OperationRequest]] = {}  # event_id -> (root, r), live roots only
         self._seen_events: set[str] = set()
         self.eviction_count = 0
 
@@ -346,11 +346,9 @@ class GraphStore:
         """Backward traversal from a recorded request to its root input."""
         entry = self._request_index.get(r.event_id)
         if entry is None:
-            raise NoAttributableInput(f"request {r.event_id} was never recorded")
+            raise NoAttributableInput(f"request {r.event_id} is not recorded in a live graph")
         root_id, req = entry
-        g = self.live.get(root_id)
-        if g is None:
-            raise NoAttributableInput(f"root {root_id} already sealed", expired=True)
+        g = self.live[root_id]
         handoffs: list[HandoffEvent] = []
         prog = req.program_id
         child_t = req.t
@@ -410,6 +408,9 @@ class GraphStore:
                     del self.membership[pid]
         if self.received_root.get(g.root.program_id) == root_id:
             del self.received_root[g.root.program_id]
+        for requests in g.request_instances.values():
+            for r in requests:
+                del self._request_index[r.event_id]
         del self.live[root_id]
         self.eviction_count += 1
 

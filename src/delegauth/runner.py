@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -234,17 +235,17 @@ def run_with_trace(
     seed: int | None = None,
     interactive: bool = False,
 ) -> tuple[RunReport, TraceWriter]:
+    """Run with a trace file at `trace_path` (None: the trace is discarded).
+
+    The file is closed, and so complete, also when the run raises.
+    """
     header = trace_header(scn, mode, policy_rules, window_ms, seed)
-    fh = open(trace_path, "w") if trace_path is not None else None
-    try:
+    with open(os.devnull if trace_path is None else trace_path, "w") as fh:
         writer = TraceWriter(fh, header)
         report, _engine = run_scenario(
             scn, mode=mode, policy_rules=policy_rules, window_ms=window_ms,
             trace=writer, interactive=interactive,
         )
-    finally:
-        if fh is not None:
-            fh.close()
     return report, writer
 
 
@@ -258,17 +259,30 @@ def replay(trace_path: str | Path) -> RunReport:
         scn, header.get("mode"), header.get("policy_override"), header.get("window_override"),
         header.get("seed"),
     )
-    writer = TraceWriter(None, rerun_header)
+    check = _TraceCheck(lines)
     report, _engine = run_scenario(
         scn,
         mode=header.get("mode"),
         policy_rules=header.get("policy_override"),
         window_ms=header.get("window_override"),
-        trace=writer,
+        trace=TraceWriter(check, rerun_header),
     )
-    for i, expected in enumerate(lines):
-        if i >= len(writer.lines) or writer.lines[i] != expected:
-            raise TraceDivergence(i, "recorded and re-executed traces differ")
-    if len(writer.lines) != len(lines):
-        raise TraceDivergence(len(lines), "re-executed trace has extra records")
+    if check.written < len(lines):
+        raise TraceDivergence(check.written, "recorded and re-executed traces differ")
     return report
+
+
+class _TraceCheck:
+    """Write target for a replay: compares each re-executed line with the recorded one."""
+
+    def __init__(self, lines: list[str]):
+        self._lines = lines
+        self.written = 0
+
+    def write(self, line: str) -> None:
+        i = self.written
+        if i == len(self._lines):
+            raise TraceDivergence(i, "re-executed trace has extra records")
+        if line[:-1] != self._lines[i]:  # drop the newline
+            raise TraceDivergence(i, "recorded and re-executed traces differ")
+        self.written = i + 1

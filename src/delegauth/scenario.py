@@ -23,8 +23,9 @@ TRACE_FORMAT = "delegauth-trace"
 FORMAT_VERSION = 1
 
 
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One encoder for every line: `json.dumps` with these options builds a new
+# JSONEncoder per call. `check_circular` only changes how a cycle fails.
+_dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 @dataclass
@@ -324,21 +325,20 @@ def _require(cond, msg: str) -> None:
 
 
 class TraceWriter:
-    """Ordered, flushed-per-record JSONL trace stream."""
+    """Ordered JSONL trace stream: the header line, then one line per record.
+
+    Each line goes to `fh.write` as one call, buffered by `fh` itself, so the
+    trace on disk is complete once `fh` is closed; a process killed before
+    that loses the buffered tail. `fh` may be any object with a `write`
+    method.
+    """
 
     def __init__(self, fh, header: dict):
-        self._fh = fh
-        self.lines: list[str] = []
-        self._write(_dump_line({"format": TRACE_FORMAT, "version": FORMAT_VERSION, **header}))
-
-    def _write(self, line: str) -> None:
-        self.lines.append(line)
-        if self._fh is not None:
-            self._fh.write(line + "\n")
-            self._fh.flush()
+        self._write = fh.write
+        self._write(_dump_line({"format": TRACE_FORMAT, "version": FORMAT_VERSION, **header}) + "\n")
 
     def __call__(self, record: dict) -> None:
-        self._write(_dump_line(record))
+        self._write(_dump_line(record) + "\n")
 
 
 def read_trace(path: str | Path) -> tuple[dict, list[str]]:

@@ -155,6 +155,25 @@ def test_request_after_expiry_flags_expired(basic_registry):
     assert exc.value.expired
 
 
+def test_sealing_drops_the_roots_requests_from_the_index(basic_registry):
+    store = make_store(basic_registry)
+    a = basic_registry.program_by_name("Alpha").id
+    b = basic_registry.program_by_name("Beta").id
+    store.record_input(InputEvent("i1", basic_registry.resolve_widget("do the thing").id, a, 0))
+    store.record_input(InputEvent("i2", basic_registry.resolve_widget("other thing").id, b, 100))
+    sealed = OperationRequest("r1", a, "capture_picture", "Camera", 4)
+    live = OperationRequest("r2", b, "capture_picture", "Camera", 104)
+    store.record_request(sealed)
+    store.record_request(live)
+    store.expire_due(WINDOW + 1)  # seals i1 only
+    assert set(store.live) == {"i2"}
+    assert {root for root, _ in store._request_index.values()} == {"i2"}
+    assert store.compute_path(live).input.event_id == "i2"
+    for r in (sealed, OperationRequest("r9", b, "capture_picture", "Camera", 110)):
+        with pytest.raises(NoAttributableInput):
+            store.compute_path(r)
+
+
 def test_two_concurrent_roots_reaching_requester_are_ambiguous(basic_registry):
     # simulates a scheduler-off interleaving
     store = make_store(basic_registry)

@@ -1,13 +1,24 @@
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
-from delegauth import AuthorizationCache, compare_modes, run_scenario, run_with_trace
+from delegauth import (
+    AuthorizationCache,
+    WorkloadParams,
+    compare_modes,
+    generate_workload,
+    run_scenario,
+    run_with_trace,
+)
+from delegauth.engine import Engine
 from delegauth.errors import TraceDivergence
 from delegauth.runner import replay
 from delegauth.scenario import loads_scenario
+from delegauth.scheduler import HandlerTable
 
 
 def test_compare_modes_on_task_a(task_a):
@@ -79,6 +90,76 @@ def test_trace_mutation_detected(task_a, tmp_path):
         with pytest.raises(TraceDivergence) as exc:
             replay(bad)
         assert exc.value.seq == mutate_at
+
+
+def test_replay_flags_missing_and_extra_records(task_a, tmp_path):
+    trace_path = tmp_path / "a.trace"
+    run_with_trace(task_a, trace_path, mode="entrust")
+    lines = trace_path.read_text().splitlines()
+    cut = tmp_path / "cut.trace"  # the re-run has 3 records more than this file
+    cut.write_text("\n".join(lines[:-3]) + "\n")
+    with pytest.raises(TraceDivergence) as exc:
+        replay(cut)
+    assert exc.value.seq == len(lines) - 3
+    longer = tmp_path / "longer.trace"  # the re-run stops one record short of this file
+    longer.write_text("\n".join(lines + lines[-1:]) + "\n")
+    with pytest.raises(TraceDivergence) as exc:
+        replay(longer)
+    assert exc.value.seq == len(lines)
+
+
+def test_run_that_raises_leaves_every_emitted_record_on_disk(task_a, tmp_path, monkeypatch):
+    full = tmp_path / "full.trace"
+    run_with_trace(task_a, full, mode="entrust")
+    emitted = lookups = 0
+    real_emit, real_lookup = Engine._emit, HandlerTable.lookup
+
+    def counting_emit(self, kind, **payload):
+        nonlocal emitted
+        emitted += 1
+        real_emit(self, kind, **payload)
+
+    def failing_lookup(self, *args):
+        nonlocal lookups
+        lookups += 1
+        if lookups == 2:
+            raise RuntimeError("handler failed")
+        return real_lookup(self, *args)
+
+    monkeypatch.setattr(Engine, "_emit", counting_emit)
+    monkeypatch.setattr(HandlerTable, "lookup", failing_lookup)
+    cut = tmp_path / "cut.trace"
+    with pytest.raises(RuntimeError, match="handler failed") as failure:
+        run_with_trace(task_a, cut, mode="entrust")
+    # the traceback in `failure` keeps the run's frames and so the file object
+    # alive: the file is complete here only if the run closed it
+    text = cut.read_text()
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    assert emitted > 0 and len(lines) == 1 + emitted  # the header, then each record
+    assert lines == full.read_text().splitlines()[: len(lines)]
+
+
+def test_file_backed_writer_keeps_no_copy_of_the_trace(tmp_path):
+    scn = generate_workload(WorkloadParams(n_inputs=300))
+    trace_path = tmp_path / "w.trace"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _report, writer = run_with_trace(scn, trace_path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del writer
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed < trace_path.stat().st_size / 10
+
+
+def test_run_with_trace_without_a_file(task_b):
+    report, _writer = run_with_trace(task_b, None, mode="entrust")
+    assert report.decisions == run_scenario(task_b, mode="entrust")[0].decisions
 
 
 def test_zero_prompt_replay_with_cache_roundtrip(task_b):

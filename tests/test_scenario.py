@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delegauth.errors import InvariantViolation, ParseError, UnresolvedReference
-from delegauth.scenario import load_scenario, loads_scenario
+from delegauth.scenario import _dump_line, load_scenario, loads_scenario
 from conftest import scenario_path
 
 HEADER = '{"format":"delegauth-scenario","version":1}'
@@ -145,3 +149,16 @@ def test_provenance_label_must_name_earlier_event():
         ]
     )
     loads_scenario(ok)
+
+
+# st.text() draws non-ASCII and control characters as well as ASCII
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+def test_dump_line_matches_json_dumps(obj):
+    assert _dump_line(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
