@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -116,9 +118,34 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def git_sha() -> str:
+    """Commit of the checkout this package runs from; 'unknown' outside one."""
+    root = Path(__file__).resolve().parents[2]
+    if not (root / ".git").exists():
+        return "unknown"
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return proc.stdout.strip()
+
+
 def cmd_bench(args) -> int:
     result = run_suite(args.suite)
     print(json.dumps(result, indent=2, sort_keys=True))
+    if args.out:
+        record = {
+            "suite": args.suite,
+            "git_sha": git_sha(),
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "host_limits": "no CPU pinning, governor changes or cache drops",
+            "result": result,
+        }
+        Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -160,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a micro-benchmark suite")
     p_bench.add_argument("suite", choices=list(SUITES))
+    p_bench.add_argument("--out", help="also write the result with the git sha and host facts to this path")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_replay = sub.add_parser("replay", help="re-execute a trace and verify it byte-for-byte")

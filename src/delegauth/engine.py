@@ -191,6 +191,8 @@ class Engine:
         heapq.heappush(self._heap, (t, self._occ_seq, tag, payload))
 
     def _emit(self, kind: str, **payload) -> None:
+        # callers that build a payload (admit, prompt, decision) check
+        # `self._trace` first, so an untraced run builds none
         if self._trace is None:
             return
         self._trace_seq += 1
@@ -350,7 +352,8 @@ class Engine:
             )
             self.stats.record_submit(kind, ticket.derived)
             self.stats.record_delivery(kind, 0, ticket.derived)
-            self._emit("admit", event=self._event_payload(ev), priority=HIGH, derived=ticket.derived, phase=phase)
+            if self._trace is not None:
+                self._emit("admit", event=self._event_payload(ev), priority=HIGH, derived=ticket.derived, phase=phase)
             self.delivered_log.append(("request", ev.event_id, ev.program_id, ev.op, ev.sensor, ev.t))
             self._mediate_request(ev, phase)
             return ticket
@@ -374,7 +377,8 @@ class Engine:
         )
         ticket.phase = phase
         self.stats.record_submit(kind, derived)
-        self._emit("admit", event=self._event_payload(ev), priority=priority, derived=derived, phase=phase)
+        if self._trace is not None:
+            self._emit("admit", event=self._event_payload(ev), priority=priority, derived=derived, phase=phase)
 
         if self._passthrough:
             self._deliver(ticket, phase)
@@ -740,10 +744,11 @@ class Engine:
         self.prompts.append(
             {"mode": MODE_DELEGATION, "phase": phase, "t": self.now, "text": text, "marks": marks, "root": root_id}
         )
-        self._emit(
-            "prompt", mode=MODE_DELEGATION, phase=phase, text=text, marks=marks, root=root_id,
-            paths=[k.to_dict() for k in pending.paths],
-        )
+        if self._trace is not None:
+            self._emit(
+                "prompt", mode=MODE_DELEGATION, phase=phase, text=text, marks=marks, root=root_id,
+                paths=[k.to_dict() for k in pending.paths],
+            )
         allowed = self._authorizer(phase).authorize_paths(paths, text, self.registry)
         blob = self.store.sealed.get(root_id, b"")
         for key in pending.paths:
@@ -761,4 +766,5 @@ class Engine:
 
     def _decide(self, decision: Decision) -> None:
         self.decisions.append(decision)
-        self._emit("decision", **decision.to_dict())
+        if self._trace is not None:
+            self._emit("decision", **decision.to_dict())

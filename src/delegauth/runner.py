@@ -10,7 +10,7 @@ from pathlib import Path
 from .auth import ALLOWED, CACHED, AuthorizationCache, InteractivePrompt, ScriptedPolicy
 from .engine import MODE_DELEGATION, MODE_FIRST_USE, Engine, EngineConfig
 from .errors import TraceDivergence
-from .scenario import Scenario, TraceWriter, loads_scenario, read_trace
+from .scenario import Scenario, TraceWriter, loads_scenario, read_trace_header
 
 
 @dataclass
@@ -250,39 +250,45 @@ def run_with_trace(
 
 
 def replay(trace_path: str | Path) -> RunReport:
-    """Re-execute the embedded scenario and verify a byte-identical trace."""
-    header, lines = read_trace(trace_path)
-    scn = loads_scenario(header["scenario"])
-    if scn.sha256() != header["scenario_sha256"]:
-        raise TraceDivergence(0, "embedded scenario does not match its recorded digest")
-    rerun_header = trace_header(
-        scn, header.get("mode"), header.get("policy_override"), header.get("window_override"),
-        header.get("seed"),
-    )
-    check = _TraceCheck(lines)
-    report, _engine = run_scenario(
-        scn,
-        mode=header.get("mode"),
-        policy_rules=header.get("policy_override"),
-        window_ms=header.get("window_override"),
-        trace=TraceWriter(check, rerun_header),
-    )
-    if check.written < len(lines):
-        raise TraceDivergence(check.written, "recorded and re-executed traces differ")
+    """Re-execute the embedded scenario and verify a byte-identical trace.
+
+    The recorded file is read one line at a time, as the re-run writes.
+    """
+    with open(trace_path) as recorded:
+        header = read_trace_header(recorded)
+        scn = loads_scenario(header["scenario"])
+        if scn.sha256() != header["scenario_sha256"]:
+            raise TraceDivergence(0, "embedded scenario does not match its recorded digest")
+        rerun_header = trace_header(
+            scn, header.get("mode"), header.get("policy_override"), header.get("window_override"),
+            header.get("seed"),
+        )
+        recorded.seek(0)  # the re-run's header line is checked too
+        check = _TraceCheck(recorded)
+        report, _engine = run_scenario(
+            scn,
+            mode=header.get("mode"),
+            policy_rules=header.get("policy_override"),
+            window_ms=header.get("window_override"),
+            trace=TraceWriter(check, rerun_header),
+        )
+        if recorded.readline():
+            raise TraceDivergence(check.written, "recorded and re-executed traces differ")
     return report
 
 
 class _TraceCheck:
-    """Write target for a replay: compares each re-executed line with the recorded one."""
+    """Write target for a replay: compares each re-executed line with the next recorded one."""
 
-    def __init__(self, lines: list[str]):
-        self._lines = lines
+    def __init__(self, recorded):
+        self._readline = recorded.readline
         self.written = 0
 
     def write(self, line: str) -> None:
         i = self.written
-        if i == len(self._lines):
+        expected = self._readline()
+        if not expected:
             raise TraceDivergence(i, "re-executed trace has extra records")
-        if line[:-1] != self._lines[i]:  # drop the newline
+        if expected != line and expected != line[:-1]:  # the last line may lack its newline
             raise TraceDivergence(i, "recorded and re-executed traces differ")
         self.written = i + 1

@@ -210,6 +210,11 @@ class HandlerSpec:
     complete: Complete = Complete(after_ms=0)
 
     def validate(self) -> None:
+        for a in (*self.actions, self.complete):
+            if type(a.after_ms) is not int:  # bool is an int subclass: rejected too
+                raise InvariantViolation(
+                    f"handler for {self.program_id}: lag must be an integer number of ms, got {a.after_ms!r}"
+                )
         max_lag = 0
         for a in self.actions:
             if isinstance(a, (EmitHandoff, EmitRequest)):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
 import subprocess
 import sys
 
@@ -38,6 +40,25 @@ def test_invalid_scenario_is_validation_error(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"t":1000,', '"t":true,'),
+        ('"after":3,', '"after":"5",'),
+        ('"after":3,', '"after":null,'),
+        ('"after":3,', '"after":2.5,'),
+        ('{"complete":4}', '{"complete":true}'),
+    ],
+)
+def test_non_integer_time_or_lag_is_validation_error(tmp_path, capsys, old, new):
+    text = open(scenario_path("task_a")).read()
+    assert old in text
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(old, new, 1))
+    assert main(["run", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_policy_override_can_flip_expectations(tmp_path, capsys):
     policy = tmp_path / "allow.policy"
     policy.write_text("allow * * * *\n")
@@ -62,6 +83,16 @@ def test_gen_writes_deterministic_file(tmp_path, capsys):
     assert main(["gen", str(out1), "--n", "100", "--seed", "4"]) == 0
     assert main(["gen", str(out2), "--n", "100", "--seed", "4"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_bench_out_writes_result_and_host_facts(tmp_path, capsys):
+    out = tmp_path / "BENCH_memory.json"
+    assert main(["bench", "memory", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["suite"] == "memory" and record["result"]["programs"] == 1000
+    assert record["python"] == platform.python_version()
+    assert record["cpu_count"] == os.cpu_count()
+    assert record["git_sha"] == "unknown" or len(record["git_sha"]) == 40
 
 
 def test_trace_and_replay(tmp_path, capsys):

@@ -108,6 +108,13 @@ def test_replay_flags_missing_and_extra_records(task_a, tmp_path):
     assert exc.value.seq == len(lines)
 
 
+def test_replay_accepts_a_trace_without_its_final_newline(task_a, tmp_path):
+    trace_path = tmp_path / "a.trace"
+    run_with_trace(task_a, trace_path, mode="entrust")
+    trace_path.write_text(trace_path.read_text().rstrip("\n"))
+    assert replay(trace_path).main_prompts == 1
+
+
 def test_run_that_raises_leaves_every_emitted_record_on_disk(task_a, tmp_path, monkeypatch):
     full = tmp_path / "full.trace"
     run_with_trace(task_a, full, mode="entrust")
@@ -155,6 +162,28 @@ def test_file_backed_writer_keeps_no_copy_of_the_trace(tmp_path):
     finally:
         tracemalloc.stop()
     assert freed < trace_path.stat().st_size / 10
+
+
+def traced_peak(fn) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_replay_reads_the_recorded_trace_line_by_line(tmp_path):
+    scn = generate_workload(WorkloadParams(n_inputs=1000))
+    trace_path = tmp_path / "w.trace"
+    run_with_trace(scn, trace_path)
+    size = trace_path.stat().st_size
+    replay_peak = traced_peak(lambda: replay(trace_path))
+    run_peak = traced_peak(lambda: run_scenario(loads_scenario(scn.source_text)))
+    # what replay holds beyond the run itself: the header with the embedded
+    # scenario (an eighth of this trace) and one line, not the whole trace
+    assert replay_peak - run_peak < size / 4
 
 
 def test_run_with_trace_without_a_file(task_b):

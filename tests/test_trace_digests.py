@@ -47,18 +47,52 @@ def many_programs():
     return loads_scenario(scn.dump())
 
 
+def task_a_cache_denials():
+    """task_a with denials cached and its main input repeated after the prompt.
+
+    The repeat finds the denied path in the cache: a `cache: deny` request and
+    a `policy` denial.
+    """
+    text = Path(scenario_path("task_a")).read_text()
+    text = text.replace('"window_ms":150}', '"window_ms":150,"cache_denials":true}')
+    repeat = '{"kind":"event","phase":"main","t":2000,"input":{"widget":"create a note","program":"Smart Assistant"}}\n'
+    text = text.replace('{"kind":"attack"', repeat + '{"kind":"attack"', 1)
+    return loads_scenario(text)
+
+
+def contention(scheduler: bool = True):
+    """`data/contention.scn`: held, rejected and expired events and refused handoffs.
+
+    With the scheduler it hits backpressure, hold deadlines, root expiry of
+    held tickets, window backstops, merge_rejected, broken_chain and
+    unattributable handoffs. Without it, two roots reach one program and its
+    request is ambiguous.
+    """
+    text = (DATA / "contention.scn").read_text()
+    if not scheduler:
+        text = text.replace('"scheduler":true', '"scheduler":false')
+    return loads_scenario(text)
+
+
+# name -> (scenario factory, mode); together these emit every record form the
+# engine writes, except the `explicit` completion of `Engine.complete_handling`
 SCENARIOS = {
-    "task_a": lambda: load_scenario(scenario_path("task_a")),
-    "task_b": lambda: load_scenario(scenario_path("task_b")),
-    "task_c": lambda: load_scenario(scenario_path("task_c")),
-    "workload_15k": lambda: generate_workload(WorkloadParams()),
-    "many_programs": many_programs,
+    "task_a": (lambda: load_scenario(scenario_path("task_a")), None),
+    "task_b": (lambda: load_scenario(scenario_path("task_b")), None),
+    "task_c": (lambda: load_scenario(scenario_path("task_c")), None),
+    "workload_15k": (lambda: generate_workload(WorkloadParams()), None),
+    "many_programs": (many_programs, None),
+    "task_a_first_use": (lambda: load_scenario(scenario_path("task_a")), "first-use"),
+    "task_a_cache_denials": (task_a_cache_denials, None),
+    "contention": (contention, None),
+    "contention_unscheduled": (lambda: contention(scheduler=False), None),
 }
 
 
 def trace_digest(name: str, directory: Path) -> str:
     path = directory / f"{name}.trace"
-    run_with_trace(SCENARIOS[name](), path)
+    make, mode = SCENARIOS[name]
+    run_with_trace(make(), path, mode=mode)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
