@@ -10,7 +10,7 @@ from .auth import (
     render_first_use_prompt,
     render_prompt,
 )
-from .engine import Engine, EngineConfig, MODE_DELEGATION, MODE_FIRST_USE
+from .engine import Engine, EngineConfig, Mode
 from .graph import DelegationPath, GraphStore, InputKey, PathKey
 from .model import (
     HandoffEvent,
@@ -39,8 +39,7 @@ __all__ = [
     "InputEvent",
     "InputKey",
     "InteractivePrompt",
-    "MODE_DELEGATION",
-    "MODE_FIRST_USE",
+    "Mode",
     "OperationRequest",
     "PathKey",
     "Registry",

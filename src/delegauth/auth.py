@@ -266,13 +266,6 @@ class FirstUseState:
     def grant(self, program_id: str, op: str, sensor: str) -> None:
         self.grants.add((program_id, op, sensor))
 
-    def revoke(self, program_id: str, op: str, sensor: str) -> bool:
-        try:
-            self.grants.remove((program_id, op, sensor))
-            return True
-        except KeyError:
-            return False
-
 
 # -- authorization cache ---------------------------------------------------------------
 
@@ -301,10 +294,6 @@ class AuthorizationCache:
         if entry is None:
             return None
         return entry.decisions.get(key)
-
-    def is_authorized(self, key: PathKey) -> bool:
-        entry = self.entries.get(key.input_key)
-        return entry is not None and key in entry.authorized
 
     # -- mutation -------------------------------------------------------------
 
@@ -362,11 +351,6 @@ class AuthorizationCache:
         self.audit_log.append(self._serialize_entry(entry))
         self.version += 1
         return len(entry.authorized)
-
-    # -- prompt accounting helper ------------------------------------------------
-
-    def prompt_free_replay(self, keys: list[PathKey]) -> bool:
-        return all(self.lookup(k) == "allow" for k in keys)
 
     # -- serialization ----------------------------------------------------------
 

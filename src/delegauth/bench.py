@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .auth import AuthorizationCache, ScriptedPolicy
-from .engine import Engine
+from .engine import Engine, Mode
 from .graph import GraphStore, PathKey
 from .model import (
     HandoffEvent,
@@ -33,9 +33,6 @@ from .model import (
 from .runner import run_scenario
 from .scenario import Scenario
 from .workload import WorkloadParams, generate_workload
-
-SUITES = ("graph_construction", "cache_rw", "enforcement", "scaling", "ambiguity", "two_level", "memory")
-
 
 def round_robin(batches, rounds: int) -> dict:
     """Per-op microseconds for several points measured in interleaved rounds.
@@ -273,7 +270,7 @@ def _chain_scenario(k: int) -> Scenario:
 
 
 def enforcement(max_handoffs: int = 10, inner: int = 5, runs: int = 10) -> dict:
-    """Full mediation vs pass-through baseline over chain lengths 1..10.
+    """Delegation mode vs the pass-through baseline over chain lengths 1..10.
 
     Every chain length, mediated and baseline, is one point of `round_robin`
     over `runs` rounds; each batch runs the chain's scenario `inner` times.
@@ -282,17 +279,19 @@ def enforcement(max_handoffs: int = 10, inner: int = 5, runs: int = 10) -> dict:
     """
     ks = list(range(1, max_handoffs + 1))
 
-    def chain_batch(scn: Scenario, mediation: bool):
+    def chain_batch(scn: Scenario, mode: Mode):
         def fn():
             t0 = time.perf_counter_ns()
             for _ in range(inner):
-                run_scenario(scn, mediation=mediation)
+                run_scenario(scn, mode=mode)
             return inner, time.perf_counter_ns() - t0
 
         return fn
 
     scenarios = [_chain_scenario(k) for k in ks]
-    m = round_robin([chain_batch(scn, med) for scn in scenarios for med in (True, False)], rounds=runs)
+    m = round_robin(
+        [chain_batch(scn, mode) for scn in scenarios for mode in (Mode.DELEGATION, Mode.PASS_THROUGH)], rounds=runs
+    )
     rows = []
     for i, k in enumerate(ks):
         with_us, without_us = m["us"][2 * i], m["us"][2 * i + 1]
@@ -485,19 +484,19 @@ def memory(n_programs: int = 1000, seed: int = 7) -> dict:
     }
 
 
+SUITES = {
+    "graph_construction": graph_construction,
+    "cache_rw": cache_rw,
+    "enforcement": enforcement,
+    "scaling": scaling,
+    "ambiguity": ambiguity,
+    "two_level": two_level,
+    "memory": memory,
+}
+
+
 def run_suite(name: str, **kwargs) -> dict:
-    if name == "graph_construction":
-        return graph_construction(**kwargs)
-    if name == "cache_rw":
-        return cache_rw(**kwargs)
-    if name == "enforcement":
-        return enforcement(**kwargs)
-    if name == "scaling":
-        return scaling(**kwargs)
-    if name == "ambiguity":
-        return ambiguity(**kwargs)
-    if name == "two_level":
-        return two_level(**kwargs)
-    if name == "memory":
-        return memory(**kwargs)
-    raise ValueError(f"unknown bench suite {name!r}; choose from {SUITES}")
+    suite = SUITES.get(name)
+    if suite is None:
+        raise ValueError(f"unknown bench suite {name!r}; choose from {tuple(SUITES)}")
+    return suite(**kwargs)

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .auth import parse_policy_rules
 from .bench import SUITES, run_suite
-from .errors import DelegauthError, ParseError, TraceDivergence, UnresolvedReference
-from .runner import compare_modes, replay, run_scenario, run_with_trace
+from .errors import DelegauthError, ParseError, TraceDivergence
+from .runner import MODE_SPELLINGS, compare_modes, replay, run_scenario, run_with_trace
 from .scenario import load_scenario
 from .workload import WorkloadParams, generate_workload
 
@@ -107,7 +107,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    lo, hi = (int(x) for x in args.gaps.split(","))
+    try:
+        lo, hi = (int(x) for x in args.gaps.split(","))
+    except ValueError:
+        raise ParseError(f"--gaps must be LO,HI in integer ms, got {args.gaps!r}") from None
     params = WorkloadParams(
         n_inputs=args.n, gap_range_ms=(lo, hi), seed=args.seed, noise_apps=args.noise_apps,
         noise_burst_prob=0.5 if args.noise_apps else 0.0,
@@ -164,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("file")
-    p_run.add_argument("--mode", choices=["entrust", "first-use", "delegation", "first_use"])
+    p_run.add_argument("--mode", choices=list(MODE_SPELLINGS))
     p_run.add_argument("--policy", help="policy file overriding the main-phase scripted policy")
     p_run.add_argument("--interactive", action="store_true", help="prompt on stdin/stdout")
     p_run.add_argument("--window-ms", type=int, default=None)
@@ -205,10 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     except TraceDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (ParseError, UnresolvedReference, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except DelegauthError as exc:
+    except (DelegauthError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

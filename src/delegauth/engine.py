@@ -1,11 +1,21 @@
-"""Deterministic mediation engine.
+"""Deterministic engine that mediates events and sensor requests.
 
 Single event loop over a virtual millisecond clock. Occurrences (timeline
 submissions, handler actions, completions, window expiries, hold deadlines)
 are processed in (time, sequence) order, so identical inputs always produce
 identical transcripts.
 
-Delivery gates realize the ambiguity-prevention rules:
+`EngineConfig.mode` picks one of four behaviours (`Mode`):
+  * PASS_THROUGH: the unmediated baseline; every event is delivered at once,
+    no graph is built and no request is authorized;
+  * FIRST_USE: the first-use baseline; events are delivered at once and each
+    (program, op, sensor) triple prompts the first time it is requested;
+  * DELEGATION_NO_HOLDS: delegation graphs and path prompts without the
+    delivery gates, so a request may reach two live roots and be denied as
+    ambiguous;
+  * DELEGATION: EnTrust; graphs, path prompts and the delivery gates.
+
+In DELEGATION, delivery gates realize the ambiguity-prevention rules:
   * a program processes one event at a time (busy exclusivity);
   * a fresh input is delivered only when the target belongs to no live root
     graph; same-key inputs ride along as repeats;
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from enum import Enum
 
 from .auth import (
     ALLOWED,
@@ -72,7 +83,6 @@ from .scheduler import (
     LOW,
     QUEUED,
     REJECTED,
-    Complete,
     DelayStats,
     EmitHandoff,
     EmitRequest,
@@ -82,23 +92,27 @@ from .scheduler import (
     Ticket,
 )
 
-MODE_DELEGATION = "delegation"
-MODE_FIRST_USE = "first_use"
 
-REPEAT = "repeat"
-FRESH = "fresh"
-HOLD = "hold"
+class Mode(Enum):
+    """What the engine mediates; see the module docstring."""
+
+    PASS_THROUGH = "pass_through"
+    FIRST_USE = "first_use"
+    DELEGATION_NO_HOLDS = "delegation_no_holds"
+    DELEGATION = "delegation"
+
+
+_GRAPH_MODES = (Mode.DELEGATION, Mode.DELEGATION_NO_HOLDS)
 
 
 @dataclass
 class EngineConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    mode: str = MODE_DELEGATION
+    mode: Mode = Mode.DELEGATION
     cache_denials: bool = False
-    mediation: bool = True  # False = pass-through baseline (no graphs, no auth)
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_DELEGATION, MODE_FIRST_USE):
+        if not isinstance(self.mode, Mode):
             raise InvariantViolation(f"unknown mode {self.mode!r}")
 
 
@@ -159,7 +173,6 @@ class Engine:
         self._label_ids: dict[str, str] = {}
         self._pending: dict[str, _Pending] = {}
         self._root_phase: dict[str, str] = {}
-        self._advance_log: list = []
 
         self.decisions: list[Decision] = []
         self.prompts: list[dict] = []
@@ -169,18 +182,6 @@ class Engine:
         self.backpressure_rejections = 0
 
     # -- plumbing -------------------------------------------------------------
-
-    @property
-    def _passthrough(self) -> bool:
-        return (
-            not self.config.mediation
-            or not self.config.scheduler.enabled
-            or self.config.mode == MODE_FIRST_USE
-        )
-
-    @property
-    def _delegation(self) -> bool:
-        return self.config.mediation and self.config.mode == MODE_DELEGATION
 
     def next_event_id(self) -> str:
         self._event_seq += 1
@@ -236,32 +237,17 @@ class Engine:
         self.now = max(self.now, event.t)
         return self._admit(event, phase=phase, derived_root=derived_root)
 
-    def advance(self, to: int) -> list:
+    def advance(self, to: int) -> None:
         """Process everything due up to and including virtual time `to`."""
         if to < self.now:
             raise ProtocolViolation("cannot advance backwards")
-        self._advance_log = []
         self._run_until(to)
         self.now = max(self.now, to)
-        return self._advance_log
 
     def run_to_quiescence(self) -> int:
-        self._advance_log = []
         while self._heap:
             self._step()
         return self.now
-
-    def check_repeat_input(self, i: InputEvent) -> str:
-        """Classify an input: repeat of the live received root, fresh, or hold."""
-        received = self.store.live_received_root(i.program_id, self.now)
-        if received is not None:
-            key = self.store.input_key_of_root(received)
-            if (key.widget_id, key.program_id) == (i.widget_id, i.program_id):
-                return REPEAT
-        state = self._program(i.program_id)
-        if state.idle and not self.store.live_memberships(i.program_id, self.now):
-            return FRESH
-        return HOLD
 
     def complete_handling(self, program_id: str, event_id: str) -> None:
         """Explicit early completion of the event a program is processing."""
@@ -273,9 +259,6 @@ class Engine:
         state.busy_with = None
         self._emit("complete", program=program_id, event_id=event_id, reason="explicit")
         self._try_dispatch(state)
-
-    def stats_snapshot(self) -> DelayStats:
-        return self.stats.snapshot()
 
     def prompt_count(self, phase: str | None = None) -> int:
         if phase is None:
@@ -363,7 +346,7 @@ class Engine:
         if kind == "handoff":
             root_id = derived_root if derived_root is not None else ev.provenance
             derived = root_id is not None
-            if derived and self._delegation and self.config.scheduler.enabled:
+            if derived and self.config.mode is Mode.DELEGATION:
                 g = self.store.live.get(root_id)
                 if g is None or not g.live_at(self.now):
                     # provenance died before admission: downgrade to plain busy work
@@ -380,12 +363,12 @@ class Engine:
         if self._trace is not None:
             self._emit("admit", event=self._event_payload(ev), priority=priority, derived=derived, phase=phase)
 
-        if self._passthrough:
+        if self.config.mode is not Mode.DELEGATION:
             self._deliver(ticket, phase)
             return ticket
 
         # immediate repeats bypass queues and busy exclusivity
-        if kind == "input" and self.check_repeat_input(ev) == REPEAT:
+        if kind == "input" and self._gate(ticket) == "deliver_repeat":
             self._deliver(ticket, phase, as_repeat=True)
             return ticket
 
@@ -418,14 +401,22 @@ class Engine:
         return None
 
     def _gate(self, ticket: Ticket) -> str:
-        """Delivery verdict for the head-of-queue ticket of an idle program."""
+        """Delivery verdict for a ticket.
+
+        `deliver`, `deliver_repeat` (an input with the key of the live root
+        its program received), `blocked`, or the reason the ticket is dropped:
+        `hold_deadline`, `root_expired` or `merge_rejected`. Asked for the
+        head-of-queue ticket of an idle program, and for an input at
+        admission, where a repeat bypasses queues and busy exclusivity.
+        """
+        if self.now > ticket.deadline:
+            return "hold_deadline"  # bounded delay: never delivered late, even if just unblocked
         ev = ticket.event
         if ticket.kind == "input":
+            # the root a program received has that program as its receiver
             received = self.store.live_received_root(ev.program_id, self.now)
-            if received is not None:
-                key = self.store.input_key_of_root(received)
-                if (key.widget_id, key.program_id) == (ev.widget_id, ev.program_id):
-                    return "deliver_repeat"
+            if received is not None and self.store.live[received].root.widget_id == ev.widget_id:
+                return "deliver_repeat"
             if self.store.live_memberships(ev.program_id, self.now):
                 return "blocked"
             return "deliver"
@@ -436,8 +427,8 @@ class Engine:
             if verdict == ATTACH_CONFLICT:
                 return "blocked"
             if verdict == ATTACH_MERGE:
-                return "reject_merge"
-            return "stale"  # ATTACH_STALE
+                return "merge_rejected"
+            return "root_expired"  # ATTACH_STALE
         return "deliver"
 
     def _try_dispatch(self, state: ProgramState) -> None:
@@ -445,31 +436,18 @@ class Engine:
             ticket = self._next_ticket(state)
             if ticket is None:
                 break
-            if self.now > ticket.deadline:
-                # bounded delay: never delivered late, even if just unblocked
-                if state.high and state.high[0] is ticket:
-                    state.high.popleft()
-                else:
-                    state.low.popleft()
-                self._expire_ticket(ticket, "hold_deadline")
-                continue
             verdict = self._gate(ticket)
             if verdict == "blocked":
                 break  # strict priority: never skip past a blocked high head
-            if state.high and state.high[0] is ticket:
-                state.high.popleft()
-            else:
-                state.low.popleft()
-            if verdict == "stale":
-                self._expire_ticket(ticket, "root_expired")
-            elif verdict == "reject_merge":
-                ticket.status = REJECTED
-                ticket.outcome_detail = "merge_rejected"
-                self._emit(
-                    "handoff", event_id=ticket.event.event_id, root=ticket.root_id, outcome="merge_rejected"
-                )
-            else:
+            (state.high if state.high and state.high[0] is ticket else state.low).popleft()
+            if verdict == "deliver" or verdict == "deliver_repeat":
                 self._deliver(ticket, ticket.phase, as_repeat=(verdict == "deliver_repeat"))
+            elif verdict == "merge_rejected":
+                ticket.status = REJECTED
+                ticket.outcome_detail = verdict
+                self._emit("handoff", event_id=ticket.event.event_id, root=ticket.root_id, outcome=verdict)
+            else:
+                self._expire_ticket(ticket, verdict)
         if not (state.high or state.low):
             self._waiting.discard(state.program_id)
 
@@ -478,7 +456,6 @@ class Engine:
         ticket.outcome_detail = reason
         self.stats.record_expiry(ticket.kind, ticket.derived)
         self._emit("expire", what="event", event_id=ticket.event.event_id, reason=reason)
-        self._advance_log.append(("expired", ticket.event.event_id))
 
     # -- delivery ------------------------------------------------------------------------
 
@@ -489,7 +466,6 @@ class Engine:
         self.stats.record_delivery(ticket.kind, ticket.delay, ticket.derived)
         target = ev.program_id if ticket.kind == "input" else ev.dst
         self._emit("deliver", event_id=ev.event_id, program=target, delay=ticket.delay, event_kind=ticket.kind)
-        self._advance_log.append(("delivered", ev.event_id))
 
         if ticket.kind == "input":
             self._deliver_input(ticket, ev, phase, as_repeat)
@@ -498,7 +474,7 @@ class Engine:
 
     def _deliver_input(self, ticket: Ticket, ev: InputEvent, phase: str, as_repeat: bool) -> None:
         root_id = None
-        if self._delegation:
+        if self.config.mode in _GRAPH_MODES:
             if as_repeat:
                 root_id = self.store.live_received_root(ev.program_id, self.now)
                 self.store.record_repeat_input(root_id, ev)
@@ -513,7 +489,8 @@ class Engine:
 
     def _deliver_handoff(self, ticket: Ticket, ev: HandoffEvent, phase: str) -> None:
         root_id = ticket.root_id
-        if self._delegation and ticket.derived:
+        graphs = self.config.mode in _GRAPH_MODES
+        if graphs and ticket.derived:
             try:
                 self.store.record_handoff(ev, root_override=root_id, delivered_at=self.now)
                 outcome = "attached"
@@ -528,7 +505,7 @@ class Engine:
                 return  # attach refused: the message does not reach a handler
             self.delivered_log.append(("handoff", ev.event_id, ev.src, ev.dst, ev.t, self.now, True))
         else:
-            if self._delegation:
+            if graphs:
                 self._emit("handoff", event_id=ev.event_id, root=None, outcome="unattributable")
             self.delivered_log.append(
                 ("handoff", ev.event_id, ev.src, ev.dst, ev.t, self.now, ticket.derived)
@@ -558,7 +535,7 @@ class Engine:
             derived=derived,
             root_id=root_id,
             phase=phase,
-            occupies_busy=occupies_busy and not self._passthrough,
+            occupies_busy=occupies_busy and self.config.mode is Mode.DELEGATION,
         )
         if exec_.occupies_busy:
             state = self._program(program_id)
@@ -656,9 +633,10 @@ class Engine:
     # -- authorization ------------------------------------------------------------------------
 
     def _mediate_request(self, r: OperationRequest, phase: str) -> None:
-        if not self.config.mediation:
+        mode = self.config.mode
+        if mode is Mode.PASS_THROUGH:
             return
-        if self.config.mode == MODE_FIRST_USE:
+        if mode is Mode.FIRST_USE:
             self._first_use_decide(r, phase)
             return
         try:
@@ -718,20 +696,19 @@ class Engine:
         text = render_first_use_prompt(r.program_id, r.op, self.registry)
         prog = self.registry.program(r.program_id)
         self.prompts.append(
-            {"mode": MODE_FIRST_USE, "phase": phase, "t": self.now, "text": text,
+            {"mode": Mode.FIRST_USE.value, "phase": phase, "t": self.now, "text": text,
              "marks": [[prog.name, prog.identity_mark]]}
         )
-        self._emit("prompt", mode=MODE_FIRST_USE, phase=phase, text=text, marks=[[prog.name, prog.identity_mark]])
+        self._emit("prompt", mode=Mode.FIRST_USE.value, phase=phase, text=text, marks=[[prog.name, prog.identity_mark]])
         allowed = self._authorizer(phase).authorize_first_use(r.program_id, r.op, r.sensor, text, self.registry)
         if allowed:
             self.first_use.grant(r.program_id, r.op, r.sensor)
-            self._decide(
-                Decision(ALLOWED, PROMPTED, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase, prompt_text=text)
+        self._decide(
+            Decision(
+                ALLOWED if allowed else DENIED, PROMPTED, r.event_id, r.program_id, r.op, r.sensor, r.t,
+                phase=phase, prompt_text=text,
             )
-        else:
-            self._decide(
-                Decision(DENIED, PROMPTED, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase, prompt_text=text)
-            )
+        )
 
     def _flush_root(self, root_id: str) -> None:
         pending = self._pending.pop(root_id, None)
@@ -742,11 +719,11 @@ class Engine:
         marks = prompt_marks(paths, self.registry)
         phase = pending.phase
         self.prompts.append(
-            {"mode": MODE_DELEGATION, "phase": phase, "t": self.now, "text": text, "marks": marks, "root": root_id}
+            {"mode": Mode.DELEGATION.value, "phase": phase, "t": self.now, "text": text, "marks": marks, "root": root_id}
         )
         if self._trace is not None:
             self._emit(
-                "prompt", mode=MODE_DELEGATION, phase=phase, text=text, marks=marks, root=root_id,
+                "prompt", mode=Mode.DELEGATION.value, phase=phase, text=text, marks=marks, root=root_id,
                 paths=[k.to_dict() for k in pending.paths],
             )
         allowed = self._authorizer(phase).authorize_paths(paths, text, self.registry)

@@ -8,8 +8,9 @@ the graph strictly before t, which keeps every computed path strictly
 increasing in time.
 
 Requests are attributed by membership: the requester must belong to exactly
-one live graph at request time. The scheduler guarantees that; with the
-scheduler disabled the same query surfaces AmbiguousAttribution.
+one live graph at request time. The engine's delivery gates guarantee that;
+in its delegation-without-holds mode the same query surfaces
+AmbiguousAttribution.
 
 When a root's window closes it is sealed: its live state is dropped, and each
 of its programs keeps only the earliest deadline of a sealed root it was in,
@@ -108,9 +109,6 @@ class DelegationPath:
             sensor=self.request.sensor,
         )
 
-    def input_key(self) -> InputKey:
-        return InputKey(widget_id=self.input.widget_id, program_id=self.input.program_id)
-
     def validate(self) -> None:
         prev_prog = self.input.program_id
         prev_t = self.input.t
@@ -140,16 +138,6 @@ class _LiveGraph:
 
     def live_at(self, t: int) -> bool:
         return t <= self.deadline
-
-    def programs(self) -> list[str]:
-        return list(self.join_t)
-
-    def vertex_count(self) -> int:
-        sensors = {s for (_, _, s) in self.request_instances}
-        return 1 + len(self.join_t) + len(sensors)
-
-    def edge_count(self) -> int:
-        return 1 + len(self.handoff_instances) + len(self.request_instances)
 
     def to_dict(self) -> dict:
         return {
@@ -211,10 +199,6 @@ class GraphStore:
         self.eviction_count = 0
 
     # -- queries used by the scheduler ------------------------------------
-
-    def input_key_of_root(self, root_id: str) -> InputKey:
-        g = self.live[root_id]
-        return InputKey(widget_id=g.root.widget_id, program_id=g.root.program_id)
 
     def live_received_root(self, program_id: str, now: int | None = None) -> str | None:
         root_id = self.received_root.get(program_id)
@@ -423,12 +407,3 @@ class GraphStore:
         else:
             raise InvariantViolation(f"unknown graph root {root_id!r}")
         return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-
-    # -- introspection ---------------------------------------------------------
-
-    def live_count(self) -> int:
-        return len(self.live)
-
-    def graph_summary(self, root_id: str) -> dict:
-        g = self.live[root_id]
-        return {"vertices": g.vertex_count(), "edges": g.edge_count(), "programs": g.programs()}

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .auth import ALLOWED, CACHED, AuthorizationCache, InteractivePrompt, ScriptedPolicy
-from .engine import MODE_DELEGATION, MODE_FIRST_USE, Engine, EngineConfig
-from .errors import TraceDivergence
+from .engine import Engine, EngineConfig, Mode
+from .errors import ParseError, TraceDivergence
 from .scenario import Scenario, TraceWriter, loads_scenario, read_trace_header
 
 
@@ -53,43 +53,47 @@ class RunReport:
         }
 
 
-def _cli_mode_to_engine(mode: str) -> str:
-    aliases = {
-        "entrust": MODE_DELEGATION,
-        "delegation": MODE_DELEGATION,
-        "first-use": MODE_FIRST_USE,
-        "first_use": MODE_FIRST_USE,
-    }
-    try:
-        return aliases[mode]
-    except KeyError:
-        raise ValueError(f"unknown mode {mode!r}") from None
+# Spellings of a mode in the CLI's `--mode` and in trace headers; the
+# scenario's `mode` and `expect` records take the last two
+MODE_SPELLINGS = {
+    "entrust": Mode.DELEGATION,
+    "first-use": Mode.FIRST_USE,
+    "delegation": Mode.DELEGATION,
+    "first_use": Mode.FIRST_USE,
+}
+
+
+def resolve_mode(scn: Scenario, mode: Mode | str | None) -> Mode:
+    """The mode a run of `scn` uses: `mode`, a spelling of one, or (None) the
+    scenario's own. A scenario config with `"scheduler": false` drops the holds."""
+    if not isinstance(mode, Mode):
+        spelling = scn.mode if mode is None else mode
+        mode = MODE_SPELLINGS.get(spelling) if isinstance(spelling, str) else None
+        if mode is None:
+            raise ParseError(f"unknown mode {spelling!r}; expected one of {', '.join(MODE_SPELLINGS)}")
+    if mode is Mode.DELEGATION and not scn.config.get("scheduler", True):
+        return Mode.DELEGATION_NO_HOLDS
+    return mode
 
 
 def build_engine(
     scn: Scenario,
-    mode: str | None = None,
+    mode: Mode | str | None = None,
     policy_rules: list[str] | None = None,
     window_ms: int | None = None,
     cache: AuthorizationCache | None = None,
     trace=None,
     interactive: bool = False,
-    scheduler_enabled: bool | None = None,
     two_level: bool | None = None,
-    mediation: bool | None = None,
 ) -> tuple[Engine, dict[str, str]]:
     registry, handlers, name_to_id = scn.build()
     sched = scn.scheduler_config(window_override=window_ms)
-    if scheduler_enabled is not None:
-        sched.enabled = scheduler_enabled
     if two_level is not None:
         sched.two_level = two_level
-    engine_mode = _cli_mode_to_engine(mode) if mode else scn.mode
     config = EngineConfig(
         scheduler=sched,
-        mode=engine_mode,
+        mode=resolve_mode(scn, mode),
         cache_denials=scn.config.get("cache_denials", False),
-        mediation=True if mediation is None else mediation,
     )
     if interactive:
         prompt = InteractivePrompt()
@@ -144,27 +148,29 @@ def evaluate_attacks(engine: Engine, scn: Scenario, name_to_id: dict[str, str]) 
 
 def run_scenario(
     scn: Scenario,
-    mode: str | None = None,
+    mode: Mode | str | None = None,
     policy_rules: list[str] | None = None,
     window_ms: int | None = None,
     cache: AuthorizationCache | None = None,
     trace=None,
     interactive: bool = False,
-    scheduler_enabled: bool | None = None,
     two_level: bool | None = None,
-    mediation: bool | None = None,
 ) -> tuple[RunReport, Engine]:
     engine, name_to_id = build_engine(
         scn, mode=mode, policy_rules=policy_rules, window_ms=window_ms, cache=cache,
-        trace=trace, interactive=interactive, scheduler_enabled=scheduler_enabled,
-        two_level=two_level, mediation=mediation,
+        trace=trace, interactive=interactive, two_level=two_level,
     )
     _schedule_timeline(engine, scn, name_to_id)
     t0 = time.perf_counter()
     final_t = engine.run_to_quiescence()
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
-    report = RunReport(mode=engine.config.mode, final_t=final_t, wall_ms=wall_ms)
+    mode = engine.config.mode
+    # a report names the authorization a run used; holds are not part of it
+    report = RunReport(
+        mode=Mode.DELEGATION.value if mode is Mode.DELEGATION_NO_HOLDS else mode.value,
+        final_t=final_t, wall_ms=wall_ms,
+    )
     report.prompts = list(engine.prompts)
     report.prompt_counts = {
         phase: engine.prompt_count(phase) for phase in ("preliminary", "main")
@@ -175,14 +181,14 @@ def run_scenario(
     report.path_edge_histogram = dict(engine.path_edge_histogram)
     report.cache_footprint = engine.cache.footprint()
     report.ambiguous_requests = engine.ambiguous_requests
-    report.expect_failures = _check_expectations(scn, report)
+    report.expect_failures = _check_expectations(scn, report, mode)
     return report, engine
 
 
-def _check_expectations(scn: Scenario, report: RunReport) -> list[str]:
+def _check_expectations(scn: Scenario, report: RunReport, mode: Mode) -> list[str]:
     failures = []
     for x in scn.expects:
-        if _cli_mode_to_engine(x["mode"]) != report.mode:
+        if resolve_mode(scn, x["mode"]) is not mode:
             continue
         if "main_prompts" in x and report.main_prompts != x["main_prompts"]:
             failures.append(
@@ -205,10 +211,8 @@ def _check_expectations(scn: Scenario, report: RunReport) -> list[str]:
 def compare_modes(scn: Scenario, window_ms: int | None = None) -> dict:
     """Run both authorization modes from clean state and tabulate the contrast."""
     reports = {}
-    for mode in (MODE_FIRST_USE, MODE_DELEGATION):
-        report, _engine = run_scenario(scn, mode=mode.replace("_", "-") if mode == MODE_FIRST_USE else "entrust",
-                                       window_ms=window_ms)
-        reports[mode] = report
+    for mode in (Mode.FIRST_USE, Mode.DELEGATION):
+        reports[mode.value], _engine = run_scenario(scn, mode=mode, window_ms=window_ms)
     return reports
 
 

@@ -56,7 +56,6 @@ class Scenario:
             default_service_lag_ms=cfg.get("default_lag_ms", 5),
             queue_bound=cfg.get("queue_bound", 1024),
             two_level=cfg.get("two_level", True),
-            enabled=cfg.get("scheduler", True),
         )
 
     def build(self) -> tuple[Registry, HandlerTable, dict[str, str]]:
@@ -249,12 +248,8 @@ def _validate(scn: Scenario) -> None:
     # cross-reference resolution (deterministic errors with line locations)
     try:
         registry, _table, name_to_id = scn.build()
-    except UnresolvedReference:
-        raise
     except KeyError as exc:
         raise UnresolvedReference(f"unresolved reference {exc.args[0]!r}") from exc
-    except InvariantViolation:
-        raise
 
     if scn.mode not in ("delegation", "first_use"):
         raise InvariantViolation(f"unknown mode {scn.mode!r}")

@@ -8,7 +8,7 @@ benchmarks report.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import Backpressure, InvariantViolation
 from .model import MediatedEvent
@@ -29,7 +29,6 @@ class SchedulerConfig:
     default_service_lag_ms: int = 5
     queue_bound: int = 1024
     two_level: bool = True  # two-level priority scheduling of pending events
-    enabled: bool = True  # ambiguity-prevention holds; False = pass-through
 
     def __post_init__(self) -> None:
         if self.window_ms <= 0:
@@ -94,13 +93,6 @@ class DelayStats:
         self.per_kind[kind].expired += 1
         if derived:
             self.derived.expired += 1
-
-    def snapshot(self) -> "DelayStats":
-        return DelayStats(
-            window_ms=self.window_ms,
-            per_kind={k: replace(v) for k, v in self.per_kind.items()},
-            derived=replace(self.derived),
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -250,6 +242,3 @@ class HandlerTable:
         if spec is None and trigger_kind == "handoff":
             spec = self._table.get((program_id, "handoff", "*"))
         return spec
-
-    def all_specs(self) -> list[HandlerSpec]:
-        return list(self._table.values())

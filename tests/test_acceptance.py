@@ -14,6 +14,7 @@ import pytest
 
 from delegauth import (
     AuthorizationCache,
+    Mode,
     WorkloadParams,
     compare_modes,
     generate_workload,
@@ -98,7 +99,7 @@ def test_unambiguity_fuzz():
             classes = attribution_classes(engine.delivered_log, d.request_id, window)
             if classes != {(d.path_key.widget_id, d.path_key.programs)}:
                 mismatches += 1
-        _, engine_off = run_scenario(scn, scheduler_enabled=False)
+        _, engine_off = run_scenario(scn, mode=Mode.DELEGATION_NO_HOLDS)
         for entry in engine_off.delivered_log:
             if entry[0] == "request":
                 if len(attribution_classes(engine_off.delivered_log, entry[1], window)) > 1:

@@ -30,7 +30,7 @@ def test_store_and_lookup():
     assert cache.lookup(k) is None
     cache.store_allow(k, b"blob")
     assert cache.lookup(k) == "allow"
-    assert cache.is_authorized(k)
+    assert cache.entries[k.input_key].authorized == [k]
 
 
 def test_invalidate_unknown_key_returns_zero():
@@ -223,4 +223,4 @@ def test_prompt_free_replay_after_allow_all(widgets):
     keys = [key(widget=w, programs=("P1",)) for w in widgets]
     for k in keys:
         cache.store_allow(k, b"")
-    assert cache.prompt_free_replay(keys)
+    assert all(cache.lookup(k) == "allow" for k in keys)

@@ -107,6 +107,24 @@ def test_trace_and_replay(tmp_path, capsys):
     assert main(["replay", str(trace)]) == 4
 
 
+def test_unknown_mode_in_trace_header_is_validation_error(tmp_path, capsys):
+    trace = tmp_path / "a.trace"
+    assert main(["run", scenario_path("task_a"), "--mode", "entrust", "--trace", str(trace)]) == 0
+    text = trace.read_text()
+    assert '"mode":"entrust"' in text
+    trace.write_text(text.replace('"mode":"entrust"', '"mode":"bogus"', 1))
+    assert main(["replay", str(trace)]) == 2
+    assert "unknown mode 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gaps", ["5", "a,b", "1,2,3"])
+def test_gen_bad_gaps_is_validation_error(tmp_path, capsys, gaps):
+    out = tmp_path / "w.scn"
+    assert main(["gen", str(out), "--n", "10", "--gaps", gaps]) == 2
+    assert "--gaps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_window_env_var_lowest_precedence(tmp_path, capsys, monkeypatch):
     # scenario without its own window: env applies
     src = open(scenario_path("task_a")).read().replace('{"kind":"config","window_ms":150}\n', "")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from delegauth.auth import ScriptedPolicy
-from delegauth.engine import FRESH, HOLD, REPEAT, Engine, EngineConfig
+from delegauth.engine import Engine, EngineConfig, Mode
 from delegauth.errors import Backpressure, ProtocolViolation
 from delegauth.graph import InputKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
@@ -12,7 +12,7 @@ from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec,
 WINDOW = 150
 
 
-def build_engine(handlers=None, two_level=True, enabled=True, mode="delegation", cache_denials=False):
+def build_engine(handlers=None, two_level=True, mode=Mode.DELEGATION, cache_denials=False):
     reg = Registry()
     a = reg.register_program("Alpha", "AL")
     b = reg.register_program("Beta", "BE")
@@ -22,7 +22,7 @@ def build_engine(handlers=None, two_level=True, enabled=True, mode="delegation",
     reg.register_sensor("Camera")
     reg.register_operation("capture_picture", ["Camera"], "capture pictures")
     config = EngineConfig(
-        scheduler=SchedulerConfig(window_ms=WINDOW, two_level=two_level, enabled=enabled),
+        scheduler=SchedulerConfig(window_ms=WINDOW, two_level=two_level),
         mode=mode,
         cache_denials=cache_denials,
     )
@@ -55,7 +55,7 @@ def test_second_distinct_input_held_and_delay_recorded():
     engine.advance(WINDOW + 1)  # first root dies, held input becomes deliverable
     assert t2.status == "delivered"
     assert 0 < t2.delay <= WINDOW
-    stats = engine.stats_snapshot()
+    stats = engine.stats
     assert stats.delayed_events == 1
     assert stats.max_delay_ms == t2.delay
 
@@ -75,18 +75,28 @@ def test_held_input_past_window_expires_never_late():
     t2 = engine.submit(InputEvent("x2", wid(engine, "second cmd"), a, 0))
     engine.run_to_quiescence()
     assert t2.status == "expired"
-    stats = engine.stats_snapshot()
+    stats = engine.stats
     assert stats.per_kind["input"].expired == 1
     assert stats.max_delay_ms <= WINDOW
 
 
-def test_check_repeat_input_classification():
-    engine, (a, _, _), _ = build_engine()
-    first = InputEvent("x1", wid(engine, "first cmd"), a, 0)
-    assert engine.check_repeat_input(first) == FRESH
-    engine.submit(first)
-    assert engine.check_repeat_input(InputEvent("x2", wid(engine, "first cmd"), a, 10)) == REPEAT
-    assert engine.check_repeat_input(InputEvent("x3", wid(engine, "second cmd"), a, 10)) == HOLD
+def test_repeat_input_classification():
+    engine, (a, _, _), _ = build_engine(
+        handlers=[
+            HandlerSpec(
+                program_id="P1", trigger_kind="widget",
+                trigger_value="first cmd", complete=Complete(after_ms=100),
+            )
+        ]
+    )
+    fresh = engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
+    assert fresh.status == "delivered" and fresh.delay == 0
+    # Alpha is busy with x1: only an input with x1's key gets through
+    repeat = engine.submit(InputEvent("x2", wid(engine, "first cmd"), a, 10))
+    assert repeat.status == "delivered" and repeat.delay == 0
+    assert [i.event_id for i in engine.store.live["x1"].input_instances] == ["x1", "x2"]
+    held = engine.submit(InputEvent("x3", wid(engine, "second cmd"), a, 10))
+    assert held.status == "queued"
 
 
 def test_five_repeats_zero_holds():
@@ -103,7 +113,7 @@ def test_five_repeats_zero_holds():
         engine.submit(InputEvent(f"x{i}", wid(engine, "first cmd"), a, i * 10)) for i in range(2, 7)
     ]
     assert all(t.status == "delivered" and t.delay == 0 for t in tickets)
-    assert engine.stats_snapshot().delayed_events == 0
+    assert engine.stats.delayed_events == 0
     # all five repeats joined the original root
     g = engine.store.live["x1"]
     assert len(g.input_instances) == 6
@@ -158,7 +168,10 @@ def test_complete_handling_dispatches_next_and_rejects_protocol_misuse():
 
 def test_advance_on_empty_system_returns_nothing():
     engine, _, _ = build_engine()
-    assert engine.advance(1000) == []
+    assert engine.advance(1000) is None
+    assert engine.now == 1000
+    assert engine.decisions == [] and engine.delivered_log == []
+    assert engine.stats.total_events == 0
 
 
 def test_task_a_style_delivery_order():
@@ -241,7 +254,7 @@ def test_scheduler_off_allows_ambiguity_defense_in_depth():
             complete=Complete(after_ms=4),
         ),
     ]
-    engine, (a, b, _), _ = build_engine(handlers=handlers, enabled=False)
+    engine, (a, b, _), _ = build_engine(handlers=handlers, mode=Mode.DELEGATION_NO_HOLDS)
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.submit(InputEvent("x2", wid(engine, "second cmd"), b, 1))
     engine.run_to_quiescence()
@@ -266,7 +279,7 @@ def test_scheduler_on_same_workload_is_unambiguous():
             complete=Complete(after_ms=4),
         ),
     ]
-    engine, (a, b, _), _ = build_engine(handlers=handlers, enabled=True)
+    engine, (a, b, _), _ = build_engine(handlers=handlers)
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.submit(InputEvent("x2", wid(engine, "second cmd"), b, 1))
     engine.run_to_quiescence()
@@ -348,7 +361,7 @@ def test_first_use_mode_grants_and_stays_silent():
             complete=Complete(after_ms=3),
         ),
     ]
-    engine, (a, _, _), _ = build_engine(handlers=handlers, mode="first_use")
+    engine, (a, _, _), _ = build_engine(handlers=handlers, mode=Mode.FIRST_USE)
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.run_to_quiescence()
     assert engine.prompt_count() == 1
@@ -358,14 +371,14 @@ def test_first_use_mode_grants_and_stays_silent():
     assert engine.prompt_count() == 1
     assert engine.decisions[-1].silent_allow
     # revoke, then the next request prompts again
-    engine.first_use.revoke(a, "capture_picture", "Camera")
+    engine.first_use.grants.remove((a, "capture_picture", "Camera"))
     engine.submit(OperationRequest("r10", a, "capture_picture", "Camera", 6000))
     engine.run_to_quiescence()
     assert engine.prompt_count() == 2
 
 
 def test_first_use_allows_regardless_of_provenance():
-    engine, (a, _, _), _ = build_engine(mode="first_use")
+    engine, (a, _, _), _ = build_engine(mode=Mode.FIRST_USE)
     engine.submit(OperationRequest("r1", a, "capture_picture", "Camera", 0))
     engine.run_to_quiescence()
     assert engine.decisions[0].outcome == "allowed"  # no attribution needed

@@ -36,7 +36,10 @@ def test_record_input_creates_rooted_graph(basic_registry):
     pid = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     root = store.record_input(InputEvent("i1", wid, pid, 0))
-    assert store.graph_summary(root) == {"vertices": 2, "edges": 1, "programs": [pid]}
+    g = store.live[root]
+    assert [i.event_id for i in g.input_instances] == ["i1"]
+    assert g.join_t == {pid: 0} and g.parent == {pid: None}
+    assert g.handoff_instances == {} and g.request_instances == {}
 
 
 def test_duplicate_event_id_rejected(basic_registry):
@@ -54,7 +57,7 @@ def test_ten_inputs_make_ten_independent_graphs(basic_registry):
     wid = basic_registry.resolve_widget("do the thing").id
     for i in range(10):
         store.record_input(InputEvent(f"i{i}", wid, pid, i * 1000))
-    assert store.live_count() == 10
+    assert list(store.live) == [f"i{i}" for i in range(10)]
 
 
 def test_handoff_attaches_and_extends_reachability(basic_registry):
@@ -65,8 +68,9 @@ def test_handoff_attaches_and_extends_reachability(basic_registry):
     store.record_input(InputEvent("i1", wid, a, 0))
     store.record_handoff(HandoffEvent("h1", a, b, 5, provenance="i1"))
     assert store.live_memberships(b) == {"i1"}
-    summary = store.graph_summary("i1")
-    assert summary["vertices"] == 3 and summary["edges"] == 2
+    g = store.live["i1"]
+    assert g.join_t == {a: 0, b: 5} and g.parent == {a: None, b: a}
+    assert [h.event_id for h in g.handoff_instances[(a, b)]] == ["h1"]
 
 
 def test_handoff_without_live_provenance_is_unattributable(basic_registry):
@@ -253,9 +257,9 @@ def test_window_boundary_closed_interval(basic_registry):
     wid = basic_registry.resolve_widget("do the thing").id
     store.record_input(InputEvent("i1", wid, a, 0))
     assert not store.expire_graph("i1", WINDOW)  # still live at exactly t+window
-    assert store.live_count() == 1
+    assert list(store.live) == ["i1"]
     assert store.expire_graph("i1", WINDOW + 1)
-    assert store.live_count() == 0
+    assert store.live == {}
     assert "i1" in store.sealed
 
 

@@ -17,7 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from delegauth import WorkloadParams, generate_workload, load_scenario, loads_scenario, run_with_trace
+from delegauth import (
+    Mode, WorkloadParams, generate_workload, load_scenario, loads_scenario, run_scenario, run_with_trace,
+)
+from delegauth.runner import trace_header
+from delegauth.scenario import TraceWriter
 
 from conftest import DATA, scenario_path
 
@@ -86,13 +90,20 @@ SCENARIOS = {
     "task_a_cache_denials": (task_a_cache_denials, None),
     "contention": (contention, None),
     "contention_unscheduled": (lambda: contention(scheduler=False), None),
+    "pass_through": (contention, Mode.PASS_THROUGH),
 }
 
 
 def trace_digest(name: str, directory: Path) -> str:
     path = directory / f"{name}.trace"
     make, mode = SCENARIOS[name]
-    run_with_trace(make(), path, mode=mode)
+    if mode is Mode.PASS_THROUGH:
+        # no CLI spelling runs the baseline, so its header records no mode
+        scn = make()
+        with open(path, "w") as fh:
+            run_scenario(scn, mode=mode, trace=TraceWriter(fh, trace_header(scn, None, None, None, None)))
+    else:
+        run_with_trace(make(), path, mode=mode)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
