@@ -176,8 +176,6 @@ class Engine:
 
         self.decisions: list[Decision] = []
         self.prompts: list[dict] = []
-        self.delivered_log: list[tuple] = []
-        self.path_edge_histogram: dict[int, int] = {}
         self.ambiguous_requests = 0
         self.backpressure_rejections = 0
 
@@ -248,17 +246,6 @@ class Engine:
         while self._heap:
             self._step()
         return self.now
-
-    def complete_handling(self, program_id: str, event_id: str) -> None:
-        """Explicit early completion of the event a program is processing."""
-        state = self._program(program_id)
-        if state.busy_with != event_id:
-            raise ProtocolViolation(f"{program_id} is not processing {event_id}")
-        exec_ = self._busy_exec.pop(program_id)
-        exec_.cancelled = True
-        state.busy_with = None
-        self._emit("complete", program=program_id, event_id=event_id, reason="explicit")
-        self._try_dispatch(state)
 
     def prompt_count(self, phase: str | None = None) -> int:
         if phase is None:
@@ -331,13 +318,12 @@ class Engine:
         if kind == "request":
             ticket = Ticket(
                 event=ev, kind=kind, priority=HIGH, derived=derived_root is not None,
-                root_id=derived_root, submit_t=ev.t, deadline=ev.t, status=DELIVERED, deliver_t=ev.t,
+                root_id=derived_root, deadline=ev.t, status=DELIVERED, deliver_t=ev.t,
             )
             self.stats.record_submit(kind, ticket.derived)
             self.stats.record_delivery(kind, 0, ticket.derived)
             if self._trace is not None:
                 self._emit("admit", event=self._event_payload(ev), priority=HIGH, derived=ticket.derived, phase=phase)
-            self.delivered_log.append(("request", ev.event_id, ev.program_id, ev.op, ev.sensor, ev.t))
             self._mediate_request(ev, phase)
             return ticket
 
@@ -356,7 +342,7 @@ class Engine:
         priority = HIGH if derived else LOW
         ticket = Ticket(
             event=ev, kind=kind, priority=priority, derived=derived, root_id=root_id,
-            submit_t=ev.t, deadline=ev.t + self.config.scheduler.window_ms,
+            deadline=ev.t + self.config.scheduler.window_ms,
         )
         ticket.phase = phase
         self.stats.record_submit(kind, derived)
@@ -377,7 +363,6 @@ class Engine:
             state.enqueue(ticket, self.config.scheduler.queue_bound, self.config.scheduler.two_level)
         except Backpressure:
             ticket.status = REJECTED
-            ticket.outcome_detail = "backpressure"
             self.backpressure_rejections += 1
             self._emit("expire", what="event", event_id=ev.event_id, reason="backpressure")
             raise
@@ -444,7 +429,6 @@ class Engine:
                 self._deliver(ticket, ticket.phase, as_repeat=(verdict == "deliver_repeat"))
             elif verdict == "merge_rejected":
                 ticket.status = REJECTED
-                ticket.outcome_detail = verdict
                 self._emit("handoff", event_id=ticket.event.event_id, root=ticket.root_id, outcome=verdict)
             else:
                 self._expire_ticket(ticket, verdict)
@@ -453,7 +437,6 @@ class Engine:
 
     def _expire_ticket(self, ticket: Ticket, reason: str) -> None:
         ticket.status = T_EXPIRED
-        ticket.outcome_detail = reason
         self.stats.record_expiry(ticket.kind, ticket.derived)
         self._emit("expire", what="event", event_id=ticket.event.event_id, reason=reason)
 
@@ -482,7 +465,6 @@ class Engine:
                 root_id = self.store.record_input(ev, delivered_at=self.now)
                 self._root_phase[root_id] = phase
                 self._push(self.store.live[root_id].deadline + 1, "root_expiry", root_id)
-        self.delivered_log.append(("input", ev.event_id, ev.widget_id, ev.program_id, ev.t, self.now))
         widget = self.registry.widget(ev.widget_id)
         occupies_busy = not (as_repeat and not self._program(ev.program_id).idle)
         self._run_handler(ev.program_id, "widget", widget.id, ev, True, root_id, phase, occupies_busy)
@@ -503,13 +485,8 @@ class Engine:
             self._emit("handoff", event_id=ev.event_id, root=root_id, outcome=outcome)
             if outcome != "attached":
                 return  # attach refused: the message does not reach a handler
-            self.delivered_log.append(("handoff", ev.event_id, ev.src, ev.dst, ev.t, self.now, True))
-        else:
-            if graphs:
-                self._emit("handoff", event_id=ev.event_id, root=None, outcome="unattributable")
-            self.delivered_log.append(
-                ("handoff", ev.event_id, ev.src, ev.dst, ev.t, self.now, ticket.derived)
-            )
+        elif graphs:
+            self._emit("handoff", event_id=ev.event_id, root=None, outcome="unattributable")
         label = ev.action if ev.action is not None else "*"
         self._run_handler(ev.dst, "handoff", label, ev, ticket.derived, root_id, phase, True)
 
@@ -660,7 +637,6 @@ class Engine:
             return
         path = self.store.compute_path(r)
         key = path.key()
-        self.path_edge_histogram[key.edge_count] = self.path_edge_histogram.get(key.edge_count, 0) + 1
         cached = self.cache.lookup(key)
         if cached == "allow":
             self._emit("request", event_id=r.event_id, root=root_id, outcome="attributed", cache="hit")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -178,7 +179,8 @@ def run_scenario(
     report.decisions = [d.to_dict() for d in engine.decisions]
     report.attack_outcomes = evaluate_attacks(engine, scn, name_to_id)
     report.delay_stats = engine.stats.to_dict()
-    report.path_edge_histogram = dict(engine.path_edge_histogram)
+    edges = Counter(d.path_key.edge_count for d in engine.decisions if d.path_key is not None)
+    report.path_edge_histogram = dict(sorted(edges.items()))
     report.cache_footprint = engine.cache.footprint()
     report.ambiguous_requests = engine.ambiguous_requests
     report.expect_failures = _check_expectations(scn, report, mode)

@@ -500,4 +500,16 @@ def read_trace_header(fh) -> dict:
         raise ParseError(f"not a trace file (format={header.get('format')!r})", line=1)
     if header.get("version") != FORMAT_VERSION:
         raise ParseError(f"unsupported trace version {header.get('version')!r}", line=1)
+    for key in ("scenario", "scenario_sha256"):
+        if not isinstance(header.get(key), str):
+            raise ParseError(f"trace header needs a string {key}", line=1)
+    for key in ("window_override", "seed"):
+        value = header.get(key)
+        if value is not None and type(value) is not int:  # bool is an int subclass: rejected too
+            raise ParseError(f"trace header {key} must be an integer or null, got {value!r}", line=1)
+    rules = header.get("policy_override")
+    if rules is not None and not (isinstance(rules, list) and all(isinstance(r, str) for r in rules)):
+        raise ParseError(
+            f"trace header policy_override must be a list of strings or null, got {rules!r}", line=1
+        )
     return header

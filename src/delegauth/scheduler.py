@@ -8,7 +8,7 @@ benchmarks report.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import Backpressure, InvariantViolation
 from .model import MediatedEvent
@@ -101,23 +101,8 @@ class DelayStats:
             "expired_events": self.expired_events,
             "max_delay_ms": self.max_delay_ms,
             "delayed_fraction": (self.delayed_events / self.total_events) if self.total_events else 0.0,
-            "per_kind": {
-                k: {
-                    "submitted": v.submitted,
-                    "delivered": v.delivered,
-                    "delayed": v.delayed,
-                    "expired": v.expired,
-                    "max_delay_ms": v.max_delay_ms,
-                }
-                for k, v in self.per_kind.items()
-            },
-            "derived": {
-                "submitted": self.derived.submitted,
-                "delivered": self.derived.delivered,
-                "delayed": self.derived.delayed,
-                "expired": self.derived.expired,
-                "max_delay_ms": self.derived.max_delay_ms,
-            },
+            "per_kind": {k: asdict(v) for k, v in self.per_kind.items()},
+            "derived": asdict(self.derived),
         }
 
 
@@ -130,16 +115,14 @@ class Ticket:
     priority: str
     derived: bool
     root_id: str | None  # provenance root for derived events
-    submit_t: int
     deadline: int  # last instant the event may still be delivered
     status: str = QUEUED
     deliver_t: int | None = None
-    outcome_detail: str = ""
     phase: str = "main"
 
     @property
     def delay(self) -> int:
-        return 0 if self.deliver_t is None else self.deliver_t - self.submit_t
+        return 0 if self.deliver_t is None else self.deliver_t - self.event.t
 
 
 @dataclass

@@ -1,8 +1,18 @@
 """Brute-force attribution oracle.
 
 Independent of the graph store: enumerates every feasible input-to-request
-chain over the run's delivered-event log, using only facts a reference
-monitor observes (event tuples, delivery times, the window).
+chain over a run's trace, using only facts a reference monitor observes
+(event tuples, delivery times, the window).
+
+`log_from_trace` turns trace records, as the engine hands them to its
+`trace` callable or as `json.loads` reads them back from a trace file, into
+the oracle's log. It reads three record kinds:
+  * `admit` gives each event's fields, and a request entry for a request
+    (requests are mediated at admission);
+  * `deliver` gives an input entry for `event_kind == "input"`, and the
+    delivery time (the record's `t`) of a handoff;
+  * `handoff` with `outcome == "attached"` gives a handoff entry. A handoff
+    that did not attach reaches no graph, so it links nothing.
 
 Rules mirrored by enumeration:
   * input instances group into roots: a same-key instance arriving within
@@ -19,14 +29,40 @@ one attribution class keyed by (widget, program sequence).
 
 Log entry shapes:
   ("input",   event_id, widget, program, t_event, t_deliver)
-  ("handoff", event_id, src, dst, t_event, t_deliver, attached)
+  ("handoff", event_id, src, dst, t_event, t_deliver)
   ("request", event_id, program, op, sensor, t)
 """
 
 from __future__ import annotations
 
 
-def input_roots(delivered_log, window_ms: int) -> list[tuple[str, str, int, int]]:
+def log_from_trace(records) -> list[tuple]:
+    """The oracle's log of a run, in delivery order, from its trace records."""
+    admitted: dict[str, dict] = {}  # event id -> admitted input or handoff
+    handoff_delivered: dict[str, int] = {}
+    log: list[tuple] = []
+    for rec in records:
+        kind = rec["kind"]
+        if kind == "admit":
+            ev = rec["event"]
+            if "op" in ev:
+                log.append(("request", ev["id"], ev["program"], ev["op"], ev["sensor"], ev["t"]))
+            else:
+                admitted[ev["id"]] = ev
+        elif kind == "deliver":
+            if rec["event_kind"] == "input":
+                ev = admitted.pop(rec["event_id"])
+                log.append(("input", ev["id"], ev["widget"], ev["program"], ev["t"], rec["t"]))
+            else:
+                handoff_delivered[rec["event_id"]] = rec["t"]
+        elif kind == "handoff" and rec["outcome"] == "attached":
+            ev = admitted.pop(rec["event_id"])
+            t_deliver = handoff_delivered.pop(rec["event_id"])
+            log.append(("handoff", ev["id"], ev["src"], ev["dst"], ev["t"], t_deliver))
+    return log
+
+
+def input_roots(log, window_ms: int) -> list[tuple[str, str, int, int]]:
     """(widget, receiver, first_event_t, first_deliver_t) per reconstructed root.
 
     An instance joins the latest same-key root iff it was *delivered* inside
@@ -35,7 +71,7 @@ def input_roots(delivered_log, window_ms: int) -> list[tuple[str, str, int, int]
     """
     roots: list[tuple[str, str, int, int]] = []
     open_root: dict[tuple[str, str], int] = {}
-    for e in delivered_log:
+    for e in log:
         if e[0] != "input":
             continue
         _, _eid, widget, program, t_event, t_deliver = e
@@ -48,13 +84,13 @@ def input_roots(delivered_log, window_ms: int) -> list[tuple[str, str, int, int]
     return roots
 
 
-def attribution_classes(delivered_log, request_event_id: str, window_ms: int) -> set:
-    handoffs = [e for e in delivered_log if e[0] == "handoff" and e[6]]  # attached only
-    request = next(e for e in delivered_log if e[0] == "request" and e[1] == request_event_id)
+def attribution_classes(log, request_event_id: str, window_ms: int) -> set:
+    handoffs = [e for e in log if e[0] == "handoff"]
+    request = next(e for e in log if e[0] == "request" and e[1] == request_event_id)
     _, _, req_program, _op, _sensor, req_t = request
 
     classes: set[tuple[str, tuple[str, ...]]] = set()
-    for widget, receiver, t_root, t_reach in input_roots(delivered_log, window_ms):
+    for widget, receiver, t_root, t_reach in input_roots(log, window_ms):
         if req_t > t_root + window_ms:
             continue
         _extend(
@@ -68,6 +104,6 @@ def _extend(classes, handoffs, widget, chain, reached_t, req_program, req_t, dea
         classes.add((widget, chain))
     if len(chain) > 12:  # defensive bound; scenarios are tiny
         return
-    for _, _eid, src, dst, t_emit, t_deliver, _att in handoffs:
+    for _, _eid, src, dst, t_emit, t_deliver in handoffs:
         if src == chain[-1] and reached_t < t_emit and t_deliver <= deadline:
             _extend(classes, handoffs, widget, chain + (dst,), t_deliver, req_program, req_t, deadline)

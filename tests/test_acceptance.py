@@ -27,7 +27,7 @@ from delegauth.errors import TraceDivergence
 from delegauth.runner import replay
 from conftest import golden, scenario_path
 from fuzzgen import fuzz_scenario
-from oracle import attribution_classes
+from oracle import attribution_classes, log_from_trace
 
 TASKS = ("task_a", "task_b", "task_c")
 
@@ -85,24 +85,30 @@ def test_unambiguity_fuzz():
     t0 = time.perf_counter()
     checked = 0
     mismatches = 0
+    first_mismatch = ""
     ambiguous_on = 0
     multi_off = 0
     for seed in range(1, n_scenarios + 1):
         scn = fuzz_scenario(seed)
-        report, engine = run_scenario(scn)
+        records = []
+        report, engine = run_scenario(scn, trace=records.append)
         ambiguous_on += engine.ambiguous_requests
         window = engine.config.scheduler.window_ms
+        log = log_from_trace(records)
         for d in engine.decisions:
             if d.path_key is None:
                 continue
             checked += 1
-            classes = attribution_classes(engine.delivered_log, d.request_id, window)
+            classes = attribution_classes(log, d.request_id, window)
             if classes != {(d.path_key.widget_id, d.path_key.programs)}:
                 mismatches += 1
-        _, engine_off = run_scenario(scn, mode=Mode.DELEGATION_NO_HOLDS)
-        for entry in engine_off.delivered_log:
+                first_mismatch = first_mismatch or f"; first mismatch: seed {seed}, request {d.request_id}"
+        records = []
+        run_scenario(scn, mode=Mode.DELEGATION_NO_HOLDS, trace=records.append)
+        log = log_from_trace(records)
+        for entry in log:
             if entry[0] == "request":
-                if len(attribution_classes(engine_off.delivered_log, entry[1], window)) > 1:
+                if len(attribution_classes(log, entry[1], window)) > 1:
                     multi_off += 1
                     break
     elapsed = time.perf_counter() - t0
@@ -112,7 +118,7 @@ def test_unambiguity_fuzz():
         ok,
         f"{checked} admitted requests across {n_scenarios} scenarios, "
         f"{mismatches} oracle mismatches, {ambiguous_on} ambiguous with scheduler on, "
-        f"{multi_off} scenarios multi-attributable with scheduler off ({elapsed:.1f} s)",
+        f"{multi_off} scenarios multi-attributable with scheduler off ({elapsed:.1f} s){first_mismatch}",
     )
 
 

@@ -117,6 +117,32 @@ def test_unknown_mode_in_trace_header_is_validation_error(tmp_path, capsys):
     assert "unknown mode 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("scenario", None, id="scenario-missing"),
+        ("scenario", 5),
+        ("scenario_sha256", 5),
+        ("window_override", "5"),
+        ("window_override", True),
+        ("seed", 2.5),
+        pytest.param("policy_override", [5], id="policy_override-[5]"),
+    ],
+)
+def test_malformed_trace_header_is_validation_error(tmp_path, capsys, key, value):
+    trace = tmp_path / "a.trace"
+    assert main(["run", scenario_path("task_a"), "--trace", str(trace)]) == 0
+    first, *records = trace.read_text().splitlines()
+    header = json.loads(first)
+    if key == "scenario" and value is None:
+        del header[key]
+    else:
+        header[key] = value
+    trace.write_text("\n".join([json.dumps(header, sort_keys=True, separators=(",", ":")), *records]) + "\n")
+    assert main(["replay", str(trace)]) == 2
+    assert "line 1: trace header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("gaps", ["5", "a,b", "1,2,3"])
 def test_gen_bad_gaps_is_validation_error(tmp_path, capsys, gaps):
     out = tmp_path / "w.scn"

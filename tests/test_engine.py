@@ -4,15 +4,16 @@ import pytest
 
 from delegauth.auth import ScriptedPolicy
 from delegauth.engine import Engine, EngineConfig, Mode
-from delegauth.errors import Backpressure, ProtocolViolation
+from delegauth.errors import Backpressure
 from delegauth.graph import InputKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
 from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable, SchedulerConfig
+from oracle import log_from_trace
 
 WINDOW = 150
 
 
-def build_engine(handlers=None, two_level=True, mode=Mode.DELEGATION, cache_denials=False):
+def build_engine(handlers=None, two_level=True, mode=Mode.DELEGATION, cache_denials=False, trace=None):
     reg = Registry()
     a = reg.register_program("Alpha", "AL")
     b = reg.register_program("Beta", "BE")
@@ -32,6 +33,7 @@ def build_engine(handlers=None, two_level=True, mode=Mode.DELEGATION, cache_deni
         handlers=HandlerTable(handlers or []),
         config=config,
         authorizers={"preliminary": allow, "main": allow},
+        trace=trace,
     )
     return engine, (a.id, b.id, c.id), reg
 
@@ -148,29 +150,12 @@ def test_single_level_fifo_when_two_level_disabled():
     assert low.deliver_t < high.deliver_t  # strict arrival order
 
 
-def test_complete_handling_dispatches_next_and_rejects_protocol_misuse():
-    engine, (a, b, c), _ = build_engine(
-        handlers=[
-            HandlerSpec(program_id="P2", trigger_kind="handoff", trigger_value="*",
-                        complete=Complete(after_ms=500)),
-        ]
-    )
-    engine.submit(HandoffEvent("n1", a, b, 0))
-    queued = engine.submit(HandoffEvent("n2", c, b, 1))
-    assert queued.status == "queued"
-    with pytest.raises(ProtocolViolation):
-        engine.complete_handling(b, "wrong-id")
-    engine.complete_handling(b, "n1")
-    assert queued.status == "delivered"
-    with pytest.raises(ProtocolViolation):
-        engine.complete_handling(b, "n1")  # already completed
-
-
 def test_advance_on_empty_system_returns_nothing():
-    engine, _, _ = build_engine()
+    records = []
+    engine, _, _ = build_engine(trace=records.append)
     assert engine.advance(1000) is None
     assert engine.now == 1000
-    assert engine.decisions == [] and engine.delivered_log == []
+    assert engine.decisions == [] and records == []
     assert engine.stats.total_events == 0
 
 
@@ -186,10 +171,11 @@ def test_task_a_style_delivery_order():
             complete=Complete(after_ms=5),
         ),
     ]
-    engine, (a, _, _), _ = build_engine(handlers=handlers)
+    records = []
+    engine, (a, _, _), _ = build_engine(handlers=handlers, trace=records.append)
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.run_to_quiescence()
-    kinds_and_times = [(e[0], e[4] if e[0] != "request" else e[5]) for e in engine.delivered_log]
+    kinds_and_times = [(e[0], e[4] if e[0] != "request" else e[5]) for e in log_from_trace(records)]
     assert kinds_and_times == [("input", 0), ("handoff", 5), ("request", 9)]
     assert len(engine.decisions) == 1
     d = engine.decisions[0]
@@ -288,14 +274,21 @@ def test_scheduler_on_same_workload_is_unambiguous():
 
 
 def test_stale_provenance_handoff_downgraded_to_busy_work():
-    engine, (a, b, _), _ = build_engine()
+    records = []
+    engine, (a, b, _), _ = build_engine(trace=records.append)
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.advance(WINDOW + 1)
     ticket = engine.submit(HandoffEvent("h1", a, b, WINDOW + 5, provenance="x1"))
     assert ticket.derived is False
     engine.run_to_quiescence()
-    handoff_entries = [e for e in engine.delivered_log if e[0] == "handoff"]
-    assert handoff_entries == [("handoff", "h1", a, b, WINDOW + 5, WINDOW + 5, False)]
+    h1 = [(r["kind"], r["t"], r.get("root"), r.get("outcome")) for r in records if r.get("event_id") == "h1"]
+    assert h1 == [
+        ("handoff", WINDOW + 5, "x1", "unattributable"),  # downgraded at admission
+        ("deliver", WINDOW + 5, None, None),  # plain busy work: delivered at once
+        ("handoff", WINDOW + 5, None, "unattributable"),  # and attached to no graph
+        ("complete", WINDOW + 10, None, None),
+    ]
+    assert [e for e in log_from_trace(records) if e[0] == "handoff"] == []
 
 
 def test_cache_hit_is_silent_second_time_around():

@@ -19,6 +19,7 @@ from delegauth.errors import TraceDivergence
 from delegauth.runner import replay
 from delegauth.scenario import loads_scenario
 from delegauth.scheduler import HandlerTable
+from conftest import DATA
 
 
 def test_compare_modes_on_task_a(task_a):
@@ -47,6 +48,27 @@ def test_empty_timeline_produces_empty_report():
         assert report.decisions == []
         assert sum(report.prompt_counts.values()) == 0
         assert report.delay_stats["total_events"] == 0
+
+
+def test_contention_report_delay_stats_and_histogram_are_pinned():
+    report, _ = run_scenario(loads_scenario((DATA / "contention.scn").read_text()))
+    kind = ("submitted", "delivered", "delayed", "expired", "max_delay_ms")
+    pinned = {
+        "total_events": 28,
+        "delayed_events": 2,
+        "expired_events": 2,
+        "max_delay_ms": 146,
+        "delayed_fraction": 2 / 28,
+        "per_kind": {
+            "input": dict(zip(kind, (5, 5, 0, 0, 0))),
+            "handoff": dict(zip(kind, (19, 12, 2, 2, 146))),
+            "request": dict(zip(kind, (4, 4, 0, 0, 0))),
+        },
+        "derived": dict(zip(kind, (21, 17, 1, 1, 146))),
+    }
+    # json.dumps keeps insertion order, so this pins the key order too
+    assert json.dumps(report.delay_stats) == json.dumps(pinned)
+    assert report.path_edge_histogram == {3: 3}
 
 
 def test_mode_override_aliases(task_a):

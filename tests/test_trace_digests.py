@@ -21,9 +21,10 @@ from delegauth import (
     Mode, WorkloadParams, generate_workload, load_scenario, loads_scenario, run_scenario, run_with_trace,
 )
 from delegauth.runner import trace_header
-from delegauth.scenario import TraceWriter
+from delegauth.scenario import TraceWriter, read_trace_header
 
 from conftest import DATA, scenario_path
+from oracle import log_from_trace
 
 DIGESTS = DATA / "trace_digests.json"
 
@@ -79,7 +80,7 @@ def contention(scheduler: bool = True):
 
 
 # name -> (scenario factory, mode); together these emit every record form the
-# engine writes, except the `explicit` completion of `Engine.complete_handling`
+# engine writes
 SCENARIOS = {
     "task_a": (lambda: load_scenario(scenario_path("task_a")), None),
     "task_b": (lambda: load_scenario(scenario_path("task_b")), None),
@@ -111,6 +112,20 @@ def trace_digest(name: str, directory: Path) -> str:
 def test_trace_digest_is_pinned(name, tmp_path):
     pinned = json.loads(DIGESTS.read_text())
     assert trace_digest(name, tmp_path) == pinned[name]
+
+
+@pytest.mark.parametrize("name", ["task_a", "task_b", "task_c", "contention"])
+def test_oracle_log_from_a_trace_file_matches_the_in_memory_records(name, tmp_path):
+    make, mode = SCENARIOS[name]
+    records = []
+    run_scenario(make(), mode=mode, trace=records.append)
+    path = tmp_path / f"{name}.trace"
+    run_with_trace(make(), path, mode=mode)
+    with open(path) as fh:
+        read_trace_header(fh)
+        from_file = log_from_trace(json.loads(line) for line in fh)
+    assert from_file == log_from_trace(records)
+    assert any(e[0] == "handoff" for e in from_file)
 
 
 if __name__ == "__main__":
