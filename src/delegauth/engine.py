@@ -554,15 +554,12 @@ class Engine:
         if exec_.cancelled:
             return
         exec_.cancelled = True
+        self._emit("complete", program=exec_.program_id, event_id=exec_.trigger_event_id, reason="handler")
         if exec_.occupies_busy:
             state = self._program(exec_.program_id)
-            if state.busy_with == exec_.trigger_event_id:
-                state.busy_with = None
-                self._busy_exec.pop(exec_.program_id, None)
-                self._emit("complete", program=exec_.program_id, event_id=exec_.trigger_event_id, reason="handler")
-                self._try_dispatch(state)
-                return
-        self._emit("complete", program=exec_.program_id, event_id=exec_.trigger_event_id, reason="handler")
+            state.busy_with = None
+            del self._busy_exec[exec_.program_id]
+            self._try_dispatch(state)
 
     # -- expiries ---------------------------------------------------------------------------
 
