@@ -3,7 +3,9 @@
 Single event loop over a virtual millisecond clock. Occurrences (timeline
 submissions, handler actions, completions, window expiries, hold deadlines)
 are processed in (time, sequence) order, so identical inputs always produce
-identical transcripts.
+identical transcripts. Timeline submissions come in time order, so they wait
+in their own FIFO; the heap holds only the occurrences a run creates, and the
+loop takes whichever head is earlier in (time, sequence).
 
 `EngineConfig.mode` picks one of four behaviours (`Mode`):
   * PASS_THROUGH: the unmediated baseline; every event is delivered at once,
@@ -31,6 +33,8 @@ OS-level reference monitor can actually observe.
 from __future__ import annotations
 
 import heapq
+import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -102,11 +106,10 @@ class Mode(Enum):
     DELEGATION = "delegation"
 
 
-_GRAPH_MODES = (Mode.DELEGATION, Mode.DELEGATION_NO_HOLDS)
-
-
 @dataclass
 class EngineConfig:
+    """Settings of one engine. `mode` is read once, when the engine is built."""
+
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     mode: Mode = Mode.DELEGATION
     cache_denials: bool = False
@@ -158,11 +161,17 @@ class Engine:
         self.store = GraphStore(registry, self.config.scheduler.window_ms)
         self.stats = DelayStats(window_ms=self.config.scheduler.window_ms)
 
+        mode = self.config.mode
+        self._holds = mode is Mode.DELEGATION  # delivery gates, queues, busy exclusivity
+        self._graphs = mode in (Mode.DELEGATION, Mode.DELEGATION_NO_HOLDS)  # graphs and path prompts
+
         self.now = 0
         self._trace = trace
         self._trace_seq = 0
-        self._heap: list = []
-        self._occ_seq = 0
+        self._timeline: deque = deque()  # scheduled submissions, in (time, sequence) order
+        self._timeline_t = 0  # time of the last scheduled submission
+        self._heap: list = []  # occurrences the run creates
+        self._occ_seq = 0  # sequence of timeline and heap entries alike
         self._event_seq = 0
         self._exec_seq = 0
         self._programs: dict[str, ProgramState] = {}
@@ -185,15 +194,14 @@ class Engine:
         self._event_seq += 1
         return f"e{self._event_seq}"
 
-    def _push(self, t: int, tag: str, payload) -> None:
-        self._occ_seq += 1
-        heapq.heappush(self._heap, (t, self._occ_seq, tag, payload))
+    def _push(self, t: int, tag: str, payload, seq: int | None = None) -> None:
+        if seq is None:
+            self._occ_seq += 1
+            seq = self._occ_seq
+        heapq.heappush(self._heap, (t, seq, tag, payload))
 
     def _emit(self, kind: str, **payload) -> None:
-        # callers that build a payload (admit, prompt, decision) check
-        # `self._trace` first, so an untraced run builds none
-        if self._trace is None:
-            return
+        # every caller checks `self._trace` first, so an untraced run builds no record
         self._trace_seq += 1
         self._trace({"seq": self._trace_seq, "t": self.now, "kind": kind, **payload})
 
@@ -224,8 +232,19 @@ class Engine:
     # -- public surface ----------------------------------------------------------
 
     def schedule(self, t: int, spec: dict) -> None:
-        """Queue a timeline entry for admission at virtual time t."""
-        self._push(t, "submit", spec)
+        """Queue a timeline entry for admission at virtual time t.
+
+        Entries wait in a FIFO that the loop merges with the heap by (time,
+        sequence), so they must come in time order: a `t` earlier than the
+        clock or than the entry scheduled before it raises ProtocolViolation.
+        """
+        if t < self._timeline_t or t < self.now:
+            raise ProtocolViolation(
+                f"cannot schedule at t={t}: the timeline is at t={self._timeline_t}, the clock at t={self.now}"
+            )
+        self._timeline_t = t
+        self._occ_seq += 1
+        self._timeline.append((t, self._occ_seq, "submit", spec))
 
     def submit(self, event: MediatedEvent, phase: str = "main", derived_root: str | None = None) -> Ticket:
         """Admit an event now (advancing the clock to event.t first)."""
@@ -243,8 +262,7 @@ class Engine:
         self.now = max(self.now, to)
 
     def run_to_quiescence(self) -> int:
-        while self._heap:
-            self._step()
+        self._run_until(math.inf)
         return self.now
 
     def prompt_count(self, phase: str | None = None) -> int:
@@ -254,25 +272,31 @@ class Engine:
 
     # -- event loop -----------------------------------------------------------------
 
-    def _run_until(self, t_limit: int) -> None:
-        while self._heap and self._heap[0][0] <= t_limit:
-            self._step()
-
-    def _step(self) -> None:
-        t, _, tag, payload = heapq.heappop(self._heap)
-        if t < self.now:
-            raise InvariantViolation("clock went backwards")
-        self.now = t
-        if tag == "submit":
-            self._admit_spec(payload)
-        elif tag == "action":
-            self._fire_action(*payload)
-        elif tag == "complete":
-            self._fire_complete(payload)
-        elif tag == "root_expiry":
-            self._fire_root_expiry(payload)
-        elif tag == "deadline":
-            self._fire_deadline(payload)
+    def _run_until(self, t_limit: float) -> None:
+        """Process every occurrence due by `t_limit`, timeline and heap merged."""
+        timeline, heap = self._timeline, self._heap
+        while True:
+            if timeline and (not heap or timeline[0] < heap[0]):
+                if timeline[0][0] > t_limit:
+                    return
+                t, _, tag, payload = timeline.popleft()
+            elif heap and heap[0][0] <= t_limit:
+                t, _, tag, payload = heapq.heappop(heap)
+            else:
+                return
+            if t < self.now:
+                raise InvariantViolation("clock went backwards")
+            self.now = t
+            if tag == "submit":
+                self._admit_spec(payload)
+            elif tag == "action":
+                self._fire_action(*payload)
+            elif tag == "complete":
+                self._fire_complete(payload)
+            elif tag == "root_expiry":
+                self._fire_root_expiry(payload)
+            elif tag == "deadline":
+                self._fire_deadline(payload)
 
     # -- admission ------------------------------------------------------------------
 
@@ -332,11 +356,12 @@ class Engine:
         if kind == "handoff":
             root_id = derived_root if derived_root is not None else ev.provenance
             derived = root_id is not None
-            if derived and self.config.mode is Mode.DELEGATION:
+            if derived and self._holds:
                 g = self.store.live.get(root_id)
                 if g is None or not g.live_at(self.now):
                     # provenance died before admission: downgrade to plain busy work
-                    self._emit("handoff", event_id=ev.event_id, root=root_id, outcome="unattributable")
+                    if self._trace is not None:
+                        self._emit("handoff", event_id=ev.event_id, root=root_id, outcome="unattributable")
                     derived, root_id = False, None
 
         priority = HIGH if derived else LOW
@@ -349,12 +374,12 @@ class Engine:
         if self._trace is not None:
             self._emit("admit", event=self._event_payload(ev), priority=priority, derived=derived, phase=phase)
 
-        if self.config.mode is not Mode.DELEGATION:
+        if not self._holds:
             self._deliver(ticket, phase)
             return ticket
 
         # immediate repeats bypass queues and busy exclusivity
-        if kind == "input" and self._gate(ticket) == "deliver_repeat":
+        if kind == "input" and self._is_repeat(ev):
             self._deliver(ticket, phase, as_repeat=True)
             return ticket
 
@@ -364,15 +389,21 @@ class Engine:
         except Backpressure:
             ticket.status = REJECTED
             self.backpressure_rejections += 1
-            self._emit("expire", what="event", event_id=ev.event_id, reason="backpressure")
+            if self._trace is not None:
+                self._emit("expire", what="event", event_id=ev.event_id, reason="backpressure")
             raise
         self._waiting.add(state.program_id)
         if derived and root_id is not None:
             self._root_tickets.setdefault(root_id, []).append(ticket)
-        self._push(ticket.deadline + 1, "deadline", ticket)
+        # the deadline takes its sequence number now, before dispatch pushes
+        # anything, but enters the heap only if the ticket is held
+        self._occ_seq += 1
+        deadline_seq = self._occ_seq
         self._try_dispatch(state)
         if ticket.status == QUEUED:
-            self._emit("hold", event_id=ev.event_id, program=state.program_id, queue=priority)
+            self._push(ticket.deadline + 1, "deadline", ticket, deadline_seq)
+            if self._trace is not None:
+                self._emit("hold", event_id=ev.event_id, program=state.program_id, queue=priority)
         return ticket
 
     # -- dispatch ----------------------------------------------------------------------
@@ -385,22 +416,27 @@ class Engine:
                 return queue[0]
         return None
 
-    def _gate(self, ticket: Ticket) -> str:
-        """Delivery verdict for a ticket.
+    def _is_repeat(self, ev: InputEvent) -> bool:
+        """Whether an input has the key of the live root its program received.
 
-        `deliver`, `deliver_repeat` (an input with the key of the live root
-        its program received), `blocked`, or the reason the ticket is dropped:
-        `hold_deadline`, `root_expired` or `merge_rejected`. Asked for the
-        head-of-queue ticket of an idle program, and for an input at
-        admission, where a repeat bypasses queues and busy exclusivity.
+        Asked at admission too, where a repeat bypasses queues and busy exclusivity.
+        """
+        # the root a program received has that program as its receiver
+        received = self.store.live_received_root(ev.program_id, self.now)
+        return received is not None and self.store.live[received].root.widget_id == ev.widget_id
+
+    def _gate(self, ticket: Ticket) -> str:
+        """Delivery verdict for the head-of-queue ticket of an idle program.
+
+        `deliver`, `deliver_repeat` (see `_is_repeat`), `blocked`, or the
+        reason the ticket is dropped: `hold_deadline`, `root_expired` or
+        `merge_rejected`.
         """
         if self.now > ticket.deadline:
             return "hold_deadline"  # bounded delay: never delivered late, even if just unblocked
         ev = ticket.event
         if ticket.kind == "input":
-            # the root a program received has that program as its receiver
-            received = self.store.live_received_root(ev.program_id, self.now)
-            if received is not None and self.store.live[received].root.widget_id == ev.widget_id:
+            if self._is_repeat(ev):
                 return "deliver_repeat"
             if self.store.live_memberships(ev.program_id, self.now):
                 return "blocked"
@@ -429,7 +465,8 @@ class Engine:
                 self._deliver(ticket, ticket.phase, as_repeat=(verdict == "deliver_repeat"))
             elif verdict == "merge_rejected":
                 ticket.status = REJECTED
-                self._emit("handoff", event_id=ticket.event.event_id, root=ticket.root_id, outcome=verdict)
+                if self._trace is not None:
+                    self._emit("handoff", event_id=ticket.event.event_id, root=ticket.root_id, outcome=verdict)
             else:
                 self._expire_ticket(ticket, verdict)
         if not (state.high or state.low):
@@ -438,7 +475,8 @@ class Engine:
     def _expire_ticket(self, ticket: Ticket, reason: str) -> None:
         ticket.status = T_EXPIRED
         self.stats.record_expiry(ticket.kind, ticket.derived)
-        self._emit("expire", what="event", event_id=ticket.event.event_id, reason=reason)
+        if self._trace is not None:
+            self._emit("expire", what="event", event_id=ticket.event.event_id, reason=reason)
 
     # -- delivery ------------------------------------------------------------------------
 
@@ -447,8 +485,9 @@ class Engine:
         ticket.status = DELIVERED
         ticket.deliver_t = self.now
         self.stats.record_delivery(ticket.kind, ticket.delay, ticket.derived)
-        target = ev.program_id if ticket.kind == "input" else ev.dst
-        self._emit("deliver", event_id=ev.event_id, program=target, delay=ticket.delay, event_kind=ticket.kind)
+        if self._trace is not None:
+            target = ev.program_id if ticket.kind == "input" else ev.dst
+            self._emit("deliver", event_id=ev.event_id, program=target, delay=ticket.delay, event_kind=ticket.kind)
 
         if ticket.kind == "input":
             self._deliver_input(ticket, ev, phase, as_repeat)
@@ -457,7 +496,7 @@ class Engine:
 
     def _deliver_input(self, ticket: Ticket, ev: InputEvent, phase: str, as_repeat: bool) -> None:
         root_id = None
-        if self.config.mode in _GRAPH_MODES:
+        if self._graphs:
             if as_repeat:
                 root_id = self.store.live_received_root(ev.program_id, self.now)
                 self.store.record_repeat_input(root_id, ev)
@@ -471,8 +510,7 @@ class Engine:
 
     def _deliver_handoff(self, ticket: Ticket, ev: HandoffEvent, phase: str) -> None:
         root_id = ticket.root_id
-        graphs = self.config.mode in _GRAPH_MODES
-        if graphs and ticket.derived:
+        if self._graphs and ticket.derived:
             try:
                 self.store.record_handoff(ev, root_override=root_id, delivered_at=self.now)
                 outcome = "attached"
@@ -482,10 +520,11 @@ class Engine:
                 outcome = "broken_chain"
             except UnattributableHandoff:
                 outcome = "unattributable"
-            self._emit("handoff", event_id=ev.event_id, root=root_id, outcome=outcome)
+            if self._trace is not None:
+                self._emit("handoff", event_id=ev.event_id, root=root_id, outcome=outcome)
             if outcome != "attached":
                 return  # attach refused: the message does not reach a handler
-        elif graphs:
+        elif self._graphs and self._trace is not None:
             self._emit("handoff", event_id=ev.event_id, root=None, outcome="unattributable")
         label = ev.action if ev.action is not None else "*"
         self._run_handler(ev.dst, "handoff", label, ev, ticket.derived, root_id, phase, True)
@@ -512,7 +551,7 @@ class Engine:
             derived=derived,
             root_id=root_id,
             phase=phase,
-            occupies_busy=occupies_busy and self.config.mode is Mode.DELEGATION,
+            occupies_busy=occupies_busy and self._holds,
         )
         if exec_.occupies_busy:
             state = self._program(program_id)
@@ -554,7 +593,8 @@ class Engine:
         if exec_.cancelled:
             return
         exec_.cancelled = True
-        self._emit("complete", program=exec_.program_id, event_id=exec_.trigger_event_id, reason="handler")
+        if self._trace is not None:
+            self._emit("complete", program=exec_.program_id, event_id=exec_.trigger_event_id, reason="handler")
         if exec_.occupies_busy:
             state = self._program(exec_.program_id)
             state.busy_with = None
@@ -578,7 +618,8 @@ class Engine:
         # only a root that will prompt needs its snapshot: it goes into the cache
         self.store.expire_graph(root_id, self.now, snapshot=root_id in self._pending)
         self._root_phase.pop(root_id, None)
-        self._emit("expire", what="root", root=root_id)
+        if self._trace is not None:
+            self._emit("expire", what="root", root=root_id)
         self._flush_root(root_id)
         for ticket in self._root_tickets.pop(root_id, []):
             if ticket.status == QUEUED:
@@ -588,7 +629,8 @@ class Engine:
             if exec_.derived and exec_.root_id == root_id:
                 exec_.cancelled = True
                 state = self._program(pid)
-                self._emit("complete", program=pid, event_id=state.busy_with, reason="window_backstop")
+                if self._trace is not None:
+                    self._emit("complete", program=pid, event_id=state.busy_with, reason="window_backstop")
                 state.busy_with = None
                 del self._busy_exec[pid]
                 affected.add(pid)
@@ -607,24 +649,24 @@ class Engine:
     # -- authorization ------------------------------------------------------------------------
 
     def _mediate_request(self, r: OperationRequest, phase: str) -> None:
-        mode = self.config.mode
-        if mode is Mode.PASS_THROUGH:
-            return
-        if mode is Mode.FIRST_USE:
-            self._first_use_decide(r, phase)
+        if not self._graphs:
+            if self.config.mode is Mode.FIRST_USE:
+                self._first_use_decide(r, phase)
             return
         try:
             root_id = self.store.record_request(r)
         except NoAttributableInput as exc:
             reason = EXPIRED if exc.expired else NO_ATTRIBUTION
-            self._emit("request", event_id=r.event_id, root=None, outcome=reason)
+            if self._trace is not None:
+                self._emit("request", event_id=r.event_id, root=None, outcome=reason)
             self._decide(
                 Decision(DENIED, reason, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase)
             )
             return
         except AmbiguousAttribution:
             self.ambiguous_requests += 1
-            self._emit("request", event_id=r.event_id, root=None, outcome="ambiguous")
+            if self._trace is not None:
+                self._emit("request", event_id=r.event_id, root=None, outcome="ambiguous")
             self._decide(
                 Decision(
                     DENIED, NO_ATTRIBUTION, r.event_id, r.program_id, r.op, r.sensor, r.t,
@@ -636,21 +678,24 @@ class Engine:
         key = path.key()
         cached = self.cache.lookup(key)
         if cached == "allow":
-            self._emit("request", event_id=r.event_id, root=root_id, outcome="attributed", cache="hit")
+            if self._trace is not None:
+                self._emit("request", event_id=r.event_id, root=root_id, outcome="attributed", cache="hit")
             self._decide(
                 Decision(ALLOWED, CACHED, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase, path_key=key)
             )
             return
         if cached == "deny" and self.config.cache_denials:
-            self._emit("request", event_id=r.event_id, root=root_id, outcome="attributed", cache="deny")
+            if self._trace is not None:
+                self._emit("request", event_id=r.event_id, root=root_id, outcome="attributed", cache="deny")
             self._decide(
                 Decision(DENIED, POLICY, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase, path_key=key)
             )
             return
         evicted = self.cache.invalidate_conflicting(key)
-        self._emit(
-            "request", event_id=r.event_id, root=root_id, outcome="attributed", cache="miss", evicted=evicted
-        )
+        if self._trace is not None:
+            self._emit(
+                "request", event_id=r.event_id, root=root_id, outcome="attributed", cache="miss", evicted=evicted
+            )
         pending = self._pending.get(root_id)
         if pending is None:
             pending = _Pending(phase=self._root_phase.get(root_id, phase))
@@ -672,7 +717,10 @@ class Engine:
             {"mode": Mode.FIRST_USE.value, "phase": phase, "t": self.now, "text": text,
              "marks": [[prog.name, prog.identity_mark]]}
         )
-        self._emit("prompt", mode=Mode.FIRST_USE.value, phase=phase, text=text, marks=[[prog.name, prog.identity_mark]])
+        if self._trace is not None:
+            self._emit(
+                "prompt", mode=Mode.FIRST_USE.value, phase=phase, text=text, marks=[[prog.name, prog.identity_mark]]
+            )
         allowed = self._authorizer(phase).authorize_first_use(r.program_id, r.op, r.sensor, text, self.registry)
         if allowed:
             self.first_use.grant(r.program_id, r.op, r.sensor)

@@ -4,7 +4,7 @@ import pytest
 
 from delegauth.auth import ScriptedPolicy
 from delegauth.engine import Engine, EngineConfig, Mode
-from delegauth.errors import Backpressure
+from delegauth.errors import Backpressure, ProtocolViolation
 from delegauth.graph import InputKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
 from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable, SchedulerConfig
@@ -464,3 +464,98 @@ def test_only_prompted_roots_keep_a_snapshot_and_the_cache_gets_it():
     for root, label in (("x0", "first cmd"), ("x1", "second cmd")):
         entry = engine.cache.entries[InputKey(wid(engine, label), a)]
         assert entry.graph_blob == live_blobs[root] == engine.store.sealed[root]
+
+
+def test_submit_in_the_past_is_a_protocol_violation():
+    engine, (a, _, _), _ = build_engine()
+    engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 10))
+    with pytest.raises(ProtocolViolation, match="in the past"):
+        engine.submit(InputEvent("x2", wid(engine, "second cmd"), a, 9))
+
+
+def test_advance_backwards_is_a_protocol_violation():
+    engine, _, _ = build_engine()
+    engine.advance(10)
+    with pytest.raises(ProtocolViolation, match="backwards"):
+        engine.advance(9)
+
+
+def test_schedule_out_of_time_order_is_a_protocol_violation():
+    records = []
+    engine, (a, _, _), _ = build_engine(trace=records.append)
+    spec = {"kind": "input", "widget": "first cmd", "program": a}
+    engine.schedule(10, spec)
+    with pytest.raises(ProtocolViolation, match="t=9"):
+        engine.schedule(9, spec)  # earlier than the entry before it
+    engine.advance(20)
+    with pytest.raises(ProtocolViolation, match="t=15"):
+        engine.schedule(15, spec)  # earlier than the clock
+    engine.run_to_quiescence()
+    assert [r["t"] for r in records if r["kind"] == "admit"] == [10]
+
+
+def test_timeline_entry_and_handler_action_due_together_run_in_sequence_order():
+    # Alpha's handler emits a request at t=5, and a request from Beta is
+    # scheduled for t=5 as well: whichever was queued first runs first,
+    # whether the timeline FIFO or the heap holds it
+    handlers = [
+        HandlerSpec(
+            program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+            actions=(EmitRequest(op="capture_picture", sensor="Camera", after_ms=5),),
+            complete=Complete(after_ms=8),
+        )
+    ]
+
+    def requesters_at_5(schedule_mid_run: bool) -> list[str]:
+        records = []
+        engine, (a, b, _), _ = build_engine(handlers=handlers, trace=records.append)
+        spec = {"kind": "request", "program": b, "op": "capture_picture", "sensor": "Camera"}
+        if not schedule_mid_run:
+            engine.schedule(5, spec)
+        engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
+        engine.advance(2)
+        if schedule_mid_run:
+            engine.schedule(5, spec)  # the handler's action at t=5 is already pending
+        engine.run_to_quiescence()
+        return [r["event"]["program"] for r in records if r["kind"] == "admit" and r["t"] == 5]
+
+    assert requesters_at_5(schedule_mid_run=True) == ["P1", "P2"]
+    assert requesters_at_5(schedule_mid_run=False) == ["P2", "P1"]
+
+
+def test_held_tickets_deadline_keeps_the_sequence_of_its_admission():
+    # At t=151 root x0 has died but its expiry is not yet processed. A plain
+    # handoff, n2, arrives then: its admission drops Gamma's held handoff from
+    # x0 and delivers the plain handoff n1 queued behind it, whose handler
+    # completes at t=302, the instant n2's hold deadline fires. The deadline
+    # takes its sequence number at n2's admission, before n1's completion is
+    # pushed, so n2 expires first, as it did when every deadline was pushed.
+    handlers = [
+        HandlerSpec(
+            program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+            actions=(EmitHandoff(to="P3", after_ms=2),), complete=Complete(after_ms=3),
+        ),
+        HandlerSpec(
+            program_id="P3", trigger_kind="widget", trigger_value="second cmd",
+            complete=Complete(after_ms=1),
+        ),
+        HandlerSpec(
+            program_id="P3", trigger_kind="handoff", trigger_value="*",
+            complete=Complete(after_ms=WINDOW + 1),
+        ),
+    ]
+    records = []
+    engine, (a, b, c), _ = build_engine(handlers=handlers, trace=records.append)
+    engine.schedule(WINDOW + 1, {"kind": "handoff", "src": b, "dst": c})
+    engine.submit(InputEvent("x0", wid(engine, "first cmd"), a, 0))
+    engine.submit(InputEvent("x1", wid(engine, "second cmd"), c, 1))  # Gamma joins a root of its own
+    engine.submit(HandoffEvent("n1", b, c, 3))
+    engine.run_to_quiescence()
+    by_t = {}
+    for r in records:
+        by_t.setdefault(r["t"], []).append((r["kind"], r.get("event_id") or r.get("root") or r["event"]["id"]))
+    # e1 is Alpha's handoff from x0 to Gamma, held behind x1's root; e2 is the timeline's n2
+    assert by_t[WINDOW + 1] == [
+        ("admit", "e2"), ("expire", "e1"), ("deliver", "n1"), ("handoff", "n1"), ("hold", "e2"), ("expire", "x0"),
+    ]
+    assert by_t[2 * WINDOW + 2] == [("expire", "e2"), ("complete", "n1")]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from delegauth import (
     run_scenario,
     run_with_trace,
 )
-from delegauth.engine import Engine
+from delegauth.engine import Engine, Mode
 from delegauth.errors import TraceDivergence
 from delegauth.runner import replay
 from delegauth.scenario import loads_scenario
@@ -167,6 +168,46 @@ def test_run_that_raises_leaves_every_emitted_record_on_disk(task_a, tmp_path, m
     lines = text.splitlines()
     assert emitted > 0 and len(lines) == 1 + emitted  # the header, then each record
     assert lines == full.read_text().splitlines()[: len(lines)]
+
+
+def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
+    # timeline submissions wait beside the heap, and a deadline is pushed
+    # only for a ticket that is held
+    pushes = Counter()
+    real_push = Engine._push
+
+    def counting_push(self, t, tag, payload, seq=None):
+        pushes[tag] += 1
+        real_push(self, t, tag, payload, seq)
+
+    monkeypatch.setattr(Engine, "_push", counting_push)
+    contention = loads_scenario((DATA / "contention.scn").read_text())
+    for scn in (contention, generate_workload(WorkloadParams(n_inputs=600))):
+        pushes.clear()
+        records = []
+        run_scenario(scn, trace=records.append)
+        kinds = Counter(r["kind"] for r in records)
+        assert pushes["deadline"] == kinds["hold"] > 0
+        assert "submit" not in pushes
+        if scn is contention:
+            assert any(r["kind"] == "expire" and r.get("reason") == "hold_deadline" for r in records)
+
+
+def test_untraced_runs_never_call_emit(task_a, task_b, task_c, monkeypatch):
+    calls = 0
+
+    def counting_emit(self, kind, **payload):
+        nonlocal calls
+        calls += 1
+
+    monkeypatch.setattr(Engine, "_emit", counting_emit)
+    contention = loads_scenario((DATA / "contention.scn").read_text())
+    for scn in (task_a, task_b, task_c, contention):
+        for mode in Mode:
+            run_scenario(scn, mode=mode)
+    assert calls == 0
+    run_scenario(contention, trace=lambda record: None)
+    assert calls > 0  # the count does see a traced run's records
 
 
 def test_file_backed_writer_keeps_no_copy_of_the_trace(tmp_path):
