@@ -4,7 +4,6 @@ in cooperating programs."""
 from .auth import (
     AuthorizationCache,
     Decision,
-    FirstUseState,
     InteractivePrompt,
     ScriptedPolicy,
     render_first_use_prompt,
@@ -31,7 +30,6 @@ __all__ = [
     "DelegationPath",
     "Engine",
     "EngineConfig",
-    "FirstUseState",
     "GraphStore",
     "HandlerSpec",
     "HandlerTable",

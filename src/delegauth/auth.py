@@ -45,7 +45,6 @@ class Decision:
     t: int
     phase: str = "main"
     path_key: PathKey | None = None
-    prompt_text: str | None = None
     detail: str = ""
 
     @property
@@ -206,10 +205,6 @@ class ScriptedPolicy:
     def allow_all(cls) -> "ScriptedPolicy":
         return cls([PolicyRule(True, "*", "*", "*", "*")])
 
-    @classmethod
-    def deny_all(cls) -> "ScriptedPolicy":
-        return cls([PolicyRule(False, "*", "*", "*", "*")])
-
     def _decide_key(self, key: PathKey, registry: Registry) -> bool:
         chain = ">".join(registry.program(pid).name for pid in key.programs)
         for rule in self.rules:
@@ -217,11 +212,11 @@ class ScriptedPolicy:
                 return rule.allow
         raise InvariantViolation("policy rules are not total")  # unreachable: default required
 
-    def authorize_paths(self, paths: list[DelegationPath], prompt_text: str, registry: Registry) -> bool:
+    def authorize_paths(self, paths: list[DelegationPath], text: str, registry: Registry) -> bool:
         # one modal answer per aggregated prompt: yes only if every path passes
         return all(self._decide_key(p.key(), registry) for p in paths)
 
-    def authorize_first_use(self, program_id: str, op: str, sensor: str, prompt_text: str, registry: Registry) -> bool:
+    def authorize_first_use(self, program_id: str, op: str, sensor: str, text: str, registry: Registry) -> bool:
         chain = registry.program(program_id).name
         for rule in self.rules:
             if rule.matches("*", chain, op, sensor) or rule.is_default:
@@ -244,27 +239,11 @@ class InteractivePrompt:
         answer = self._stdin.readline().strip().lower()
         return answer in ("y", "yes")
 
-    def authorize_paths(self, paths, prompt_text: str, registry: Registry) -> bool:
-        return self._ask(prompt_text)
+    def authorize_paths(self, paths, text: str, registry: Registry) -> bool:
+        return self._ask(text)
 
-    def authorize_first_use(self, program_id: str, op: str, sensor: str, prompt_text: str, registry: Registry) -> bool:
-        return self._ask(prompt_text)
-
-
-# -- first-use baseline ------------------------------------------------------------
-
-
-class FirstUseState:
-    """Grant table for the first-use baseline: (program, op, sensor) triples."""
-
-    def __init__(self) -> None:
-        self.grants: set[tuple[str, str, str]] = set()
-
-    def granted(self, program_id: str, op: str, sensor: str) -> bool:
-        return (program_id, op, sensor) in self.grants
-
-    def grant(self, program_id: str, op: str, sensor: str) -> None:
-        self.grants.add((program_id, op, sensor))
+    def authorize_first_use(self, program_id: str, op: str, sensor: str, text: str, registry: Registry) -> bool:
+        return self._ask(text)
 
 
 # -- authorization cache ---------------------------------------------------------------

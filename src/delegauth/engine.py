@@ -48,7 +48,6 @@ from .auth import (
     PROMPTED,
     AuthorizationCache,
     Decision,
-    FirstUseState,
     prompt_marks,
     render_first_use_prompt,
     render_prompt,
@@ -121,7 +120,6 @@ class EngineConfig:
 
 @dataclass
 class _HandlerExec:
-    exec_id: int
     program_id: str
     trigger_event_id: str
     derived: bool
@@ -157,9 +155,9 @@ class Engine:
         self.config = config or EngineConfig()
         self.authorizers = authorizers or {}
         self.cache = cache or AuthorizationCache()
-        self.first_use = FirstUseState()
+        self.first_use: set[tuple[str, str, str]] = set()  # (program, op, sensor) granted in FIRST_USE
         self.store = GraphStore(registry, self.config.scheduler.window_ms)
-        self.stats = DelayStats(window_ms=self.config.scheduler.window_ms)
+        self.stats = DelayStats()
 
         mode = self.config.mode
         self._holds = mode is Mode.DELEGATION  # delivery gates, queues, busy exclusivity
@@ -173,11 +171,10 @@ class Engine:
         self._heap: list = []  # occurrences the run creates
         self._occ_seq = 0  # sequence of timeline and heap entries alike
         self._event_seq = 0
-        self._exec_seq = 0
         self._programs: dict[str, ProgramState] = {}
         self._waiting: set[str] = set()  # programs with a non-empty queue
         self._rank: dict[str, int] = {}  # program -> registration order
-        self._busy_exec: dict[str, _HandlerExec] = {}
+        self._busy_exec: dict[str, _HandlerExec] = {}  # busy program -> the handler it runs
         self._root_tickets: dict[str, list[Ticket]] = {}
         self._label_ids: dict[str, str] = {}
         self._pending: dict[str, _Pending] = {}
@@ -246,13 +243,13 @@ class Engine:
         self._occ_seq += 1
         self._timeline.append((t, self._occ_seq, "submit", spec))
 
-    def submit(self, event: MediatedEvent, phase: str = "main", derived_root: str | None = None) -> Ticket:
+    def submit(self, event: MediatedEvent, phase: str = "main") -> Ticket:
         """Admit an event now (advancing the clock to event.t first)."""
         if event.t < self.now:
             raise ProtocolViolation(f"cannot submit {event.event_id} in the past")
         self._run_until(event.t)
         self.now = max(self.now, event.t)
-        return self._admit(event, phase=phase, derived_root=derived_root)
+        return self._admit(event, phase=phase)
 
     def advance(self, to: int) -> None:
         """Process everything due up to and including virtual time `to`."""
@@ -367,20 +364,19 @@ class Engine:
         priority = HIGH if derived else LOW
         ticket = Ticket(
             event=ev, kind=kind, priority=priority, derived=derived, root_id=root_id,
-            deadline=ev.t + self.config.scheduler.window_ms,
+            deadline=ev.t + self.config.scheduler.window_ms, phase=phase,
         )
-        ticket.phase = phase
         self.stats.record_submit(kind, derived)
         if self._trace is not None:
             self._emit("admit", event=self._event_payload(ev), priority=priority, derived=derived, phase=phase)
 
         if not self._holds:
-            self._deliver(ticket, phase)
+            self._deliver(ticket)
             return ticket
 
         # immediate repeats bypass queues and busy exclusivity
         if kind == "input" and self._is_repeat(ev):
-            self._deliver(ticket, phase, as_repeat=True)
+            self._deliver(ticket, as_repeat=True)
             return ticket
 
         state = self._program(ev.program_id if kind == "input" else ev.dst)
@@ -453,7 +449,7 @@ class Engine:
         return "deliver"
 
     def _try_dispatch(self, state: ProgramState) -> None:
-        while state.idle:
+        while state.program_id not in self._busy_exec:
             ticket = self._next_ticket(state)
             if ticket is None:
                 break
@@ -462,7 +458,7 @@ class Engine:
                 break  # strict priority: never skip past a blocked high head
             (state.high if state.high and state.high[0] is ticket else state.low).popleft()
             if verdict == "deliver" or verdict == "deliver_repeat":
-                self._deliver(ticket, ticket.phase, as_repeat=(verdict == "deliver_repeat"))
+                self._deliver(ticket, as_repeat=(verdict == "deliver_repeat"))
             elif verdict == "merge_rejected":
                 ticket.status = REJECTED
                 if self._trace is not None:
@@ -480,7 +476,7 @@ class Engine:
 
     # -- delivery ------------------------------------------------------------------------
 
-    def _deliver(self, ticket: Ticket, phase: str, as_repeat: bool = False) -> None:
+    def _deliver(self, ticket: Ticket, as_repeat: bool = False) -> None:
         ev = ticket.event
         ticket.status = DELIVERED
         ticket.deliver_t = self.now
@@ -490,9 +486,9 @@ class Engine:
             self._emit("deliver", event_id=ev.event_id, program=target, delay=ticket.delay, event_kind=ticket.kind)
 
         if ticket.kind == "input":
-            self._deliver_input(ticket, ev, phase, as_repeat)
+            self._deliver_input(ticket, ev, ticket.phase, as_repeat)
         else:
-            self._deliver_handoff(ticket, ev, phase)
+            self._deliver_handoff(ticket, ev, ticket.phase)
 
     def _deliver_input(self, ticket: Ticket, ev: InputEvent, phase: str, as_repeat: bool) -> None:
         root_id = None
@@ -504,9 +500,8 @@ class Engine:
                 root_id = self.store.record_input(ev, delivered_at=self.now)
                 self._root_phase[root_id] = phase
                 self._push(self.store.live[root_id].deadline + 1, "root_expiry", root_id)
-        widget = self.registry.widget(ev.widget_id)
-        occupies_busy = not (as_repeat and not self._program(ev.program_id).idle)
-        self._run_handler(ev.program_id, "widget", widget.id, ev, True, root_id, phase, occupies_busy)
+        occupies_busy = not as_repeat or ev.program_id not in self._busy_exec
+        self._run_handler(ev.program_id, "widget", ev.widget_id, ev, True, root_id, phase, occupies_busy)
 
     def _deliver_handoff(self, ticket: Ticket, ev: HandoffEvent, phase: str) -> None:
         root_id = ticket.root_id
@@ -543,9 +538,7 @@ class Engine:
         occupies_busy: bool,
     ) -> None:
         spec = self.handlers.lookup(program_id, trigger_kind, trigger_value)
-        self._exec_seq += 1
         exec_ = _HandlerExec(
-            exec_id=self._exec_seq,
             program_id=program_id,
             trigger_event_id=ev.event_id,
             derived=derived,
@@ -554,8 +547,6 @@ class Engine:
             occupies_busy=occupies_busy and self._holds,
         )
         if exec_.occupies_busy:
-            state = self._program(program_id)
-            state.busy_with = ev.event_id
             self._busy_exec[program_id] = exec_
         complete_after = spec.complete.after_ms if spec else self.config.scheduler.default_service_lag_ms
         if spec:
@@ -596,10 +587,8 @@ class Engine:
         if self._trace is not None:
             self._emit("complete", program=exec_.program_id, event_id=exec_.trigger_event_id, reason="handler")
         if exec_.occupies_busy:
-            state = self._program(exec_.program_id)
-            state.busy_with = None
             del self._busy_exec[exec_.program_id]
-            self._try_dispatch(state)
+            self._try_dispatch(self._program(exec_.program_id))
 
     # -- expiries ---------------------------------------------------------------------------
 
@@ -624,14 +613,11 @@ class Engine:
         for ticket in self._root_tickets.pop(root_id, []):
             if ticket.status == QUEUED:
                 self._expire_ticket(ticket, "root_expired")
-        for pid in list(self._busy_exec):
-            exec_ = self._busy_exec[pid]
+        for pid, exec_ in list(self._busy_exec.items()):
             if exec_.derived and exec_.root_id == root_id:
                 exec_.cancelled = True
-                state = self._program(pid)
                 if self._trace is not None:
-                    self._emit("complete", program=pid, event_id=state.busy_with, reason="window_backstop")
-                state.busy_with = None
+                    self._emit("complete", program=pid, event_id=exec_.trigger_event_id, reason="window_backstop")
                 del self._busy_exec[pid]
                 affected.add(pid)
         # waiting programs too: expiring this root's held tickets can unblock a
@@ -706,28 +692,25 @@ class Engine:
         pending.instances[key].append(r)
 
     def _first_use_decide(self, r: OperationRequest, phase: str) -> None:
-        if self.first_use.granted(r.program_id, r.op, r.sensor):
+        if (r.program_id, r.op, r.sensor) in self.first_use:
             self._decide(
                 Decision(ALLOWED, CACHED, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase)
             )
             return
         text = render_first_use_prompt(r.program_id, r.op, self.registry)
         prog = self.registry.program(r.program_id)
-        self.prompts.append(
-            {"mode": Mode.FIRST_USE.value, "phase": phase, "t": self.now, "text": text,
-             "marks": [[prog.name, prog.identity_mark]]}
-        )
+        prompt = {"mode": Mode.FIRST_USE.value, "phase": phase, "t": self.now, "text": text,
+                  "marks": [[prog.name, prog.identity_mark]]}
+        self.prompts.append(prompt)
         if self._trace is not None:
-            self._emit(
-                "prompt", mode=Mode.FIRST_USE.value, phase=phase, text=text, marks=[[prog.name, prog.identity_mark]]
-            )
+            self._emit("prompt", **prompt)
         allowed = self._authorizer(phase).authorize_first_use(r.program_id, r.op, r.sensor, text, self.registry)
         if allowed:
-            self.first_use.grant(r.program_id, r.op, r.sensor)
+            self.first_use.add((r.program_id, r.op, r.sensor))
         self._decide(
             Decision(
                 ALLOWED if allowed else DENIED, PROMPTED, r.event_id, r.program_id, r.op, r.sensor, r.t,
-                phase=phase, prompt_text=text,
+                phase=phase,
             )
         )
 
@@ -739,14 +722,11 @@ class Engine:
         text = render_prompt(paths, self.registry)
         marks = prompt_marks(paths, self.registry)
         phase = pending.phase
-        self.prompts.append(
-            {"mode": Mode.DELEGATION.value, "phase": phase, "t": self.now, "text": text, "marks": marks, "root": root_id}
-        )
+        prompt = {"mode": Mode.DELEGATION.value, "phase": phase, "t": self.now, "text": text, "marks": marks,
+                  "root": root_id}
+        self.prompts.append(prompt)
         if self._trace is not None:
-            self._emit(
-                "prompt", mode=Mode.DELEGATION.value, phase=phase, text=text, marks=marks, root=root_id,
-                paths=[k.to_dict() for k in pending.paths],
-            )
+            self._emit("prompt", **prompt, paths=[k.to_dict() for k in pending.paths])
         allowed = self._authorizer(phase).authorize_paths(paths, text, self.registry)
         blob = self.store.sealed.get(root_id, b"")
         for key in pending.paths:
@@ -758,7 +738,7 @@ class Engine:
                 self._decide(
                     Decision(
                         ALLOWED if allowed else DENIED, PROMPTED, r.event_id, r.program_id, r.op,
-                        r.sensor, r.t, phase=phase, path_key=key, prompt_text=text,
+                        r.sensor, r.t, phase=phase, path_key=key,
                     )
                 )
 

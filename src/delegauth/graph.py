@@ -17,7 +17,9 @@ of its programs keeps only the earliest deadline of a sealed root it was in,
 which is all an unattributed request needs to be told "expired". A JSON
 snapshot of the graph is taken at sealing only when the caller asks for one;
 the engine asks only for roots whose new paths go into a prompt, because the
-snapshot is what their cache entries keep.
+snapshot is what their cache entries keep. A reused event id is caught only
+for a live root or a live graph's request. The engine mints every id of a
+scenario run; only direct `Engine.submit` or `GraphStore` callers can reuse one.
 """
 
 from __future__ import annotations
@@ -181,7 +183,8 @@ class GraphStore:
     `sealed` maps a root to the serialized graph taken when it sealed, for
     the roots sealed with `snapshot=True` only (the default of `expire_graph`
     and `expire_due`). `expired_deadline` maps a program to the earliest
-    deadline of any sealed root that contained it.
+    deadline of any sealed root that contained it. `live` and `_request_index`
+    are the only state keyed by event id, and the scope of `DuplicateEvent`.
     """
 
     def __init__(self, registry: Registry, window_ms: int):
@@ -195,24 +198,18 @@ class GraphStore:
         self.membership: dict[str, set[str]] = {}  # program -> live root ids
         self.received_root: dict[str, str] = {}  # program -> live root it received
         self._request_index: dict[str, tuple[str, OperationRequest]] = {}  # event_id -> (root, r), live roots only
-        self._seen_events: set[str] = set()
         self.eviction_count = 0
 
     # -- queries used by the scheduler ------------------------------------
 
-    def live_received_root(self, program_id: str, now: int | None = None) -> str | None:
+    def live_received_root(self, program_id: str, now: int) -> str | None:
         root_id = self.received_root.get(program_id)
-        if root_id is None:
-            return None
-        if now is not None and not self.live[root_id].live_at(now):
+        if root_id is None or not self.live[root_id].live_at(now):
             return None
         return root_id
 
-    def live_memberships(self, program_id: str, now: int | None = None) -> set[str]:
-        members = self.membership.get(program_id, set())
-        if now is None:
-            return members
-        return {r for r in members if self.live[r].live_at(now)}
+    def live_memberships(self, program_id: str, now: int) -> set[str]:
+        return {r for r in self.membership.get(program_id, ()) if self.live[r].live_at(now)}
 
     def live_roots_reaching(self, program_id: str, t: int) -> list[str]:
         """Live roots whose graph contains program_id with join time < t."""
@@ -242,11 +239,6 @@ class GraphStore:
 
     # -- recording ----------------------------------------------------------
 
-    def _check_fresh_event(self, event_id: str) -> None:
-        if event_id in self._seen_events:
-            raise DuplicateEvent(f"event {event_id!r} already recorded")
-        self._seen_events.add(event_id)
-
     def record_input(self, i: InputEvent, delivered_at: int | None = None) -> str:
         """Start a new graph rooted at i; returns the root id.
 
@@ -254,7 +246,8 @@ class GraphStore:
         reachability starts at delivery.
         """
         self.registry.validate_event(i)
-        self._check_fresh_event(i.event_id)
+        if i.event_id in self.live:
+            raise DuplicateEvent(f"input {i.event_id!r} already roots a live graph")
         g = _LiveGraph(root=i, deadline=i.t + self.window_ms)
         g.input_instances.append(i)
         g.join_t[i.program_id] = i.t if delivered_at is None else delivered_at
@@ -267,7 +260,6 @@ class GraphStore:
     def record_repeat_input(self, root_id: str, i: InputEvent) -> None:
         """Attach a same-key repeat instance to an existing live root."""
         self.registry.validate_event(i)
-        self._check_fresh_event(i.event_id)
         g = self.live.get(root_id)
         if g is None or not g.live_at(i.t):
             raise UnattributableHandoff(f"repeat input {i.event_id} names dead root {root_id}")
@@ -280,7 +272,6 @@ class GraphStore:
     ) -> str:
         """Attach a handoff to its provenance root; returns the root id."""
         self.registry.validate_event(h)
-        self._check_fresh_event(h.event_id)
         root_id = root_override if root_override is not None else h.provenance
         now = h.t if delivered_at is None else delivered_at
         if root_id is None:
@@ -307,7 +298,8 @@ class GraphStore:
     def record_request(self, r: OperationRequest) -> str:
         """Attribute a request to the unique live root reaching the requester."""
         self.registry.validate_event(r)
-        self._check_fresh_event(r.event_id)
+        if r.event_id in self._request_index:
+            raise DuplicateEvent(f"request {r.event_id!r} already recorded in a live graph")
         roots = self.live_roots_reaching(r.program_id, r.t)
         if not roots:
             expired = self.expired_roots_reaching(r.program_id, r.t)

@@ -85,6 +85,8 @@ class Scenario:
             trigger_kind, trigger_value = "widget", registry.resolve_widget(on["widget"]).id
         else:
             trigger_kind, trigger_value = "handoff", on["handoff"]
+        if not (isinstance(h["actions"], list) and all(isinstance(a, dict) for a in h["actions"])):
+            raise ParseError("handler actions must be a list of objects", line=h.get("_line"))
         actions = []
         complete = None
         for a in h["actions"]:
@@ -93,6 +95,8 @@ class Scenario:
                     EmitHandoff(to=name_to_id[a["handoff"]], after_ms=a["after"], label=a.get("label"))
                 )
             elif "request" in a:
+                if not (isinstance(a["request"], list) and len(a["request"]) == 2):
+                    raise ParseError("handler request must be an [op, sensor] pair", line=h.get("_line"))
                 op, sensor = a["request"]
                 actions.append(EmitRequest(op=op, sensor=sensor, after_ms=a["after"]))
             elif "complete" in a:
@@ -207,7 +211,10 @@ def loads_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return loads_scenario(Path(path).read_text())
+    try:
+        return loads_scenario(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_json(raw: str, lineno: int) -> dict:
@@ -220,6 +227,9 @@ def _parse_json(raw: str, lineno: int) -> dict:
     return obj
 
 
+_EVENT_FIELDS = {"input": {"widget", "program"}, "handoff": {"from", "to"}, "request": {"program", "op", "sensor"}}
+
+
 def _normalize_event(rec: dict, lineno: int) -> dict:
     out = {"phase": rec.get("phase", "main"), "t": rec.get("t"), "_line": lineno}
     if type(out["t"]) is not int or out["t"] < 0:  # bool is an int subclass: rejected too
@@ -229,10 +239,13 @@ def _normalize_event(rec: dict, lineno: int) -> dict:
     bodies = [k for k in ("input", "handoff", "request") if k in rec]
     if len(bodies) != 1:
         raise ParseError("event must have exactly one of input/handoff/request", line=lineno)
-    body = rec[bodies[0]]
-    if bodies[0] == "input":
+    kind, body = bodies[0], rec[bodies[0]]
+    need = _EVENT_FIELDS[kind]
+    if not (isinstance(body, dict) and body.keys() >= need):
+        raise ParseError(f"event {kind} must be an object with {', '.join(sorted(need))}", line=lineno)
+    if kind == "input":
         out.update(kind="input", widget=body["widget"], program=body["program"])
-    elif bodies[0] == "handoff":
+    elif kind == "handoff":
         out.update(
             kind="handoff", src=body["from"], dst=body["to"],
             provenance=body.get("provenance"), action=body.get("action"),
@@ -253,6 +266,7 @@ def _validate(scn: Scenario) -> None:
 
     if scn.mode not in ("delegation", "first_use"):
         raise InvariantViolation(f"unknown mode {scn.mode!r}")
+    scn.scheduler_config()  # rejects config values of the wrong type
 
     prev_t = -1
     seen_main = False
@@ -267,8 +281,7 @@ def _validate(scn: Scenario) -> None:
         elif seen_main:
             raise InvariantViolation(f"line {line}: preliminary events must precede main events")
         if e["kind"] == "input":
-            _require(e["widget"] in {w["label"] for w in scn.widgets}
-                     or _resolves(registry, e["widget"]), f"line {line}: unknown widget {e['widget']!r}")
+            _require(_resolves(registry, e["widget"]), f"line {line}: unknown widget {e['widget']!r}")
             _require(e["program"] in name_to_id, f"line {line}: unknown program {e['program']!r}")
         elif e["kind"] == "handoff":
             for ref in (e["src"], e["dst"]):
@@ -289,7 +302,8 @@ def _validate(scn: Scenario) -> None:
 
     for a in scn.attacks:
         line = a.get("_line")
-        _require(a.get("name"), f"line {line}: attack needs a name")
+        for key in ("name", "program", "op", "sensor"):
+            _require(a.get(key), f"line {line}: attack needs {key!r}")
         _require(a["program"] in name_to_id, f"line {line}: unknown program {a['program']!r}")
         _require(
             registry.compatible(a["op"], a["sensor"]),
@@ -299,6 +313,7 @@ def _validate(scn: Scenario) -> None:
     for x in scn.expects:
         line = x.get("_line")
         _require(x.get("mode") in ("delegation", "first_use"), f"line {line}: expect needs a mode")
+        _require(isinstance(x.get("attack", {}), dict), f"line {line}: expect attack must be an object")
         for name in x.get("attack", {}):
             _require(name in attack_names, f"line {line}: expect names unknown attack {name!r}")
 

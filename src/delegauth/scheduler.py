@@ -8,7 +8,7 @@ benchmarks report.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import Backpressure, InvariantViolation
 from .model import MediatedEvent
@@ -31,6 +31,9 @@ class SchedulerConfig:
     two_level: bool = True  # two-level priority scheduling of pending events
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # annotations are strings here; exact type, so a bool is no int
+            if type(getattr(self, f.name)).__name__ != f.type:
+                raise InvariantViolation(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         if self.window_ms <= 0:
             raise InvariantViolation("window_ms must be > 0")
         if self.default_service_lag_ms < 0:
@@ -50,7 +53,6 @@ class KindStats:
 
 @dataclass
 class DelayStats:
-    window_ms: int = 150
     per_kind: dict[str, KindStats] = field(
         default_factory=lambda: {"input": KindStats(), "handoff": KindStats(), "request": KindStats()}
     )
@@ -127,22 +129,14 @@ class Ticket:
 
 @dataclass
 class ProgramState:
-    """Per-program scheduling state."""
+    """Per-program queues; the engine's `_busy_exec` says whether the program is busy."""
 
     program_id: str
-    busy_with: str | None = None  # event id currently being processed
     high: deque = field(default_factory=deque)
     low: deque = field(default_factory=deque)
 
-    @property
-    def idle(self) -> bool:
-        return self.busy_with is None
-
-    def queue_len(self) -> int:
-        return len(self.high) + len(self.low)
-
     def enqueue(self, ticket: Ticket, bound: int, two_level: bool) -> None:
-        if self.queue_len() >= bound:
+        if len(self.high) + len(self.low) >= bound:
             raise Backpressure(
                 f"program {self.program_id} queue bound {bound} exceeded by {ticket.event.event_id}"
             )

@@ -59,6 +59,44 @@ def test_non_integer_time_or_lag_is_validation_error(tmp_path, capsys, old, new)
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param(',"program":"Smart Assistant"}}\n{"kind":"attack"', '}}\n{"kind":"attack"',
+                     id="event-body-without-program"),
+        pytest.param('"input":{"widget":"take a screenshot","program":"Smart Assistant"}',
+                     '"input":"take a screenshot"', id="event-body-not-an-object"),
+        pytest.param('"actions":[{"complete":4}]', '"actions":{"complete":4}', id="actions-not-a-list"),
+        pytest.param('"request":["capture_screen","Screen"]', '"request":"capture_screen"', id="request-not-a-pair"),
+        pytest.param('"program":"Screen Capture","op":"capture_screen",', '"program":"Screen Capture",',
+                     id="attack-without-op"),
+        pytest.param('"attack":{"stealth_screen_grab":true}', '"attack":["stealth_screen_grab"]',
+                     id="expect-attack-not-an-object"),
+    ],
+)
+def test_malformed_record_is_a_validation_error_naming_its_line(tmp_path, capsys, old, new):
+    text = open(scenario_path("task_a")).read()
+    assert text.count(old) == 1
+    line = text[: text.index(old)].count("\n") + 1
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(old, new))
+    assert main(["run", str(bad)]) == 2
+    assert f"error: line {line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    ['"window_ms":"5"', '"window_ms":true', '"default_lag_ms":2.5', '"queue_bound":null',
+     '"two_level":"no"', '"two_level":1'],
+)
+def test_config_value_of_the_wrong_type_is_validation_error(tmp_path, capsys, config):
+    text = open(scenario_path("task_a")).read()
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace('{"kind":"config","window_ms":150}', f'{{"kind":"config",{config}}}'))
+    assert main(["run", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_policy_override_can_flip_expectations(tmp_path, capsys):
     policy = tmp_path / "allow.policy"
     policy.write_text("allow * * * *\n")

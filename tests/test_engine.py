@@ -358,13 +358,13 @@ def test_first_use_mode_grants_and_stays_silent():
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.run_to_quiescence()
     assert engine.prompt_count() == 1
-    assert engine.first_use.granted(a, "capture_picture", "Camera")
+    assert (a, "capture_picture", "Camera") in engine.first_use
     engine.submit(OperationRequest("r9", a, "capture_picture", "Camera", 5000))
     engine.run_to_quiescence()
     assert engine.prompt_count() == 1
     assert engine.decisions[-1].silent_allow
     # revoke, then the next request prompts again
-    engine.first_use.grants.remove((a, "capture_picture", "Camera"))
+    engine.first_use.remove((a, "capture_picture", "Camera"))
     engine.submit(OperationRequest("r10", a, "capture_picture", "Camera", 6000))
     engine.run_to_quiescence()
     assert engine.prompt_count() == 2

@@ -51,6 +51,20 @@ def test_duplicate_event_id_rejected(basic_registry):
         store.record_input(InputEvent("i1", wid, pid, 5))
 
 
+def test_duplicate_ids_are_checked_among_live_graphs_only(basic_registry):
+    store = make_store(basic_registry)
+    pid = basic_registry.program_by_name("Alpha").id
+    wid = basic_registry.resolve_widget("do the thing").id
+    store.record_input(InputEvent("i1", wid, pid, 0))
+    store.record_request(OperationRequest("r1", pid, "capture_picture", "Camera", 5))
+    with pytest.raises(DuplicateEvent):
+        store.record_request(OperationRequest("r1", pid, "capture_picture", "Camera", 6))
+    store.expire_due(WINDOW + 1)
+    # the store keeps no id of a sealed root: its id may root a new graph
+    assert store.record_input(InputEvent("i1", wid, pid, WINDOW + 2)) == "i1"
+    assert store.live["i1"].root.t == WINDOW + 2
+
+
 def test_ten_inputs_make_ten_independent_graphs(basic_registry):
     store = make_store(basic_registry)
     pid = basic_registry.program_by_name("Alpha").id
@@ -67,7 +81,7 @@ def test_handoff_attaches_and_extends_reachability(basic_registry):
     wid = basic_registry.resolve_widget("do the thing").id
     store.record_input(InputEvent("i1", wid, a, 0))
     store.record_handoff(HandoffEvent("h1", a, b, 5, provenance="i1"))
-    assert store.live_memberships(b) == {"i1"}
+    assert store.live_memberships(b, 5) == {"i1"}
     g = store.live["i1"]
     assert g.join_t == {a: 0, b: 5} and g.parent == {a: None, b: a}
     assert [h.event_id for h in g.handoff_instances[(a, b)]] == ["h1"]

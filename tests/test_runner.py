@@ -249,6 +249,28 @@ def test_replay_reads_the_recorded_trace_line_by_line(tmp_path):
     assert replay_peak - run_peak < size / 4
 
 
+def held_after_run(n_inputs: int) -> int:
+    """Bytes an engine still holds after a run, its decisions and prompts dropped."""
+    scn = generate_workload(WorkloadParams(n_inputs=n_inputs))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report, engine = run_scenario(scn)
+        del report
+        engine.decisions.clear()
+        engine.prompts.clear()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_held_memory_does_not_grow_with_run_length():
+    # after a run, what is held is the live roots and the cache; nothing per input
+    small, large = held_after_run(2000), held_after_run(8000)
+    assert (large - small) / 6000 < 16
+
+
 def test_run_with_trace_without_a_file(task_b):
     report, _writer = run_with_trace(task_b, None, mode="entrust")
     assert report.decisions == run_scenario(task_b, mode="entrust")[0].decisions

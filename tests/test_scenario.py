@@ -48,6 +48,13 @@ def test_bad_json_reports_line():
     assert exc.value.line == 2
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes(MINIMAL.replace('"name":"B"', '"name":"B\xe9"').encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_scenario(bad)
+
+
 def test_wrong_header_rejected():
     with pytest.raises(ParseError):
         loads_scenario('{"format":"something-else","version":1}')
