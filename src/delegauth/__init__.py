@@ -20,7 +20,7 @@ from .model import (
 )
 from .runner import RunReport, compare_modes, replay, run_scenario, run_with_trace
 from .scenario import Scenario, load_scenario, loads_scenario
-from .scheduler import DelayStats, HandlerSpec, HandlerTable, SchedulerConfig
+from .scheduler import DelayStats, HandlerSpec, HandlerTable
 from .workload import WorkloadParams, generate_workload
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "Registry",
     "RunReport",
     "Scenario",
-    "SchedulerConfig",
     "ScriptedPolicy",
     "WidgetKind",
     "WorkloadParams",

@@ -179,7 +179,10 @@ def parse_policy_rules(lines: list[str]) -> list[PolicyRule]:
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
-        parts = shlex.split(text)
+        try:
+            parts = shlex.split(text)
+        except ValueError:  # an unclosed quote
+            parts = []
         if len(parts) != 5 or parts[0] not in ("allow", "deny"):
             raise InvariantViolation(f"bad policy rule: {raw!r}")
         rules.append(PolicyRule(parts[0] == "allow", parts[1], parts[2], parts[3], parts[4]))

@@ -383,7 +383,7 @@ def _engine_with_sealed_roots(n_roots: int) -> Engine:
     engine = Engine(registry, authorizers={"preliminary": allow, "main": allow})
     widget = registry.resolve_widget("bench command").id
     receiver = next(iter(registry.programs))
-    window = engine.config.scheduler.window_ms
+    window = engine.config.window_ms
     for i in range(n_roots):
         engine.schedule(i * (window + 10), {"kind": "input", "widget": widget, "program": receiver})
     engine.run_to_quiescence()
@@ -428,7 +428,7 @@ def two_level(
         scn = generate_workload(params)
         per_mode = {}
         for enabled in (True, False):
-            report, engine = run_scenario(scn, two_level=enabled)
+            report, engine = run_scenario(replace(scn, config={**scn.config, "two_level": enabled}))
             stats = engine.stats
             per_mode[enabled] = {
                 "delayed": stats.delayed_events,

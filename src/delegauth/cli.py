@@ -21,31 +21,10 @@ from .runner import MODE_SPELLINGS, compare_modes, replay, run_scenario, run_wit
 from .scenario import load_scenario
 from .workload import WorkloadParams, generate_workload
 
-WINDOW_ENV = "DELEGAUTH_WINDOW_MS"
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
 EXIT_DIVERGENCE = 4
-
-
-def _env_window() -> int | None:
-    raw = os.environ.get(WINDOW_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{WINDOW_ENV} must be an integer, got {raw!r}")
-
-
-def _effective_window(cli_value: int | None, scn) -> int | None:
-    """Precedence: --window-ms > scenario config > environment > built-in default."""
-    if cli_value is not None:
-        return cli_value
-    if "window_ms" in scn.config:
-        return None  # scenario value applies
-    return _env_window()
 
 
 def _print_report(report, out) -> None:
@@ -57,8 +36,9 @@ def _print_report(report, out) -> None:
     )
     for p in report.prompts:
         print(f"  [{p['phase']} t={p['t']}] {p['text']}", file=out)
-    allowed = sum(1 for d in report.decisions if d["outcome"] == "allowed")
-    denied = len(report.decisions) - allowed
+    decisions = report.decisions
+    allowed = sum(1 for d in decisions if d["outcome"] == "allowed")
+    denied = len(decisions) - allowed
     print(f"decisions: {allowed} allowed, {denied} denied", file=out)
     for name, success in report.attack_outcomes.items():
         print(f"attack {name}: {'SUCCEEDED' if success else 'blocked'}", file=out)
@@ -78,15 +58,14 @@ def cmd_run(args) -> int:
     if args.policy:
         policy_rules = Path(args.policy).read_text().splitlines()
         parse_policy_rules(policy_rules)  # validate eagerly
-    window = _effective_window(args.window_ms, scn)
     if args.trace:
         report, _writer = run_with_trace(
             scn, args.trace, mode=args.mode, policy_rules=policy_rules,
-            window_ms=window, seed=args.seed, interactive=args.interactive,
+            window_ms=args.window_ms, seed=args.seed, interactive=args.interactive,
         )
     else:
         report, _engine = run_scenario(
-            scn, mode=args.mode, policy_rules=policy_rules, window_ms=window,
+            scn, mode=args.mode, policy_rules=policy_rules, window_ms=args.window_ms,
             interactive=args.interactive,
         )
     _print_report(report, sys.stdout)
@@ -94,9 +73,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scn = load_scenario(args.file)
-    window = _effective_window(args.window_ms, scn)
-    reports = compare_modes(scn, window_ms=window)
+    reports = compare_modes(load_scenario(args.file), window_ms=args.window_ms)
     failures = []
     for mode, report in reports.items():
         print(f"=== {mode} ===")
@@ -154,7 +131,7 @@ def cmd_bench(args) -> int:
 
 def cmd_replay(args) -> int:
     report = replay(args.trace)
-    print(f"replay ok: {len(report.decisions)} decisions, trace byte-identical")
+    print(f"replay ok: {len(report.engine_decisions)} decisions, trace byte-identical")
     return EXIT_OK
 
 
@@ -170,14 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", choices=list(MODE_SPELLINGS))
     p_run.add_argument("--policy", help="policy file overriding the main-phase scripted policy")
     p_run.add_argument("--interactive", action="store_true", help="prompt on stdin/stdout")
-    p_run.add_argument("--window-ms", type=int, default=None)
+    p_run.add_argument("--window-ms", type=int, default=None, help="overrides the scenario's window_ms")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--trace", help="write the run trace to this path")
     p_run.set_defaults(fn=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run both modes and tabulate the contrast")
     p_cmp.add_argument("file")
-    p_cmp.add_argument("--window-ms", type=int, default=None)
+    p_cmp.add_argument("--window-ms", type=int, default=None, help="overrides the scenario's window_ms")
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_gen = sub.add_parser("gen", help="generate a calibrated synthetic workload")

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .auth import (
@@ -91,7 +91,6 @@ from .scheduler import (
     EmitRequest,
     HandlerTable,
     ProgramState,
-    SchedulerConfig,
     Ticket,
 )
 
@@ -107,15 +106,27 @@ class Mode(Enum):
 
 @dataclass
 class EngineConfig:
-    """Settings of one engine. `mode` is read once, when the engine is built."""
+    """Settings of one engine. Every field but `mode` is a key of a scenario's
+    config record, under its own name (`Scenario.engine_config`). `mode` is
+    read once, when the engine is built."""
 
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    mode: Mode = Mode.DELEGATION
+    window_ms: int = 150
+    default_lag_ms: int = 5  # service time of a delivery no handler answers
+    queue_bound: int = 1024
+    two_level: bool = True  # two-level priority scheduling of pending events
     cache_denials: bool = False
+    mode: Mode = Mode.DELEGATION
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mode, Mode):
-            raise InvariantViolation(f"unknown mode {self.mode!r}")
+        for f in fields(self):  # annotations are strings here; exact type, so a bool is no int
+            if type(getattr(self, f.name)).__name__ != f.type:
+                raise InvariantViolation(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
+        if self.window_ms <= 0:
+            raise InvariantViolation("window_ms must be > 0")
+        if self.default_lag_ms < 0:
+            raise InvariantViolation("default_lag_ms must be >= 0")
+        if self.queue_bound < 1:
+            raise InvariantViolation("queue_bound must be >= 1")
 
 
 @dataclass
@@ -156,7 +167,7 @@ class Engine:
         self.authorizers = authorizers or {}
         self.cache = cache or AuthorizationCache()
         self.first_use: set[tuple[str, str, str]] = set()  # (program, op, sensor) granted in FIRST_USE
-        self.store = GraphStore(registry, self.config.scheduler.window_ms)
+        self.store = GraphStore(registry, self.config.window_ms)
         self.stats = DelayStats()
 
         mode = self.config.mode
@@ -364,7 +375,7 @@ class Engine:
         priority = HIGH if derived else LOW
         ticket = Ticket(
             event=ev, kind=kind, priority=priority, derived=derived, root_id=root_id,
-            deadline=ev.t + self.config.scheduler.window_ms, phase=phase,
+            deadline=ev.t + self.config.window_ms, phase=phase,
         )
         self.stats.record_submit(kind, derived)
         if self._trace is not None:
@@ -381,7 +392,7 @@ class Engine:
 
         state = self._program(ev.program_id if kind == "input" else ev.dst)
         try:
-            state.enqueue(ticket, self.config.scheduler.queue_bound, self.config.scheduler.two_level)
+            state.enqueue(ticket, self.config.queue_bound, self.config.two_level)
         except Backpressure:
             ticket.status = REJECTED
             self.backpressure_rejections += 1
@@ -548,7 +559,7 @@ class Engine:
         )
         if exec_.occupies_busy:
             self._busy_exec[program_id] = exec_
-        complete_after = spec.complete.after_ms if spec else self.config.scheduler.default_service_lag_ms
+        complete_after = spec.complete.after_ms if spec else self.config.default_lag_ms
         if spec:
             for action in spec.actions:
                 self._push(self.now + action.after_ms, "action", (exec_, action))

@@ -8,8 +8,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .auth import ALLOWED, CACHED, AuthorizationCache, InteractivePrompt, ScriptedPolicy
-from .engine import Engine, EngineConfig, Mode
+from .auth import ALLOWED, CACHED, AuthorizationCache, Decision, InteractivePrompt, ScriptedPolicy
+from .engine import Engine, Mode
 from .errors import ParseError, TraceDivergence
 from .scenario import Scenario, TraceWriter, loads_scenario, read_trace_header
 
@@ -21,13 +21,18 @@ class RunReport:
     wall_ms: float = 0.0
     prompts: list[dict] = field(default_factory=list)
     prompt_counts: dict = field(default_factory=dict)  # phase -> count
-    decisions: list[dict] = field(default_factory=list)
+    engine_decisions: list[Decision] = field(default_factory=list)  # the engine's own list
     attack_outcomes: dict = field(default_factory=dict)  # name -> succeeded?
     expect_failures: list[str] = field(default_factory=list)
     delay_stats: dict = field(default_factory=dict)
     path_edge_histogram: dict = field(default_factory=dict)
     cache_footprint: dict = field(default_factory=dict)
     ambiguous_requests: int = 0
+
+    @property
+    def decisions(self) -> list[dict]:
+        """Each decision as a dict, built anew on every read."""
+        return [d.to_dict() for d in self.engine_decisions]
 
     @property
     def main_prompts(self) -> int:
@@ -85,17 +90,9 @@ def build_engine(
     cache: AuthorizationCache | None = None,
     trace=None,
     interactive: bool = False,
-    two_level: bool | None = None,
 ) -> tuple[Engine, dict[str, str]]:
     registry, handlers, name_to_id = scn.build()
-    sched = scn.scheduler_config(window_override=window_ms)
-    if two_level is not None:
-        sched.two_level = two_level
-    config = EngineConfig(
-        scheduler=sched,
-        mode=resolve_mode(scn, mode),
-        cache_denials=scn.config.get("cache_denials", False),
-    )
+    config = scn.engine_config(resolve_mode(scn, mode), window_override=window_ms)
     if interactive:
         prompt = InteractivePrompt()
         authorizers = {"preliminary": prompt, "main": prompt}
@@ -155,11 +152,10 @@ def run_scenario(
     cache: AuthorizationCache | None = None,
     trace=None,
     interactive: bool = False,
-    two_level: bool | None = None,
 ) -> tuple[RunReport, Engine]:
     engine, name_to_id = build_engine(
         scn, mode=mode, policy_rules=policy_rules, window_ms=window_ms, cache=cache,
-        trace=trace, interactive=interactive, two_level=two_level,
+        trace=trace, interactive=interactive,
     )
     _schedule_timeline(engine, scn, name_to_id)
     t0 = time.perf_counter()
@@ -176,7 +172,7 @@ def run_scenario(
     report.prompt_counts = {
         phase: engine.prompt_count(phase) for phase in ("preliminary", "main")
     }
-    report.decisions = [d.to_dict() for d in engine.decisions]
+    report.engine_decisions = engine.decisions
     report.attack_outcomes = evaluate_attacks(engine, scn, name_to_id)
     report.delay_stats = engine.stats.to_dict()
     edges = Counter(d.path_key.edge_count for d in engine.decisions if d.path_key is not None)
@@ -192,15 +188,10 @@ def _check_expectations(scn: Scenario, report: RunReport, mode: Mode) -> list[st
     for x in scn.expects:
         if resolve_mode(scn, x["mode"]) is not mode:
             continue
-        if "main_prompts" in x and report.main_prompts != x["main_prompts"]:
-            failures.append(
-                f"mode {x['mode']}: expected {x['main_prompts']} main prompts, got {report.main_prompts}"
-            )
-        if "preliminary_prompts" in x and report.preliminary_prompts != x["preliminary_prompts"]:
-            failures.append(
-                f"mode {x['mode']}: expected {x['preliminary_prompts']} preliminary prompts, "
-                f"got {report.preliminary_prompts}"
-            )
+        for phase in ("main", "preliminary"):
+            expected, actual = x.get(f"{phase}_prompts"), report.prompt_counts.get(phase, 0)
+            if expected is not None and actual != expected:
+                failures.append(f"mode {x['mode']}: expected {expected} {phase} prompts, got {actual}")
         for name, expected in x.get("attack", {}).items():
             actual = report.attack_outcomes.get(name)
             if actual != expected:

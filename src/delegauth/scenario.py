@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .auth import parse_policy_rules
+from .engine import EngineConfig, Mode
 from .errors import InvariantViolation, ParseError, UnresolvedReference
 from .model import Registry, WidgetKind
-from .scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable, SchedulerConfig
+from .scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable
 
 SCENARIO_FORMAT = "delegauth-scenario"
 TRACE_FORMAT = "delegauth-trace"
@@ -26,6 +28,9 @@ FORMAT_VERSION = 1
 # One encoder for every line: `json.dumps` with these options builds a new
 # JSONEncoder per call. `check_circular` only changes how a cycle fails.
 _dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+# Keys of a config record: `EngineConfig`'s settings, and `scheduler`, which `runner.resolve_mode` reads
+_CONFIG_KEYS = frozenset(f.name for f in fields(EngineConfig)) - {"mode"} | {"scheduler"}
 
 
 @dataclass
@@ -48,15 +53,17 @@ class Scenario:
     def sha256(self) -> str:
         return hashlib.sha256(self.source_text.encode()).hexdigest()
 
-    def scheduler_config(self, window_override: int | None = None) -> SchedulerConfig:
-        cfg = self.config
-        window = window_override if window_override is not None else cfg.get("window_ms", 150)
-        return SchedulerConfig(
-            window_ms=window,
-            default_service_lag_ms=cfg.get("default_lag_ms", 5),
-            queue_bound=cfg.get("queue_bound", 1024),
-            two_level=cfg.get("two_level", True),
-        )
+    def engine_config(self, mode: Mode = Mode.DELEGATION, window_override: int | None = None) -> EngineConfig:
+        """The settings of the config record, run in `mode`; `window_override` replaces `window_ms`."""
+        settings = dict(self.config)
+        unknown = sorted(settings.keys() - _CONFIG_KEYS)
+        if unknown:
+            raise InvariantViolation(f"unknown config key {unknown[0]!r}; keys: {', '.join(sorted(_CONFIG_KEYS))}")
+        if type(settings.pop("scheduler", True)) is not bool:
+            raise InvariantViolation(f"scheduler must be bool, got {self.config['scheduler']!r}")
+        if window_override is not None:
+            settings["window_ms"] = window_override
+        return EngineConfig(mode=mode, **settings)
 
     def build(self) -> tuple[Registry, HandlerTable, dict[str, str]]:
         """Fresh registry + handler table; returns (registry, handlers, name->id)."""
@@ -192,7 +199,8 @@ def loads_scenario(text: str) -> Scenario:
         elif kind == "mode":
             scn.mode = rec["mode"]
         elif kind == "policy":
-            scn.policies[rec.get("phase", "main")] = rec["rules"]
+            phase, rules = _policy(rec, lineno)
+            scn.policies[phase] = rules
         elif kind == "event":
             scn.timeline.append(_normalize_event(rec, lineno))
         elif kind == "attack":
@@ -225,6 +233,20 @@ def _parse_json(raw: str, lineno: int) -> dict:
     if not isinstance(obj, dict):
         raise ParseError("record must be a JSON object", line=lineno)
     return obj
+
+
+def _policy(rec: dict, lineno: int) -> tuple[str, list[str]]:
+    """The phase and rules of a policy record, checked as `ScriptedPolicy` will read them."""
+    phase, rules = rec.get("phase", "main"), rec.get("rules")
+    if phase not in ("preliminary", "main"):
+        raise ParseError(f"unknown phase {phase!r}", line=lineno)
+    if not (isinstance(rules, list) and all(isinstance(r, str) for r in rules)):
+        raise ParseError(f"policy rules must be a list of strings, got {rules!r}", line=lineno)
+    try:
+        parse_policy_rules(rules)
+    except InvariantViolation as exc:
+        raise ParseError(str(exc), line=lineno) from None
+    return phase, rules
 
 
 _EVENT_FIELDS = {"input": {"widget", "program"}, "handoff": {"from", "to"}, "request": {"program", "op", "sensor"}}
@@ -266,7 +288,7 @@ def _validate(scn: Scenario) -> None:
 
     if scn.mode not in ("delegation", "first_use"):
         raise InvariantViolation(f"unknown mode {scn.mode!r}")
-    scn.scheduler_config()  # rejects config values of the wrong type
+    scn.engine_config()  # rejects unknown config keys and values of the wrong type
 
     prev_t = -1
     seen_main = False
@@ -314,8 +336,14 @@ def _validate(scn: Scenario) -> None:
         line = x.get("_line")
         _require(x.get("mode") in ("delegation", "first_use"), f"line {line}: expect needs a mode")
         _require(isinstance(x.get("attack", {}), dict), f"line {line}: expect attack must be an object")
-        for name in x.get("attack", {}):
+        for key in ("main_prompts", "preliminary_prompts"):
+            count = x.get(key, 0)
+            if type(count) is not int or count < 0:  # bool is an int subclass: rejected too
+                raise ParseError(f"expect {key} must be a non-negative integer, got {count!r}", line=line)
+        for name, succeeded in x.get("attack", {}).items():
             _require(name in attack_names, f"line {line}: expect names unknown attack {name!r}")
+            if type(succeeded) is not bool:
+                raise ParseError(f"expect attack {name!r} must be true or false, got {succeeded!r}", line=line)
 
 
 def _resolves(registry: Registry, label: str) -> bool:

@@ -8,7 +8,7 @@ benchmarks report.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from .errors import Backpressure, InvariantViolation
 from .model import MediatedEvent
@@ -21,25 +21,6 @@ QUEUED = "queued"
 DELIVERED = "delivered"
 EXPIRED = "expired"
 REJECTED = "rejected"
-
-
-@dataclass
-class SchedulerConfig:
-    window_ms: int = 150
-    default_service_lag_ms: int = 5
-    queue_bound: int = 1024
-    two_level: bool = True  # two-level priority scheduling of pending events
-
-    def __post_init__(self) -> None:
-        for f in fields(self):  # annotations are strings here; exact type, so a bool is no int
-            if type(getattr(self, f.name)).__name__ != f.type:
-                raise InvariantViolation(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
-        if self.window_ms <= 0:
-            raise InvariantViolation("window_ms must be > 0")
-        if self.default_service_lag_ms < 0:
-            raise InvariantViolation("default_service_lag_ms must be >= 0")
-        if self.queue_bound < 1:
-            raise InvariantViolation("queue_bound must be >= 1")
 
 
 @dataclass

@@ -93,7 +93,7 @@ def test_unambiguity_fuzz():
         records = []
         report, engine = run_scenario(scn, trace=records.append)
         ambiguous_on += engine.ambiguous_requests
-        window = engine.config.scheduler.window_ms
+        window = engine.config.window_ms
         log = log_from_trace(records)
         for d in engine.decisions:
             if d.path_key is None:

@@ -72,6 +72,17 @@ def test_non_integer_time_or_lag_is_validation_error(tmp_path, capsys, old, new)
                      id="attack-without-op"),
         pytest.param('"attack":{"stealth_screen_grab":true}', '"attack":["stealth_screen_grab"]',
                      id="expect-attack-not-an-object"),
+        pytest.param('"main_prompts":1,', '"main_prompts":"1",', id="expect-count-a-string"),
+        pytest.param('"main_prompts":1,', '"main_prompts":-1,', id="expect-count-negative"),
+        pytest.param('"main_prompts":1,', '"main_prompts":true,', id="expect-count-a-bool"),
+        pytest.param('"attack":{"stealth_screen_grab":false}', '"attack":{"stealth_screen_grab":0}',
+                     id="expect-attack-not-a-bool"),
+        pytest.param('"phase":"main","rules":["deny * * * *"]', '"phase":"main"', id="policy-without-rules"),
+        pytest.param('"phase":"main","rules":', '"phase":"mian","rules":', id="policy-unknown-phase"),
+        pytest.param('"rules":["deny * * * *"]', '"rules":"deny * * * *"', id="policy-rules-a-string"),
+        pytest.param('"rules":["deny * * * *"]', '"rules":["deny * *"]', id="policy-rule-too-short"),
+        pytest.param('"rules":["deny * * * *"]', '"rules":["deny \'* * * *"]', id="policy-rule-unclosed-quote"),
+        pytest.param('"rules":["deny * * * *"]', '"rules":["deny Notes * * *"]', id="policy-without-default"),
     ],
 )
 def test_malformed_record_is_a_validation_error_naming_its_line(tmp_path, capsys, old, new):
@@ -87,14 +98,16 @@ def test_malformed_record_is_a_validation_error_naming_its_line(tmp_path, capsys
 @pytest.mark.parametrize(
     "config",
     ['"window_ms":"5"', '"window_ms":true', '"default_lag_ms":2.5', '"queue_bound":null',
-     '"two_level":"no"', '"two_level":1'],
+     '"two_level":"no"', '"two_level":1', '"cache_denials":"no"', '"scheduler":"no"',
+     '"windw_ms":5', '"mode":"first_use"'],
 )
 def test_config_value_of_the_wrong_type_is_validation_error(tmp_path, capsys, config):
     text = open(scenario_path("task_a")).read()
     bad = tmp_path / "bad.scn"
     bad.write_text(text.replace('{"kind":"config","window_ms":150}', f'{{"kind":"config",{config}}}'))
     assert main(["run", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and config.split('"')[1] in err
 
 
 def test_policy_override_can_flip_expectations(tmp_path, capsys):
@@ -187,17 +200,6 @@ def test_gen_bad_gaps_is_validation_error(tmp_path, capsys, gaps):
     assert main(["gen", str(out), "--n", "10", "--gaps", gaps]) == 2
     assert "--gaps" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_window_env_var_lowest_precedence(tmp_path, capsys, monkeypatch):
-    # scenario without its own window: env applies
-    src = open(scenario_path("task_a")).read().replace('{"kind":"config","window_ms":150}\n', "")
-    scn = tmp_path / "nowin.scn"
-    scn.write_text(src)
-    monkeypatch.setenv("DELEGAUTH_WINDOW_MS", "77")
-    assert main(["run", str(scn)]) == 0
-    # CLI flag wins over env
-    assert main(["run", str(scn), "--window-ms", "150"]) == 0
 
 
 def test_interactive_mode_reads_stdin(monkeypatch, capsys):

@@ -4,10 +4,10 @@ import pytest
 
 from delegauth.auth import ScriptedPolicy
 from delegauth.engine import Engine, EngineConfig, Mode
-from delegauth.errors import Backpressure, ProtocolViolation
+from delegauth.errors import Backpressure, InvariantViolation, ProtocolViolation
 from delegauth.graph import InputKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
-from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable, SchedulerConfig
+from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable
 from oracle import log_from_trace
 
 WINDOW = 150
@@ -22,11 +22,7 @@ def build_engine(handlers=None, two_level=True, mode=Mode.DELEGATION, cache_deni
     reg.register_widget("second cmd", WidgetKind.VOICE)
     reg.register_sensor("Camera")
     reg.register_operation("capture_picture", ["Camera"], "capture pictures")
-    config = EngineConfig(
-        scheduler=SchedulerConfig(window_ms=WINDOW, two_level=two_level),
-        mode=mode,
-        cache_denials=cache_denials,
-    )
+    config = EngineConfig(window_ms=WINDOW, two_level=two_level, mode=mode, cache_denials=cache_denials)
     allow = ScriptedPolicy.allow_all()
     engine = Engine(
         reg,
@@ -40,6 +36,23 @@ def build_engine(handlers=None, two_level=True, mode=Mode.DELEGATION, cache_deni
 
 def wid(engine, label):
     return engine.registry.resolve_widget(label).id
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"window_ms": True}, {"window_ms": 150.0}, {"default_lag_ms": None}, {"queue_bound": "8"},
+     {"two_level": 1}, {"cache_denials": "no"}, {"mode": "delegation"}],
+    ids=repr,
+)
+def test_engine_config_rejects_a_setting_of_the_wrong_type(setting):
+    with pytest.raises(InvariantViolation, match=f"^{next(iter(setting))} must be "):
+        EngineConfig(**setting)
+
+
+@pytest.mark.parametrize("setting", [{"window_ms": 0}, {"default_lag_ms": -1}, {"queue_bound": 0}], ids=repr)
+def test_engine_config_rejects_a_setting_out_of_range(setting):
+    with pytest.raises(InvariantViolation, match=f"^{next(iter(setting))} must be "):
+        EngineConfig(**setting)
 
 
 def test_input_to_idle_program_delivers_with_zero_delay():
@@ -190,7 +203,7 @@ def test_backpressure_on_queue_overflow():
                         complete=Complete(after_ms=5000)),
         ]
     )
-    engine.config.scheduler.queue_bound = 3
+    engine.config.queue_bound = 3
     engine.submit(HandoffEvent("n0", a, b, 0))  # busy
     for i in range(3):
         engine.submit(HandoffEvent(f"n{i + 1}", a, b, 1))
