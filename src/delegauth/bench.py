@@ -3,7 +3,7 @@
 Shapes, not absolutes: timings are hardware-bound, so the suites report
 per-step costs, linear fits and ratios between points. A shared host's speed
 can drift by a factor of two or more within a second, so every timed suite
-(`graph_construction`, `cache_rw`, `enforcement`, `scaling`) measures its
+(`graph_construction`, `cache_rw`, `enforcement`, `scaling`, `e2e`) measures its
 points round-robin: each round times one short batch per point, and each
 round is divided by its own mean before the rounds are combined (see
 `round_robin`), so a slow spell is spread over every point instead of
@@ -17,8 +17,11 @@ from __future__ import annotations
 import ctypes
 import gc
 import statistics
+import tempfile
 import time
+import tracemalloc
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from .auth import AuthorizationCache, ScriptedPolicy
 from .engine import Engine, Mode
@@ -30,7 +33,7 @@ from .model import (
     Registry,
     WidgetKind,
 )
-from .runner import run_scenario
+from .runner import replay, run_scenario, run_with_trace
 from .scenario import Scenario
 from .workload import WorkloadParams, generate_workload
 
@@ -48,8 +51,10 @@ def round_robin(batches, rounds: int) -> dict:
     cannot change the shape of the cost curve (a quadratic stays quadratic).
 
     Returns, per point, the median (`us`) and interquartile range (`iqr_us`)
-    over the normalised rounds, and `round_spread`, the largest round mean
-    over the smallest: how much the host's speed changed during the run.
+    over the normalised rounds; `rounds`, each round's normalised costs, one
+    per point, for ratios taken within a round; and `round_spread`, the
+    largest round mean over the smallest: how much the host's speed changed
+    during the run.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -75,7 +80,12 @@ def round_robin(batches, rounds: int) -> dict:
         q1, median, q3 = statistics.quantiles(samples, n=4)
         us.append(median)
         iqr_us.append(q3 - q1)
-    return {"us": us, "iqr_us": iqr_us, "round_spread": max(means) / min(means)}
+    return {
+        "us": us,
+        "iqr_us": iqr_us,
+        "rounds": [list(costs) for costs in zip(*normalised)],
+        "round_spread": max(means) / min(means),
+    }
 
 
 def _heap_trimmer():
@@ -484,6 +494,86 @@ def memory(n_programs: int = 1000, seed: int = 7) -> dict:
     }
 
 
+# -- suite 8: end to end ------------------------------------------------------------
+
+
+def e2e(params: WorkloadParams | None = None, runs: int = 10) -> dict:
+    """One workload run five ways, each as one call the way a user makes it:
+    `untraced` (`run_scenario`), `traced` (`run_with_trace` to a temporary
+    file), `replayed` (`replay` of a trace written once beforehand),
+    `first_use` and `pass_through` (`run_scenario` in those modes).
+
+    The five calls are timed by `round_robin` over `runs` rounds, each call
+    after a `gc.collect()` outside its time. A row's `us_per_event` is the
+    call's time over the events of the untraced run, so the ratio of two
+    rows is the ratio of their run times. `ratios` are taken within each
+    round, where the host's speed cancels, and given as the median and
+    quartiles over the rounds; `mediated/pass_through` is untraced over
+    pass-through. A separate pass under `tracemalloc` gives each row's
+    `held_bytes_per_input`: what the run leaves allocated, its report
+    included, over the workload's inputs.
+    """
+    params = params or WorkloadParams()
+    scn = generate_workload(params)
+    with tempfile.TemporaryDirectory() as tmp:
+        traced_path, recorded_path = Path(tmp) / "traced.trace", Path(tmp) / "recorded.trace"
+        run_with_trace(scn, recorded_path)
+        calls = {
+            "untraced": lambda: run_scenario(scn)[0],
+            "traced": lambda: run_with_trace(scn, traced_path)[0],
+            "replayed": lambda: replay(recorded_path),
+            "first_use": lambda: run_scenario(scn, mode=Mode.FIRST_USE)[0],
+            "pass_through": lambda: run_scenario(scn, mode=Mode.PASS_THROUGH)[0],
+        }
+        held = {name: _held_bytes(call) / params.n_inputs for name, call in calls.items()}
+        events = calls["untraced"]().delay_stats["total_events"]
+
+        def timed(call):
+            def fn():
+                gc.collect()
+                t0 = time.perf_counter_ns()
+                call()
+                return events, time.perf_counter_ns() - t0
+
+            return fn
+
+        m = round_robin([timed(call) for call in calls.values()], rounds=runs)
+    points = list(calls)
+    rows = [
+        {"point": name, "us_per_event": us, "iqr_us": iqr, "held_bytes_per_input": held[name]}
+        for name, us, iqr in zip(points, m["us"], m["iqr_us"])
+    ]
+    ratios = {}
+    for ratio, (num, den) in (
+        ("traced/untraced", ("traced", "untraced")),
+        ("replay/untraced", ("replayed", "untraced")),
+        ("mediated/pass_through", ("untraced", "pass_through")),
+    ):
+        i, j = points.index(num), points.index(den)
+        q1, median, q3 = statistics.quantiles([costs[i] / costs[j] for costs in m["rounds"]], n=4)
+        ratios[ratio] = {"median": median, "q1": q1, "q3": q3}
+    return {
+        "suite": "e2e",
+        "params": {"n_inputs": params.n_inputs, "seed": params.seed},
+        "events": events,
+        "rows": rows,
+        "ratios": ratios,
+        "round_spread": m["round_spread"],
+    }
+
+
+def _held_bytes(call) -> int:
+    """Bytes still allocated after `call()`, with its result kept."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = call()  # held while the bytes are counted
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 SUITES = {
     "graph_construction": graph_construction,
     "cache_rw": cache_rw,
@@ -492,6 +582,7 @@ SUITES = {
     "ambiguity": ambiguity,
     "two_level": two_level,
     "memory": memory,
+    "e2e": e2e,
 }
 
 

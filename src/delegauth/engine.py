@@ -33,6 +33,7 @@ OS-level reference monitor can actually observe.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -129,6 +130,99 @@ class EngineConfig:
             raise InvariantViolation("queue_bound must be >= 1")
 
 
+# -- trace lines -------------------------------------------------------------------
+
+# One encoder for every JSON line: `json.dumps` with these options builds a new
+# JSONEncoder per call. `check_circular` only changes how a cycle fails.
+_dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+# One function per record shape, called as `line(seq, t, *fields)` by
+# `Engine._emit`, which hands the line, without its newline, to the engine's
+# `trace` callable. Each writes the text `_dump_line` gives the record's dict:
+# keys in sorted order, no spaces, strings through the escaper the C encoder
+# uses with `ensure_ascii`, ints as `int.__repr__` writes them, and `null`
+# for a `root`, `provenance` or `action` that is None. A decision's `t` is the
+# time of its request, not the clock: a prompted decision is written when its
+# root expires.
+_s = json.encoder.encode_basestring_ascii
+
+
+def _admit_line(seq: int, t: int, ev: MediatedEvent, priority: str, derived: bool, phase: str) -> str:
+    cls = type(ev)
+    if cls is InputEvent:
+        event = f'{{"id":{_s(ev.event_id)},"program":{_s(ev.program_id)},"t":{ev.t},"widget":{_s(ev.widget_id)}}}'
+    elif cls is HandoffEvent:
+        action = "null" if ev.action is None else _s(ev.action)
+        provenance = "null" if ev.provenance is None else _s(ev.provenance)
+        event = (f'{{"action":{action},"dst":{_s(ev.dst)},"id":{_s(ev.event_id)},'
+                 f'"provenance":{provenance},"src":{_s(ev.src)},"t":{ev.t}}}')
+    else:
+        event = (f'{{"id":{_s(ev.event_id)},"op":{_s(ev.op)},"program":{_s(ev.program_id)},'
+                 f'"sensor":{_s(ev.sensor)},"t":{ev.t}}}')
+    return (f'{{"derived":{"true" if derived else "false"},"event":{event},"kind":"admit",'
+            f'"phase":{_s(phase)},"priority":{_s(priority)},"seq":{seq},"t":{t}}}')
+
+
+def _deliver_line(seq: int, t: int, event_id: str, program: str, delay: int, event_kind: str) -> str:
+    return (f'{{"delay":{delay},"event_id":{_s(event_id)},"event_kind":{_s(event_kind)},'
+            f'"kind":"deliver","program":{_s(program)},"seq":{seq},"t":{t}}}')
+
+
+def _complete_line(seq: int, t: int, event_id: str, program: str, reason: str) -> str:
+    return (f'{{"event_id":{_s(event_id)},"kind":"complete","program":{_s(program)},'
+            f'"reason":{_s(reason)},"seq":{seq},"t":{t}}}')
+
+
+def _hold_line(seq: int, t: int, event_id: str, program: str, queue: str) -> str:
+    return (f'{{"event_id":{_s(event_id)},"kind":"hold","program":{_s(program)},'
+            f'"queue":{_s(queue)},"seq":{seq},"t":{t}}}')
+
+
+def _expire_event_line(seq: int, t: int, event_id: str, reason: str) -> str:
+    return f'{{"event_id":{_s(event_id)},"kind":"expire","reason":{_s(reason)},"seq":{seq},"t":{t},"what":"event"}}'
+
+
+def _expire_root_line(seq: int, t: int, root: str) -> str:
+    return f'{{"kind":"expire","root":{_s(root)},"seq":{seq},"t":{t},"what":"root"}}'
+
+
+def _handoff_line(seq: int, t: int, event_id: str, root: str | None, outcome: str) -> str:
+    root = "null" if root is None else _s(root)
+    return f'{{"event_id":{_s(event_id)},"kind":"handoff","outcome":{_s(outcome)},"root":{root},"seq":{seq},"t":{t}}}'
+
+
+def _request_line(seq: int, t: int, event_id: str, outcome: str) -> str:
+    """A request that reaches no root, so no cache."""
+    return f'{{"event_id":{_s(event_id)},"kind":"request","outcome":{_s(outcome)},"root":null,"seq":{seq},"t":{t}}}'
+
+
+def _cached_request_line(seq: int, t: int, event_id: str, root: str, cache: str) -> str:
+    """An attributed request answered by the cache: a hit, or a cached denial."""
+    return (f'{{"cache":{_s(cache)},"event_id":{_s(event_id)},"kind":"request","outcome":"attributed",'
+            f'"root":{_s(root)},"seq":{seq},"t":{t}}}')
+
+
+def _missed_request_line(seq: int, t: int, event_id: str, root: str, evicted: int) -> str:
+    return (f'{{"cache":"miss","event_id":{_s(event_id)},"evicted":{evicted},"kind":"request",'
+            f'"outcome":"attributed","root":{_s(root)},"seq":{seq},"t":{t}}}')
+
+
+def _decision_line(seq: int, t: int, d: Decision) -> str:
+    head = f'{{"detail":{_s(d.detail)},' if d.detail else "{"
+    key = d.path_key
+    path_key = "" if key is None else (
+        f'"path_key":{{"op":{_s(key.op)},"programs":[{",".join(map(_s, key.programs))}],'
+        f'"sensor":{_s(key.sensor)},"widget":{_s(key.widget_id)}}},'
+    )
+    return (f'{head}"kind":"decision","op":{_s(d.op)},"outcome":{_s(d.outcome)},{path_key}'
+            f'"phase":{_s(d.phase)},"program":{_s(d.program_id)},"reason":{_s(d.reason)},'
+            f'"request_id":{_s(d.request_id)},"sensor":{_s(d.sensor)},"seq":{seq},"t":{d.t}}}')
+
+
+def _prompt_line(seq: int, t: int, prompt: dict) -> str:
+    return _dump_line({"seq": seq, "t": t, "kind": "prompt", **prompt})
+
+
 @dataclass
 class _HandlerExec:
     program_id: str
@@ -208,10 +302,10 @@ class Engine:
             seq = self._occ_seq
         heapq.heappush(self._heap, (t, seq, tag, payload))
 
-    def _emit(self, kind: str, **payload) -> None:
-        # every caller checks `self._trace` first, so an untraced run builds no record
+    def _emit(self, line, *fields) -> None:
+        # every caller checks `self._trace` first, so an untraced run builds no line
         self._trace_seq += 1
-        self._trace({"seq": self._trace_seq, "t": self.now, "kind": kind, **payload})
+        self._trace(line(self._trace_seq, self.now, *fields))
 
     def _program(self, program_id: str) -> ProgramState:
         state = self._programs.get(program_id)
@@ -225,17 +319,6 @@ class Engine:
         if auth is None:
             raise InvariantViolation(f"no authorizer configured for phase {phase!r}")
         return auth
-
-    @staticmethod
-    def _event_payload(ev: MediatedEvent) -> dict:
-        d = {"id": ev.event_id, "t": ev.t}
-        if isinstance(ev, InputEvent):
-            d.update(widget=ev.widget_id, program=ev.program_id)
-        elif isinstance(ev, HandoffEvent):
-            d.update(src=ev.src, dst=ev.dst, provenance=ev.provenance, action=ev.action)
-        else:
-            d.update(program=ev.program_id, op=ev.op, sensor=ev.sensor)
-        return d
 
     # -- public surface ----------------------------------------------------------
 
@@ -355,7 +438,7 @@ class Engine:
             self.stats.record_submit(kind, ticket.derived)
             self.stats.record_delivery(kind, 0, ticket.derived)
             if self._trace is not None:
-                self._emit("admit", event=self._event_payload(ev), priority=HIGH, derived=ticket.derived, phase=phase)
+                self._emit(_admit_line, ev, HIGH, ticket.derived, phase)
             self._mediate_request(ev, phase)
             return ticket
 
@@ -369,7 +452,7 @@ class Engine:
                 if g is None or not g.live_at(self.now):
                     # provenance died before admission: downgrade to plain busy work
                     if self._trace is not None:
-                        self._emit("handoff", event_id=ev.event_id, root=root_id, outcome="unattributable")
+                        self._emit(_handoff_line, ev.event_id, root_id, "unattributable")
                     derived, root_id = False, None
 
         priority = HIGH if derived else LOW
@@ -379,7 +462,7 @@ class Engine:
         )
         self.stats.record_submit(kind, derived)
         if self._trace is not None:
-            self._emit("admit", event=self._event_payload(ev), priority=priority, derived=derived, phase=phase)
+            self._emit(_admit_line, ev, priority, derived, phase)
 
         if not self._holds:
             self._deliver(ticket)
@@ -397,7 +480,7 @@ class Engine:
             ticket.status = REJECTED
             self.backpressure_rejections += 1
             if self._trace is not None:
-                self._emit("expire", what="event", event_id=ev.event_id, reason="backpressure")
+                self._emit(_expire_event_line, ev.event_id, "backpressure")
             raise
         self._waiting.add(state.program_id)
         if derived and root_id is not None:
@@ -410,7 +493,7 @@ class Engine:
         if ticket.status == QUEUED:
             self._push(ticket.deadline + 1, "deadline", ticket, deadline_seq)
             if self._trace is not None:
-                self._emit("hold", event_id=ev.event_id, program=state.program_id, queue=priority)
+                self._emit(_hold_line, ev.event_id, state.program_id, priority)
         return ticket
 
     # -- dispatch ----------------------------------------------------------------------
@@ -473,7 +556,7 @@ class Engine:
             elif verdict == "merge_rejected":
                 ticket.status = REJECTED
                 if self._trace is not None:
-                    self._emit("handoff", event_id=ticket.event.event_id, root=ticket.root_id, outcome=verdict)
+                    self._emit(_handoff_line, ticket.event.event_id, ticket.root_id, verdict)
             else:
                 self._expire_ticket(ticket, verdict)
         if not (state.high or state.low):
@@ -483,7 +566,7 @@ class Engine:
         ticket.status = T_EXPIRED
         self.stats.record_expiry(ticket.kind, ticket.derived)
         if self._trace is not None:
-            self._emit("expire", what="event", event_id=ticket.event.event_id, reason=reason)
+            self._emit(_expire_event_line, ticket.event.event_id, reason)
 
     # -- delivery ------------------------------------------------------------------------
 
@@ -494,7 +577,7 @@ class Engine:
         self.stats.record_delivery(ticket.kind, ticket.delay, ticket.derived)
         if self._trace is not None:
             target = ev.program_id if ticket.kind == "input" else ev.dst
-            self._emit("deliver", event_id=ev.event_id, program=target, delay=ticket.delay, event_kind=ticket.kind)
+            self._emit(_deliver_line, ev.event_id, target, ticket.delay, ticket.kind)
 
         if ticket.kind == "input":
             self._deliver_input(ticket, ev, ticket.phase, as_repeat)
@@ -527,11 +610,11 @@ class Engine:
             except UnattributableHandoff:
                 outcome = "unattributable"
             if self._trace is not None:
-                self._emit("handoff", event_id=ev.event_id, root=root_id, outcome=outcome)
+                self._emit(_handoff_line, ev.event_id, root_id, outcome)
             if outcome != "attached":
                 return  # attach refused: the message does not reach a handler
         elif self._graphs and self._trace is not None:
-            self._emit("handoff", event_id=ev.event_id, root=None, outcome="unattributable")
+            self._emit(_handoff_line, ev.event_id, None, "unattributable")
         label = ev.action if ev.action is not None else "*"
         self._run_handler(ev.dst, "handoff", label, ev, ticket.derived, root_id, phase, True)
 
@@ -596,7 +679,7 @@ class Engine:
             return
         exec_.cancelled = True
         if self._trace is not None:
-            self._emit("complete", program=exec_.program_id, event_id=exec_.trigger_event_id, reason="handler")
+            self._emit(_complete_line, exec_.trigger_event_id, exec_.program_id, "handler")
         if exec_.occupies_busy:
             del self._busy_exec[exec_.program_id]
             self._try_dispatch(self._program(exec_.program_id))
@@ -619,7 +702,7 @@ class Engine:
         self.store.expire_graph(root_id, self.now, snapshot=root_id in self._pending)
         self._root_phase.pop(root_id, None)
         if self._trace is not None:
-            self._emit("expire", what="root", root=root_id)
+            self._emit(_expire_root_line, root_id)
         self._flush_root(root_id)
         for ticket in self._root_tickets.pop(root_id, []):
             if ticket.status == QUEUED:
@@ -628,7 +711,7 @@ class Engine:
             if exec_.derived and exec_.root_id == root_id:
                 exec_.cancelled = True
                 if self._trace is not None:
-                    self._emit("complete", program=pid, event_id=exec_.trigger_event_id, reason="window_backstop")
+                    self._emit(_complete_line, exec_.trigger_event_id, pid, "window_backstop")
                 del self._busy_exec[pid]
                 affected.add(pid)
         # waiting programs too: expiring this root's held tickets can unblock a
@@ -655,7 +738,7 @@ class Engine:
         except NoAttributableInput as exc:
             reason = EXPIRED if exc.expired else NO_ATTRIBUTION
             if self._trace is not None:
-                self._emit("request", event_id=r.event_id, root=None, outcome=reason)
+                self._emit(_request_line, r.event_id, reason)
             self._decide(
                 Decision(DENIED, reason, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase)
             )
@@ -663,7 +746,7 @@ class Engine:
         except AmbiguousAttribution:
             self.ambiguous_requests += 1
             if self._trace is not None:
-                self._emit("request", event_id=r.event_id, root=None, outcome="ambiguous")
+                self._emit(_request_line, r.event_id, "ambiguous")
             self._decide(
                 Decision(
                     DENIED, NO_ATTRIBUTION, r.event_id, r.program_id, r.op, r.sensor, r.t,
@@ -676,23 +759,21 @@ class Engine:
         cached = self.cache.lookup(key)
         if cached == "allow":
             if self._trace is not None:
-                self._emit("request", event_id=r.event_id, root=root_id, outcome="attributed", cache="hit")
+                self._emit(_cached_request_line, r.event_id, root_id, "hit")
             self._decide(
                 Decision(ALLOWED, CACHED, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase, path_key=key)
             )
             return
         if cached == "deny" and self.config.cache_denials:
             if self._trace is not None:
-                self._emit("request", event_id=r.event_id, root=root_id, outcome="attributed", cache="deny")
+                self._emit(_cached_request_line, r.event_id, root_id, "deny")
             self._decide(
                 Decision(DENIED, POLICY, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase, path_key=key)
             )
             return
         evicted = self.cache.invalidate_conflicting(key)
         if self._trace is not None:
-            self._emit(
-                "request", event_id=r.event_id, root=root_id, outcome="attributed", cache="miss", evicted=evicted
-            )
+            self._emit(_missed_request_line, r.event_id, root_id, evicted)
         pending = self._pending.get(root_id)
         if pending is None:
             pending = _Pending(phase=self._root_phase.get(root_id, phase))
@@ -714,7 +795,7 @@ class Engine:
                   "marks": [[prog.name, prog.identity_mark]]}
         self.prompts.append(prompt)
         if self._trace is not None:
-            self._emit("prompt", **prompt)
+            self._emit(_prompt_line, prompt)
         allowed = self._authorizer(phase).authorize_first_use(r.program_id, r.op, r.sensor, text, self.registry)
         if allowed:
             self.first_use.add((r.program_id, r.op, r.sensor))
@@ -737,7 +818,7 @@ class Engine:
                   "root": root_id}
         self.prompts.append(prompt)
         if self._trace is not None:
-            self._emit("prompt", **prompt, paths=[k.to_dict() for k in pending.paths])
+            self._emit(_prompt_line, {**prompt, "paths": [k.to_dict() for k in pending.paths]})
         allowed = self._authorizer(phase).authorize_paths(paths, text, self.registry)
         blob = self.store.sealed.get(root_id, b"")
         for key in pending.paths:
@@ -756,4 +837,4 @@ class Engine:
     def _decide(self, decision: Decision) -> None:
         self.decisions.append(decision)
         if self._trace is not None:
-            self._emit("decision", **decision.to_dict())
+            self._emit(_decision_line, decision)

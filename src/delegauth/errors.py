@@ -109,3 +109,12 @@ class TraceDivergence(DelegauthError):
     def __init__(self, seq: int, detail: str = ""):
         super().__init__(f"trace diverges at seq {seq}" + (f": {detail}" if detail else ""))
         self.seq = seq
+
+
+class TraceTruncated(TraceDivergence):
+    """The recorded trace ends before its re-execution does: the file was cut
+    short, at a line boundary or inside a line, e.g. by a process killed before
+    the trace file was closed. `seq` is the record at which the file ends."""
+
+    def __init__(self, seq: int):
+        super().__init__(seq, "the recorded trace is truncated: its file ends at this record")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .auth import ALLOWED, CACHED, AuthorizationCache, Decision, InteractivePrompt, ScriptedPolicy
 from .engine import Engine, Mode
-from .errors import ParseError, TraceDivergence
+from .errors import ParseError, TraceDivergence, TraceTruncated
 from .scenario import Scenario, TraceWriter, loads_scenario, read_trace_header
 
 
@@ -249,7 +249,10 @@ def run_with_trace(
 def replay(trace_path: str | Path) -> RunReport:
     """Re-execute the embedded scenario and verify a byte-identical trace.
 
-    The recorded file is read one line at a time, as the re-run writes.
+    The recorded file is read one line at a time, as the re-run writes. A
+    file that ends before the re-run does, at a line boundary or inside the
+    line the re-run writes there, raises `TraceTruncated`; any other
+    difference raises `TraceDivergence`.
     """
     with open(trace_path) as recorded:
         header = read_trace_header(recorded)
@@ -284,8 +287,8 @@ class _TraceCheck:
     def write(self, line: str) -> None:
         i = self.written
         expected = self._readline()
-        if not expected:
-            raise TraceDivergence(i, "re-executed trace has extra records")
         if expected != line and expected != line[:-1]:  # the last line may lack its newline
+            if not expected or (not expected.endswith("\n") and line.startswith(expected)):
+                raise TraceTruncated(i)  # the file ends before the re-run does, or inside this line
             raise TraceDivergence(i, "recorded and re-executed traces differ")
         self.written = i + 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .auth import parse_policy_rules
-from .engine import EngineConfig, Mode
+from .engine import EngineConfig, Mode, _dump_line
 from .errors import InvariantViolation, ParseError, UnresolvedReference
 from .model import Registry, WidgetKind
 from .scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable
@@ -24,10 +24,6 @@ SCENARIO_FORMAT = "delegauth-scenario"
 TRACE_FORMAT = "delegauth-trace"
 FORMAT_VERSION = 1
 
-
-# One encoder for every line: `json.dumps` with these options builds a new
-# JSONEncoder per call. `check_circular` only changes how a cycle fails.
-_dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 # Keys of a config record: `EngineConfig`'s settings, and `scheduler`, which `runner.resolve_mode` reads
 _CONFIG_KEYS = frozenset(f.name for f in fields(EngineConfig)) - {"mode"} | {"scheduler"}
@@ -361,176 +357,28 @@ def _require(cond, msg: str) -> None:
 
 # -- traces ---------------------------------------------------------------------
 
-# The per-kind templates below write the same text as `_dump_line`: keys in
-# sorted order, no spaces, strings through the escaper the C encoder itself
-# uses with `ensure_ascii`. Each value goes through `_value`, so any value
-# gives the text `_dump_line` gives it; the key sets are what is fixed.
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _value(x) -> str:
-    t = type(x)
-    if t is str:
-        return _escape(x)
-    if t is int:
-        return str(x)  # for an exact int, the text of int.__repr__, which json uses
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    return _dump_line(x)  # floats, lists, dicts, subclasses
-
-
-_INPUT_KEYS = frozenset(("id", "program", "t", "widget"))
-_HANDOFF_KEYS = frozenset(("action", "dst", "id", "provenance", "src", "t"))
-_REQUEST_KEYS = frozenset(("id", "op", "program", "sensor", "t"))
-_PATH_KEY_KEYS = frozenset(("op", "programs", "sensor", "widget"))
-
-
-def _event(e) -> str:
-    """The `event` of an `admit` record: an input, a handoff or a request."""
-    v = _value
-    keys = e.keys() if type(e) is dict else None
-    if keys == _INPUT_KEYS:
-        return f'{{"id":{v(e["id"])},"program":{v(e["program"])},"t":{v(e["t"])},"widget":{v(e["widget"])}}}'
-    if keys == _HANDOFF_KEYS:
-        return (f'{{"action":{v(e["action"])},"dst":{v(e["dst"])},"id":{v(e["id"])},'
-                f'"provenance":{v(e["provenance"])},"src":{v(e["src"])},"t":{v(e["t"])}}}')
-    if keys == _REQUEST_KEYS:
-        return (f'{{"id":{v(e["id"])},"op":{v(e["op"])},"program":{v(e["program"])},'
-                f'"sensor":{v(e["sensor"])},"t":{v(e["t"])}}}')
-    return _dump_line(e)
-
-
-def _path_key(k) -> str:
-    v = _value
-    if type(k) is not dict or k.keys() != _PATH_KEY_KEYS:
-        return _dump_line(k)
-    programs = k["programs"]
-    chain = f'[{",".join(map(v, programs))}]' if type(programs) is list else v(programs)
-    return f'{{"op":{v(k["op"])},"programs":{chain},"sensor":{v(k["sensor"])},"widget":{v(k["widget"])}}}'
-
-
-def _admit(r: dict) -> str:
-    v = _value
-    return (f'{{"derived":{v(r["derived"])},"event":{_event(r["event"])},"kind":{v(r["kind"])},'
-            f'"phase":{v(r["phase"])},"priority":{v(r["priority"])},"seq":{v(r["seq"])},"t":{v(r["t"])}}}')
-
-
-def _deliver(r: dict) -> str:
-    v = _value
-    return (f'{{"delay":{v(r["delay"])},"event_id":{v(r["event_id"])},"event_kind":{v(r["event_kind"])},'
-            f'"kind":{v(r["kind"])},"program":{v(r["program"])},"seq":{v(r["seq"])},"t":{v(r["t"])}}}')
-
-
-def _complete(r: dict) -> str:
-    v = _value
-    return (f'{{"event_id":{v(r["event_id"])},"kind":{v(r["kind"])},"program":{v(r["program"])},'
-            f'"reason":{v(r["reason"])},"seq":{v(r["seq"])},"t":{v(r["t"])}}}')
-
-
-def _hold(r: dict) -> str:
-    v = _value
-    return (f'{{"event_id":{v(r["event_id"])},"kind":{v(r["kind"])},"program":{v(r["program"])},'
-            f'"queue":{v(r["queue"])},"seq":{v(r["seq"])},"t":{v(r["t"])}}}')
-
-
-def _expire_event(r: dict) -> str:
-    v = _value
-    return (f'{{"event_id":{v(r["event_id"])},"kind":{v(r["kind"])},"reason":{v(r["reason"])},'
-            f'"seq":{v(r["seq"])},"t":{v(r["t"])},"what":{v(r["what"])}}}')
-
-
-def _expire_root(r: dict) -> str:
-    v = _value
-    return f'{{"kind":{v(r["kind"])},"root":{v(r["root"])},"seq":{v(r["seq"])},"t":{v(r["t"])},"what":{v(r["what"])}}}'
-
-
-def _outcome(r: dict) -> str:
-    """`handoff` records, and `request` records that reach no cache."""
-    v = _value
-    return (f'{{"event_id":{v(r["event_id"])},"kind":{v(r["kind"])},"outcome":{v(r["outcome"])},'
-            f'"root":{v(r["root"])},"seq":{v(r["seq"])},"t":{v(r["t"])}}}')
-
-
-def _cached(r: dict) -> str:
-    """`request` records with a cache hit or a cached denial."""
-    v = _value
-    return (f'{{"cache":{v(r["cache"])},"event_id":{v(r["event_id"])},"kind":{v(r["kind"])},'
-            f'"outcome":{v(r["outcome"])},"root":{v(r["root"])},"seq":{v(r["seq"])},"t":{v(r["t"])}}}')
-
-
-def _cache_miss(r: dict) -> str:
-    v = _value
-    return (f'{{"cache":{v(r["cache"])},"event_id":{v(r["event_id"])},"evicted":{v(r["evicted"])},'
-            f'"kind":{v(r["kind"])},"outcome":{v(r["outcome"])},"root":{v(r["root"])},'
-            f'"seq":{v(r["seq"])},"t":{v(r["t"])}}}')
-
-
-def _decision(r: dict) -> str:
-    """`decision` records: plain, with a `path_key`, or with a `detail`."""
-    v = _value
-    head = f'{{"detail":{v(r["detail"])},' if "detail" in r else "{"
-    path_key = f'"path_key":{_path_key(r["path_key"])},' if "path_key" in r else ""
-    return (f'{head}"kind":{v(r["kind"])},"op":{v(r["op"])},"outcome":{v(r["outcome"])},{path_key}'
-            f'"phase":{v(r["phase"])},"program":{v(r["program"])},"reason":{v(r["reason"])},'
-            f'"request_id":{v(r["request_id"])},"sensor":{v(r["sensor"])},"seq":{v(r["seq"])},"t":{v(r["t"])}}}')
-
-
-_DECISION_KEYS = ("kind", "op", "outcome", "phase", "program", "reason", "request_id", "sensor", "seq", "t")
-
-# exact key set of a record -> its template
-_TEMPLATES = {
-    frozenset(keys): template
-    for keys, template in (
-        (("derived", "event", "kind", "phase", "priority", "seq", "t"), _admit),
-        (("delay", "event_id", "event_kind", "kind", "program", "seq", "t"), _deliver),
-        (("event_id", "kind", "program", "reason", "seq", "t"), _complete),
-        (("event_id", "kind", "program", "queue", "seq", "t"), _hold),
-        (("event_id", "kind", "reason", "seq", "t", "what"), _expire_event),
-        (("kind", "root", "seq", "t", "what"), _expire_root),
-        (("event_id", "kind", "outcome", "root", "seq", "t"), _outcome),
-        (("cache", "event_id", "kind", "outcome", "root", "seq", "t"), _cached),
-        (("cache", "event_id", "evicted", "kind", "outcome", "root", "seq", "t"), _cache_miss),
-        (_DECISION_KEYS, _decision),
-        (_DECISION_KEYS + ("path_key",), _decision),
-        (_DECISION_KEYS + ("detail",), _decision),
-    )
-}
-
-
-def _encode_record(record) -> str:
-    """`_dump_line(record)`, through a template when one has the record's key set."""
-    template = _TEMPLATES.get(frozenset(record)) if type(record) is dict else None
-    return _dump_line(record) if template is None else template(record)
-
-
 class TraceWriter:
     """Ordered JSONL trace stream: the header line, then one line per record.
 
-    Each record is written by `_encode_record`. The kinds that make up the
-    traffic (admit, deliver, complete, hold, expire, handoff, request and
-    decision) have templates: f-strings with their keys hard-coded in sorted
-    order. A template serves a record only when the record's key set is
-    exactly the template's; a nested `event` or `path_key` is templated only
-    when its own key set matches too. Every other record, the prompts among
-    them, goes to the fallback, `_dump_line`. Either way the line is
-    `json.dumps(record, sort_keys=True, separators=(",", ":"))`.
+    The engine hands the writer each record as a finished line: it writes the
+    line where it knows the fields (`engine._admit_line` and its siblings),
+    and the text is `json.dumps(record, sort_keys=True, separators=(",", ":"))`
+    of the record's dict. The writer adds the newline.
 
     Each line goes to `fh.write` as one call, buffered by `fh` itself, so the
     trace on disk is complete once `fh` is closed; a process killed before
-    that loses the buffered tail. `fh` may be any object with a `write`
-    method.
+    that loses the buffered tail. `runner.replay` reports such a file as
+    truncated (`TraceTruncated`, exit code 4) when it ends before the re-run
+    does, at a line boundary or inside the line the re-run writes next. `fh`
+    may be any object with a `write` method.
     """
 
     def __init__(self, fh, header: dict):
         self._write = fh.write
         self._write(_dump_line({"format": TRACE_FORMAT, "version": FORMAT_VERSION, **header}) + "\n")
 
-    def __call__(self, record: dict) -> None:
-        self._write(_encode_record(record) + "\n")
+    def __call__(self, line: str) -> None:
+        self._write(line + "\n")
 
 
 def read_trace_header(fh) -> dict:

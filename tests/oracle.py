@@ -4,9 +4,9 @@ Independent of the graph store: enumerates every feasible input-to-request
 chain over a run's trace, using only facts a reference monitor observes
 (event tuples, delivery times, the window).
 
-`log_from_trace` turns trace records, as the engine hands them to its
-`trace` callable or as `json.loads` reads them back from a trace file, into
-the oracle's log. It reads three record kinds:
+`log_from_trace` turns trace records, parsed by `json.loads` from the lines
+the engine hands its `trace` callable or from a trace file, into the
+oracle's log. It reads three record kinds:
   * `admit` gives each event's fields, and a request entry for a request
     (requests are mediated at admission);
   * `deliver` gives an input entry for `event_kind == "input"`, and the

@@ -91,7 +91,7 @@ def test_unambiguity_fuzz():
     for seed in range(1, n_scenarios + 1):
         scn = fuzz_scenario(seed)
         records = []
-        report, engine = run_scenario(scn, trace=records.append)
+        report, engine = run_scenario(scn, trace=lambda line: records.append(json.loads(line)))
         ambiguous_on += engine.ambiguous_requests
         window = engine.config.window_ms
         log = log_from_trace(records)
@@ -104,7 +104,7 @@ def test_unambiguity_fuzz():
                 mismatches += 1
                 first_mismatch = first_mismatch or f"; first mismatch: seed {seed}, request {d.request_id}"
         records = []
-        run_scenario(scn, mode=Mode.DELEGATION_NO_HOLDS, trace=records.append)
+        run_scenario(scn, mode=Mode.DELEGATION_NO_HOLDS, trace=lambda line: records.append(json.loads(line)))
         log = log_from_trace(records)
         for entry in log:
             if entry[0] == "request":

@@ -7,6 +7,7 @@ import pytest
 from delegauth.bench import (
     ambiguity,
     cache_rw,
+    e2e,
     enforcement,
     graph_construction,
     linear_fit,
@@ -108,6 +109,16 @@ def test_scaling_rows_small():
         assert [r[x_name] for r in part["rows"]] == xs
         assert all(r["us"] > 0 and r["iqr_us"] >= 0 for r in part["rows"])
         assert part["growth"] > 0 and part["round_spread"] >= 1.0
+
+
+def test_e2e_rows_small():
+    result = e2e(WorkloadParams(n_inputs=20), runs=3)
+    points = ["untraced", "traced", "replayed", "first_use", "pass_through"]
+    assert [r["point"] for r in result["rows"]] == points
+    assert all(r["us_per_event"] > 0 and r["iqr_us"] >= 0 and r["held_bytes_per_input"] > 0 for r in result["rows"])
+    assert list(result["ratios"]) == ["traced/untraced", "replay/untraced", "mediated/pass_through"]
+    assert all(0 < r["q1"] <= r["median"] <= r["q3"] for r in result["ratios"].values())
+    assert result["events"] > 20 and result["round_spread"] >= 1.0
 
 
 def test_ambiguity_suite_small():

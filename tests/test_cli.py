@@ -158,6 +158,29 @@ def test_trace_and_replay(tmp_path, capsys):
     assert main(["replay", str(trace)]) == 4
 
 
+@pytest.mark.parametrize(
+    "cut, message",
+    [("at_a_line_end", "truncated"), ("inside_a_line", "truncated"), ("changed_byte", "traces differ")],
+)
+def test_replay_reports_a_cut_trace_as_truncated(tmp_path, capsys, cut, message):
+    scn, trace = tmp_path / "w.scn", tmp_path / "w.trace"
+    assert main(["gen", str(scn), "--n", "50"]) == 0
+    assert main(["run", str(scn), "--trace", str(trace)]) == 0
+    lines = trace.read_text().splitlines(keepends=True)
+    head, record = "".join(lines[:143]), lines[143]  # the header, records 1-142, and record 143
+    if cut == "at_a_line_end":
+        trace.write_text(head)
+    elif cut == "inside_a_line":
+        trace.write_text(head + record[: len(record) // 2])
+    else:  # record 143 complete, but one byte in it changed
+        trace.write_text(head + record.replace('"seq":143', '"seq":134') + "".join(lines[144:]))
+    capsys.readouterr()
+    assert main(["replay", str(trace)]) == 4
+    err = capsys.readouterr().err
+    assert "seq 143" in err and message in err
+    assert ("truncated" in err) == (message == "truncated")
+
+
 def test_unknown_mode_in_trace_header_is_validation_error(tmp_path, capsys):
     trace = tmp_path / "a.trace"
     assert main(["run", scenario_path("task_a"), "--mode", "entrust", "--trace", str(trace)]) == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from delegauth.auth import ScriptedPolicy
@@ -185,7 +187,7 @@ def test_task_a_style_delivery_order():
         ),
     ]
     records = []
-    engine, (a, _, _), _ = build_engine(handlers=handlers, trace=records.append)
+    engine, (a, _, _), _ = build_engine(handlers=handlers, trace=lambda line: records.append(json.loads(line)))
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.run_to_quiescence()
     kinds_and_times = [(e[0], e[4] if e[0] != "request" else e[5]) for e in log_from_trace(records)]
@@ -288,7 +290,7 @@ def test_scheduler_on_same_workload_is_unambiguous():
 
 def test_stale_provenance_handoff_downgraded_to_busy_work():
     records = []
-    engine, (a, b, _), _ = build_engine(trace=records.append)
+    engine, (a, b, _), _ = build_engine(trace=lambda line: records.append(json.loads(line)))
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.advance(WINDOW + 1)
     ticket = engine.submit(HandoffEvent("h1", a, b, WINDOW + 5, provenance="x1"))
@@ -495,7 +497,7 @@ def test_advance_backwards_is_a_protocol_violation():
 
 def test_schedule_out_of_time_order_is_a_protocol_violation():
     records = []
-    engine, (a, _, _), _ = build_engine(trace=records.append)
+    engine, (a, _, _), _ = build_engine(trace=lambda line: records.append(json.loads(line)))
     spec = {"kind": "input", "widget": "first cmd", "program": a}
     engine.schedule(10, spec)
     with pytest.raises(ProtocolViolation, match="t=9"):
@@ -521,7 +523,7 @@ def test_timeline_entry_and_handler_action_due_together_run_in_sequence_order():
 
     def requesters_at_5(schedule_mid_run: bool) -> list[str]:
         records = []
-        engine, (a, b, _), _ = build_engine(handlers=handlers, trace=records.append)
+        engine, (a, b, _), _ = build_engine(handlers=handlers, trace=lambda line: records.append(json.loads(line)))
         spec = {"kind": "request", "program": b, "op": "capture_picture", "sensor": "Camera"}
         if not schedule_mid_run:
             engine.schedule(5, spec)
@@ -558,7 +560,7 @@ def test_held_tickets_deadline_keeps_the_sequence_of_its_admission():
         ),
     ]
     records = []
-    engine, (a, b, c), _ = build_engine(handlers=handlers, trace=records.append)
+    engine, (a, b, c), _ = build_engine(handlers=handlers, trace=lambda line: records.append(json.loads(line)))
     engine.schedule(WINDOW + 1, {"kind": "handoff", "src": b, "dst": c})
     engine.submit(InputEvent("x0", wid(engine, "first cmd"), a, 0))
     engine.submit(InputEvent("x1", wid(engine, "second cmd"), c, 1))  # Gamma joins a root of its own

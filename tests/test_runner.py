@@ -144,10 +144,10 @@ def test_run_that_raises_leaves_every_emitted_record_on_disk(task_a, tmp_path, m
     emitted = lookups = 0
     real_emit, real_lookup = Engine._emit, HandlerTable.lookup
 
-    def counting_emit(self, kind, **payload):
+    def counting_emit(self, line, *fields):
         nonlocal emitted
         emitted += 1
-        real_emit(self, kind, **payload)
+        real_emit(self, line, *fields)
 
     def failing_lookup(self, *args):
         nonlocal lookups
@@ -185,7 +185,7 @@ def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
     for scn in (contention, generate_workload(WorkloadParams(n_inputs=600))):
         pushes.clear()
         records = []
-        run_scenario(scn, trace=records.append)
+        run_scenario(scn, trace=lambda line: records.append(json.loads(line)))
         kinds = Counter(r["kind"] for r in records)
         assert pushes["deadline"] == kinds["hold"] > 0
         assert "submit" not in pushes
@@ -196,7 +196,7 @@ def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
 def test_untraced_runs_never_call_emit(task_a, task_b, task_c, monkeypatch):
     calls = 0
 
-    def counting_emit(self, kind, **payload):
+    def counting_emit(self, line, *fields):
         nonlocal calls
         calls += 1
 
@@ -206,7 +206,7 @@ def test_untraced_runs_never_call_emit(task_a, task_b, task_c, monkeypatch):
         for mode in Mode:
             run_scenario(scn, mode=mode)
     assert calls == 0
-    run_scenario(contention, trace=lambda record: None)
+    run_scenario(contention, trace=lambda line: None)
     assert calls > 0  # the count does see a traced run's records
 
 

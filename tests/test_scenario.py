@@ -6,10 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delegauth import WorkloadParams, generate_workload, run_with_trace
-from delegauth import scenario
+from delegauth.auth import Decision
+from delegauth.engine import (
+    _admit_line,
+    _cached_request_line,
+    _complete_line,
+    _decision_line,
+    _deliver_line,
+    _expire_event_line,
+    _expire_root_line,
+    _handoff_line,
+    _hold_line,
+    _missed_request_line,
+    _request_line,
+)
 from delegauth.errors import InvariantViolation, ParseError, UnresolvedReference
-from delegauth.scenario import _TEMPLATES, _dump_line, _encode_record, load_scenario, loads_scenario
+from delegauth.graph import PathKey
+from delegauth.model import HandoffEvent, InputEvent, OperationRequest
+from delegauth.scenario import _dump_line, load_scenario, loads_scenario
 from conftest import scenario_path
 
 HEADER = '{"format":"delegauth-scenario","version":1}'
@@ -196,66 +210,98 @@ def test_dump_line_matches_json_dumps(obj):
     assert _dump_line(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# -- trace record templates ------------------------------------------------------
+# -- trace lines -----------------------------------------------------------------
 
 
 def dumps(record) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-ANY_VALUE = st.recursive(
-    st.none() | st.booleans() | st.integers(-(2**100), 2**100) | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4),
-    max_leaves=8,
+TEXT = st.text()  # quotes, control characters and non-ASCII among them
+INT = st.integers(-(2**70), 2**70)  # negatives, and values past 2**63
+MAYBE_TEXT = st.none() | TEXT
+
+EVENTS = (
+    st.builds(InputEvent, TEXT, TEXT, TEXT, INT)
+    | st.builds(HandoffEvent, TEXT, TEXT, TEXT, INT, MAYBE_TEXT, MAYBE_TEXT)
+    | st.builds(OperationRequest, TEXT, TEXT, TEXT, TEXT, INT)
 )
-NESTED = {  # the key sets a nested dict is templated for
-    "event": [frozenset(("id", "program", "t", "widget")),
-              frozenset(("action", "dst", "id", "provenance", "src", "t")),
-              frozenset(("id", "op", "program", "sensor", "t"))],
-    "path_key": [frozenset(("op", "programs", "sensor", "widget"))],
+PATH_KEYS = st.builds(PathKey, TEXT, st.lists(TEXT, min_size=1, max_size=4).map(tuple), TEXT, TEXT)
+DECISIONS = st.builds(
+    Decision, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, INT,
+    phase=TEXT, path_key=st.none() | PATH_KEYS, detail=st.just("") | TEXT,
+)
+
+
+def event_payload(ev) -> dict:
+    """The `event` of an `admit` record, as a dict."""
+    if isinstance(ev, InputEvent):
+        return {"id": ev.event_id, "t": ev.t, "widget": ev.widget_id, "program": ev.program_id}
+    if isinstance(ev, HandoffEvent):
+        return {"id": ev.event_id, "t": ev.t, "src": ev.src, "dst": ev.dst,
+                "provenance": ev.provenance, "action": ev.action}
+    return {"id": ev.event_id, "t": ev.t, "program": ev.program_id, "op": ev.op, "sensor": ev.sensor}
+
+
+# line function -> (strategy for its fields, the record's kind and payload from those fields)
+LINES = {
+    _admit_line: (
+        st.tuples(EVENTS, TEXT, st.booleans(), TEXT),
+        lambda ev, priority, derived, phase: (
+            "admit", {"event": event_payload(ev), "priority": priority, "derived": derived, "phase": phase}
+        ),
+    ),
+    _deliver_line: (
+        st.tuples(TEXT, TEXT, INT, TEXT),
+        lambda event_id, program, delay, event_kind: (
+            "deliver", {"event_id": event_id, "program": program, "delay": delay, "event_kind": event_kind}
+        ),
+    ),
+    _complete_line: (
+        st.tuples(TEXT, TEXT, TEXT),
+        lambda event_id, program, reason: ("complete", {"program": program, "event_id": event_id, "reason": reason}),
+    ),
+    _hold_line: (
+        st.tuples(TEXT, TEXT, TEXT),
+        lambda event_id, program, queue: ("hold", {"event_id": event_id, "program": program, "queue": queue}),
+    ),
+    _expire_event_line: (
+        st.tuples(TEXT, TEXT),
+        lambda event_id, reason: ("expire", {"what": "event", "event_id": event_id, "reason": reason}),
+    ),
+    _expire_root_line: (st.tuples(TEXT), lambda root: ("expire", {"what": "root", "root": root})),
+    _handoff_line: (
+        st.tuples(TEXT, MAYBE_TEXT, TEXT),
+        lambda event_id, root, outcome: ("handoff", {"event_id": event_id, "root": root, "outcome": outcome}),
+    ),
+    _request_line: (
+        st.tuples(TEXT, TEXT),
+        lambda event_id, outcome: ("request", {"event_id": event_id, "root": None, "outcome": outcome}),
+    ),
+    _cached_request_line: (
+        st.tuples(TEXT, TEXT, TEXT),
+        lambda event_id, root, cache: (
+            "request", {"event_id": event_id, "root": root, "outcome": "attributed", "cache": cache}
+        ),
+    ),
+    _missed_request_line: (
+        st.tuples(TEXT, TEXT, INT),
+        lambda event_id, root, evicted: (
+            "request",
+            {"event_id": event_id, "root": root, "outcome": "attributed", "cache": "miss", "evicted": evicted},
+        ),
+    ),
+    # `to_dict` brings the decision's own `t`, which replaces the clock's:
+    # the line carries the request's time
+    _decision_line: (st.tuples(DECISIONS), lambda decision: ("decision", decision.to_dict())),
 }
 
 
-@st.composite
-def record_with(draw, keys):
-    """A dict with the given keys in any order; a nested `event` or `path_key`
-    gets one of its templated key sets, maybe with a key added or dropped."""
-    record = {}
-    for key in draw(st.permutations(sorted(keys))):
-        if key in NESTED and draw(st.booleans()):
-            record[key] = draw(record_with(draw(st.sampled_from(NESTED[key]))))
-        else:
-            record[key] = draw(ANY_VALUE)
-    change = draw(st.sampled_from(["none", "add", "drop"]))
-    if change == "add":
-        record[draw(st.text().filter(lambda k: k not in keys))] = draw(ANY_VALUE)
-    elif change == "drop" and record:
-        del record[draw(st.sampled_from(sorted(record)))]
-    return record
-
-
-@pytest.mark.parametrize("keys", sorted(_TEMPLATES, key=sorted), ids=lambda k: ",".join(sorted(k)))
-@settings(max_examples=50)  # 600 records over the 12 key sets
+@pytest.mark.parametrize("line", list(LINES), ids=lambda f: f.__name__)
+@settings(max_examples=50)  # 550 lines over the 11 shapes
 @given(data=st.data())
-def test_template_lines_equal_json_dumps(keys, data):
-    record = data.draw(record_with(keys))
-    assert _encode_record(record) == dumps(record)
-    if frozenset(record) in _TEMPLATES:
-        assert _TEMPLATES[frozenset(record)](record) == dumps(record)
-
-
-def test_templates_serve_every_record_but_prompts(tmp_path, monkeypatch):
-    fallback = []
-
-    def counting_dump_line(obj):
-        fallback.append(obj)
-        return _dump_line(obj)
-
-    scn = generate_workload(WorkloadParams(n_inputs=2000))
-    monkeypatch.setattr(scenario, "_dump_line", counting_dump_line)
-    path = tmp_path / "w.trace"
-    run_with_trace(scn, path)
-    header, *records = fallback
-    assert header["format"] == "delegauth-trace"
-    assert records and {r["kind"] for r in records} == {"prompt"}
-    assert len(path.read_text().splitlines()) > 100 * len(records)
+def test_trace_lines_equal_json_dumps_of_the_record(line, data):
+    fields, record = LINES[line]
+    seq, t, args = data.draw(INT), data.draw(INT), data.draw(fields)
+    kind, payload = record(*args)
+    assert line(seq, t, *args) == dumps({"seq": seq, "t": t, "kind": kind, **payload})

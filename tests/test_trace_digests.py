@@ -118,7 +118,7 @@ def test_trace_digest_is_pinned(name, tmp_path):
 def test_oracle_log_from_a_trace_file_matches_the_in_memory_records(name, tmp_path):
     make, mode = SCENARIOS[name]
     records = []
-    run_scenario(make(), mode=mode, trace=records.append)
+    run_scenario(make(), mode=mode, trace=lambda line: records.append(json.loads(line)))
     path = tmp_path / f"{name}.trace"
     run_with_trace(make(), path, mode=mode)
     with open(path) as fh:
