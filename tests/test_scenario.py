@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delegauth import WorkloadParams, engine, generate_workload, run_with_trace, scenario
 from delegauth.auth import Decision
 from delegauth.engine import (
     _admit_line,
@@ -243,65 +244,120 @@ def event_payload(ev) -> dict:
     return {"id": ev.event_id, "t": ev.t, "program": ev.program_id, "op": ev.op, "sensor": ev.sensor}
 
 
-# line function -> (strategy for its fields, the record's kind and payload from those fields)
-LINES = {
-    _admit_line: (
+def decisions(path_key, detail):
+    return st.tuples(st.builds(
+        Decision, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, INT, phase=TEXT, path_key=path_key, detail=detail,
+    ))
+
+
+NO_PATH_KEY, NO_DETAIL, DETAIL = st.none(), st.just(""), st.text(min_size=1)
+
+
+def keys(*names) -> frozenset:
+    return frozenset(("kind", "seq", "t") + names)
+
+
+# a record's key set -> the line functions that write it, each with a strategy
+# for its fields and the record's kind and payload from those fields, as
+# `_emit` built them before the engine wrote lines itself
+SHAPES = {
+    keys("derived", "event", "phase", "priority"): [(
+        _admit_line,
         st.tuples(EVENTS, TEXT, st.booleans(), TEXT),
         lambda ev, priority, derived, phase: (
             "admit", {"event": event_payload(ev), "priority": priority, "derived": derived, "phase": phase}
         ),
-    ),
-    _deliver_line: (
+    )],
+    keys("delay", "event_id", "event_kind", "program"): [(
+        _deliver_line,
         st.tuples(TEXT, TEXT, INT, TEXT),
         lambda event_id, program, delay, event_kind: (
             "deliver", {"event_id": event_id, "program": program, "delay": delay, "event_kind": event_kind}
         ),
-    ),
-    _complete_line: (
+    )],
+    keys("event_id", "program", "reason"): [(
+        _complete_line,
         st.tuples(TEXT, TEXT, TEXT),
         lambda event_id, program, reason: ("complete", {"program": program, "event_id": event_id, "reason": reason}),
-    ),
-    _hold_line: (
+    )],
+    keys("event_id", "program", "queue"): [(
+        _hold_line,
         st.tuples(TEXT, TEXT, TEXT),
         lambda event_id, program, queue: ("hold", {"event_id": event_id, "program": program, "queue": queue}),
-    ),
-    _expire_event_line: (
+    )],
+    keys("event_id", "reason", "what"): [(
+        _expire_event_line,
         st.tuples(TEXT, TEXT),
         lambda event_id, reason: ("expire", {"what": "event", "event_id": event_id, "reason": reason}),
-    ),
-    _expire_root_line: (st.tuples(TEXT), lambda root: ("expire", {"what": "root", "root": root})),
-    _handoff_line: (
-        st.tuples(TEXT, MAYBE_TEXT, TEXT),
-        lambda event_id, root, outcome: ("handoff", {"event_id": event_id, "root": root, "outcome": outcome}),
-    ),
-    _request_line: (
-        st.tuples(TEXT, TEXT),
-        lambda event_id, outcome: ("request", {"event_id": event_id, "root": None, "outcome": outcome}),
-    ),
-    _cached_request_line: (
+    )],
+    keys("root", "what"): [(_expire_root_line, st.tuples(TEXT), lambda root: ("expire", {"what": "root", "root": root}))],
+    keys("event_id", "outcome", "root"): [
+        (
+            _handoff_line,
+            st.tuples(TEXT, MAYBE_TEXT, TEXT),
+            lambda event_id, root, outcome: ("handoff", {"event_id": event_id, "root": root, "outcome": outcome}),
+        ),
+        (
+            _request_line,
+            st.tuples(TEXT, TEXT),
+            lambda event_id, outcome: ("request", {"event_id": event_id, "root": None, "outcome": outcome}),
+        ),
+    ],
+    keys("cache", "event_id", "outcome", "root"): [(
+        _cached_request_line,
         st.tuples(TEXT, TEXT, TEXT),
         lambda event_id, root, cache: (
             "request", {"event_id": event_id, "root": root, "outcome": "attributed", "cache": cache}
         ),
-    ),
-    _missed_request_line: (
+    )],
+    keys("cache", "event_id", "evicted", "outcome", "root"): [(
+        _missed_request_line,
         st.tuples(TEXT, TEXT, INT),
         lambda event_id, root, evicted: (
             "request",
             {"event_id": event_id, "root": root, "outcome": "attributed", "cache": "miss", "evicted": evicted},
         ),
-    ),
-    # `to_dict` brings the decision's own `t`, which replaces the clock's:
-    # the line carries the request's time
-    _decision_line: (st.tuples(DECISIONS), lambda decision: ("decision", decision.to_dict())),
+    )],
 }
+# `to_dict` brings the decision's own `t`, which replaces the clock's: the
+# line carries the request's time
+DECISION = keys("op", "outcome", "phase", "program", "reason", "request_id", "sensor")
+for extra, strategy in [
+    ((), decisions(NO_PATH_KEY, NO_DETAIL)),
+    (("path_key",), decisions(PATH_KEYS, NO_DETAIL)),
+    (("detail",), decisions(NO_PATH_KEY, DETAIL)),
+    (("detail", "path_key"), decisions(PATH_KEYS, DETAIL)),  # no engine path writes both yet
+]:
+    SHAPES[DECISION | set(extra)] = [(_decision_line, strategy, lambda decision: ("decision", decision.to_dict()))]
 
 
-@pytest.mark.parametrize("line", list(LINES), ids=lambda f: f.__name__)
-@settings(max_examples=50)  # 550 lines over the 11 shapes
+@pytest.mark.parametrize("keys", sorted(SHAPES, key=sorted), ids=lambda k: ",".join(sorted(k)))
+@settings(max_examples=50)  # 650 lines over the 13 key sets
 @given(data=st.data())
-def test_trace_lines_equal_json_dumps_of_the_record(line, data):
-    fields, record = LINES[line]
+def test_template_lines_equal_json_dumps(keys, data):
+    line, fields, record = data.draw(st.sampled_from(SHAPES[keys]))
     seq, t, args = data.draw(INT), data.draw(INT), data.draw(fields)
     kind, payload = record(*args)
-    assert line(seq, t, *args) == dumps({"seq": seq, "t": t, "kind": kind, **payload})
+    expected = {"seq": seq, "t": t, "kind": kind, **payload}
+    assert expected.keys() == keys
+    assert line(seq, t, *args) == dumps(expected)
+
+
+def test_templates_serve_every_record_but_prompts(tmp_path, monkeypatch):
+    """Every record but a prompt is written by its own line function: only
+    the header and the prompts go through `_dump_line`."""
+    fallback = []
+
+    def counting_dump_line(obj):
+        fallback.append(obj)
+        return _dump_line(obj)
+
+    scn = generate_workload(WorkloadParams(n_inputs=2000))
+    monkeypatch.setattr(engine, "_dump_line", counting_dump_line)
+    monkeypatch.setattr(scenario, "_dump_line", counting_dump_line)
+    path = tmp_path / "w.trace"
+    run_with_trace(scn, path)
+    header, *records = fallback
+    assert header["format"] == "delegauth-trace"
+    assert records and {r["kind"] for r in records} == {"prompt"}
+    assert len(path.read_text().splitlines()) > 100 * len(records)
