@@ -17,8 +17,8 @@ from pathlib import Path
 from .auth import parse_policy_rules
 from .bench import SUITES, run_suite
 from .errors import DelegauthError, ParseError, TraceDivergence
-from .runner import MODE_SPELLINGS, compare_modes, replay, run_scenario, run_with_trace
-from .scenario import load_scenario
+from .runner import compare_modes, replay, run_scenario, run_with_trace
+from .scenario import MODE_SPELLINGS, load_scenario
 from .workload import WorkloadParams, generate_workload
 
 EXIT_OK = 0

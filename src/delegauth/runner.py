@@ -11,7 +11,7 @@ from pathlib import Path
 from .auth import ALLOWED, CACHED, AuthorizationCache, Decision, InteractivePrompt, ScriptedPolicy
 from .engine import Engine, Mode
 from .errors import ParseError, TraceDivergence, TraceTruncated
-from .scenario import Scenario, TraceWriter, loads_scenario, read_trace_header
+from .scenario import MODE_SPELLINGS, Scenario, TraceWriter, loads_scenario, read_trace_header
 
 
 @dataclass
@@ -59,22 +59,12 @@ class RunReport:
         }
 
 
-# Spellings of a mode in the CLI's `--mode` and in trace headers; the
-# scenario's `mode` and `expect` records take the last two
-MODE_SPELLINGS = {
-    "entrust": Mode.DELEGATION,
-    "first-use": Mode.FIRST_USE,
-    "delegation": Mode.DELEGATION,
-    "first_use": Mode.FIRST_USE,
-}
-
-
 def resolve_mode(scn: Scenario, mode: Mode | str | None) -> Mode:
     """The mode a run of `scn` uses: `mode`, a spelling of one, or (None) the
     scenario's own. A scenario config with `"scheduler": false` drops the holds."""
     if not isinstance(mode, Mode):
         spelling = scn.mode if mode is None else mode
-        mode = MODE_SPELLINGS.get(spelling) if isinstance(spelling, str) else None
+        mode = MODE_SPELLINGS.get(spelling)
         if mode is None:
             raise ParseError(f"unknown mode {spelling!r}; expected one of {', '.join(MODE_SPELLINGS)}")
     if mode is Mode.DELEGATION and not scn.config.get("scheduler", True):
@@ -254,7 +244,7 @@ def replay(trace_path: str | Path) -> RunReport:
     line the re-run writes there, raises `TraceTruncated`; any other
     difference raises `TraceDivergence`.
     """
-    with open(trace_path) as recorded:
+    with open(trace_path, errors="replace") as recorded:  # a trace is ASCII: any other byte makes its line differ
         header = read_trace_header(recorded)
         scn = loads_scenario(header["scenario"])
         if scn.sha256() != header["scenario_sha256"]:

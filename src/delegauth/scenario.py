@@ -5,6 +5,12 @@ diff cleanly and replay exactly. Scenario records declare the registry
 (programs, widgets, sensors, operations), program behavior (handlers), the
 event timeline (preliminary and main phases), scripted policies per phase,
 attack assertions, and per-mode expectations.
+
+The table below (`_RECORDS`, with `_ONCE` and the two headers) is the one
+definition of both formats. Each record is checked against it once, before
+anything reads it; one that does not fit raises `ParseError` naming its line,
+kind and key. `EngineConfig` checks a config record's values,
+`parse_policy_rules` a policy's rules, and `_validate` what needs the registry.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from pathlib import Path
 
 from .auth import parse_policy_rules
 from .engine import EngineConfig, Mode, _dump_line
-from .errors import InvariantViolation, ParseError, UnresolvedReference
+from .errors import InvariantViolation, ParseError, TraceTruncated, UnknownWidget, UnresolvedReference
 from .model import Registry, WidgetKind
 from .scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable
 
@@ -24,9 +30,137 @@ SCENARIO_FORMAT = "delegauth-scenario"
 TRACE_FORMAT = "delegauth-trace"
 FORMAT_VERSION = 1
 
+# Spellings of a mode in the CLI's `--mode` and in trace headers; the
+# scenario's `mode` and `expect` records take the last two
+MODE_SPELLINGS = {
+    "entrust": Mode.DELEGATION,
+    "first-use": Mode.FIRST_USE,
+    "delegation": Mode.DELEGATION,
+    "first_use": Mode.FIRST_USE,
+}
 
-# Keys of a config record: `EngineConfig`'s settings, and `scheduler`, which `runner.resolve_mode` reads
-_CONFIG_KEYS = frozenset(f.name for f in fields(EngineConfig)) - {"mode"} | {"scheduler"}
+
+# -- the record table -------------------------------------------------------------
+# A spec is a type, which a value must be exactly (so a bool is no int, and
+# `object` takes any value), a tuple of the values allowed, or one of the
+# checks below, which raise `_Bad`.
+
+
+class _Bad(Exception):
+    """A value that does not fit its spec, at key path `path` of its record."""
+
+    path = ""
+
+
+def _fit(value, spec, key) -> None:
+    try:
+        if type(spec) is tuple:
+            if value not in spec:
+                raise _Bad(f"must be one of {', '.join(map(repr, spec))}, got {value!r}")
+        elif type(spec) is not type:
+            spec(value)
+        elif type(value) is not spec and spec is not object:
+            raise _Bad(f"must be {spec.__name__}, got {value!r}")
+    except _Bad as bad:
+        bad.path = f"{key}.{bad.path}" if bad.path else str(key)
+        raise
+
+
+def _object(required: dict, optional: dict | None = None, other=None):
+    """A JSON object with the `required` and `optional` keys; another key's value must fit `other`, if given."""
+    specs, needed = {**required, **(optional or {})}, frozenset(required)
+
+    def check(value) -> None:
+        if type(value) is not dict:
+            raise _Bad(f"must be an object, got {value!r}")
+        if not value.keys() >= needed:
+            raise _Bad(f"needs the key {min(needed - value.keys())!r}")
+        for key, v in value.items():
+            spec = specs.get(key, other)
+            if spec is None:
+                raise _Bad(f"has the key {key!r}, not one of {', '.join(specs)}")
+            if type(spec) is not type or type(v) is not spec:
+                _fit(v, spec, key)
+    return check
+
+
+def _one_of(**shapes):
+    """A JSON object that fits one of `shapes`, each named by a key that it has and the others lack."""
+    def check(value) -> None:
+        keys = shapes.keys() & value.keys() if type(value) is dict else ()
+        if len(keys) != 1:
+            raise _Bad(f"needs exactly one of the keys {', '.join(shapes)}, got {value!r}")
+        shapes[keys.pop()](value)
+    return check
+
+
+def _list(item, length: int | None = None, one: str | None = None):
+    """A JSON array of `item`s: `length` of them, if given, and exactly one with the key `one`, if given."""
+    def check(value) -> None:
+        if type(value) is not list or len(value) != (length or len(value)):
+            raise _Bad(f"must be a list{f' of {length}' if length else ''}, got {value!r}")
+        for i, v in enumerate(value):
+            _fit(v, item, i)
+        if one and sum(one in v for v in value) != 1:
+            raise _Bad(f"needs exactly one {one!r} item")
+    return check
+
+
+def _count(value) -> None:
+    if type(value) is not int or value < 0:
+        raise _Bad(f"must be an int >= 0, got {value!r}")
+
+
+_PHASE, _MODE = ("preliminary", "main"), ("delegation", "first_use")
+_BODIES = {  # an event has exactly one of these bodies
+    "input": _object({"widget": str, "program": str}),
+    "handoff": _object({"from": str, "to": str}, {"provenance": str, "action": str}),
+    "request": _object({"program": str, "op": str, "sensor": str}),
+}
+
+_RECORDS = {
+    "program": _object({"name": str, "mark": str}, {"display": str}),
+    "widget": _object({"label": str}, {"input": ("voice", "gui"), "aliases": _list(str)}),
+    "sensor": _object({"id": str}, {"phrase": str}),
+    "operation": _object({"op": str, "sensors": _list(str), "phrase": str}, {"first_use_phrase": str}),
+    "handler": _object({
+        "program": str,
+        "on": _one_of(widget=_object({"widget": str}), handoff=_object({"handoff": str})),
+        "actions": _list(_one_of(
+            handoff=_object({"handoff": str, "after": int}, {"label": str}),
+            request=_object({"request": _list(str, length=2), "after": int}),
+            complete=_object({"complete": int}),
+        ), one="complete"),
+    }),
+    # `EngineConfig` checks the values; `runner.resolve_mode` reads `scheduler`
+    "config": _object({}, {**{f.name: object for f in fields(EngineConfig) if f.name != "mode"}, "scheduler": bool}),
+    "mode": _object({"mode": _MODE}),
+    "policy": _object({"rules": _list(str)}, {"phase": _PHASE}),
+    "event": _one_of(**{
+        name: _object({"t": _count, name: body}, {"phase": _PHASE, "id": str}) for name, body in _BODIES.items()
+    }),
+    "attack": _object({"name": str, "program": str, "op": str, "sensor": str}),
+    "expect": _object({"mode": _MODE}, {"preliminary_prompts": _count, "main_prompts": _count,
+                                        "attack": _object({}, other=bool)}),
+}
+_ONCE = {"config", "mode", "policy"}  # the kinds that may not repeat; a policy, once per phase
+_SCENARIO_HEADER = _object({"format": (SCENARIO_FORMAT,), "version": (FORMAT_VERSION,)})
+# a trace header writes null for each override not given: a null value counts as absent
+_TRACE_HEADER = _object(
+    {"format": (TRACE_FORMAT,), "version": (FORMAT_VERSION,), "scenario": str, "scenario_sha256": str},
+    {"mode": tuple(MODE_SPELLINGS), "policy_override": _list(str), "window_override": int, "seed": int},
+)
+
+
+def _check(lineno: int, kind: str, check, *args) -> None:
+    """Run `check(*args)`, a spec or another module's check, on a record; a failure names its line."""
+    try:
+        check(*args)
+    except _Bad as bad:
+        where = f"{bad.path!r} " if bad.path else ""
+        raise ParseError(f"{kind} record: {where}{bad}", line=lineno) from None
+    except InvariantViolation as exc:
+        raise ParseError(f"{kind} record: {exc}", line=lineno) from None
 
 
 @dataclass
@@ -51,12 +185,7 @@ class Scenario:
 
     def engine_config(self, mode: Mode = Mode.DELEGATION, window_override: int | None = None) -> EngineConfig:
         """The settings of the config record, run in `mode`; `window_override` replaces `window_ms`."""
-        settings = dict(self.config)
-        unknown = sorted(settings.keys() - _CONFIG_KEYS)
-        if unknown:
-            raise InvariantViolation(f"unknown config key {unknown[0]!r}; keys: {', '.join(sorted(_CONFIG_KEYS))}")
-        if type(settings.pop("scheduler", True)) is not bool:
-            raise InvariantViolation(f"scheduler must be bool, got {self.config['scheduler']!r}")
+        settings = {key: value for key, value in self.config.items() if key != "scheduler"}
         if window_override is not None:
             settings["window_ms"] = window_override
         return EngineConfig(mode=mode, **settings)
@@ -69,8 +198,7 @@ class Scenario:
             prog = registry.register_program(p["name"], p["mark"], p.get("display"))
             name_to_id[p["name"]] = prog.id
         for w in self.widgets:
-            kind = WidgetKind.VOICE if w.get("input", "voice") == "voice" else WidgetKind.GUI
-            registry.register_widget(w["label"], kind, w.get("aliases", ()))
+            registry.register_widget(w["label"], WidgetKind(w.get("input", "voice")), w.get("aliases", ()))
         for s in self.sensors:
             registry.register_sensor(s["id"], s.get("phrase", ""))
         for o in self.operations:
@@ -83,83 +211,37 @@ class Scenario:
         return registry, table, name_to_id
 
     def _build_handler(self, h: dict, registry: Registry, name_to_id: dict[str, str]) -> HandlerSpec:
-        on = h["on"]
-        if "widget" in on:
-            trigger_kind, trigger_value = "widget", registry.resolve_widget(on["widget"]).id
-        else:
-            trigger_kind, trigger_value = "handoff", on["handoff"]
-        if not (isinstance(h["actions"], list) and all(isinstance(a, dict) for a in h["actions"])):
-            raise ParseError("handler actions must be a list of objects", line=h.get("_line"))
+        line = h.get("_line")
+        [(trigger_kind, trigger_value)] = h["on"].items()
+        if trigger_kind == "widget":
+            trigger_value = _widget_id(registry, trigger_value, line)
         actions = []
-        complete = None
         for a in h["actions"]:
             if "handoff" in a:
-                actions.append(
-                    EmitHandoff(to=name_to_id[a["handoff"]], after_ms=a["after"], label=a.get("label"))
-                )
+                to = _program_id(name_to_id, a["handoff"], line)
+                actions.append(EmitHandoff(to=to, after_ms=a["after"], label=a.get("label")))
             elif "request" in a:
-                if not (isinstance(a["request"], list) and len(a["request"]) == 2):
-                    raise ParseError("handler request must be an [op, sensor] pair", line=h.get("_line"))
-                op, sensor = a["request"]
-                actions.append(EmitRequest(op=op, sensor=sensor, after_ms=a["after"]))
-            elif "complete" in a:
+                actions.append(EmitRequest(*a["request"], after_ms=a["after"]))
+            else:
                 complete = Complete(after_ms=a["complete"])
-        if complete is None:
-            raise InvariantViolation(f"handler for {h['program']} does not end with a complete action")
-        return HandlerSpec(
-            program_id=name_to_id[h["program"]],
-            trigger_kind=trigger_kind,
-            trigger_value=trigger_value,
-            actions=tuple(actions),
-            complete=complete,
-        )
+        program_id = _program_id(name_to_id, h["program"], line)
+        return HandlerSpec(program_id, trigger_kind, trigger_value, tuple(actions), complete)
 
     # -- serialization ---------------------------------------------------------
 
     def dump(self) -> str:
+        """The scenario as text: its records kind by kind, in the order of `_RECORDS`."""
+        records = {
+            "config": [self.config] if self.config else [],
+            "mode": [{"mode": self.mode}],
+            "policy": [{"phase": phase, "rules": rules} for phase, rules in self.policies.items()],
+            "event": map(_event_record, self.timeline),
+        }
         lines = [_dump_line({"format": SCENARIO_FORMAT, "version": FORMAT_VERSION})]
-        for p in self.programs:
-            lines.append(_dump_line({"kind": "program", **p}))
-        for w in self.widgets:
-            lines.append(_dump_line({"kind": "widget", **w}))
-        for s in self.sensors:
-            lines.append(_dump_line({"kind": "sensor", **s}))
-        for o in self.operations:
-            lines.append(_dump_line({"kind": "operation", **o}))
-        for h in self.handlers:
-            lines.append(_dump_line({"kind": "handler", **h}))
-        if self.config:
-            lines.append(_dump_line({"kind": "config", **self.config}))
-        lines.append(_dump_line({"kind": "mode", "mode": self.mode}))
-        for phase, rules in self.policies.items():
-            lines.append(_dump_line({"kind": "policy", "phase": phase, "rules": rules}))
-        for e in self.timeline:
-            lines.append(_dump_line(self._event_record(e)))
-        for a in self.attacks:
-            lines.append(_dump_line({"kind": "attack", **a}))
-        for x in self.expects:
-            lines.append(_dump_line({"kind": "expect", **x}))
+        for kind in _RECORDS:
+            for rec in records[kind] if kind in records else getattr(self, f"{kind}s"):
+                lines.append(_dump_line({"kind": kind, **rec}))
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def _event_record(e: dict) -> dict:
-        rec: dict = {"kind": "event", "t": e["t"]}
-        if e.get("phase", "main") != "main":
-            rec["phase"] = e["phase"]
-        if e.get("label"):
-            rec["id"] = e["label"]
-        if e["kind"] == "input":
-            rec["input"] = {"widget": e["widget"], "program": e["program"]}
-        elif e["kind"] == "handoff":
-            body = {"from": e["src"], "to": e["dst"]}
-            if e.get("provenance") is not None:
-                body["provenance"] = e["provenance"]
-            if e.get("action") is not None:
-                body["action"] = e["action"]
-            rec["handoff"] = body
-        else:
-            rec["request"] = {"program": e["program"], "op": e["op"], "sensor": e["sensor"]}
-        return rec
 
 
 def loads_scenario(text: str) -> Scenario:
@@ -167,44 +249,36 @@ def loads_scenario(text: str) -> Scenario:
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty scenario file", line=1)
-    header = _parse_json(lines[0], 1)
-    if header.get("format") != SCENARIO_FORMAT:
-        raise ParseError(f"not a scenario file (format={header.get('format')!r})", line=1)
-    if header.get("version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported scenario version {header.get('version')!r}", line=1)
+    _check(1, "scenario header", _SCENARIO_HEADER, _parse_json(lines[0], 1))
 
+    seen: dict[str, int] = {}  # the name of each record that may not repeat -> its line
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         rec = _parse_json(raw, lineno)
         kind = rec.pop("kind", None)
-        rec["_line"] = lineno
-        if kind == "program":
-            scn.programs.append(rec)
-        elif kind == "widget":
-            scn.widgets.append(rec)
-        elif kind == "sensor":
-            scn.sensors.append(rec)
-        elif kind == "operation":
-            scn.operations.append(rec)
-        elif kind == "handler":
-            scn.handlers.append(rec)
+        spec = _RECORDS.get(kind) if type(kind) is str else None
+        if spec is None:
+            raise ParseError(f"unknown record kind {kind!r}", line=lineno)
+        _check(lineno, kind, spec, rec)
+        if kind in _ONCE:
+            single = f"{rec.get('phase', 'main')} policy" if kind == "policy" else kind
+            first = seen.setdefault(single, lineno)
+            if first != lineno:
+                raise ParseError(f"a second {single} record; the first is on line {first}", line=lineno)
+        if kind == "event":
+            scn.timeline.append(_normalize_event(rec, lineno))
         elif kind == "config":
-            rec.pop("_line")
             scn.config = rec
+            _check(lineno, kind, scn.engine_config)
         elif kind == "mode":
             scn.mode = rec["mode"]
         elif kind == "policy":
-            phase, rules = _policy(rec, lineno)
-            scn.policies[phase] = rules
-        elif kind == "event":
-            scn.timeline.append(_normalize_event(rec, lineno))
-        elif kind == "attack":
-            scn.attacks.append(rec)
-        elif kind == "expect":
-            scn.expects.append(rec)
-        else:
-            raise ParseError(f"unknown record kind {kind!r}", line=lineno)
+            _check(lineno, kind, parse_policy_rules, rec["rules"])
+            scn.policies[rec.get("phase", "main")] = rec["rules"]
+        else:  # each other kind is a list of the scenario, named by its plural, as in `dump`
+            rec["_line"] = lineno
+            getattr(scn, kind + "s").append(rec)
 
     _validate(scn)
     for rec_list in (scn.programs, scn.widgets, scn.sensors, scn.operations, scn.handlers,
@@ -231,61 +305,42 @@ def _parse_json(raw: str, lineno: int) -> dict:
     return obj
 
 
-def _policy(rec: dict, lineno: int) -> tuple[str, list[str]]:
-    """The phase and rules of a policy record, checked as `ScriptedPolicy` will read them."""
-    phase, rules = rec.get("phase", "main"), rec.get("rules")
-    if phase not in ("preliminary", "main"):
-        raise ParseError(f"unknown phase {phase!r}", line=lineno)
-    if not (isinstance(rules, list) and all(isinstance(r, str) for r in rules)):
-        raise ParseError(f"policy rules must be a list of strings, got {rules!r}", line=lineno)
-    try:
-        parse_policy_rules(rules)
-    except InvariantViolation as exc:
-        raise ParseError(str(exc), line=lineno) from None
-    return phase, rules
-
-
-_EVENT_FIELDS = {"input": {"widget", "program"}, "handoff": {"from", "to"}, "request": {"program", "op", "sensor"}}
-
-
 def _normalize_event(rec: dict, lineno: int) -> dict:
-    out = {"phase": rec.get("phase", "main"), "t": rec.get("t"), "_line": lineno}
-    if type(out["t"]) is not int or out["t"] < 0:  # bool is an int subclass: rejected too
-        raise ParseError("event needs a non-negative integer t", line=lineno)
+    """The timeline entry of an event record: one flat dict, with `from` and `to` held as `src` and `dst`."""
+    out = {"phase": rec.get("phase", "main"), "t": rec["t"], "_line": lineno}
     if rec.get("id"):
         out["label"] = rec["id"]
-    bodies = [k for k in ("input", "handoff", "request") if k in rec]
-    if len(bodies) != 1:
-        raise ParseError("event must have exactly one of input/handoff/request", line=lineno)
-    kind, body = bodies[0], rec[bodies[0]]
-    need = _EVENT_FIELDS[kind]
-    if not (isinstance(body, dict) and body.keys() >= need):
-        raise ParseError(f"event {kind} must be an object with {', '.join(sorted(need))}", line=lineno)
+    out["kind"] = kind = "input" if "input" in rec else "handoff" if "handoff" in rec else "request"
+    body = rec[kind]
     if kind == "input":
-        out.update(kind="input", widget=body["widget"], program=body["program"])
+        out["widget"], out["program"] = body["widget"], body["program"]
     elif kind == "handoff":
-        out.update(
-            kind="handoff", src=body["from"], dst=body["to"],
-            provenance=body.get("provenance"), action=body.get("action"),
-        )
+        out["src"], out["dst"] = body["from"], body["to"]
+        out["provenance"], out["action"] = body.get("provenance"), body.get("action")
     else:
-        out.update(kind="request", program=body["program"], op=body["op"], sensor=body["sensor"])
-    if out["phase"] not in ("preliminary", "main"):
-        raise ParseError(f"unknown phase {out['phase']!r}", line=lineno)
+        out["program"], out["op"], out["sensor"] = body["program"], body["op"], body["sensor"]
     return out
 
 
+def _event_record(e: dict) -> dict:
+    """The event record of timeline entry `e`: `_normalize_event` undone."""
+    if e["kind"] == "input":
+        body = {"widget": e["widget"], "program": e["program"]}
+    elif e["kind"] == "handoff":
+        body = {"from": e["src"], "to": e["dst"], "provenance": e.get("provenance"), "action": e.get("action")}
+    else:
+        body = {"program": e["program"], "op": e["op"], "sensor": e["sensor"]}
+    rec = {"t": e["t"], e["kind"]: {key: value for key, value in body.items() if value is not None}}
+    if e.get("phase", "main") != "main":
+        rec["phase"] = e["phase"]
+    if e.get("label"):
+        rec["id"] = e["label"]
+    return rec
+
+
 def _validate(scn: Scenario) -> None:
-    # cross-reference resolution (deterministic errors with line locations)
-    try:
-        registry, _table, name_to_id = scn.build()
-    except KeyError as exc:
-        raise UnresolvedReference(f"unresolved reference {exc.args[0]!r}") from exc
-
-    if scn.mode not in ("delegation", "first_use"):
-        raise InvariantViolation(f"unknown mode {scn.mode!r}")
-    scn.engine_config()  # rejects unknown config keys and values of the wrong type
-
+    """The checks that need the registry: cross-references, timeline order and provenance labels."""
+    registry, _table, name_to_id = scn.build()
     prev_t = -1
     seen_main = False
     labels: set[str] = set()
@@ -299,60 +354,39 @@ def _validate(scn: Scenario) -> None:
         elif seen_main:
             raise InvariantViolation(f"line {line}: preliminary events must precede main events")
         if e["kind"] == "input":
-            _require(_resolves(registry, e["widget"]), f"line {line}: unknown widget {e['widget']!r}")
-            _require(e["program"] in name_to_id, f"line {line}: unknown program {e['program']!r}")
-        elif e["kind"] == "handoff":
-            for ref in (e["src"], e["dst"]):
-                _require(ref in name_to_id, f"line {line}: unknown program {ref!r}")
-            if e.get("provenance") is not None:
-                _require(
-                    e["provenance"] in labels,
-                    f"line {line}: provenance {e['provenance']!r} does not name an earlier event id",
-                )
-        else:
-            _require(e["program"] in name_to_id, f"line {line}: unknown program {e['program']!r}")
-            _require(
-                registry.compatible(e["op"], e["sensor"]),
-                f"line {line}: incompatible op/sensor ({e['op']!r}, {e['sensor']!r})",
-            )
+            _widget_id(registry, e["widget"], line)
+        for key in ("program", "src", "dst"):
+            if key in e:
+                _program_id(name_to_id, e[key], line)
+        if e["kind"] == "handoff" and e["provenance"] is not None and e["provenance"] not in labels:
+            raise UnresolvedReference(f"provenance {e['provenance']!r} does not name an earlier event id", line=line)
+        if e["kind"] == "request" and not registry.compatible(e["op"], e["sensor"]):
+            raise UnresolvedReference(f"incompatible op/sensor ({e['op']!r}, {e['sensor']!r})", line=line)
         if e.get("label"):
             labels.add(e["label"])
 
     for a in scn.attacks:
-        line = a.get("_line")
-        for key in ("name", "program", "op", "sensor"):
-            _require(a.get(key), f"line {line}: attack needs {key!r}")
-        _require(a["program"] in name_to_id, f"line {line}: unknown program {a['program']!r}")
-        _require(
-            registry.compatible(a["op"], a["sensor"]),
-            f"line {line}: incompatible op/sensor in attack",
-        )
+        _program_id(name_to_id, a["program"], a["_line"])
+        if not registry.compatible(a["op"], a["sensor"]):
+            raise UnresolvedReference("incompatible op/sensor in attack", line=a["_line"])
     attack_names = {a["name"] for a in scn.attacks}
     for x in scn.expects:
-        line = x.get("_line")
-        _require(x.get("mode") in ("delegation", "first_use"), f"line {line}: expect needs a mode")
-        _require(isinstance(x.get("attack", {}), dict), f"line {line}: expect attack must be an object")
-        for key in ("main_prompts", "preliminary_prompts"):
-            count = x.get(key, 0)
-            if type(count) is not int or count < 0:  # bool is an int subclass: rejected too
-                raise ParseError(f"expect {key} must be a non-negative integer, got {count!r}", line=line)
-        for name, succeeded in x.get("attack", {}).items():
-            _require(name in attack_names, f"line {line}: expect names unknown attack {name!r}")
-            if type(succeeded) is not bool:
-                raise ParseError(f"expect attack {name!r} must be true or false, got {succeeded!r}", line=line)
+        for name in x.get("attack", {}):
+            if name not in attack_names:
+                raise UnresolvedReference(f"expect names unknown attack {name!r}", line=x["_line"])
 
 
-def _resolves(registry: Registry, label: str) -> bool:
+def _widget_id(registry: Registry, label: str, line: int | None) -> str:
     try:
-        registry.resolve_widget(label)
-        return True
-    except Exception:
-        return False
+        return registry.resolve_widget(label).id
+    except UnknownWidget:
+        raise UnresolvedReference(f"unknown widget {label!r}", line=line) from None
 
 
-def _require(cond, msg: str) -> None:
-    if not cond:
-        raise UnresolvedReference(msg)
+def _program_id(name_to_id: dict[str, str], name: str, line: int | None) -> str:
+    if name not in name_to_id:
+        raise UnresolvedReference(f"unknown program {name!r}", line=line)
+    return name_to_id[name]
 
 
 # -- traces ---------------------------------------------------------------------
@@ -386,21 +420,8 @@ def read_trace_header(fh) -> dict:
     first = fh.readline()
     if not first:
         raise ParseError("empty trace file", line=1)
+    if not first.endswith("\n"):  # `TraceWriter` ends the header with one: the file is cut inside it
+        raise TraceTruncated(0)
     header = _parse_json(first, 1)
-    if header.get("format") != TRACE_FORMAT:
-        raise ParseError(f"not a trace file (format={header.get('format')!r})", line=1)
-    if header.get("version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported trace version {header.get('version')!r}", line=1)
-    for key in ("scenario", "scenario_sha256"):
-        if not isinstance(header.get(key), str):
-            raise ParseError(f"trace header needs a string {key}", line=1)
-    for key in ("window_override", "seed"):
-        value = header.get(key)
-        if value is not None and type(value) is not int:  # bool is an int subclass: rejected too
-            raise ParseError(f"trace header {key} must be an integer or null, got {value!r}", line=1)
-    rules = header.get("policy_override")
-    if rules is not None and not (isinstance(rules, list) and all(isinstance(r, str) for r in rules)):
-        raise ParseError(
-            f"trace header policy_override must be a list of strings or null, got {rules!r}", line=1
-        )
+    _check(1, "trace header", _TRACE_HEADER, {key: value for key, value in header.items() if value is not None})
     return header

@@ -59,6 +59,14 @@ def test_non_integer_time_or_lag_is_validation_error(tmp_path, capsys, old, new)
     assert "error:" in capsys.readouterr().err
 
 
+# records of task_a that the cases below change
+CONFIG = '{"kind":"config","window_ms":150}'
+MODE = '{"kind":"mode","mode":"delegation"}'
+MAIN_POLICY = '{"kind":"policy","phase":"main","rules":["deny * * * *"]}'
+MAIN_INPUT = '"widget":"create a note","program":"Smart Assistant"}'
+NOTE_WIDGET = '"label":"create a note","input":"voice"'
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -83,14 +91,43 @@ def test_non_integer_time_or_lag_is_validation_error(tmp_path, capsys, old, new)
         pytest.param('"rules":["deny * * * *"]', '"rules":["deny * *"]', id="policy-rule-too-short"),
         pytest.param('"rules":["deny * * * *"]', '"rules":["deny \'* * * *"]', id="policy-rule-unclosed-quote"),
         pytest.param('"rules":["deny * * * *"]', '"rules":["deny Notes * * *"]', id="policy-without-default"),
+        pytest.param(MODE, '{"kind":"mode"}', id="mode-without-mode"),
+        pytest.param('"label":"create a note"', '"label":5', id="widget-label-an-int"),
+        pytest.param('"id":"Screen"', '"id":["Screen"]', id="sensor-id-a-list"),
+        pytest.param('"phase":"main","t":1000,', '"phase":"main","t":1000,"id":["i1"],', id="event-id-a-list"),
+        pytest.param(MAIN_INPUT, MAIN_INPUT.replace('"Smart Assistant"', '["x"]'), id="event-program-a-list"),
+        pytest.param('"name":"stealth_screen_grab"', '"name":["stealth_screen_grab"]', id="attack-name-a-list"),
+        pytest.param('"on":{"widget":"take a screenshot"}', '"on":"x"', id="handler-on-a-string"),
+        pytest.param(CONFIG, CONFIG + '\n{"kind":"config","cache_denials":true}', id="second-config"),
+        pytest.param(MODE, MODE + '\n{"kind":"mode","mode":"first_use"}', id="second-mode"),
+        pytest.param(MAIN_POLICY, MAIN_POLICY + '\n{"kind":"policy","rules":["allow * * * *"]}',
+                     id="second-main-policy"),
+        pytest.param(NOTE_WIDGET, NOTE_WIDGET + ',"aliases":"xy"', id="widget-aliases-a-string"),
+        pytest.param(NOTE_WIDGET, NOTE_WIDGET.replace("voice", "smell"), id="widget-input-unknown"),
+        pytest.param('"actions":[{"complete":4}]', '"actions":[{"bogus":1},{"complete":4}]', id="action-of-no-kind"),
+        pytest.param('"actions":[{"complete":4}]', '"actions":[{"complete":4},{"complete":9}]', id="two-completes"),
+        pytest.param('"name":"Notes","mark":"NO",', '"name":"Notes",', id="program-without-mark"),
+        pytest.param('"name":"Notes",', '"name":"Notes","bogus":1,', id="unknown-key-in-program"),
+        pytest.param('"sensors":["Screen"]', '"sensors":["Screen"],"bogus":1', id="unknown-key-in-operation"),
+        pytest.param('"on":{"widget":"take a screenshot"}', '"on":{"widget":"take a screenshot","bogus":1}',
+                     id="unknown-key-in-handler-on"),
+        pytest.param('{"complete":5}', '{"complete":5,"after":5}', id="unknown-key-in-complete-action"),
+        pytest.param('"window_ms":150}', '"window_ms":150,"bogus":1}', id="unknown-key-in-config"),
+        pytest.param('"phase":"main","t":1000,', '"phase":"main","t":1000,"bogus":1,', id="unknown-key-in-event"),
+        pytest.param(MAIN_INPUT, MAIN_INPUT[:-1] + ',"x":1}', id="unknown-key-in-event-body"),
+        pytest.param('"sensor":"Screen"}', '"sensor":"Screen","bogus":1}', id="unknown-key-in-attack"),
+        pytest.param('"mode":"delegation","preliminary_prompts"', '"mode":"delegation","x":1,"preliminary_prompts"',
+                     id="unknown-key-in-expect"),
     ],
 )
 def test_malformed_record_is_a_validation_error_naming_its_line(tmp_path, capsys, old, new):
     text = open(scenario_path("task_a")).read()
     assert text.count(old) == 1
-    line = text[: text.index(old)].count("\n") + 1
+    bad_text = text.replace(old, new)
+    # the error names the line of the first changed character: for a repeated record, the repeat
+    line = bad_text[: len(os.path.commonprefix([text, bad_text]))].count("\n") + 1
     bad = tmp_path / "bad.scn"
-    bad.write_text(text.replace(old, new))
+    bad.write_text(bad_text)
     assert main(["run", str(bad)]) == 2
     assert f"error: line {line}: " in capsys.readouterr().err
 
@@ -159,10 +196,18 @@ def test_trace_and_replay(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "cut, message",
-    [("at_a_line_end", "truncated"), ("inside_a_line", "truncated"), ("changed_byte", "traces differ")],
+    "cut, seq, message",
+    [
+        pytest.param(cut, seq, message, id=f"{cut}-{message}")
+        for cut, seq, message in [
+            ("at_a_line_end", 143, "truncated"),
+            ("inside_a_line", 143, "truncated"),
+            ("inside_the_header", 0, "truncated"),
+            ("changed_byte", 143, "traces differ"),
+        ]
+    ],
 )
-def test_replay_reports_a_cut_trace_as_truncated(tmp_path, capsys, cut, message):
+def test_replay_reports_a_cut_trace_as_truncated(tmp_path, capsys, cut, seq, message):
     scn, trace = tmp_path / "w.scn", tmp_path / "w.trace"
     assert main(["gen", str(scn), "--n", "50"]) == 0
     assert main(["run", str(scn), "--trace", str(trace)]) == 0
@@ -172,13 +217,22 @@ def test_replay_reports_a_cut_trace_as_truncated(tmp_path, capsys, cut, message)
         trace.write_text(head)
     elif cut == "inside_a_line":
         trace.write_text(head + record[: len(record) // 2])
+    elif cut == "inside_the_header":
+        trace.write_text(lines[0][:200])
     else:  # record 143 complete, but one byte in it changed
         trace.write_text(head + record.replace('"seq":143', '"seq":134') + "".join(lines[144:]))
     capsys.readouterr()
     assert main(["replay", str(trace)]) == 4
     err = capsys.readouterr().err
-    assert "seq 143" in err and message in err
+    assert f"seq {seq}" in err and message in err
     assert ("truncated" in err) == (message == "truncated")
+
+
+def test_empty_trace_file_is_validation_error(tmp_path, capsys):
+    trace = tmp_path / "empty.trace"
+    trace.write_text("")
+    assert main(["replay", str(trace)]) == 2
+    assert "line 1: empty trace file" in capsys.readouterr().err
 
 
 def test_unknown_mode_in_trace_header_is_validation_error(tmp_path, capsys):
@@ -188,7 +242,8 @@ def test_unknown_mode_in_trace_header_is_validation_error(tmp_path, capsys):
     assert '"mode":"entrust"' in text
     trace.write_text(text.replace('"mode":"entrust"', '"mode":"bogus"', 1))
     assert main(["replay", str(trace)]) == 2
-    assert "unknown mode 'bogus'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 1: trace header record: 'mode' must be one of" in err and "got 'bogus'" in err
 
 
 @pytest.mark.parametrize(

@@ -86,7 +86,7 @@ def test_expect_failures_surface_when_policy_flipped(task_a):
     # violating the scenario's 0-attack expectation? No: prompted allows are
     # not silent, so the attack still fails; flip the expectation instead by
     # running first-use without its preliminary grant phase.
-    scn = loads_scenario(task_a.source_text.replace('"phase":"preliminary",', '"phase":"main",'))
+    scn = loads_scenario(task_a.source_text.replace('"event","phase":"preliminary",', '"event","phase":"main",'))
     report, _ = run_scenario(scn, mode="first-use")
     assert report.expect_failures  # preliminary prompt count no longer matches
 

@@ -104,15 +104,14 @@ def test_unknown_program_reference_rejected():
 
 
 def test_handler_emitting_to_unregistered_program_rejected():
-    text = "\n".join(
-        [
-            MINIMAL,
-            '{"kind":"handler","program":"A","on":{"widget":"go"},'
-            '"actions":[{"handoff":"Ghost","after":2},{"complete":3}]}',
-        ]
-    )
-    with pytest.raises((UnresolvedReference, KeyError)):
-        loads_scenario(text)
+    for handler in [
+        '{"kind":"handler","program":"A","on":{"widget":"go"},'
+        '"actions":[{"handoff":"Ghost","after":2},{"complete":3}]}',
+        '{"kind":"handler","program":"Ghost","on":{"widget":"go"},"actions":[{"complete":3}]}',
+    ]:
+        with pytest.raises(UnresolvedReference, match="'Ghost'") as exc:
+            loads_scenario(MINIMAL + "\n" + handler)
+        assert exc.value.line == 9
 
 
 def test_handler_without_complete_rejected():
@@ -122,7 +121,7 @@ def test_handler_without_complete_rejected():
             '{"kind":"handler","program":"A","on":{"widget":"go"},"actions":[{"handoff":"B","after":2}]}',
         ]
     )
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ParseError, match="exactly one 'complete'"):
         loads_scenario(text)
 
 
@@ -157,7 +156,7 @@ def test_handler_lags_must_be_ints(action, lag):
         "complete": [{"handoff": "B", "after": 2}, {"complete": lag}],
     }[action]
     handler = {"kind": "handler", "program": "A", "on": {"widget": "go"}, "actions": actions}
-    with pytest.raises(InvariantViolation, match="integer"):
+    with pytest.raises(ParseError, match="must be int"):
         loads_scenario(MINIMAL + "\n" + json.dumps(handler))
 
 
