@@ -1,11 +1,11 @@
 """Authorization: path cache, scripted/interactive authorizers, prompt text,
 and the first-use baseline.
 
-Cache layout follows the key hierarchy: InputKey -> set of authorized
-PathKeys. A new path variant that reaches the same (requester, op, sensor)
-under the same InputKey supersedes the previously authorized one. Export is
-a length-prefixed record stream with a per-entry checksum over the attached
-graph snapshot.
+Cache layout follows the key hierarchy: InputKey -> the decision ("allow" or
+"deny") of each PathKey under it. A new path variant that reaches the same
+(requester, op, sensor) under the same InputKey supersedes the previously
+authorized one. Export is a length-prefixed record stream with a per-entry
+checksum over the attached graph snapshot.
 """
 
 from __future__ import annotations
@@ -196,17 +196,12 @@ class ScriptedPolicy:
 
     interactive = False
 
-    def __init__(self, rules: list[PolicyRule] | list[str]):
-        if rules and isinstance(rules[0], str):
-            rules = parse_policy_rules(rules)  # type: ignore[arg-type]
-        else:
-            if not rules or not rules[-1].is_default:  # type: ignore[union-attr]
-                raise InvariantViolation("policy must end with a default rule")
-        self.rules: list[PolicyRule] = rules  # type: ignore[assignment]
+    def __init__(self, rules: list[str]):
+        self.rules = parse_policy_rules(rules)
 
     @classmethod
     def allow_all(cls) -> "ScriptedPolicy":
-        return cls([PolicyRule(True, "*", "*", "*", "*")])
+        return cls(["allow * * * *"])
 
     def _decide_key(self, key: PathKey, registry: Registry) -> bool:
         chain = ">".join(registry.program(pid).name for pid in key.programs)
@@ -255,19 +250,16 @@ class InteractivePrompt:
 @dataclass
 class CacheEntry:
     input_key: InputKey
-    authorized: list[PathKey] = field(default_factory=list)
     decisions: dict = field(default_factory=dict)  # PathKey -> "allow" | "deny"
     graph_blob: bytes = b""
     blob_crc: int = 0
 
 
 class AuthorizationCache:
-    """Maps InputKey -> authorized PathKeys, with per-path supersession."""
+    """Maps InputKey -> PathKey decisions, with per-path supersession."""
 
     def __init__(self) -> None:
         self.entries: dict[InputKey, CacheEntry] = {}
-        self.version = 0
-        self.audit_log: list[bytes] = []  # serialized copies of evicted entries
 
     # -- lookups -----------------------------------------------------------
 
@@ -288,18 +280,13 @@ class AuthorizationCache:
 
     def store_allow(self, key: PathKey, graph_blob: bytes = b"") -> None:
         entry = self._entry(key.input_key)
-        if key not in entry.authorized:
-            entry.authorized.append(key)
         entry.decisions[key] = "allow"
         if graph_blob:
             entry.graph_blob = bytes(graph_blob)
             entry.blob_crc = zlib.crc32(entry.graph_blob)
-        self.version += 1
 
     def store_deny(self, key: PathKey) -> None:
-        entry = self._entry(key.input_key)
-        entry.decisions[key] = "deny"
-        self.version += 1
+        self._entry(key.input_key).decisions[key] = "deny"
 
     def invalidate_conflicting(self, new_key: PathKey) -> int:
         """Evict authorized paths superseded by a new chain variant.
@@ -312,42 +299,36 @@ class AuthorizationCache:
             return 0
         stale = [
             k
-            for k in entry.authorized
-            if (k.requester, k.op, k.sensor) == (new_key.requester, new_key.op, new_key.sensor)
+            for k, v in entry.decisions.items()
+            if v == "allow"
+            and (k.requester, k.op, k.sensor) == (new_key.requester, new_key.op, new_key.sensor)
             and k.programs != new_key.programs
         ]
         for k in stale:
-            entry.authorized.remove(k)
-            entry.decisions.pop(k, None)
-        if stale:
-            self.version += 1
+            del entry.decisions[k]
         return len(stale)
 
     def invalidate(self, input_key: InputKey) -> int:
+        """Evict the entry of `input_key`, checking its graph snapshot; returns its allowed path count."""
         entry = self.entries.pop(input_key, None)
         if entry is None:
             return 0
-        # verify the snapshot before it becomes the audit record of this entry
         if entry.graph_blob and zlib.crc32(entry.graph_blob) != entry.blob_crc:
             raise CorruptCache(f"graph snapshot for {input_key} corrupted in memory")
-        self.audit_log.append(self._serialize_entry(entry))
-        self.version += 1
-        return len(entry.authorized)
+        return list(entry.decisions.values()).count("allow")
 
     # -- serialization ----------------------------------------------------------
 
     @staticmethod
-    def _entry_meta(entry: CacheEntry) -> dict:
-        return {
+    def _serialize_entry(entry: CacheEntry) -> bytes:
+        decisions = [[k.to_dict(), v] for k, v in entry.decisions.items()]
+        meta = {
             "input_key": entry.input_key.to_dict(),
-            "authorized": [k.to_dict() for k in entry.authorized],
-            "decisions": [[k.to_dict(), v] for k, v in entry.decisions.items()],
+            "authorized": [k for k, v in decisions if v == "allow"],  # kept in the format, derived
+            "decisions": decisions,
             "blob_crc": entry.blob_crc,
         }
-
-    @classmethod
-    def _serialize_entry(cls, entry: CacheEntry) -> bytes:
-        meta = json.dumps(cls._entry_meta(entry), sort_keys=True, separators=(",", ":")).encode()
+        meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
         return (
             len(meta).to_bytes(4, "big")
             + meta
@@ -382,9 +363,10 @@ class AuthorizationCache:
                 pos += blen
                 if meta["blob_crc"] != zlib.crc32(graph_blob):
                     raise CorruptCache("graph blob checksum mismatch")
+                if meta["authorized"] != [k for k, v in meta["decisions"] if v == "allow"]:
+                    raise CorruptCache("authorized paths disagree with the decisions")
                 entry = CacheEntry(
                     input_key=InputKey.from_dict(meta["input_key"]),
-                    authorized=[PathKey.from_dict(d) for d in meta["authorized"]],
                     decisions={PathKey.from_dict(d): v for d, v in meta["decisions"]},
                     graph_blob=graph_blob,
                     blob_crc=meta["blob_crc"],
@@ -397,7 +379,6 @@ class AuthorizationCache:
         except Exception as exc:
             raise CorruptCache(f"malformed cache blob: {exc}") from exc
         self.entries = entries
-        self.version += 1
 
     # -- footprint -------------------------------------------------------------------
 

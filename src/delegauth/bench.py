@@ -14,7 +14,6 @@ suites take the host as it is.
 
 from __future__ import annotations
 
-import ctypes
 import gc
 import statistics
 import tempfile
@@ -88,15 +87,6 @@ def round_robin(batches, rounds: int) -> dict:
     }
 
 
-def _heap_trimmer():
-    """glibc's `malloc_trim`, which returns freed heap pages to the OS; a
-    no-op where the C library has none."""
-    try:
-        return ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return lambda pad: 0
-
-
 def linear_fit(xs, ys) -> dict:
     """Least-squares line through the points, in closed form, with its R²."""
     n = len(xs)
@@ -147,7 +137,7 @@ def graph_construction(max_handoffs: int = 10, inner: int = 20, runs: int = 100)
                 counter[0] += 1
                 n = counter[0]
                 base = n * 200
-                store.expire_due(base)  # previous chain's window has closed
+                store.expire_graph(f"i{n - 1}", base)  # previous chain's window has closed
                 root = InputEvent(f"i{n}", widget, pids[0], base)
                 record_input(root)
                 prev = pids[0]
@@ -180,16 +170,11 @@ def cache_rw(inner: int = 200, runs: int = 80) -> dict:
 
     Store and evict are each measured by `round_robin` over the 31 sizes for
     `runs` rounds; each batch stores or evicts `inner` entries. The part of
-    both costs that grows with size is the blob checksum (`zlib.crc32`), plus,
-    on evict, writing the blob into a new audit record. An evict batch starts
-    from a copy of a cache filled once per size, and hands the freed records
-    back to the OS when it ends (`_heap_trimmer`), so every batch writes its
-    records to fresh pages, as a run whose audit log only grows does. Without
-    that, how many pages a batch reuses depends on the holes that earlier
-    allocations left in the heap, which adds a staircase of up to about half
-    a page fault per evict to the row. CPython's `zlib.crc32` releases the GIL
-    for buffers over 5 KiB (5,120 bytes), which adds a step of 0.05-0.1 µs
-    between 5,120 and 5,632 bytes; it is small against the line's rise.
+    both costs that grows with size is the blob checksum (`zlib.crc32`). An
+    evict batch starts from a copy of a cache filled once per size.
+    CPython's `zlib.crc32` releases the GIL for buffers over 5 KiB (5,120
+    bytes), which adds a step of 0.05-0.1 µs between 5,120 and 5,632 bytes;
+    it is small against the line's rise.
     """
     sizes = list(range(1024, 16384 + 1, 512))
     key = PathKey("bench command", ("P1", "P2"), "capture_picture", "Camera")
@@ -205,8 +190,6 @@ def cache_rw(inner: int = 200, runs: int = 80) -> dict:
 
         return do_store
 
-    trim_heap = _heap_trimmer()
-
     def evict_batch(blob: bytes):
         filled = AuthorizationCache()
         for i in range(inner):
@@ -220,10 +203,7 @@ def cache_rw(inner: int = 200, runs: int = 80) -> dict:
             t0 = time.perf_counter_ns()
             for ik in keys:
                 invalidate(ik)
-            elapsed = time.perf_counter_ns() - t0
-            del target, invalidate
-            trim_heap(0)
-            return inner, elapsed
+            return inner, time.perf_counter_ns() - t0
 
         return do_evict
 

@@ -445,7 +445,7 @@ class Engine:
         derived = kind == "input"
         root_id = None
         if kind == "handoff":
-            root_id = derived_root if derived_root is not None else ev.provenance
+            root_id = ev.provenance
             derived = root_id is not None
             if derived and self._holds:
                 g = self.store.live.get(root_id)
@@ -469,9 +469,11 @@ class Engine:
             return ticket
 
         # immediate repeats bypass queues and busy exclusivity
-        if kind == "input" and self._is_repeat(ev):
-            self._deliver(ticket, as_repeat=True)
-            return ticket
+        if kind == "input":
+            ticket.root_id = self._repeat_root(ev)
+            if ticket.root_id is not None:
+                self._deliver(ticket)
+                return ticket
 
         state = self._program(ev.program_id if kind == "input" else ev.dst)
         try:
@@ -489,7 +491,7 @@ class Engine:
         # anything, but enters the heap only if the ticket is held
         self._occ_seq += 1
         deadline_seq = self._occ_seq
-        self._try_dispatch(state)
+        self._try_dispatch(state, asked=ticket)
         if ticket.status == QUEUED:
             self._push(ticket.deadline + 1, "deadline", ticket, deadline_seq)
             if self._trace is not None:
@@ -506,29 +508,32 @@ class Engine:
                 return queue[0]
         return None
 
-    def _is_repeat(self, ev: InputEvent) -> bool:
-        """Whether an input has the key of the live root its program received.
+    def _repeat_root(self, ev: InputEvent) -> str | None:
+        """The live root an input repeats: the one its program received, if it has the input's key.
 
         Asked at admission too, where a repeat bypasses queues and busy exclusivity.
         """
         # the root a program received has that program as its receiver
         received = self.store.live_received_root(ev.program_id, self.now)
-        return received is not None and self.store.live[received].root.widget_id == ev.widget_id
+        if received is not None and self.store.live[received].root.widget_id == ev.widget_id:
+            return received
+        return None
 
-    def _gate(self, ticket: Ticket) -> str:
+    def _gate(self, ticket: Ticket, asked: bool) -> str:
         """Delivery verdict for the head-of-queue ticket of an idle program.
 
-        `deliver`, `deliver_repeat` (see `_is_repeat`), `blocked`, or the
-        reason the ticket is dropped: `hold_deadline`, `root_expired` or
-        `merge_rejected`.
+        `deliver`, `blocked`, or the reason the ticket is dropped:
+        `hold_deadline`, `root_expired` or `merge_rejected`. An input is
+        delivered as a repeat when `ticket.root_id` is set (`_repeat_root`);
+        with `asked`, it already holds the answer for this instant.
         """
         if self.now > ticket.deadline:
             return "hold_deadline"  # bounded delay: never delivered late, even if just unblocked
         ev = ticket.event
         if ticket.kind == "input":
-            if self._is_repeat(ev):
-                return "deliver_repeat"
-            if self.store.live_memberships(ev.program_id, self.now):
+            if not asked:
+                ticket.root_id = self._repeat_root(ev)
+            if ticket.root_id is None and self.store.live_memberships(ev.program_id, self.now):
                 return "blocked"
             return "deliver"
         if ticket.derived:
@@ -542,17 +547,22 @@ class Engine:
             return "root_expired"  # ATTACH_STALE
         return "deliver"
 
-    def _try_dispatch(self, state: ProgramState) -> None:
+    def _try_dispatch(self, state: ProgramState, asked: Ticket | None = None) -> None:
+        """Deliver or drop head tickets until the program is busy or its head is blocked.
+
+        `asked` is the input `_admit` has just queued after asking `_repeat_root`.
+        The answer holds when the loop reaches it, since the loop records no
+        input before it: delivering one leaves the program busy."""
         while state.program_id not in self._busy_exec:
             ticket = self._next_ticket(state)
             if ticket is None:
                 break
-            verdict = self._gate(ticket)
+            verdict = self._gate(ticket, ticket is asked)
             if verdict == "blocked":
                 break  # strict priority: never skip past a blocked high head
             (state.high if state.high and state.high[0] is ticket else state.low).popleft()
-            if verdict == "deliver" or verdict == "deliver_repeat":
-                self._deliver(ticket, as_repeat=(verdict == "deliver_repeat"))
+            if verdict == "deliver":
+                self._deliver(ticket)
             elif verdict == "merge_rejected":
                 ticket.status = REJECTED
                 if self._trace is not None:
@@ -570,7 +580,7 @@ class Engine:
 
     # -- delivery ------------------------------------------------------------------------
 
-    def _deliver(self, ticket: Ticket, as_repeat: bool = False) -> None:
+    def _deliver(self, ticket: Ticket) -> None:
         ev = ticket.event
         ticket.status = DELIVERED
         ticket.deliver_t = self.now
@@ -580,28 +590,28 @@ class Engine:
             self._emit(_deliver_line, ev.event_id, target, ticket.delay, ticket.kind)
 
         if ticket.kind == "input":
-            self._deliver_input(ticket, ev, ticket.phase, as_repeat)
+            self._deliver_input(ev, ticket.phase, ticket.root_id)
         else:
             self._deliver_handoff(ticket, ev, ticket.phase)
 
-    def _deliver_input(self, ticket: Ticket, ev: InputEvent, phase: str, as_repeat: bool) -> None:
-        root_id = None
+    def _deliver_input(self, ev: InputEvent, phase: str, repeat_root: str | None) -> None:
+        """Deliver an input: a fresh one roots a graph, a repeat joins `repeat_root`."""
+        root_id = repeat_root
         if self._graphs:
-            if as_repeat:
-                root_id = self.store.live_received_root(ev.program_id, self.now)
-                self.store.record_repeat_input(root_id, ev)
+            if repeat_root is not None:
+                self.store.record_repeat_input(repeat_root, ev)
             else:
                 root_id = self.store.record_input(ev, delivered_at=self.now)
                 self._root_phase[root_id] = phase
                 self._push(self.store.live[root_id].deadline + 1, "root_expiry", root_id)
-        occupies_busy = not as_repeat or ev.program_id not in self._busy_exec
+        occupies_busy = repeat_root is None or ev.program_id not in self._busy_exec
         self._run_handler(ev.program_id, "widget", ev.widget_id, ev, True, root_id, phase, occupies_busy)
 
     def _deliver_handoff(self, ticket: Ticket, ev: HandoffEvent, phase: str) -> None:
         root_id = ticket.root_id
         if self._graphs and ticket.derived:
             try:
-                self.store.record_handoff(ev, root_override=root_id, delivered_at=self.now)
+                self.store.record_handoff(ev, delivered_at=self.now)
                 outcome = "attached"
             except AmbiguousAttribution:
                 outcome = "merge_rejected"
@@ -661,7 +671,7 @@ class Engine:
                 action=action.label,
             )
             try:
-                self._admit(ev, phase=exec_.phase, derived_root=ev.provenance)
+                self._admit(ev, phase=exec_.phase)
             except Backpressure:
                 pass  # rejection already recorded
         elif isinstance(action, EmitRequest):

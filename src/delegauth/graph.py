@@ -20,6 +20,9 @@ the engine asks only for roots whose new paths go into a prompt, because the
 snapshot is what their cache entries keep. A reused event id is caught only
 for a live root or a live graph's request. The engine mints every id of a
 scenario run; only direct `Engine.submit` or `GraphStore` callers can reuse one.
+
+The store does not check events against the registry: `Engine._admit` checks
+each event once, before any of them reaches the store.
 """
 
 from __future__ import annotations
@@ -170,19 +173,12 @@ ATTACH_CONFLICT = "conflict"  # target belongs to a different live graph
 ATTACH_STALE = "stale"  # root no longer live
 
 
-@dataclass
-class ExpiryStats:
-    sealed: int
-    live: int
-    evicted_total: int
-
-
 class GraphStore:
     """Holds all live graphs, membership indexes, and the snapshots kept at sealing.
 
-    `sealed` maps a root to the serialized graph taken when it sealed, for
-    the roots sealed with `snapshot=True` only (the default of `expire_graph`
-    and `expire_due`). `expired_deadline` maps a program to the earliest
+    Roots seal one way, through `expire_graph`. `sealed` maps a root sealed
+    with `snapshot=True` (the default) to the serialized graph taken as it
+    sealed. `expired_deadline` maps a program to the earliest
     deadline of any sealed root that contained it. `live` and `_request_index`
     are the only state keyed by event id, and the scope of `DuplicateEvent`.
     """
@@ -198,7 +194,6 @@ class GraphStore:
         self.membership: dict[str, set[str]] = {}  # program -> live root ids
         self.received_root: dict[str, str] = {}  # program -> live root it received
         self._request_index: dict[str, tuple[str, OperationRequest]] = {}  # event_id -> (root, r), live roots only
-        self.eviction_count = 0
 
     # -- queries used by the scheduler ------------------------------------
 
@@ -245,7 +240,6 @@ class GraphStore:
         The window runs from the event's own timestamp (when the user acted);
         reachability starts at delivery.
         """
-        self.registry.validate_event(i)
         if i.event_id in self.live:
             raise DuplicateEvent(f"input {i.event_id!r} already roots a live graph")
         g = _LiveGraph(root=i, deadline=i.t + self.window_ms)
@@ -259,7 +253,6 @@ class GraphStore:
 
     def record_repeat_input(self, root_id: str, i: InputEvent) -> None:
         """Attach a same-key repeat instance to an existing live root."""
-        self.registry.validate_event(i)
         g = self.live.get(root_id)
         if g is None or not g.live_at(i.t):
             raise UnattributableHandoff(f"repeat input {i.event_id} names dead root {root_id}")
@@ -267,18 +260,13 @@ class GraphStore:
             raise InvariantViolation("repeat input key does not match root")
         g.input_instances.append(i)
 
-    def record_handoff(
-        self, h: HandoffEvent, root_override: str | None = None, delivered_at: int | None = None
-    ) -> str:
+    def record_handoff(self, h: HandoffEvent, delivered_at: int | None = None) -> str:
         """Attach a handoff to its provenance root; returns the root id."""
-        self.registry.validate_event(h)
-        root_id = root_override if root_override is not None else h.provenance
+        root_id = h.provenance
         now = h.t if delivered_at is None else delivered_at
-        if root_id is None:
-            raise UnattributableHandoff(f"handoff {h.event_id} carries no provenance")
         g = self.live.get(root_id)
-        if g is None or not g.live_at(now):
-            raise UnattributableHandoff(f"handoff {h.event_id} provenance {root_id} is not live")
+        if g is None or not g.live_at(now):  # also a handoff with no provenance
+            raise UnattributableHandoff(f"handoff {h.event_id} provenance {root_id!r} is not live")
         src_join = g.join_t.get(h.src)
         if src_join is None or src_join >= h.t:
             raise BrokenChain(f"handoff {h.event_id}: source {h.src} not reachable before t={h.t}")
@@ -297,7 +285,6 @@ class GraphStore:
 
     def record_request(self, r: OperationRequest) -> str:
         """Attribute a request to the unique live root reaching the requester."""
-        self.registry.validate_event(r)
         if r.event_id in self._request_index:
             raise DuplicateEvent(f"request {r.event_id!r} already recorded in a live graph")
         roots = self.live_roots_reaching(r.program_id, r.t)
@@ -361,17 +348,6 @@ class GraphStore:
         g = self.live.get(root_id)
         if g is None or g.live_at(now):
             return False
-        self._seal(root_id, g, snapshot)
-        return True
-
-    def expire_due(self, now: int) -> ExpiryStats:
-        """Seal every root whose window has passed, each with a snapshot."""
-        due = [rid for rid, g in self.live.items() if not g.live_at(now)]
-        for rid in due:
-            self._seal(rid, self.live[rid], snapshot=True)
-        return ExpiryStats(sealed=len(due), live=len(self.live), evicted_total=self.eviction_count)
-
-    def _seal(self, root_id: str, g: _LiveGraph, snapshot: bool) -> None:
         if snapshot:
             self.sealed[root_id] = self.serialize_graph(root_id)
         for pid in g.join_t:
@@ -388,7 +364,7 @@ class GraphStore:
             for r in requests:
                 del self._request_index[r.event_id]
         del self.live[root_id]
-        self.eviction_count += 1
+        return True
 
     def serialize_graph(self, root_id: str) -> bytes:
         g = self.live.get(root_id)

@@ -10,7 +10,8 @@ The table below (`_RECORDS`, with `_ONCE` and the two headers) is the one
 definition of both formats. Each record is checked against it once, before
 anything reads it; one that does not fit raises `ParseError` naming its line,
 kind and key. `EngineConfig` checks a config record's values,
-`parse_policy_rules` a policy's rules, and `_validate` what needs the registry.
+`parse_policy_rules` a policy's rules, and `Scenario.build` and `_validate`,
+on the one registry that build makes, what needs the registry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from .auth import parse_policy_rules
 from .engine import EngineConfig, Mode, _dump_line
-from .errors import InvariantViolation, ParseError, TraceTruncated, UnknownWidget, UnresolvedReference
+from .errors import DelegauthError, InvariantViolation, ParseError, TraceTruncated, UnknownWidget, UnresolvedReference
 from .model import Registry, WidgetKind
 from .scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable
 
@@ -152,14 +153,14 @@ _TRACE_HEADER = _object(
 )
 
 
-def _check(lineno: int, kind: str, check, *args) -> None:
-    """Run `check(*args)`, a spec or another module's check, on a record; a failure names its line."""
+def _check(lineno: int | None, kind: str, check, *args):
+    """Return `check(*args)`, a spec or another module's check, run on a record; a failure names its line."""
     try:
-        check(*args)
+        return check(*args)
     except _Bad as bad:
         where = f"{bad.path!r} " if bad.path else ""
         raise ParseError(f"{kind} record: {where}{bad}", line=lineno) from None
-    except InvariantViolation as exc:
+    except DelegauthError as exc:  # a typed error of the check, such as `InvariantViolation`
         raise ParseError(f"{kind} record: {exc}", line=lineno) from None
 
 
@@ -191,20 +192,23 @@ class Scenario:
         return EngineConfig(mode=mode, **settings)
 
     def build(self) -> tuple[Registry, HandlerTable, dict[str, str]]:
-        """Fresh registry + handler table; returns (registry, handlers, name->id)."""
+        """Fresh registry + handler table; returns (registry, handlers, name->id).
+
+        A record the registry refuses raises `ParseError`, naming its line during `loads_scenario`.
+        """
         registry = Registry()
         name_to_id: dict[str, str] = {}
         for p in self.programs:
-            prog = registry.register_program(p["name"], p["mark"], p.get("display"))
+            prog = _check(p.get("_line"), "program", registry.register_program, p["name"], p["mark"], p.get("display"))
             name_to_id[p["name"]] = prog.id
         for w in self.widgets:
-            registry.register_widget(w["label"], WidgetKind(w.get("input", "voice")), w.get("aliases", ()))
+            _check(w.get("_line"), "widget", registry.register_widget,
+                   w["label"], WidgetKind(w.get("input", "voice")), w.get("aliases", ()))
         for s in self.sensors:
-            registry.register_sensor(s["id"], s.get("phrase", ""))
+            _check(s.get("_line"), "sensor", registry.register_sensor, s["id"], s.get("phrase", ""))
         for o in self.operations:
-            registry.register_operation(
-                o["op"], o["sensors"], o["phrase"], o.get("first_use_phrase")
-            )
+            _check(o.get("_line"), "operation", registry.register_operation,
+                   o["op"], o["sensors"], o["phrase"], o.get("first_use_phrase"))
         table = HandlerTable()
         for h in self.handlers:
             table.add(self._build_handler(h, registry, name_to_id))
@@ -215,16 +219,19 @@ class Scenario:
         [(trigger_kind, trigger_value)] = h["on"].items()
         if trigger_kind == "widget":
             trigger_value = _widget_id(registry, trigger_value, line)
+        program_id = _program_id(name_to_id, h["program"], line)
         actions = []
         for a in h["actions"]:
             if "handoff" in a:
                 to = _program_id(name_to_id, a["handoff"], line)
+                if to == program_id:
+                    raise ParseError(f"handler record: a handoff from {h['program']!r} to itself", line=line)
                 actions.append(EmitHandoff(to=to, after_ms=a["after"], label=a.get("label")))
             elif "request" in a:
+                _compatible(registry, *a["request"], line)
                 actions.append(EmitRequest(*a["request"], after_ms=a["after"]))
             else:
                 complete = Complete(after_ms=a["complete"])
-        program_id = _program_id(name_to_id, h["program"], line)
         return HandlerSpec(program_id, trigger_kind, trigger_value, tuple(actions), complete)
 
     # -- serialization ---------------------------------------------------------
@@ -358,17 +365,19 @@ def _validate(scn: Scenario) -> None:
         for key in ("program", "src", "dst"):
             if key in e:
                 _program_id(name_to_id, e[key], line)
-        if e["kind"] == "handoff" and e["provenance"] is not None and e["provenance"] not in labels:
-            raise UnresolvedReference(f"provenance {e['provenance']!r} does not name an earlier event id", line=line)
-        if e["kind"] == "request" and not registry.compatible(e["op"], e["sensor"]):
-            raise UnresolvedReference(f"incompatible op/sensor ({e['op']!r}, {e['sensor']!r})", line=line)
+        if e["kind"] == "handoff":
+            if e["src"] == e["dst"]:
+                raise ParseError(f"event record: a handoff from {e['src']!r} to itself", line=line)
+            if e["provenance"] is not None and e["provenance"] not in labels:
+                raise UnresolvedReference(f"provenance {e['provenance']!r} does not name an earlier event id", line=line)
+        if e["kind"] == "request":
+            _compatible(registry, e["op"], e["sensor"], line)
         if e.get("label"):
             labels.add(e["label"])
 
     for a in scn.attacks:
         _program_id(name_to_id, a["program"], a["_line"])
-        if not registry.compatible(a["op"], a["sensor"]):
-            raise UnresolvedReference("incompatible op/sensor in attack", line=a["_line"])
+        _compatible(registry, a["op"], a["sensor"], a["_line"])
     attack_names = {a["name"] for a in scn.attacks}
     for x in scn.expects:
         for name in x.get("attack", {}):
@@ -387,6 +396,11 @@ def _program_id(name_to_id: dict[str, str], name: str, line: int | None) -> str:
     if name not in name_to_id:
         raise UnresolvedReference(f"unknown program {name!r}", line=line)
     return name_to_id[name]
+
+
+def _compatible(registry: Registry, op: str, sensor: str, line: int | None) -> None:
+    if not registry.compatible(op, sensor):
+        raise UnresolvedReference(f"incompatible op/sensor ({op!r}, {sensor!r})", line=line)
 
 
 # -- traces ---------------------------------------------------------------------

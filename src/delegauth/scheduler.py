@@ -97,7 +97,7 @@ class Ticket:
     kind: str
     priority: str
     derived: bool
-    root_id: str | None  # provenance root for derived events
+    root_id: str | None  # provenance root of a derived event; for an input, the live root it repeats
     deadline: int  # last instant the event may still be delivered
     status: str = QUEUED
     deliver_t: int | None = None

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,9 @@ from delegauth.auth import (
 from delegauth.errors import CorruptCache, InvariantViolation, MixedRoots
 from delegauth.graph import DelegationPath, InputKey, PathKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
+from delegauth.runner import run_scenario
+from delegauth.scenario import load_scenario
+from conftest import scenario_path
 
 
 def key(widget="go", programs=("P1", "P2"), op="capture_picture", sensor="Camera") -> PathKey:
@@ -30,7 +35,7 @@ def test_store_and_lookup():
     assert cache.lookup(k) is None
     cache.store_allow(k, b"blob")
     assert cache.lookup(k) == "allow"
-    assert cache.entries[k.input_key].authorized == [k]
+    assert cache.entries[k.input_key].decisions == {k: "allow"}
 
 
 def test_invalidate_unknown_key_returns_zero():
@@ -53,13 +58,17 @@ def test_supersession_evicts_conflicting_chain_variant():
     assert cache.lookup(other_sensor) == "allow"
 
 
-def test_version_bumps_on_every_mutation():
+def test_a_denial_replaces_an_allow():
     cache = AuthorizationCache()
-    v0 = cache.version
-    cache.store_allow(key(), b"")
-    v1 = cache.version
-    cache.invalidate(key().input_key)
-    assert v0 < v1 < cache.version
+    k = key()
+    cache.store_allow(k, b"g1")
+    cache.store_deny(k)
+    assert cache.lookup(k) == "deny"
+    # a cached denial is no authorized path: a chain variant supersedes nothing
+    assert cache.invalidate_conflicting(key(programs=("P1", "P3", "P2"))) == 0
+    assert cache.lookup(k) == "deny"
+    [(meta, _blob)] = _export_entries(cache.export())
+    assert meta["authorized"] == []
 
 
 def test_export_import_round_trip_bit_exact():
@@ -72,6 +81,64 @@ def test_export_import_round_trip_bit_exact():
     other.import_(blob)
     assert other.export() == blob
     assert other.lookup(key()) == "allow"
+
+
+def _export_entries(blob: bytes) -> list[tuple[dict, bytes]]:
+    """The (meta, graph blob) records of an export, read with the format's length prefixes."""
+    count, pos, out = int.from_bytes(blob[4:8], "big"), 8, []
+    for _ in range(count):
+        mlen = int.from_bytes(blob[pos : pos + 4], "big")
+        meta = json.loads(blob[pos + 4 : pos + 4 + mlen])
+        pos += 4 + mlen
+        blen = int.from_bytes(blob[pos : pos + 4], "big")
+        out.append((meta, blob[pos + 4 : pos + 4 + blen]))
+        pos += 4 + blen
+    return out
+
+
+def _export_of(entries: list[tuple[dict, bytes]]) -> bytes:
+    chunks = [b"DAC1", len(entries).to_bytes(4, "big")]
+    for meta, graph in entries:
+        text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+        chunks += [len(text).to_bytes(4, "big"), text, len(graph).to_bytes(4, "big"), graph]
+    return b"".join(chunks)
+
+
+def test_import_rejects_authorized_paths_that_disagree_with_the_decisions():
+    cache = AuthorizationCache()
+    cache.store_allow(key(), b"g1")
+    cache.store_allow(key(op="record_audio", sensor="Microphone"), b"g1")
+    blob = cache.export()
+    assert _export_of(_export_entries(blob)) == blob
+    [(meta, graph)] = _export_entries(blob)
+    for authorized in ([], meta["authorized"][:1], meta["authorized"][::-1],
+                       meta["authorized"] + [key(programs=("P1", "P3")).to_dict()]):
+        with pytest.raises(CorruptCache):
+            AuthorizationCache().import_(_export_of([({**meta, "authorized": authorized}, graph)]))
+
+
+@pytest.mark.parametrize("task", ["task_a", "task_b", "task_c"])
+def test_export_import_export_is_byte_identical_after_a_run(task):
+    _report, engine = run_scenario(load_scenario(scenario_path(task)), policy_rules=["allow * * * *"])
+    blob = engine.cache.export()
+    assert any(meta["authorized"] for meta, _graph in _export_entries(blob))
+    other = AuthorizationCache()
+    other.import_(blob)
+    assert other.export() == blob
+    assert other.footprint() == engine.cache.footprint()
+
+
+def test_invalidate_counts_authorized_paths_and_checks_the_snapshot():
+    cache = AuthorizationCache()
+    cache.store_allow(key(), b"g1")
+    cache.store_allow(key(op="record_audio", sensor="Microphone"), b"g1")
+    cache.store_deny(key(op="read_location", sensor="GpsReceiver"))
+    assert cache.invalidate(key().input_key) == 2
+    assert cache.entries == {}
+    cache.store_allow(key(), b"g1")
+    cache.entries[key().input_key].graph_blob = b"g2"  # a snapshot changed after its checksum
+    with pytest.raises(CorruptCache):
+        cache.invalidate(key().input_key)
 
 
 def test_import_rejects_corrupt_blobs():
@@ -98,14 +165,6 @@ def test_footprint_empty_and_monotone():
         sizes.append(cache.footprint()["total"])
     assert sizes == sorted(sizes)
     assert all(b < a for a, b in zip(sizes[1:], sizes))  # strictly growing
-
-
-def test_eviction_copies_entry_to_audit_log():
-    cache = AuthorizationCache()
-    cache.store_allow(key(), b"audit-me")
-    cache.invalidate(key().input_key)
-    assert len(cache.audit_log) == 1
-    assert b"audit-me" in cache.audit_log[0]
 
 
 # -- policies -----------------------------------------------------------------------

@@ -65,6 +65,10 @@ MODE = '{"kind":"mode","mode":"delegation"}'
 MAIN_POLICY = '{"kind":"policy","phase":"main","rules":["deny * * * *"]}'
 MAIN_INPUT = '"widget":"create a note","program":"Smart Assistant"}'
 NOTE_WIDGET = '"label":"create a note","input":"voice"'
+NOTES = '{"kind":"program","name":"Notes","mark":"NO","display":"the Notes app"}'
+SENSOR = '{"kind":"sensor","id":"Screen","phrase":"content on the screen"}'
+OPERATION = ('{"kind":"operation","op":"capture_screen","sensors":["Screen"],"phrase":"capture",'
+             '"first_use_phrase":"capture the content on the screen"}')
 
 
 @pytest.mark.parametrize(
@@ -118,6 +122,18 @@ NOTE_WIDGET = '"label":"create a note","input":"voice"'
         pytest.param('"sensor":"Screen"}', '"sensor":"Screen","bogus":1}', id="unknown-key-in-attack"),
         pytest.param('"mode":"delegation","preliminary_prompts"', '"mode":"delegation","x":1,"preliminary_prompts"',
                      id="unknown-key-in-expect"),
+        pytest.param('"request":["capture_screen","Screen"]', '"request":["capture_screen","Camera"]',
+                     id="handler-request-incompatible"),
+        pytest.param('"actions":[{"complete":4}]', '"actions":[{"handoff":"Notes","after":1},{"complete":4}]',
+                     id="handler-handoff-to-itself"),
+        pytest.param(MAIN_INPUT + "}", MAIN_INPUT + '}\n{"kind":"event","phase":"main","t":1500,'
+                     '"handoff":{"from":"Notes","to":"Notes"}}', id="event-handoff-to-itself"),
+        pytest.param(NOTES, NOTES + "\n" + NOTES, id="second-program"),
+        pytest.param('"label":"take a screenshot","input":"voice"',
+                     '"label":"take a screenshot","input":"voice","aliases":["Create  a Note"]', id="alias-collision"),
+        pytest.param('"name":"Notes","mark":"NO"', '"name":"","mark":"NO"', id="program-name-empty"),
+        pytest.param(SENSOR, SENSOR + "\n" + SENSOR, id="second-sensor"),
+        pytest.param(OPERATION, OPERATION + "\n" + OPERATION, id="second-operation"),
     ],
 )
 def test_malformed_record_is_a_validation_error_naming_its_line(tmp_path, capsys, old, new):

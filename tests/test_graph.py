@@ -59,7 +59,7 @@ def test_duplicate_ids_are_checked_among_live_graphs_only(basic_registry):
     store.record_request(OperationRequest("r1", pid, "capture_picture", "Camera", 5))
     with pytest.raises(DuplicateEvent):
         store.record_request(OperationRequest("r1", pid, "capture_picture", "Camera", 6))
-    store.expire_due(WINDOW + 1)
+    assert store.expire_graph("i1", WINDOW + 1)
     # the store keeps no id of a sealed root: its id may root a new graph
     assert store.record_input(InputEvent("i1", wid, pid, WINDOW + 2)) == "i1"
     assert store.live["i1"].root.t == WINDOW + 2
@@ -95,7 +95,7 @@ def test_handoff_without_live_provenance_is_unattributable(basic_registry):
     with pytest.raises(UnattributableHandoff):
         store.record_handoff(HandoffEvent("h0", a, b, 5, provenance=None))
     store.record_input(InputEvent("i1", wid, a, 0))
-    store.expire_due(WINDOW + 1)
+    assert store.expire_graph("i1", WINDOW + 1)
     with pytest.raises(UnattributableHandoff):
         store.record_handoff(HandoffEvent("h1", a, b, WINDOW + 2, provenance="i1"))
 
@@ -167,7 +167,7 @@ def test_request_after_expiry_flags_expired(basic_registry):
     a = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     store.record_input(InputEvent("i1", wid, a, 0))
-    store.expire_due(WINDOW + 1)
+    assert store.expire_graph("i1", WINDOW + 1)
     with pytest.raises(NoAttributableInput) as exc:
         store.record_request(OperationRequest("r1", a, "capture_picture", "Camera", WINDOW + 5))
     assert exc.value.expired
@@ -183,7 +183,8 @@ def test_sealing_drops_the_roots_requests_from_the_index(basic_registry):
     live = OperationRequest("r2", b, "capture_picture", "Camera", 104)
     store.record_request(sealed)
     store.record_request(live)
-    store.expire_due(WINDOW + 1)  # seals i1 only
+    assert store.expire_graph("i1", WINDOW + 1)
+    assert not store.expire_graph("i2", WINDOW + 1)  # still live
     assert set(store.live) == {"i2"}
     assert {root for root, _ in store._request_index.values()} == {"i2"}
     assert store.compute_path(live).input.event_id == "i2"
@@ -282,11 +283,14 @@ def test_thousand_roots_expire_and_evict(basic_registry):
     a = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     for i in range(1000):
-        store.record_input(InputEvent(f"i{i}", wid, a, i))
-    stats = store.expire_due(1000 + WINDOW + 1)
-    assert stats.sealed == 1000
-    assert stats.live == 0
-    assert stats.evicted_total == 1000
+        t = i * (WINDOW + 1)  # each root's window has closed when the next one opens
+        store.record_input(InputEvent(f"i{i}", wid, a, t))
+        store.record_request(OperationRequest(f"r{i}", a, "capture_picture", "Camera", t + 1))
+    assert all(store.expire_graph(f"i{i}", 1000 * (WINDOW + 1)) for i in range(1000))
+    assert len(store.sealed) == 1000
+    # nothing live is left: no graph, membership, received root or request
+    assert store.live == {} and store.membership == {} and store.received_root == {}
+    assert store._request_index == {}
 
 
 def test_serialized_sealed_graph_survives_eviction(basic_registry):
@@ -295,7 +299,7 @@ def test_serialized_sealed_graph_survives_eviction(basic_registry):
     wid = basic_registry.resolve_widget("do the thing").id
     store.record_input(InputEvent("i1", wid, a, 0))
     live_blob = store.serialize_graph("i1")
-    store.expire_due(WINDOW + 1)
+    assert store.expire_graph("i1", WINDOW + 1)
     assert store.serialize_graph("i1") == live_blob
 
 

@@ -1,0 +1,48 @@
+"""The package names the benchmark under `perfbench/` wraps or reads.
+
+`perfbench/spans.py` swaps engine, store, cache and registry methods for
+timing wrappers by name, and `perfbench/metrics.py` reads the store's sealed
+snapshots and the cache's footprint once a run ends. A renamed or deleted
+method breaks those runs only when the benchmark runs with spans; this test
+runs the same wrapping on a short workload. It only imports from
+`perfbench/`, without writing bytecode there.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+import time
+from pathlib import Path
+
+from delegauth.runner import _schedule_timeline, build_engine
+from delegauth.workload import WorkloadParams, generate_workload
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_spans_wrap_and_metrics_read_a_short_run(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans_module = importlib.import_module("spans")
+    metrics = importlib.import_module("metrics")
+
+    scn = generate_workload(WorkloadParams(n_inputs=300))
+    engine, name_to_id = build_engine(scn)
+    _schedule_timeline(engine, scn, name_to_id)
+    spans = spans_module.Spans()
+    with spans_module.instrument(engine, spans):
+        begin = time.perf_counter_ns()
+        engine.run_to_quiescence()
+        faults = spans.check(begin, time.perf_counter_ns())
+    assert faults == []
+
+    totals, _top_ns = spans.totals()
+    calls = {name: n for name, (n, _self_ns) in totals.items()}
+    for name in ("graph.record_input", "graph.record_request", "graph.expire_graph", "auth.cache.lookup",
+                 "model.validate_event"):
+        assert calls[name] > 0, name
+    assert engine.store.sealed  # some roots prompted, so their snapshots were kept
+    facts = metrics.layer_facts(engine, calls)
+    assert facts["auth.cache.footprint_bytes"][0] == engine.cache.footprint()["total"] > 0
+    assert facts["graph.sealed_bytes"][0] > 0
