@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
 from .errors import CorruptCache, InvariantViolation, MixedRoots
-from .graph import DelegationPath, InputKey, PathKey
+from .graph import InputKey, PathKey
 from .model import Registry, WidgetKind
 
 _EXPORT_MAGIC = b"DAC1"
@@ -80,33 +80,30 @@ def _join_phrases(phrases: list[str]) -> str:
     return ", ".join(phrases[:-1]) + f", and {phrases[-1]}"
 
 
-def render_prompt(paths: list[DelegationPath], registry: Registry) -> str:
-    """Natural-language authorization message for paths sharing one root input.
+def render_prompt(keys: list[PathKey], registry: Registry) -> str:
+    """Natural-language authorization message for path keys sharing one root input.
 
-    Paths with identical program chains aggregate their request phrases;
+    Keys with identical program chains aggregate their request phrases;
     distinct chains become ". Also, allow ..." clauses starting at the point
     where the chain diverges from the previously rendered one.
     """
-    if not paths:
+    if not keys:
         raise InvariantViolation("render_prompt requires at least one path")
-    root = paths[0].input
-    for p in paths[1:]:
-        # repeats of the same interaction share the logical root even though
-        # their input instances differ
-        if (p.input.widget_id, p.input.program_id) != (root.widget_id, root.program_id):
-            raise MixedRoots("paths do not share a single root input event")
+    root = keys[0].input_key
+    # repeats of the same interaction share the input key, not the input instance
+    if any(k.input_key != root for k in keys[1:]):
+        raise MixedRoots("paths do not share a single root input event")
 
     widget = registry.widget(root.widget_id)
     kind_phrase = "voice command" if widget.kind == WidgetKind.VOICE else "tap on"
 
     # group by program chain, preserving first-arrival order
     groups: dict[tuple[str, ...], list[str]] = {}
-    for p in paths:
-        chain = (p.input.program_id,) + tuple(h.dst for h in p.handoffs)
-        phrase = registry.request_phrase(p.request.op, p.request.sensor)
-        groups.setdefault(chain, [])
-        if phrase not in groups[chain]:
-            groups[chain].append(phrase)
+    for k in keys:
+        phrase = registry.request_phrase(k.op, k.sensor)
+        phrases = groups.setdefault(k.programs, [])
+        if phrase not in phrases:
+            phrases.append(phrase)
 
     clauses: list[str] = []
     prev_chain: tuple[str, ...] | None = None
@@ -137,11 +134,11 @@ def render_first_use_prompt(program_id: str, op: str, registry: Registry) -> str
     return f"Allow {program.name} to {registry.operation(op).first_use_phrase}?"
 
 
-def prompt_marks(paths: list[DelegationPath], registry: Registry) -> list[list[str]]:
-    """(name, identity mark) pairs for every program named by the paths."""
+def prompt_marks(keys: list[PathKey], registry: Registry) -> list[list[str]]:
+    """(name, identity mark) pairs for every program named by the keys."""
     seen: dict[str, str] = {}
-    for p in paths:
-        for pid in (p.input.program_id,) + tuple(h.dst for h in p.handoffs):
+    for k in keys:
+        for pid in k.programs:
             prog = registry.program(pid)
             seen.setdefault(prog.name, prog.identity_mark)
     return [[name, mark] for name, mark in seen.items()]
@@ -192,9 +189,10 @@ def parse_policy_rules(lines: list[str]) -> list[PolicyRule]:
 
 
 class ScriptedPolicy:
-    """Simulated user: answers prompts by matching PathKeys against ordered rules."""
+    """Simulated user: answers prompts by matching PathKeys against ordered rules.
 
-    interactive = False
+    A first-use prompt asks about the key `PathKey("*", (program,), op, sensor)`.
+    """
 
     def __init__(self, rules: list[str]):
         self.rules = parse_policy_rules(rules)
@@ -210,38 +208,22 @@ class ScriptedPolicy:
                 return rule.allow
         raise InvariantViolation("policy rules are not total")  # unreachable: default required
 
-    def authorize_paths(self, paths: list[DelegationPath], text: str, registry: Registry) -> bool:
+    def authorize_paths(self, keys: list[PathKey], text: str, registry: Registry) -> bool:
         # one modal answer per aggregated prompt: yes only if every path passes
-        return all(self._decide_key(p.key(), registry) for p in paths)
-
-    def authorize_first_use(self, program_id: str, op: str, sensor: str, text: str, registry: Registry) -> bool:
-        chain = registry.program(program_id).name
-        for rule in self.rules:
-            if rule.matches("*", chain, op, sensor) or rule.is_default:
-                return rule.allow
-        raise InvariantViolation("policy rules are not total")
+        return all(self._decide_key(k, registry) for k in keys)
 
 
 class InteractivePrompt:
     """Blocking y/n prompt on stdio; the paper's modal dialog."""
 
-    interactive = True
-
     def __init__(self, stdin=None, stdout=None):
         self._stdin = stdin or sys.stdin
         self._stdout = stdout or sys.stdout
 
-    def _ask(self, text: str) -> bool:
+    def authorize_paths(self, keys: list[PathKey], text: str, registry: Registry) -> bool:
         self._stdout.write(text + " [y/n] ")
         self._stdout.flush()
-        answer = self._stdin.readline().strip().lower()
-        return answer in ("y", "yes")
-
-    def authorize_paths(self, paths, text: str, registry: Registry) -> bool:
-        return self._ask(text)
-
-    def authorize_first_use(self, program_id: str, op: str, sensor: str, text: str, registry: Registry) -> bool:
-        return self._ask(text)
+        return self._stdin.readline().strip().lower() in ("y", "yes")
 
 
 # -- authorization cache ---------------------------------------------------------------

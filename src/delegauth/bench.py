@@ -127,7 +127,7 @@ def graph_construction(max_handoffs: int = 10, inner: int = 20, runs: int = 100)
 
     def chain_batch(k: int):
         def build_chains():
-            store = GraphStore(registry, window_ms=150)
+            store = GraphStore(window_ms=150)
             record_input = store.record_input
             record_handoff = store.record_handoff
             record_request = store.record_request

@@ -68,7 +68,6 @@ from .graph import (
     ATTACH_NEW,
     ATTACH_REPEAT,
     ATTACH_STALE,
-    DelegationPath,
     GraphStore,
     PathKey,
 )
@@ -236,10 +235,9 @@ class _HandlerExec:
 
 @dataclass
 class _Pending:
-    """New paths of one root awaiting the aggregated prompt at window close."""
+    """Requests on new paths of one root, awaiting the aggregated prompt at window close."""
 
-    paths: dict = field(default_factory=dict)  # PathKey -> DelegationPath
-    instances: dict = field(default_factory=dict)  # PathKey -> [OperationRequest]
+    requests: dict = field(default_factory=dict)  # PathKey -> [OperationRequest]
     phase: str = "main"
 
 
@@ -261,7 +259,7 @@ class Engine:
         self.authorizers = authorizers or {}
         self.cache = cache or AuthorizationCache()
         self.first_use: set[tuple[str, str, str]] = set()  # (program, op, sensor) granted in FIRST_USE
-        self.store = GraphStore(registry, self.config.window_ms)
+        self.store = GraphStore(self.config.window_ms)
         self.stats = DelayStats()
 
         mode = self.config.mode
@@ -749,37 +747,25 @@ class Engine:
             reason = EXPIRED if exc.expired else NO_ATTRIBUTION
             if self._trace is not None:
                 self._emit(_request_line, r.event_id, reason)
-            self._decide(
-                Decision(DENIED, reason, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase)
-            )
+            self._decide(DENIED, reason, r, phase)
             return
         except AmbiguousAttribution:
             self.ambiguous_requests += 1
             if self._trace is not None:
                 self._emit(_request_line, r.event_id, "ambiguous")
-            self._decide(
-                Decision(
-                    DENIED, NO_ATTRIBUTION, r.event_id, r.program_id, r.op, r.sensor, r.t,
-                    phase=phase, detail="ambiguous",
-                )
-            )
+            self._decide(DENIED, NO_ATTRIBUTION, r, phase, detail="ambiguous")
             return
-        path = self.store.compute_path(r)
-        key = path.key()
+        key = self.store.compute_path(r).key()
         cached = self.cache.lookup(key)
         if cached == "allow":
             if self._trace is not None:
                 self._emit(_cached_request_line, r.event_id, root_id, "hit")
-            self._decide(
-                Decision(ALLOWED, CACHED, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase, path_key=key)
-            )
+            self._decide(ALLOWED, CACHED, r, phase, key)
             return
         if cached == "deny" and self.config.cache_denials:
             if self._trace is not None:
                 self._emit(_cached_request_line, r.event_id, root_id, "deny")
-            self._decide(
-                Decision(DENIED, POLICY, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase, path_key=key)
-            )
+            self._decide(DENIED, POLICY, r, phase, key)
             return
         evicted = self.cache.invalidate_conflicting(key)
         if self._trace is not None:
@@ -788,63 +774,55 @@ class Engine:
         if pending is None:
             pending = _Pending(phase=self._root_phase.get(root_id, phase))
             self._pending[root_id] = pending
-        if key not in pending.paths:
-            pending.paths[key] = path
-            pending.instances[key] = []
-        pending.instances[key].append(r)
+        pending.requests.setdefault(key, []).append(r)
 
     def _first_use_decide(self, r: OperationRequest, phase: str) -> None:
         if (r.program_id, r.op, r.sensor) in self.first_use:
-            self._decide(
-                Decision(ALLOWED, CACHED, r.event_id, r.program_id, r.op, r.sensor, r.t, phase=phase)
-            )
+            self._decide(ALLOWED, CACHED, r, phase)
             return
+        # a first-use prompt asks about the program alone, under no widget
+        keys = [PathKey("*", (r.program_id,), r.op, r.sensor)]
         text = render_first_use_prompt(r.program_id, r.op, self.registry)
-        prog = self.registry.program(r.program_id)
         prompt = {"mode": Mode.FIRST_USE.value, "phase": phase, "t": self.now, "text": text,
-                  "marks": [[prog.name, prog.identity_mark]]}
+                  "marks": prompt_marks(keys, self.registry)}
         self.prompts.append(prompt)
         if self._trace is not None:
             self._emit(_prompt_line, prompt)
-        allowed = self._authorizer(phase).authorize_first_use(r.program_id, r.op, r.sensor, text, self.registry)
+        allowed = self._authorizer(phase).authorize_paths(keys, text, self.registry)
         if allowed:
             self.first_use.add((r.program_id, r.op, r.sensor))
-        self._decide(
-            Decision(
-                ALLOWED if allowed else DENIED, PROMPTED, r.event_id, r.program_id, r.op, r.sensor, r.t,
-                phase=phase,
-            )
-        )
+        self._decide(ALLOWED if allowed else DENIED, PROMPTED, r, phase)
 
     def _flush_root(self, root_id: str) -> None:
         pending = self._pending.pop(root_id, None)
-        if pending is None or not pending.paths:
+        if pending is None:
             return
-        paths: list[DelegationPath] = list(pending.paths.values())
-        text = render_prompt(paths, self.registry)
-        marks = prompt_marks(paths, self.registry)
+        keys = list(pending.requests)
+        text = render_prompt(keys, self.registry)
+        marks = prompt_marks(keys, self.registry)
         phase = pending.phase
         prompt = {"mode": Mode.DELEGATION.value, "phase": phase, "t": self.now, "text": text, "marks": marks,
                   "root": root_id}
         self.prompts.append(prompt)
         if self._trace is not None:
-            self._emit(_prompt_line, {**prompt, "paths": [k.to_dict() for k in pending.paths]})
-        allowed = self._authorizer(phase).authorize_paths(paths, text, self.registry)
+            self._emit(_prompt_line, {**prompt, "paths": [k.to_dict() for k in keys]})
+        allowed = self._authorizer(phase).authorize_paths(keys, text, self.registry)
+        outcome = ALLOWED if allowed else DENIED
         blob = self.store.sealed.get(root_id, b"")
-        for key in pending.paths:
+        for key, requests in pending.requests.items():
             if allowed:
                 self.cache.store_allow(key, blob)
             elif self.config.cache_denials:
                 self.cache.store_deny(key)
-            for r in pending.instances[key]:
-                self._decide(
-                    Decision(
-                        ALLOWED if allowed else DENIED, PROMPTED, r.event_id, r.program_id, r.op,
-                        r.sensor, r.t, phase=phase, path_key=key,
-                    )
-                )
+            for r in requests:
+                self._decide(outcome, PROMPTED, r, phase, key)
 
-    def _decide(self, decision: Decision) -> None:
+    def _decide(
+        self, outcome: str, reason: str, r: OperationRequest, phase: str, path_key: PathKey | None = None,
+        detail: str = "",
+    ) -> None:
+        """Record the decision on request `r`."""
+        decision = Decision(outcome, reason, r.event_id, r.program_id, r.op, r.sensor, r.t, phase, path_key, detail)
         self.decisions.append(decision)
         if self._trace is not None:
             self._emit(_decision_line, decision)

@@ -72,7 +72,7 @@ class ProtocolViolation(DelegauthError):
 # -- authorization ------------------------------------------------------------
 
 class MixedRoots(DelegauthError):
-    """render_prompt was called with paths rooted at different input events."""
+    """render_prompt was called with path keys that do not share one input key."""
 
 
 class CorruptCache(DelegauthError):

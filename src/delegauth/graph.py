@@ -39,7 +39,7 @@ from .errors import (
     NoAttributableInput,
     UnattributableHandoff,
 )
-from .model import HandoffEvent, InputEvent, OperationRequest, Registry
+from .model import HandoffEvent, InputEvent, OperationRequest
 
 
 @dataclass(frozen=True)
@@ -183,10 +183,9 @@ class GraphStore:
     are the only state keyed by event id, and the scope of `DuplicateEvent`.
     """
 
-    def __init__(self, registry: Registry, window_ms: int):
+    def __init__(self, window_ms: int):
         if window_ms <= 0:
             raise InvariantViolation("window_ms must be positive")
-        self.registry = registry
         self.window_ms = window_ms
         self.live: dict[str, _LiveGraph] = {}  # root event_id -> graph
         self.sealed: dict[str, bytes] = {}  # root event_id -> serialized snapshot

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .auth import ALLOWED, CACHED, AuthorizationCache, Decision, InteractivePrompt, ScriptedPolicy
+from .auth import AuthorizationCache, Decision, InteractivePrompt, ScriptedPolicy
 from .engine import Engine, Mode
 from .errors import ParseError, TraceDivergence, TraceTruncated
 from .scenario import MODE_SPELLINGS, Scenario, TraceWriter, loads_scenario, read_trace_header
@@ -125,10 +125,7 @@ def evaluate_attacks(engine: Engine, scn: Scenario, name_to_id: dict[str, str]) 
     for a in scn.attacks:
         pid = name_to_id[a["program"]]
         outcomes[a["name"]] = any(
-            d.outcome == ALLOWED
-            and d.reason == CACHED
-            and d.phase == "main"
-            and (d.program_id, d.op, d.sensor) == (pid, a["op"], a["sensor"])
+            d.silent_allow and d.phase == "main" and (d.program_id, d.op, d.sensor) == (pid, a["op"], a["sensor"])
             for d in engine.decisions
         )
     return outcomes

@@ -211,7 +211,7 @@ class Scenario:
                    o["op"], o["sensors"], o["phrase"], o.get("first_use_phrase"))
         table = HandlerTable()
         for h in self.handlers:
-            table.add(self._build_handler(h, registry, name_to_id))
+            _check(h.get("_line"), "handler", table.add, self._build_handler(h, registry, name_to_id))
         return registry, table, name_to_id
 
     def _build_handler(self, h: dict, registry: Registry, name_to_id: dict[str, str]) -> HandlerSpec:

@@ -155,36 +155,26 @@ def generate_workload(params: WorkloadParams) -> Scenario:
                     }
                 )
                 req_lags = sorted(rng.randint(*params.handoff_lag_range) for _ in range(max(k, 1)))
-                if depth == 1:
-                    actions = [
-                        {"request": list(_OPS[(i + j) % len(_OPS)]), "after": req_lags[j] if k else 1}
-                        for j in range(k)
-                    ]
-                    actions.append({"complete": params.handoff_lag_range[1]})
-                    scn.handlers.append(
-                        {"program": "media service", "on": {"handoff": hop1}, "actions": actions}
-                    )
-                else:
-                    hop2 = f"{hop1}-relay"
+                actions = [
+                    {"request": list(_OPS[(i + j) % len(_OPS)]), "after": req_lags[j] if k else 1}
+                    for j in range(k)
+                ]
+                actions.append({"complete": params.handoff_lag_range[1]})
+                tail, trigger = "media service", hop1  # the program that requests, and its trigger
+                if depth == 2:
+                    tail, trigger = "relay service", f"{hop1}-relay"
                     scn.handlers.append(
                         {
                             "program": "media service",
                             "on": {"handoff": hop1},
                             "actions": [
                                 {"handoff": "relay service",
-                                 "after": rng.randint(*params.handoff_lag_range), "label": hop2},
+                                 "after": rng.randint(*params.handoff_lag_range), "label": trigger},
                                 {"complete": params.handoff_lag_range[1]},
                             ],
                         }
                     )
-                    actions = [
-                        {"request": list(_OPS[(i + j) % len(_OPS)]), "after": req_lags[j] if k else 1}
-                        for j in range(k)
-                    ]
-                    actions.append({"complete": params.handoff_lag_range[1]})
-                    scn.handlers.append(
-                        {"program": "relay service", "on": {"handoff": hop2}, "actions": actions}
-                    )
+                scn.handlers.append({"program": tail, "on": {"handoff": trigger}, "actions": actions})
             chain_widgets[(depth, k)] = labels
 
     if params.noise_apps:

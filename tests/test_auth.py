@@ -15,8 +15,8 @@ from delegauth.auth import (
     render_prompt,
 )
 from delegauth.errors import CorruptCache, InvariantViolation, MixedRoots
-from delegauth.graph import DelegationPath, InputKey, PathKey
-from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
+from delegauth.graph import InputKey, PathKey
+from delegauth.model import Registry, WidgetKind
 from delegauth.runner import run_scenario
 from delegauth.scenario import load_scenario
 from conftest import scenario_path
@@ -214,49 +214,35 @@ def test_interactive_prompt_reads_stdin():
     stdin = io.StringIO("y\nn\n")
     stdout = io.StringIO()
     prompt = InteractivePrompt(stdin=stdin, stdout=stdout)
-    assert prompt.authorize_first_use("P1", "capture_picture", "Camera", "Allow?", None) is True
-    assert prompt.authorize_first_use("P1", "capture_picture", "Camera", "Allow?", None) is False
+    assert prompt.authorize_paths([key()], "Allow?", None) is True
+    assert prompt.authorize_paths([key()], "Allow?", None) is False
     assert "Allow?" in stdout.getvalue()
 
 
 # -- prompt rendering --------------------------------------------------------------------
 
 
-def _three_leaf_paths(registry) -> list[DelegationPath]:
+def _three_leaf_paths(registry) -> list[PathKey]:
     registry.register_sensor("Microphone")
     registry.register_operation("record_audio", ["Microphone"], "record audio")
     a = registry.program_by_name("Alpha").id
     b = registry.program_by_name("Beta").id
     wid = registry.resolve_widget("do the thing").id
-    root = InputEvent("i1", wid, a, 0)
-    hop = HandoffEvent("h1", a, b, 5, provenance="i1")
-    return [
-        DelegationPath(root, (hop,), OperationRequest("r1", b, "capture_picture", "Camera", 8)),
-        DelegationPath(root, (hop,), OperationRequest("r2", b, "record_audio", "Microphone", 9)),
-    ]
+    return [key(wid, (a, b), "capture_picture", "Camera"), key(wid, (a, b), "record_audio", "Microphone")]
 
 
 def test_render_prompt_rejects_mixed_roots(basic_registry):
     a = basic_registry.program_by_name("Alpha").id
     w1 = basic_registry.resolve_widget("do the thing").id
     w2 = basic_registry.resolve_widget("other thing").id
-    p1 = DelegationPath(
-        InputEvent("i1", w1, a, 0), (), OperationRequest("r1", a, "capture_picture", "Camera", 5)
-    )
-    p2 = DelegationPath(
-        InputEvent("i2", w2, a, 100), (), OperationRequest("r2", a, "capture_picture", "Camera", 105)
-    )
     with pytest.raises(MixedRoots):
-        render_prompt([p1, p2], basic_registry)
+        render_prompt([key(w1, (a,)), key(w2, (a,))], basic_registry)
 
 
 def test_render_prompt_direct_request_has_no_activate_clause(basic_registry):
     a = basic_registry.program_by_name("Alpha").id
     w = basic_registry.resolve_widget("do the thing").id
-    path = DelegationPath(
-        InputEvent("i1", w, a, 0), (), OperationRequest("r1", a, "capture_picture", "Camera", 5)
-    )
-    text = render_prompt([path], basic_registry)
+    text = render_prompt([key(w, (a,))], basic_registry)
     assert text == 'In response to your voice command "do the thing", allow Alpha to capture pictures?'
 
 

@@ -66,6 +66,7 @@ MAIN_POLICY = '{"kind":"policy","phase":"main","rules":["deny * * * *"]}'
 MAIN_INPUT = '"widget":"create a note","program":"Smart Assistant"}'
 NOTE_WIDGET = '"label":"create a note","input":"voice"'
 NOTES = '{"kind":"program","name":"Notes","mark":"NO","display":"the Notes app"}'
+NOTES_HANDLER = '{"kind":"handler","program":"Notes","on":{"handoff":"add_note"},"actions":[{"complete":4}]}'
 SENSOR = '{"kind":"sensor","id":"Screen","phrase":"content on the screen"}'
 OPERATION = ('{"kind":"operation","op":"capture_screen","sensors":["Screen"],"phrase":"capture",'
              '"first_use_phrase":"capture the content on the screen"}')
@@ -134,6 +135,9 @@ OPERATION = ('{"kind":"operation","op":"capture_screen","sensors":["Screen"],"ph
         pytest.param('"name":"Notes","mark":"NO"', '"name":"","mark":"NO"', id="program-name-empty"),
         pytest.param(SENSOR, SENSOR + "\n" + SENSOR, id="second-sensor"),
         pytest.param(OPERATION, OPERATION + "\n" + OPERATION, id="second-operation"),
+        pytest.param('"after":3,"label":"add_note"', '"after":0,"label":"add_note"', id="handler-zero-lag"),
+        pytest.param('{"complete":5}', '{"complete":3}', id="handler-complete-before-an-action"),
+        pytest.param(NOTES_HANDLER, NOTES_HANDLER + "\n" + NOTES_HANDLER, id="second-handler-for-a-trigger"),
     ],
 )
 def test_malformed_record_is_a_validation_error_naming_its_line(tmp_path, capsys, old, new):

@@ -17,8 +17,8 @@ from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry
 WINDOW = 150
 
 
-def make_store(registry) -> GraphStore:
-    return GraphStore(registry, window_ms=WINDOW)
+def make_store() -> GraphStore:
+    return GraphStore(window_ms=WINDOW)
 
 
 def chain_registry(n: int) -> Registry:
@@ -32,7 +32,7 @@ def chain_registry(n: int) -> Registry:
 
 
 def test_record_input_creates_rooted_graph(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     pid = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     root = store.record_input(InputEvent("i1", wid, pid, 0))
@@ -43,7 +43,7 @@ def test_record_input_creates_rooted_graph(basic_registry):
 
 
 def test_duplicate_event_id_rejected(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     pid = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     store.record_input(InputEvent("i1", wid, pid, 0))
@@ -52,7 +52,7 @@ def test_duplicate_event_id_rejected(basic_registry):
 
 
 def test_duplicate_ids_are_checked_among_live_graphs_only(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     pid = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     store.record_input(InputEvent("i1", wid, pid, 0))
@@ -66,7 +66,7 @@ def test_duplicate_ids_are_checked_among_live_graphs_only(basic_registry):
 
 
 def test_ten_inputs_make_ten_independent_graphs(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     pid = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     for i in range(10):
@@ -75,7 +75,7 @@ def test_ten_inputs_make_ten_independent_graphs(basic_registry):
 
 
 def test_handoff_attaches_and_extends_reachability(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     b = basic_registry.program_by_name("Beta").id
     wid = basic_registry.resolve_widget("do the thing").id
@@ -88,7 +88,7 @@ def test_handoff_attaches_and_extends_reachability(basic_registry):
 
 
 def test_handoff_without_live_provenance_is_unattributable(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     b = basic_registry.program_by_name("Beta").id
     wid = basic_registry.resolve_widget("do the thing").id
@@ -101,7 +101,7 @@ def test_handoff_without_live_provenance_is_unattributable(basic_registry):
 
 
 def test_handoff_from_unreached_program_breaks_chain(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     b = basic_registry.program_by_name("Beta").id
     c = basic_registry.program_by_name("Gamma").id
@@ -116,7 +116,7 @@ def test_handoff_from_unreached_program_breaks_chain(basic_registry):
 
 
 def test_merge_and_cycle_are_rejected_as_ambiguous(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     b = basic_registry.program_by_name("Beta").id
     c = basic_registry.program_by_name("Gamma").id
@@ -134,7 +134,7 @@ def test_merge_and_cycle_are_rejected_as_ambiguous(basic_registry):
 
 def test_chain_of_ten_handoffs_yields_twelve_edge_path():
     reg = chain_registry(11)
-    store = GraphStore(reg, window_ms=WINDOW)
+    store = GraphStore(window_ms=WINDOW)
     pids = list(reg.programs)
     wid = reg.resolve_widget("go").id
     root = InputEvent("i1", wid, pids[0], 0)
@@ -155,7 +155,7 @@ def test_chain_of_ten_handoffs_yields_twelve_edge_path():
 
 
 def test_request_without_reachability_denied(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     c = basic_registry.program_by_name("Gamma").id
     with pytest.raises(NoAttributableInput) as exc:
         store.record_request(OperationRequest("r1", c, "capture_picture", "Camera", 5))
@@ -163,7 +163,7 @@ def test_request_without_reachability_denied(basic_registry):
 
 
 def test_request_after_expiry_flags_expired(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     store.record_input(InputEvent("i1", wid, a, 0))
@@ -174,7 +174,7 @@ def test_request_after_expiry_flags_expired(basic_registry):
 
 
 def test_sealing_drops_the_roots_requests_from_the_index(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     b = basic_registry.program_by_name("Beta").id
     store.record_input(InputEvent("i1", basic_registry.resolve_widget("do the thing").id, a, 0))
@@ -195,7 +195,7 @@ def test_sealing_drops_the_roots_requests_from_the_index(basic_registry):
 
 def test_two_concurrent_roots_reaching_requester_are_ambiguous(basic_registry):
     # simulates a scheduler-off interleaving
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     b = basic_registry.program_by_name("Beta").id
     c = basic_registry.program_by_name("Gamma").id
@@ -210,7 +210,7 @@ def test_two_concurrent_roots_reaching_requester_are_ambiguous(basic_registry):
 
 
 def test_direct_request_has_empty_handoff_list(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     store.record_input(InputEvent("i1", wid, a, 0))
@@ -227,7 +227,7 @@ def test_path_key_excludes_timestamps(basic_registry):
     wid = basic_registry.resolve_widget("do the thing").id
 
     def replay(base: int) -> PathKey:
-        store = make_store(basic_registry)
+        store = make_store()
         store.record_input(InputEvent(f"i{base}", wid, a, base))
         store.record_handoff(HandoffEvent(f"h{base}", a, b, base + 5, provenance=f"i{base}"))
         r = OperationRequest(f"r{base}", b, "capture_picture", "Camera", base + 9)
@@ -242,7 +242,7 @@ def test_multiple_leaves_share_input_key(basic_registry):
     basic_registry.register_operation("record_audio", ["Microphone"], "record audio")
     basic_registry.register_sensor("GpsReceiver")
     basic_registry.register_operation("read_location", ["GpsReceiver"], "access")
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     b = basic_registry.program_by_name("Beta").id
     wid = basic_registry.resolve_widget("do the thing").id
@@ -267,7 +267,7 @@ def test_path_key_round_trips_through_dict():
 
 
 def test_window_boundary_closed_interval(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     store.record_input(InputEvent("i1", wid, a, 0))
@@ -279,7 +279,7 @@ def test_window_boundary_closed_interval(basic_registry):
 
 
 def test_thousand_roots_expire_and_evict(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     for i in range(1000):
@@ -294,7 +294,7 @@ def test_thousand_roots_expire_and_evict(basic_registry):
 
 
 def test_serialized_sealed_graph_survives_eviction(basic_registry):
-    store = make_store(basic_registry)
+    store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     wid = basic_registry.resolve_widget("do the thing").id
     store.record_input(InputEvent("i1", wid, a, 0))
@@ -382,7 +382,7 @@ def test_expired_roots_reaching_matches_a_scan_of_sealed_roots(history):
     reg = chain_registry(4)
     pids = list(reg.programs)
     wid = reg.resolve_widget("go").id
-    store = make_store(reg)
+    store = make_store()
     members = {}
     for root, t, chain in roots:
         store.record_input(InputEvent(root, wid, pids[chain[0]], t))

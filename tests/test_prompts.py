@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from delegauth import run_scenario
 from delegauth.auth import prompt_marks, render_prompt
-from delegauth.graph import DelegationPath
-from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
+from delegauth.graph import PathKey
+from delegauth.model import Registry, WidgetKind
 from conftest import golden
 
 
@@ -31,14 +31,9 @@ def test_task_a_golden_by_construction():
     w = reg.register_widget("create a note", WidgetKind.VOICE)
     reg.register_sensor("Screen", phrase="content on the screen")
     reg.register_operation("capture_screen", ["Screen"], "capture")
-    root = InputEvent("i1", w.id, sa.id, 0)
-    path = DelegationPath(
-        root,
-        (HandoffEvent("h1", sa.id, sc.id, 5, provenance="i1"),),
-        OperationRequest("r1", sc.id, "capture_screen", "Screen", 9),
-    )
-    assert render_prompt([path], reg) == golden("task_a_entrust.golden")
-    assert prompt_marks([path], reg) == [["Smart Assistant", "SA"], ["Screen Capture", "SC"]]
+    key = PathKey(w.id, (sa.id, sc.id), "capture_screen", "Screen")
+    assert render_prompt([key], reg) == golden("task_a_entrust.golden")
+    assert prompt_marks([key], reg) == [["Smart Assistant", "SA"], ["Screen Capture", "SC"]]
 
 
 def test_task_b_golden_by_construction():
@@ -46,14 +41,13 @@ def test_task_b_golden_by_construction():
     ga = reg.program_by_name("Google Assistant")
     bc = reg.program_by_name("Basic Camera")
     w = reg.resolve_widget("take a selfie")
-    root = InputEvent("i1", w.id, ga.id, 0)
-    hop = HandoffEvent("h1", ga.id, bc.id, 8, provenance="i1")
-    paths = [
-        DelegationPath(root, (hop,), OperationRequest("r1", bc.id, "capture_picture", "Camera", 12)),
-        DelegationPath(root, (hop,), OperationRequest("r2", bc.id, "record_audio", "Microphone", 14)),
-        DelegationPath(root, (hop,), OperationRequest("r3", bc.id, "read_location", "GpsReceiver", 16)),
+    chain = (ga.id, bc.id)
+    keys = [
+        PathKey(w.id, chain, "capture_picture", "Camera"),
+        PathKey(w.id, chain, "record_audio", "Microphone"),
+        PathKey(w.id, chain, "read_location", "GpsReceiver"),
     ]
-    assert render_prompt(paths, reg) == golden("task_b_entrust.golden")
+    assert render_prompt(keys, reg) == golden("task_b_entrust.golden")
 
 
 def test_task_c_golden_by_construction():
@@ -64,14 +58,11 @@ def test_task_c_golden_by_construction():
     w = reg.register_widget("deposit bank check", WidgetKind.VOICE)
     reg.register_sensor("Camera")
     reg.register_operation("capture_picture", ["Camera"], "capture pictures")
-    root = InputEvent("i1", w.id, ga.id, 0)
-    h1 = HandoffEvent("h1", ga.id, bc.id, 7, provenance="i1")
-    h2 = HandoffEvent("h2", bc.id, mb.id, 13, provenance="i1")
-    paths = [
-        DelegationPath(root, (h1,), OperationRequest("r1", bc.id, "capture_picture", "Camera", 11)),
-        DelegationPath(root, (h1, h2), OperationRequest("r2", mb.id, "capture_picture", "Camera", 18)),
+    keys = [
+        PathKey(w.id, (ga.id, bc.id), "capture_picture", "Camera"),
+        PathKey(w.id, (ga.id, bc.id, mb.id), "capture_picture", "Camera"),
     ]
-    assert render_prompt(paths, reg) == golden("task_c_entrust.golden")
+    assert render_prompt(keys, reg) == golden("task_c_entrust.golden")
 
 
 def test_goldens_via_full_scenario_runs(task_a, task_b, task_c):

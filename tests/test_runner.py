@@ -81,6 +81,34 @@ def test_mode_override_aliases(task_a):
         assert report.mode == "first_use"
 
 
+def test_first_use_and_path_answers_under_non_default_rules(task_b):
+    # a first-use prompt names no widget, so a rule that names one never
+    # matches it; a rule that names the chain and op does
+    task_b.policies["preliminary"] = [
+        'deny "take a selfie" * * *', 'deny * "Basic Camera" record_audio *', "allow * * * *",
+    ]
+
+    def answers(report):
+        return [(d.phase, d.op, d.outcome, d.reason) for d in report.engine_decisions]
+
+    fu, _ = run_scenario(task_b, mode="first-use")
+    assert answers(fu) == [
+        ("preliminary", "capture_picture", "allowed", "prompted"),
+        ("preliminary", "record_audio", "denied", "prompted"),
+        ("preliminary", "read_location", "allowed", "prompted"),
+        ("main", "capture_picture", "allowed", "cached"),
+        ("main", "record_audio", "denied", "prompted"),
+        ("main", "read_location", "allowed", "cached"),
+    ]
+    assert fu.prompt_counts == {"preliminary": 3, "main": 1}
+    # the preliminary prompt names record_audio, so its one answer denies all three
+    en, _ = run_scenario(task_b, mode="delegation")
+    assert [(phase, outcome, reason) for phase, _, outcome, reason in answers(en)] == (
+        [("preliminary", "denied", "prompted")] * 3 + [("main", "denied", "prompted")] * 3
+    )
+    assert en.prompt_counts == {"preliminary": 1, "main": 1}
+
+
 def test_expect_failures_surface_when_policy_flipped(task_a):
     # allow-all main policy makes the delegation attack "succeed on prompt",
     # violating the scenario's 0-attack expectation? No: prompted allows are

@@ -133,7 +133,7 @@ def test_zero_lag_emission_rejected():
             '"actions":[{"handoff":"B","after":0},{"complete":3}]}',
         ]
     )
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ParseError, match="line 9: .*emission lag"):
         loads_scenario(text)
 
 
