@@ -10,7 +10,7 @@ from .auth import (
     render_prompt,
 )
 from .engine import Engine, EngineConfig, Mode
-from .graph import DelegationPath, GraphStore, InputKey, PathKey
+from .graph import GraphStore, InputKey, PathKey
 from .model import (
     HandoffEvent,
     InputEvent,
@@ -27,7 +27,6 @@ __all__ = [
     "AuthorizationCache",
     "Decision",
     "DelayStats",
-    "DelegationPath",
     "Engine",
     "EngineConfig",
     "GraphStore",

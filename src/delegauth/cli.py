@@ -56,7 +56,10 @@ def cmd_run(args) -> int:
     scn = load_scenario(args.file)
     policy_rules = None
     if args.policy:
-        policy_rules = Path(args.policy).read_text().splitlines()
+        try:
+            policy_rules = Path(args.policy).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.policy}: not UTF-8 text ({exc.reason})") from None
         parse_policy_rules(policy_rules)  # validate eagerly
     if args.trace:
         report, _writer = run_with_trace(
@@ -185,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     except TraceDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (DelegauthError, FileNotFoundError) as exc:
+    except (DelegauthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -36,7 +36,7 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .auth import (
@@ -233,14 +233,6 @@ class _HandlerExec:
     cancelled: bool = False
 
 
-@dataclass
-class _Pending:
-    """Requests on new paths of one root, awaiting the aggregated prompt at window close."""
-
-    requests: dict = field(default_factory=dict)  # PathKey -> [OperationRequest]
-    phase: str = "main"
-
-
 class Engine:
     """Drives one simulation run; see module docstring."""
 
@@ -280,8 +272,8 @@ class Engine:
         self._busy_exec: dict[str, _HandlerExec] = {}  # busy program -> the handler it runs
         self._root_tickets: dict[str, list[Ticket]] = {}
         self._label_ids: dict[str, str] = {}
-        self._pending: dict[str, _Pending] = {}
-        self._root_phase: dict[str, str] = {}
+        self._pending: dict[str, dict[PathKey, list[OperationRequest]]] = {}  # root -> its requests on new paths
+        self._root_phase: dict[str, str] = {}  # live root -> the phase of its input
 
         self.decisions: list[Decision] = []
         self.prompts: list[dict] = []
@@ -708,10 +700,10 @@ class Engine:
         affected = set(g.join_t)
         # only a root that will prompt needs its snapshot: it goes into the cache
         self.store.expire_graph(root_id, self.now, snapshot=root_id in self._pending)
-        self._root_phase.pop(root_id, None)
+        phase = self._root_phase.pop(root_id)
         if self._trace is not None:
             self._emit(_expire_root_line, root_id)
-        self._flush_root(root_id)
+        self._flush_root(root_id, phase)
         for ticket in self._root_tickets.pop(root_id, []):
             if ticket.status == QUEUED:
                 self._expire_ticket(ticket, "root_expired")
@@ -755,7 +747,7 @@ class Engine:
                 self._emit(_request_line, r.event_id, "ambiguous")
             self._decide(DENIED, NO_ATTRIBUTION, r, phase, detail="ambiguous")
             return
-        key = self.store.compute_path(r).key()
+        key = self.store.compute_path(r)
         cached = self.cache.lookup(key)
         if cached == "allow":
             if self._trace is not None:
@@ -770,11 +762,7 @@ class Engine:
         evicted = self.cache.invalidate_conflicting(key)
         if self._trace is not None:
             self._emit(_missed_request_line, r.event_id, root_id, evicted)
-        pending = self._pending.get(root_id)
-        if pending is None:
-            pending = _Pending(phase=self._root_phase.get(root_id, phase))
-            self._pending[root_id] = pending
-        pending.requests.setdefault(key, []).append(r)
+        self._pending.setdefault(root_id, {}).setdefault(key, []).append(r)
 
     def _first_use_decide(self, r: OperationRequest, phase: str) -> None:
         if (r.program_id, r.op, r.sensor) in self.first_use:
@@ -793,14 +781,13 @@ class Engine:
             self.first_use.add((r.program_id, r.op, r.sensor))
         self._decide(ALLOWED if allowed else DENIED, PROMPTED, r, phase)
 
-    def _flush_root(self, root_id: str) -> None:
+    def _flush_root(self, root_id: str, phase: str) -> None:
         pending = self._pending.pop(root_id, None)
         if pending is None:
             return
-        keys = list(pending.requests)
+        keys = list(pending)
         text = render_prompt(keys, self.registry)
         marks = prompt_marks(keys, self.registry)
-        phase = pending.phase
         prompt = {"mode": Mode.DELEGATION.value, "phase": phase, "t": self.now, "text": text, "marks": marks,
                   "root": root_id}
         self.prompts.append(prompt)
@@ -809,7 +796,7 @@ class Engine:
         allowed = self._authorizer(phase).authorize_paths(keys, text, self.registry)
         outcome = ALLOWED if allowed else DENIED
         blob = self.store.sealed.get(root_id, b"")
-        for key, requests in pending.requests.items():
+        for key, requests in pending.items():
             if allowed:
                 self.cache.store_allow(key, blob)
             elif self.config.cache_denials:

@@ -1,11 +1,12 @@
-"""Delegation graphs: construction, backward path computation, identity keys.
+"""Delegation graphs: construction, sealing, and the path keys read off their parent trees.
 
 A graph instance is rooted at one input event and grows as handoffs and
 operation requests are attributed to it. Program vertices form a tree (each
 program has exactly one parent edge); merges and cycles are rejected.
 Reachability is temporal: a program is reachable at time t only if it joined
-the graph strictly before t, which keeps every computed path strictly
-increasing in time.
+the graph strictly before t, and it joins no earlier than the event that
+brings it. So every path in a graph runs strictly forward in time, and a
+request's path key is its requester's chain of parents.
 
 Requests are attributed by membership: the requester must belong to exactly
 one live graph at request time. The engine's delivery gates guarantee that;
@@ -27,7 +28,6 @@ each event once, before any of them reaches the store.
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, field
 
@@ -97,38 +97,6 @@ class PathKey:
         )
 
 
-@dataclass(frozen=True)
-class DelegationPath:
-    """One attributed chain: input event -> handoffs -> operation request."""
-
-    input: InputEvent
-    handoffs: tuple[HandoffEvent, ...]
-    request: OperationRequest
-
-    def key(self) -> PathKey:
-        programs = [self.input.program_id] + [h.dst for h in self.handoffs]
-        return PathKey(
-            widget_id=self.input.widget_id,
-            programs=tuple(programs),
-            op=self.request.op,
-            sensor=self.request.sensor,
-        )
-
-    def validate(self) -> None:
-        prev_prog = self.input.program_id
-        prev_t = self.input.t
-        for h in self.handoffs:
-            if h.src != prev_prog:
-                raise InvariantViolation(f"path not contiguous at handoff {h.event_id}")
-            if h.t <= prev_t:
-                raise InvariantViolation(f"path timestamps not strictly increasing at {h.event_id}")
-            prev_prog, prev_t = h.dst, h.t
-        if self.request.program_id != prev_prog:
-            raise InvariantViolation("path not contiguous at request")
-        if self.request.t <= prev_t:
-            raise InvariantViolation("path timestamps not strictly increasing at request")
-
-
 @dataclass
 class _LiveGraph:
     """Mutable per-root state while the root's window is open."""
@@ -163,6 +131,15 @@ class _LiveGraph:
                 for (p, o, s), rs in sorted(self.request_instances.items())
             },
         }
+
+
+def _delivery_time(ev: InputEvent | HandoffEvent, delivered_at: int | None) -> int:
+    """When `ev` reached its target; no earlier than the event itself, which `compute_path` relies on."""
+    if delivered_at is None:
+        return ev.t
+    if delivered_at < ev.t:
+        raise InvariantViolation(f"{ev.event_id} delivered at t={delivered_at}, before its own t={ev.t}")
+    return delivered_at
 
 
 # attachability verdicts used by the scheduler's delivery gates
@@ -243,7 +220,7 @@ class GraphStore:
             raise DuplicateEvent(f"input {i.event_id!r} already roots a live graph")
         g = _LiveGraph(root=i, deadline=i.t + self.window_ms)
         g.input_instances.append(i)
-        g.join_t[i.program_id] = i.t if delivered_at is None else delivered_at
+        g.join_t[i.program_id] = _delivery_time(i, delivered_at)
         g.parent[i.program_id] = None
         self.live[i.event_id] = g
         self.membership.setdefault(i.program_id, set()).add(i.event_id)
@@ -262,7 +239,7 @@ class GraphStore:
     def record_handoff(self, h: HandoffEvent, delivered_at: int | None = None) -> str:
         """Attach a handoff to its provenance root; returns the root id."""
         root_id = h.provenance
-        now = h.t if delivered_at is None else delivered_at
+        now = _delivery_time(h, delivered_at)
         g = self.live.get(root_id)
         if g is None or not g.live_at(now):  # also a handoff with no provenance
             raise UnattributableHandoff(f"handoff {h.event_id} provenance {root_id!r} is not live")
@@ -304,37 +281,23 @@ class GraphStore:
 
     # -- path computation -----------------------------------------------------
 
-    def compute_path(self, r: OperationRequest) -> DelegationPath:
-        """Backward traversal from a recorded request to its root input."""
+    def compute_path(self, r: OperationRequest) -> PathKey:
+        """The key of a recorded request's path: the requester's chain of parents, receiver first.
+
+        No instance is searched: as the module docstring says, each hop has one strictly before the next.
+        """
         entry = self._request_index.get(r.event_id)
         if entry is None:
             raise NoAttributableInput(f"request {r.event_id} is not recorded in a live graph")
         root_id, req = entry
         g = self.live[root_id]
-        handoffs: list[HandoffEvent] = []
+        chain = []
         prog = req.program_id
-        child_t = req.t
-        while g.parent[prog] is not None:
-            src = g.parent[prog]
-            inst = self._latest_before(g.handoff_instances[(src, prog)], child_t)
-            if inst is None:
-                raise AmbiguousAttribution(
-                    f"no handoff instance {src}->{prog} strictly before t={child_t}"
-                )
-            handoffs.append(inst)
-            prog, child_t = src, inst.t
-        input_inst = self._latest_before(g.input_instances, child_t)
-        if input_inst is None:
-            raise NoAttributableInput(f"no input instance strictly before t={child_t}")
-        path = DelegationPath(input=input_inst, handoffs=tuple(reversed(handoffs)), request=req)
-        path.validate()
-        return path
-
-    @staticmethod
-    def _latest_before(instances: list, t: int):
-        # instances are appended in time order
-        idx = bisect.bisect_left([e.t for e in instances], t)
-        return instances[idx - 1] if idx else None
+        while prog is not None:
+            chain.append(prog)
+            prog = g.parent[prog]
+        chain.reverse()
+        return PathKey(g.root.widget_id, tuple(chain), req.op, req.sensor)
 
     # -- expiry and sealing ------------------------------------------------------
 

@@ -350,7 +350,7 @@ def _validate(scn: Scenario) -> None:
     registry, _table, name_to_id = scn.build()
     prev_t = -1
     seen_main = False
-    labels: set[str] = set()
+    labels: dict[str, int] = {}  # event id -> its line
     for e in scn.timeline:
         line = e["_line"]
         if e["t"] < prev_t:
@@ -373,7 +373,9 @@ def _validate(scn: Scenario) -> None:
         if e["kind"] == "request":
             _compatible(registry, e["op"], e["sensor"], line)
         if e.get("label"):
-            labels.add(e["label"])
+            first = labels.setdefault(e["label"], line)
+            if first != line:
+                raise ParseError(f"event record: a second event with id {e['label']!r}; the first is on line {first}", line=line)
 
     for a in scn.attacks:
         _program_id(name_to_id, a["program"], a["_line"])

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from delegauth.cli import main
-from conftest import scenario_path
+from conftest import DATA, scenario_path
 
 
 def test_run_task_a_exits_zero(capsys):
@@ -32,6 +32,33 @@ def test_compare_exits_zero(capsys):
 
 def test_missing_file_is_validation_error(capsys):
     assert main(["run", "/nonexistent/path.scn"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["run", "{dir}"], ["run", "{task_a}", "--policy", "{dir}"], ["replay", "{dir}"]],
+                         ids=["scenario", "policy", "trace"])
+def test_directory_in_place_of_a_file_is_validation_error(tmp_path, capsys, argv):
+    argv = [arg.format(dir=tmp_path, task_a=scenario_path("task_a")) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_policy_file_not_utf8_is_validation_error(tmp_path, capsys):
+    policy = tmp_path / "bad.policy"
+    policy.write_bytes(b"allow * * * \xff\n")
+    assert main(["run", scenario_path("task_a"), "--policy", str(policy)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.policy: not UTF-8" in err
+
+
+def test_second_event_with_one_id_is_validation_error(tmp_path, capsys):
+    text = (DATA / "contention.scn").read_text()
+    first = '{"kind":"event","t":0,"id":"i0","input":{"widget":"go","program":"A"}}\n'
+    assert text.splitlines().index(first.strip()) + 1 == 20
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(first, first + '{"kind":"event","t":5,"id":"i0","input":{"widget":"go","program":"C"}}\n'))
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 21: event record: a second event with id 'i0'; the first is on line 20" in err
 
 
 def test_invalid_scenario_is_validation_error(tmp_path, capsys):

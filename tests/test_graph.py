@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import attribution_classes
+
 from delegauth.errors import (
     AmbiguousAttribution,
     BrokenChain,
     DuplicateEvent,
+    InvariantViolation,
     NoAttributableInput,
     UnattributableHandoff,
 )
-from delegauth.graph import DelegationPath, GraphStore, InputKey, PathKey
+from delegauth.graph import GraphStore, InputKey, PathKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
 
 WINDOW = 150
@@ -137,21 +140,17 @@ def test_chain_of_ten_handoffs_yields_twelve_edge_path():
     store = GraphStore(window_ms=WINDOW)
     pids = list(reg.programs)
     wid = reg.resolve_widget("go").id
-    root = InputEvent("i1", wid, pids[0], 0)
-    store.record_input(root)
-    expected_handoffs = []
+    store.record_input(InputEvent("i1", wid, pids[0], 0))
     for j in range(10):
-        h = HandoffEvent(f"h{j}", pids[j], pids[j + 1], j + 1, provenance="i1")
-        store.record_handoff(h)
-        expected_handoffs.append(h)
+        store.record_handoff(HandoffEvent(f"h{j}", pids[j], pids[j + 1], j + 1, provenance="i1"))
     r = OperationRequest("r1", pids[10], "capture_picture", "Camera", 20)
     store.record_request(r)
-    path = store.compute_path(r)
-    assert path.key().edge_count == 12
-    # independently built expected chain
-    assert path.input == root
-    assert list(path.handoffs) == expected_handoffs
-    assert path.request == r
+    key = store.compute_path(r)
+    assert key.edge_count == 12
+    # independently built expected chain: receiver first, requester last
+    assert key.programs == tuple(pids)
+    assert key.widget_id == wid
+    assert (key.op, key.sensor) == ("capture_picture", "Camera")
 
 
 def test_request_without_reachability_denied(basic_registry):
@@ -177,8 +176,9 @@ def test_sealing_drops_the_roots_requests_from_the_index(basic_registry):
     store = make_store()
     a = basic_registry.program_by_name("Alpha").id
     b = basic_registry.program_by_name("Beta").id
+    other = basic_registry.resolve_widget("other thing").id
     store.record_input(InputEvent("i1", basic_registry.resolve_widget("do the thing").id, a, 0))
-    store.record_input(InputEvent("i2", basic_registry.resolve_widget("other thing").id, b, 100))
+    store.record_input(InputEvent("i2", other, b, 100))
     sealed = OperationRequest("r1", a, "capture_picture", "Camera", 4)
     live = OperationRequest("r2", b, "capture_picture", "Camera", 104)
     store.record_request(sealed)
@@ -187,7 +187,7 @@ def test_sealing_drops_the_roots_requests_from_the_index(basic_registry):
     assert not store.expire_graph("i2", WINDOW + 1)  # still live
     assert set(store.live) == {"i2"}
     assert {root for root, _ in store._request_index.values()} == {"i2"}
-    assert store.compute_path(live).input.event_id == "i2"
+    assert store.compute_path(live) == PathKey(other, (b,), "capture_picture", "Camera")
     for r in (sealed, OperationRequest("r9", b, "capture_picture", "Camera", 110)):
         with pytest.raises(NoAttributableInput):
             store.compute_path(r)
@@ -216,9 +216,9 @@ def test_direct_request_has_empty_handoff_list(basic_registry):
     store.record_input(InputEvent("i1", wid, a, 0))
     r = OperationRequest("r1", a, "capture_picture", "Camera", 4)
     store.record_request(r)
-    path = store.compute_path(r)
-    assert path.handoffs == ()
-    assert path.key().edge_count == 2
+    key = store.compute_path(r)
+    assert key.programs == (a,) and key.widget_id == wid
+    assert key.edge_count == 2
 
 
 def test_path_key_excludes_timestamps(basic_registry):
@@ -232,7 +232,7 @@ def test_path_key_excludes_timestamps(basic_registry):
         store.record_handoff(HandoffEvent(f"h{base}", a, b, base + 5, provenance=f"i{base}"))
         r = OperationRequest(f"r{base}", b, "capture_picture", "Camera", base + 9)
         store.record_request(r)
-        return store.compute_path(r).key()
+        return store.compute_path(r)
 
     assert replay(0) == replay(5000)
 
@@ -254,7 +254,7 @@ def test_multiple_leaves_share_input_key(basic_registry):
     ):
         r = OperationRequest(f"r{n}", b, op, sensor, 8 + n)
         store.record_request(r)
-        keys.append(store.compute_path(r).key())
+        keys.append(store.compute_path(r))
     assert len(set(keys)) == 3
     assert len({k.input_key for k in keys}) == 1
 
@@ -306,59 +306,113 @@ def test_serialized_sealed_graph_survives_eviction(basic_registry):
 # -- property tests -------------------------------------------------------------
 
 
+def test_delivery_before_the_event_is_an_invariant_violation(basic_registry):
+    store = make_store()
+    a = basic_registry.program_by_name("Alpha").id
+    b = basic_registry.program_by_name("Beta").id
+    wid = basic_registry.resolve_widget("do the thing").id
+    with pytest.raises(InvariantViolation):
+        store.record_input(InputEvent("i1", wid, a, 10), delivered_at=9)
+    assert store.live == {} and store.membership == {}
+    store.record_input(InputEvent("i1", wid, a, 10), delivered_at=10)
+    with pytest.raises(InvariantViolation):
+        store.record_handoff(HandoffEvent("h1", a, b, 20, provenance="i1"), delivered_at=19)
+    assert store.live["i1"].join_t == {a: 10} and store.live["i1"].handoff_instances == {}
+
+
+# -- property tests -------------------------------------------------------------
+
+
 @st.composite
 def path_timestamps(draw):
     n_handoffs = draw(st.integers(min_value=0, max_value=4))
+    # at most 5 x 30 ms, so the request still falls inside the root's window
     deltas = draw(
-        st.lists(st.integers(min_value=1, max_value=40), min_size=n_handoffs + 1, max_size=n_handoffs + 1)
+        st.lists(st.integers(min_value=1, max_value=30), min_size=n_handoffs + 1, max_size=n_handoffs + 1)
     )
     start = draw(st.integers(min_value=0, max_value=10_000))
     return start, deltas
 
 
-def _build_path(registry, start: int, deltas: list[int]) -> DelegationPath:
+def _record_chain(registry, start: int, deltas: list[int]) -> PathKey:
+    """Record p0 -> p1 -> ... in a fresh store, one hop per delta but the last, and key the request."""
     pids = list(registry.programs)
-    wid = registry.resolve_widget("go").id
+    store = make_store()
+    store.record_input(InputEvent(f"i{start}", registry.resolve_widget("go").id, pids[0], start))
     t = start
-    handoffs = []
-    prev = pids[0]
     for j, d in enumerate(deltas[:-1]):
         t += d
-        handoffs.append(HandoffEvent(f"h{start}-{j}", prev, pids[j + 1], t, provenance="i"))
-        prev = pids[j + 1]
-    t += deltas[-1]
-    req = OperationRequest(f"r{start}", prev, "capture_picture", "Camera", t)
-    return DelegationPath(
-        input=InputEvent(f"i{start}", wid, pids[0], start), handoffs=tuple(handoffs), request=req
-    )
+        store.record_handoff(HandoffEvent(f"h{start}-{j}", pids[j], pids[j + 1], t, provenance=f"i{start}"))
+    r = OperationRequest(f"r{start}", pids[len(deltas) - 1], "capture_picture", "Camera", t + deltas[-1])
+    store.record_request(r)
+    return store.compute_path(r)
 
 
 @settings(max_examples=200, deadline=None)
 @given(path_timestamps(), path_timestamps())
 def test_path_key_is_pure_in_identity_and_blind_to_time(ts_a, ts_b):
     reg = chain_registry(6)
-    a = _build_path(reg, *ts_a)
-    a.validate()
+    k = _record_chain(reg, *ts_a)
     # same shape with different timestamps: identical key
     if len(ts_a[1]) == len(ts_b[1]):
-        b = _build_path(reg, *ts_b)
-        assert a.key() == b.key()
+        assert _record_chain(reg, *ts_b) == k
     # changing any identity field changes the key
-    k = a.key()
     assert k != PathKey("other", k.programs, k.op, k.sensor)
     assert k != PathKey(k.widget_id, k.programs + ("PX",), k.op, k.sensor)
     assert k != PathKey(k.widget_id, k.programs, "record_audio", k.sensor)
     assert k != PathKey(k.widget_id, k.programs, k.op, "Microphone")
 
 
-@settings(max_examples=100, deadline=None)
-@given(path_timestamps())
-def test_paths_always_strictly_increase(ts):
+@st.composite
+def retraversed_chains(draw):
+    """One root and a chain of 1-5 programs; each hop made 1-3 times, each delivery 0-5 ms late.
+
+    Returns the chain's program indexes, the root's (t, delivery), each hop's
+    [(t, delivery)] and the request's t, all inside one window.
+    """
+    chain = draw(st.permutations(range(6)))[: draw(st.integers(min_value=1, max_value=5))]
+    lag = st.integers(min_value=0, max_value=5)
+    gap = st.integers(min_value=1, max_value=5)
+    start = draw(st.integers(min_value=0, max_value=10_000))
+    root = (start, start + draw(lag))
+    joined = root[1]
+    hops = []
+    for _ in chain[1:]:
+        t = joined + draw(gap)
+        instances = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            instances.append((t, t + draw(lag)))
+            t += draw(gap)
+        hops.append(instances)
+        joined = instances[0][1]
+    last = max([root[1]] + [d for instances in hops for _, d in instances])
+    return chain, root, hops, last + draw(gap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(retraversed_chains())
+def test_compute_path_is_the_oracles_single_class(drawn):
+    chain, (t0, d0), hops, req_t = drawn
     reg = chain_registry(6)
-    path = _build_path(reg, *ts)
-    path.validate()
-    times = [path.input.t] + [h.t for h in path.handoffs] + [path.request.t]
-    assert all(x < y for x, y in zip(times, times[1:]))
+    pids = list(reg.programs)
+    programs = tuple(pids[k] for k in chain)
+    wid = reg.resolve_widget("go").id
+    store = make_store()
+    log = [("input", "i", wid, programs[0], t0, d0)]
+    store.record_input(InputEvent("i", wid, programs[0], t0), delivered_at=d0)
+    handoffs = [
+        (d, j, n, HandoffEvent(f"h{j}-{n}", programs[j], programs[j + 1], t, provenance="i"))
+        for j, instances in enumerate(hops)
+        for n, (t, d) in enumerate(instances)
+    ]
+    for d, _j, _n, h in sorted(handoffs, key=lambda x: x[:3]):  # in delivery order, re-traversals interleaved
+        store.record_handoff(h, delivered_at=d)
+        log.append(("handoff", h.event_id, h.src, h.dst, h.t, d))
+    r = OperationRequest("r", programs[-1], "capture_picture", "Camera", req_t)
+    store.record_request(r)
+    log.append(("request", "r", r.program_id, r.op, r.sensor, r.t))
+    assert store.compute_path(r) == PathKey(wid, programs, "capture_picture", "Camera")
+    assert attribution_classes(log, "r", WINDOW) == {(wid, programs)}
 
 
 @st.composite
