@@ -12,7 +12,8 @@ import random
 from delegauth.scenario import Scenario
 
 
-def fuzz_scenario(seed: int) -> Scenario:
+def fuzz_scenario(seed: int, gaps_ms: tuple[int, int] = (10, 400)) -> Scenario:
+    """The scenario of `seed`; consecutive inputs are `gaps_ms` (low, high) apart."""
     rng = random.Random(seed)
     n_programs = rng.randint(2, 6)
     names = [f"prog{i}" for i in range(n_programs)]
@@ -64,7 +65,7 @@ def fuzz_scenario(seed: int) -> Scenario:
     t = 0
     widgets = [w["label"] for w in scn.widgets]
     for _ in range(rng.randint(3, 10)):
-        t += rng.randint(10, 400)
+        t += rng.randint(*gaps_ms)
         receiver = None
         label = rng.choice(widgets)
         # the receiver is fixed by the widget's first handler

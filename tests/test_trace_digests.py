@@ -24,6 +24,7 @@ from delegauth.runner import trace_header
 from delegauth.scenario import TraceWriter, read_trace_header
 
 from conftest import DATA, scenario_path
+from fuzzgen import fuzz_scenario
 from oracle import log_from_trace
 
 DIGESTS = DATA / "trace_digests.json"
@@ -79,8 +80,17 @@ def contention(scheduler: bool = True):
     return loads_scenario(text)
 
 
-# name -> (scenario factory, mode); together these emit every record form the
-# engine writes
+def fuzz_tight_gaps():
+    """800 fuzz scenarios (seeds 0-799) with inputs 1-40 ms apart, inside the window.
+
+    Held tickets reach the gate exactly at their deadline, and repeats find
+    their receiver both busy and idle: corners the 10-400 ms corpus misses.
+    """
+    return [fuzz_scenario(seed, gaps_ms=(1, 40)) for seed in range(800)]
+
+
+# name -> (factory of a scenario or a list of them, mode); together these emit
+# every record form the engine writes
 SCENARIOS = {
     "task_a": (lambda: load_scenario(scenario_path("task_a")), None),
     "task_b": (lambda: load_scenario(scenario_path("task_b")), None),
@@ -92,20 +102,25 @@ SCENARIOS = {
     "contention": (contention, None),
     "contention_unscheduled": (lambda: contention(scheduler=False), None),
     "pass_through": (contention, Mode.PASS_THROUGH),
+    "fuzz_tight_gaps": (fuzz_tight_gaps, None),
 }
 
 
 def trace_digest(name: str, directory: Path) -> str:
+    """The sha256 of the scenario's trace, or of a list's traces in order."""
     path = directory / f"{name}.trace"
     make, mode = SCENARIOS[name]
-    if mode is Mode.PASS_THROUGH:
-        # no CLI spelling runs the baseline, so its header records no mode
-        scn = make()
-        with open(path, "w") as fh:
-            run_scenario(scn, mode=mode, trace=TraceWriter(fh, trace_header(scn, None, None, None, None)))
-    else:
-        run_with_trace(make(), path, mode=mode)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    made = make()
+    digest = hashlib.sha256()
+    for scn in made if isinstance(made, list) else [made]:
+        if mode is Mode.PASS_THROUGH:
+            # no CLI spelling runs the baseline, so its header records no mode
+            with open(path, "w") as fh:
+                run_scenario(scn, mode=mode, trace=TraceWriter(fh, trace_header(scn, None, None, None, None)))
+        else:
+            run_with_trace(scn, path, mode=mode)
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
