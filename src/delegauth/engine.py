@@ -226,8 +226,7 @@ def _prompt_line(seq: int, t: int, prompt: dict) -> str:
 class _HandlerExec:
     program_id: str
     trigger_event_id: str
-    derived: bool
-    root_id: str | None
+    root_id: str | None  # the root whose work this is, or None
     phase: str
     occupies_busy: bool
     cancelled: bool = False
@@ -267,7 +266,10 @@ class Engine:
         self._occ_seq = 0  # sequence of timeline and heap entries alike
         self._event_seq = 0
         self._programs: dict[str, ProgramState] = {}
-        self._waiting: set[str] = set()  # programs with a non-empty queue
+        # exactly the programs with a non-empty queue, and so the only ones
+        # `_try_dispatch` runs on: `_admit` adds a program as it queues a ticket,
+        # and `_try_dispatch`, where tickets leave queues, discards it when empty
+        self._waiting: set[str] = set()
         self._rank: dict[str, int] = {}  # program -> registration order
         self._busy_exec: dict[str, _HandlerExec] = {}  # busy program -> the handler it runs
         self._root_tickets: dict[str, list[Ticket]] = {}
@@ -297,13 +299,6 @@ class Engine:
         self._trace_seq += 1
         self._trace(line(self._trace_seq, self.now, *fields))
 
-    def _program(self, program_id: str) -> ProgramState:
-        state = self._programs.get(program_id)
-        if state is None:
-            state = ProgramState(program_id=program_id)
-            self._programs[program_id] = state
-        return state
-
     def _authorizer(self, phase: str):
         auth = self.authorizers.get(phase)
         if auth is None:
@@ -327,8 +322,12 @@ class Engine:
         self._occ_seq += 1
         self._timeline.append((t, self._occ_seq, "submit", spec))
 
-    def submit(self, event: MediatedEvent, phase: str = "main") -> Ticket:
-        """Admit an event now (advancing the clock to event.t first)."""
+    def submit(self, event: MediatedEvent, phase: str = "main") -> Ticket | None:
+        """Admit an event now (advancing the clock to event.t first).
+
+        Returns the ticket of an input or a handoff. A request is decided at
+        admission, so it gets none: None.
+        """
         if event.t < self.now:
             raise ProtocolViolation(f"cannot submit {event.event_id} in the past")
         self._run_until(event.t)
@@ -416,21 +415,18 @@ class Engine:
         except Backpressure:
             pass  # rejection recorded; the run continues
 
-    def _admit(self, ev: MediatedEvent, phase: str, derived_root: str | None = None) -> Ticket:
+    def _admit(self, ev: MediatedEvent, phase: str, derived_root: str | None = None) -> Ticket | None:
         self.registry.validate_event(ev)
         kind = event_kind(ev)
 
         if kind == "request":
-            ticket = Ticket(
-                event=ev, kind=kind, priority=HIGH, derived=derived_root is not None,
-                root_id=derived_root, deadline=ev.t, status=DELIVERED, deliver_t=ev.t,
-            )
-            self.stats.record_submit(kind, ticket.derived)
-            self.stats.record_delivery(kind, 0, ticket.derived)
+            derived = derived_root is not None
+            self.stats.record_submit(kind, derived)
+            self.stats.record_delivery(kind, 0, derived)
             if self._trace is not None:
-                self._emit(_admit_line, ev, HIGH, ticket.derived, phase)
+                self._emit(_admit_line, ev, HIGH, derived, phase)
             self._mediate_request(ev, phase)
-            return ticket
+            return None
 
         derived = kind == "input"
         root_id = None
@@ -465,7 +461,10 @@ class Engine:
                 self._deliver(ticket)
                 return ticket
 
-        state = self._program(ev.program_id if kind == "input" else ev.dst)
+        target = ev.program_id if kind == "input" else ev.dst
+        state = self._programs.get(target)
+        if state is None:
+            state = self._programs[target] = ProgramState(program_id=target)
         try:
             state.enqueue(ticket, self.config.queue_bound, self.config.two_level)
         except Backpressure:
@@ -540,6 +539,10 @@ class Engine:
     def _try_dispatch(self, state: ProgramState, asked: Ticket | None = None) -> None:
         """Deliver or drop head tickets until the program is busy or its head is blocked.
 
+        Called only for a program in `_waiting`: any other has empty queues, so
+        there is nothing to dispatch. It leaves `_waiting` here once both of its
+        queues are empty.
+
         `asked` is the input `_admit` has just queued after asking `_repeat_root`.
         The answer holds when the loop reaches it, since the loop records no
         input before it: delivering one leaves the program busy."""
@@ -595,7 +598,7 @@ class Engine:
                 self._root_phase[root_id] = phase
                 self._push(self.store.live[root_id].deadline + 1, "root_expiry", root_id)
         occupies_busy = repeat_root is None or ev.program_id not in self._busy_exec
-        self._run_handler(ev.program_id, "widget", ev.widget_id, ev, True, root_id, phase, occupies_busy)
+        self._run_handler(ev.program_id, "widget", ev.widget_id, ev, root_id, phase, occupies_busy)
 
     def _deliver_handoff(self, ticket: Ticket, ev: HandoffEvent, phase: str) -> None:
         root_id = ticket.root_id
@@ -616,7 +619,7 @@ class Engine:
         elif self._graphs and self._trace is not None:
             self._emit(_handoff_line, ev.event_id, None, "unattributable")
         label = ev.action if ev.action is not None else "*"
-        self._run_handler(ev.dst, "handoff", label, ev, ticket.derived, root_id, phase, True)
+        self._run_handler(ev.dst, "handoff", label, ev, root_id, phase, True)
 
     # -- handler execution ------------------------------------------------------------------
 
@@ -626,7 +629,6 @@ class Engine:
         trigger_kind: str,
         trigger_value: str,
         ev: MediatedEvent,
-        derived: bool,
         root_id: str | None,
         phase: str,
         occupies_busy: bool,
@@ -635,7 +637,6 @@ class Engine:
         exec_ = _HandlerExec(
             program_id=program_id,
             trigger_event_id=ev.event_id,
-            derived=derived,
             root_id=root_id,
             phase=phase,
             occupies_busy=occupies_busy and self._holds,
@@ -657,7 +658,7 @@ class Engine:
                 src=exec_.program_id,
                 dst=action.to,
                 t=self.now,
-                provenance=exec_.root_id if exec_.derived else None,
+                provenance=exec_.root_id,
                 action=action.label,
             )
             try:
@@ -672,7 +673,7 @@ class Engine:
                 sensor=action.sensor,
                 t=self.now,
             )
-            self._admit(ev, phase=exec_.phase, derived_root=exec_.root_id if exec_.derived else None)
+            self._admit(ev, phase=exec_.phase, derived_root=exec_.root_id)
 
     def _fire_complete(self, exec_: _HandlerExec) -> None:
         if exec_.cancelled:
@@ -682,7 +683,8 @@ class Engine:
             self._emit(_complete_line, exec_.trigger_event_id, exec_.program_id, "handler")
         if exec_.occupies_busy:
             del self._busy_exec[exec_.program_id]
-            self._try_dispatch(self._program(exec_.program_id))
+            if exec_.program_id in self._waiting:
+                self._try_dispatch(self._programs[exec_.program_id])
 
     # -- expiries ---------------------------------------------------------------------------
 
@@ -691,15 +693,12 @@ class Engine:
             return
         self._expire_ticket(ticket, "hold_deadline")
         target = ticket.event.program_id if ticket.kind == "input" else ticket.event.dst
-        self._try_dispatch(self._program(target))
+        self._try_dispatch(self._programs[target])  # still queued, so in `_waiting`
 
     def _fire_root_expiry(self, root_id: str) -> None:
-        g = self.store.live.get(root_id)
-        if g is None:
-            return
-        affected = set(g.join_t)
         # only a root that will prompt needs its snapshot: it goes into the cache
-        self.store.expire_graph(root_id, self.now, snapshot=root_id in self._pending)
+        if not self.store.expire_graph(root_id, self.now, snapshot=root_id in self._pending):
+            return
         phase = self._root_phase.pop(root_id)
         if self._trace is not None:
             self._emit(_expire_root_line, root_id)
@@ -708,16 +707,15 @@ class Engine:
             if ticket.status == QUEUED:
                 self._expire_ticket(ticket, "root_expired")
         for pid, exec_ in list(self._busy_exec.items()):
-            if exec_.derived and exec_.root_id == root_id:
+            if exec_.root_id == root_id:
                 exec_.cancelled = True
                 if self._trace is not None:
                     self._emit(_complete_line, exec_.trigger_event_id, pid, "window_backstop")
                 del self._busy_exec[pid]
-                affected.add(pid)
-        # waiting programs too: expiring this root's held tickets can unblock a
-        # queue outside the root (test_root_expiry_dispatches_programs_waiting_outside_the_root)
-        for pid in sorted(affected | self._waiting, key=self._registration_rank):
-            self._try_dispatch(self._program(pid))
+        # the sealed root, its dropped tickets and its freed programs can unblock
+        # any waiting program, inside the root or not; the others have nothing queued
+        for pid in sorted(self._waiting, key=self._registration_rank):
+            self._try_dispatch(self._programs[pid])
 
     def _registration_rank(self, program_id: str) -> int:
         rank = self._rank.get(program_id)

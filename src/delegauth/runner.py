@@ -42,22 +42,6 @@ class RunReport:
     def preliminary_prompts(self) -> int:
         return self.prompt_counts.get("preliminary", 0)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "final_t": self.final_t,
-            "wall_ms": round(self.wall_ms, 3),
-            "prompt_counts": self.prompt_counts,
-            "prompts": self.prompts,
-            "decisions": self.decisions,
-            "attack_outcomes": self.attack_outcomes,
-            "expect_failures": self.expect_failures,
-            "delay_stats": self.delay_stats,
-            "path_edge_histogram": {str(k): v for k, v in sorted(self.path_edge_histogram.items())},
-            "cache_footprint_total": self.cache_footprint.get("total", 0),
-            "ambiguous_requests": self.ambiguous_requests,
-        }
-
 
 def resolve_mode(scn: Scenario, mode: Mode | str | None) -> Mode:
     """The mode a run of `scn` uses: `mode`, a spelling of one, or (None) the

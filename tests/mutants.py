@@ -1,0 +1,117 @@
+"""Mutation probe: does the test suite notice each of a fixed list of one-line faults?
+
+Each mutant replaces one line of `src/delegauth` in a temporary copy of the
+repository, and `pytest -x -q tests` runs on that copy. A failing run kills the
+mutant; a passing run lets it survive. The unmutated copy runs first, and the
+probe stops if it fails, since a failing suite would kill every mutant.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py --list
+
+It uses the standard library alone, and pytest does not collect it. The exit
+status is 0 when every mutant run was killed, and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (file under src/delegauth, the line's text, the mutated text); the
+# text must occur exactly once in the file
+MUTANTS = {
+    # a ticket gated exactly at its deadline is dropped rather than delivered
+    "gate_deadline_inclusive": (
+        "engine.py", "if self.now > ticket.deadline:", "if self.now >= ticket.deadline:",
+    ),
+    # a repeat never occupies its idle receiver
+    "repeat_never_busy": (
+        "engine.py",
+        "occupies_busy = repeat_root is None or ev.program_id not in self._busy_exec",
+        "occupies_busy = repeat_root is None",
+    ),
+    # a chain that is a prefix of the one before it loses its first program
+    "prompt_prefix_chain": (
+        "auth.py", "if common and common < len(chain):", "if common:",
+    ),
+    # a denial is cached though `cache_denials` is off
+    "flush_stores_denial": (
+        "engine.py", "elif self.config.cache_denials:", "else:",
+    ),
+    # a repeat joins a root whose (widget, receiver) key it does not share
+    "repeat_key_unchecked": (
+        "graph.py",
+        "if (i.widget_id, i.program_id) != (g.root.widget_id, g.root.program_id):",
+        "if False:",
+    ),
+    # sealing a root dispatches no waiting program
+    "no_dispatch_at_root_expiry": (
+        "engine.py", "self._try_dispatch(self._programs[pid])", "pass",
+    ),
+    # a program that finishes its handler does not take its next ticket
+    "no_dispatch_at_completion": (
+        "engine.py", "self._try_dispatch(self._programs[exec_.program_id])", "pass",
+    ),
+}
+
+
+def _pytest(copy: Path) -> tuple[bool, float]:
+    """Run the suite in `copy`; returns (passed, seconds)."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return done.returncode == 0, time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        print("\n".join(MUTANTS))
+        return 0
+    unknown = [name for name in argv if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}; see --list", file=sys.stderr)
+        return 2
+    names = argv or list(MUTANTS)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench"))
+        passed, seconds = _pytest(copy)
+        if not passed:
+            print(f"the unmutated suite fails ({seconds:.0f} s); no mutant was run", file=sys.stderr)
+            return 2
+        print(f"unmutated: passed ({seconds:.0f} s)")
+        survivors = []
+        for name in names:
+            filename, line, mutated = MUTANTS[name]
+            path = copy / "src" / "delegauth" / filename
+            original = path.read_text()
+            if original.count(line) != 1:
+                print(f"{name}: {line!r} does not occur exactly once in {filename}", file=sys.stderr)
+                return 2
+            path.write_text(original.replace(line, mutated))
+            try:
+                passed, seconds = _pytest(copy)
+            finally:
+                path.write_text(original)
+            print(f"{name}: {'SURVIVED' if passed else 'killed'} ({seconds:.0f} s)")
+            if passed:
+                survivors.append(name)
+    print(f"{len(names) - len(survivors)} of {len(names)} killed"
+          + (f"; survived: {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -324,6 +324,24 @@ def test_cache_hit_is_silent_second_time_around():
     assert engine.decisions[-1].reason == "cached"
 
 
+def test_a_denied_prompt_without_cache_denials_leaves_the_cache_empty():
+    handlers = [
+        HandlerSpec(
+            program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+            actions=(EmitRequest(op="capture_picture", sensor="Camera", after_ms=2),),
+            complete=Complete(after_ms=3),
+        ),
+    ]
+    engine, (a, _, _), _ = build_engine(handlers=handlers)
+    engine.authorizers["main"] = ScriptedPolicy(["deny * * * *"])
+    engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
+    engine.run_to_quiescence()
+    assert engine.prompt_count() == 1
+    assert [(d.outcome, d.reason) for d in engine.decisions] == [("denied", "prompted")]
+    assert engine.cache.entries == {}
+    assert engine.cache.footprint()["total"] == 0
+
+
 def test_path_variant_supersedes_and_reprompts():
     # same (requester, op, sensor) under one input key via a different chain;
     # routing is driven by raw timeline handoffs so the chain can change

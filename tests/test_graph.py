@@ -68,6 +68,29 @@ def test_duplicate_ids_are_checked_among_live_graphs_only(basic_registry):
     assert store.live["i1"].root.t == WINDOW + 2
 
 
+def test_repeat_input_of_a_dead_root_is_unattributable(basic_registry):
+    store = make_store()
+    pid = basic_registry.program_by_name("Alpha").id
+    wid = basic_registry.resolve_widget("do the thing").id
+    root = store.record_input(InputEvent("i1", wid, pid, 0))
+    with pytest.raises(UnattributableHandoff, match="names dead root"):
+        store.record_repeat_input(root, InputEvent("i2", wid, pid, WINDOW + 1))
+    assert store.expire_graph(root, WINDOW + 1)
+    with pytest.raises(UnattributableHandoff, match="names dead root"):
+        store.record_repeat_input(root, InputEvent("i3", wid, pid, WINDOW + 1))
+
+
+def test_repeat_input_with_another_key_is_an_invariant_violation(basic_registry):
+    store = make_store()
+    alpha = basic_registry.program_by_name("Alpha").id
+    beta = basic_registry.program_by_name("Beta").id
+    wid = basic_registry.resolve_widget("do the thing").id
+    root = store.record_input(InputEvent("i1", wid, alpha, 0))
+    with pytest.raises(InvariantViolation, match="repeat input key does not match root"):
+        store.record_repeat_input(root, InputEvent("i2", wid, beta, 10))
+    assert [i.event_id for i in store.live[root].input_instances] == ["i1"]
+
+
 def test_ten_inputs_make_ten_independent_graphs(basic_registry):
     store = make_store()
     pid = basic_registry.program_by_name("Alpha").id

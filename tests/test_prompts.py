@@ -65,6 +65,28 @@ def test_task_c_golden_by_construction():
     assert render_prompt(keys, reg) == golden("task_c_entrust.golden")
 
 
+def test_a_chain_that_is_a_prefix_of_the_one_before_is_named_whole():
+    reg = Registry()
+    ga = reg.register_program("Google Assistant", "GA")
+    bc = reg.register_program("Basic Camera", "BC", display="the Basic Camera app")
+    mb = reg.register_program("Mobile Banking", "MB", display="the Mobile Banking app")
+    w = reg.register_widget("deposit bank check", WidgetKind.VOICE)
+    reg.register_sensor("Camera")
+    reg.register_sensor("Microphone")
+    reg.register_operation("capture_picture", ["Camera"], "capture pictures")
+    reg.register_operation("record_audio", ["Microphone"], "record audio")
+    keys = [
+        PathKey(w.id, (ga.id, bc.id, mb.id), "capture_picture", "Camera"),
+        PathKey(w.id, (ga.id, bc.id), "record_audio", "Microphone"),
+    ]
+    # the second chain diverges nowhere from the first, so it starts at its root
+    assert render_prompt(keys, reg) == (
+        'In response to your voice command "deposit bank check", allow Google Assistant'
+        " to activate the Basic Camera app to activate the Mobile Banking app to capture pictures."
+        " Also, allow Google Assistant to activate the Basic Camera app to record audio?"
+    )
+
+
 def test_goldens_via_full_scenario_runs(task_a, task_b, task_c):
     for scn, name in ((task_a, "task_a"), (task_b, "task_b"), (task_c, "task_c")):
         report, _ = run_scenario(scn, mode="entrust")
