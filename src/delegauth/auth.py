@@ -274,7 +274,8 @@ class AuthorizationCache:
         """Evict authorized paths superseded by a new chain variant.
 
         Conflict = same InputKey and same (requester, op, sensor) but a
-        different program chain.
+        different program chain. Called once `lookup(new_key)` has missed, so
+        no allowed key with those fields is `new_key` itself.
         """
         entry = self.entries.get(new_key.input_key)
         if entry is None:
@@ -284,7 +285,6 @@ class AuthorizationCache:
             for k, v in entry.decisions.items()
             if v == "allow"
             and (k.requester, k.op, k.sensor) == (new_key.requester, new_key.op, new_key.sensor)
-            and k.programs != new_key.programs
         ]
         for k in stale:
             del entry.decisions[k]

@@ -62,15 +62,7 @@ from .errors import (
     ProtocolViolation,
     UnattributableHandoff,
 )
-from .graph import (
-    ATTACH_CONFLICT,
-    ATTACH_MERGE,
-    ATTACH_NEW,
-    ATTACH_REPEAT,
-    ATTACH_STALE,
-    GraphStore,
-    PathKey,
-)
+from .graph import GraphStore, PathKey
 from .model import (
     HandoffEvent,
     InputEvent,
@@ -498,14 +490,16 @@ class Engine:
         return None
 
     def _repeat_root(self, ev: InputEvent) -> str | None:
-        """The live root an input repeats: the one its program received, if it has the input's key.
+        """The live root an input repeats: one its program received on the input's widget.
 
-        Asked at admission too, where a repeat bypasses queues and busy exclusivity.
+        With holds a program is in at most one live root, so at most one
+        matches. Asked at admission too, where a repeat bypasses queues and
+        busy exclusivity.
         """
-        # the root a program received has that program as its receiver
-        received = self.store.live_received_root(ev.program_id, self.now)
-        if received is not None and self.store.live[received].root.widget_id == ev.widget_id:
-            return received
+        for root_id in self.store.membership.get(ev.program_id, ()):
+            g = self.store.live[root_id]
+            if g.live_at(self.now) and g.root.program_id == ev.program_id and g.root.widget_id == ev.widget_id:
+                return root_id
         return None
 
     def _gate(self, ticket: Ticket, asked: bool) -> str:
@@ -526,14 +520,7 @@ class Engine:
                 return "blocked"
             return "deliver"
         if ticket.derived:
-            verdict = self.store.attachability(ev, ticket.root_id, self.now)
-            if verdict in (ATTACH_NEW, ATTACH_REPEAT):
-                return "deliver"
-            if verdict == ATTACH_CONFLICT:
-                return "blocked"
-            if verdict == ATTACH_MERGE:
-                return "merge_rejected"
-            return "root_expired"  # ATTACH_STALE
+            return self.store.attachability(ev, ticket.root_id, self.now)
         return "deliver"
 
     def _try_dispatch(self, state: ProgramState, asked: Ticket | None = None) -> None:
@@ -678,7 +665,6 @@ class Engine:
     def _fire_complete(self, exec_: _HandlerExec) -> None:
         if exec_.cancelled:
             return
-        exec_.cancelled = True
         if self._trace is not None:
             self._emit(_complete_line, exec_.trigger_event_id, exec_.program_id, "handler")
         if exec_.occupies_busy:

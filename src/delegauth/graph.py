@@ -142,14 +142,6 @@ def _delivery_time(ev: InputEvent | HandoffEvent, delivered_at: int | None) -> i
     return delivered_at
 
 
-# attachability verdicts used by the scheduler's delivery gates
-ATTACH_NEW = "new"
-ATTACH_REPEAT = "repeat"
-ATTACH_MERGE = "merge"
-ATTACH_CONFLICT = "conflict"  # target belongs to a different live graph
-ATTACH_STALE = "stale"  # root no longer live
-
-
 class GraphStore:
     """Holds all live graphs, membership indexes, and the snapshots kept at sealing.
 
@@ -168,16 +160,9 @@ class GraphStore:
         self.sealed: dict[str, bytes] = {}  # root event_id -> serialized snapshot
         self.expired_deadline: dict[str, int] = {}  # program -> min deadline of its sealed roots
         self.membership: dict[str, set[str]] = {}  # program -> live root ids
-        self.received_root: dict[str, str] = {}  # program -> live root it received
         self._request_index: dict[str, tuple[str, OperationRequest]] = {}  # event_id -> (root, r), live roots only
 
     # -- queries used by the scheduler ------------------------------------
-
-    def live_received_root(self, program_id: str, now: int) -> str | None:
-        root_id = self.received_root.get(program_id)
-        if root_id is None or not self.live[root_id].live_at(now):
-            return None
-        return root_id
 
     def live_memberships(self, program_id: str, now: int) -> set[str]:
         return {r for r in self.membership.get(program_id, ()) if self.live[r].live_at(now)}
@@ -198,15 +183,20 @@ class GraphStore:
         return deadline is not None and t > deadline
 
     def attachability(self, h: HandoffEvent, root_id: str, t: int) -> str:
+        """The delivery gate's verdict on a handoff derived from `root_id`, at `t`.
+
+        `root_expired` once the root is no longer live; `blocked` while the
+        target belongs to another live root; `merge_rejected` when the target
+        is already in the root under another parent; `deliver` otherwise.
+        """
         g = self.live.get(root_id)
         if g is None or not g.live_at(t):
-            return ATTACH_STALE
-        others = self.live_memberships(h.dst, t) - {root_id}
-        if others:
-            return ATTACH_CONFLICT
-        if h.dst in g.join_t:
-            return ATTACH_REPEAT if g.parent.get(h.dst) == h.src else ATTACH_MERGE
-        return ATTACH_NEW
+            return "root_expired"
+        if self.live_memberships(h.dst, t) - {root_id}:
+            return "blocked"
+        if h.dst in g.join_t and g.parent[h.dst] != h.src:
+            return "merge_rejected"
+        return "deliver"
 
     # -- recording ----------------------------------------------------------
 
@@ -224,7 +214,6 @@ class GraphStore:
         g.parent[i.program_id] = None
         self.live[i.event_id] = g
         self.membership.setdefault(i.program_id, set()).add(i.event_id)
-        self.received_root[i.program_id] = i.event_id
         return i.event_id
 
     def record_repeat_input(self, root_id: str, i: InputEvent) -> None:
@@ -320,8 +309,6 @@ class GraphStore:
                 members.discard(root_id)
                 if not members:
                     del self.membership[pid]
-        if self.received_root.get(g.root.program_id) == root_id:
-            del self.received_root[g.root.program_id]
         for requests in g.request_instances.values():
             for r in requests:
                 del self._request_index[r.event_id]

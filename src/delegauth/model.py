@@ -109,7 +109,6 @@ class Registry:
     operations: dict[str, Operation] = field(default_factory=dict)
     _by_name_mark: dict[tuple[str, str], str] = field(default_factory=dict)
     _alias_index: dict[str, str] = field(default_factory=dict)  # normalized alias -> widget id
-    _next_program: int = 1
 
     # -- programs --------------------------------------------------------
 
@@ -121,8 +120,7 @@ class Registry:
         key = (name, identity_mark)
         if key in self._by_name_mark:
             raise DuplicateProgram(f"program {name!r} with mark {identity_mark!r} already registered")
-        pid = f"P{self._next_program}"
-        self._next_program += 1
+        pid = f"P{len(self.programs) + 1}"  # no program is ever removed
         prog = Program(id=pid, name=name, identity_mark=identity_mark, display=display or name)
         self.programs[pid] = prog
         self._by_name_mark[key] = pid

@@ -60,6 +60,20 @@ MUTANTS = {
     "no_dispatch_at_completion": (
         "engine.py", "self._try_dispatch(self._programs[exec_.program_id])", "pass",
     ),
+    # an input repeats any live root its program is in, on the input's widget
+    "repeat_any_member": (
+        "engine.py",
+        "if g.live_at(self.now) and g.root.program_id == ev.program_id and g.root.widget_id == ev.widget_id:",
+        "if g.live_at(self.now) and g.root.widget_id == ev.widget_id:",
+    ),
+    # a derived handoff to a program already in the root under another parent is delivered
+    "attach_no_merge": (
+        "graph.py", "if h.dst in g.join_t and g.parent[h.dst] != h.src:", "if False:",
+    ),
+    # a derived handoff to a program in another live root is delivered
+    "attach_no_conflict": (
+        "graph.py", "if self.live_memberships(h.dst, t) - {root_id}:", "if False:",
+    ),
 }
 
 

@@ -4,12 +4,15 @@ import json
 
 import pytest
 
+from delegauth import load_scenario, loads_scenario, runner
 from delegauth.auth import ScriptedPolicy
 from delegauth.engine import Engine, EngineConfig, Mode
 from delegauth.errors import Backpressure, InvariantViolation, ProtocolViolation
 from delegauth.graph import InputKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
 from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable
+from conftest import DATA, scenario_path
+from fuzzgen import fuzz_scenario
 from oracle import log_from_trace
 
 WINDOW = 150
@@ -114,6 +117,26 @@ def test_repeat_input_classification():
     assert [i.event_id for i in engine.store.live["x1"].input_instances] == ["x1", "x2"]
     held = engine.submit(InputEvent("x3", wid(engine, "second cmd"), a, 10))
     assert held.status == "queued"
+
+
+def test_an_input_to_an_idle_member_on_the_roots_widget_is_no_repeat():
+    # Beta joins x1 through Alpha's handoff and is idle by t=10. An input on
+    # x1's widget to Beta has x1's widget but not its receiver: it waits for
+    # x1 to seal, then roots a graph of its own.
+    handlers = [
+        HandlerSpec(
+            program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+            actions=(EmitHandoff(to="P2", after_ms=2),), complete=Complete(after_ms=3),
+        ),
+    ]
+    engine, (a, b, _), _ = build_engine(handlers=handlers)
+    engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
+    ticket = engine.submit(InputEvent("x2", wid(engine, "first cmd"), b, 10))
+    assert b in engine.store.live["x1"].join_t and b not in engine._busy_exec
+    assert ticket.status == "queued" and ticket.root_id is None
+    engine.advance(WINDOW + 1)
+    assert ticket.status == "delivered" and ticket.deliver_t == WINDOW + 1
+    assert ticket.root_id is None and engine.store.live["x2"].root.program_id == b
 
 
 def test_five_repeats_zero_holds():
@@ -592,3 +615,30 @@ def test_held_tickets_deadline_keeps_the_sequence_of_its_admission():
         ("admit", "e2"), ("expire", "e1"), ("deliver", "n1"), ("handoff", "n1"), ("hold", "e2"), ("expire", "x0"),
     ]
     assert by_t[2 * WINDOW + 2] == [("expire", "e2"), ("complete", "n1")]
+
+
+def _finds_a_program_in_two_live_roots(scn, mode) -> bool:
+    """Whether, at some trace line of a run, a program belongs to two live roots."""
+    found = False
+
+    def check(_line):
+        nonlocal found
+        store = engine.store
+        found = found or any(len(store.live_memberships(p, engine.now)) > 1 for p in store.membership)
+
+    engine, name_to_id = runner.build_engine(scn, mode=mode, trace=check)
+    runner._schedule_timeline(engine, scn, name_to_id)
+    engine.run_to_quiescence()
+    return found
+
+
+def test_a_program_is_in_at_most_one_live_root_with_holds():
+    # `_repeat_root` relies on this: it takes the first matching root of a
+    # program's memberships
+    scenarios = [fuzz_scenario(seed, gaps_ms=gaps) for gaps in ((10, 400), (1, 40)) for seed in range(800)]
+    scenarios.append(loads_scenario((DATA / "contention.scn").read_text()))
+    scenarios += [load_scenario(scenario_path(task)) for task in ("task_a", "task_b", "task_c")]
+    broken = [i for i, scn in enumerate(scenarios) if _finds_a_program_in_two_live_roots(scn, Mode.DELEGATION)]
+    assert broken == []
+    # without holds the same check does find one, so it can see a violation
+    assert any(_finds_a_program_in_two_live_roots(scn, Mode.DELEGATION_NO_HOLDS) for scn in scenarios)

@@ -311,8 +311,8 @@ def test_thousand_roots_expire_and_evict(basic_registry):
         store.record_request(OperationRequest(f"r{i}", a, "capture_picture", "Camera", t + 1))
     assert all(store.expire_graph(f"i{i}", 1000 * (WINDOW + 1)) for i in range(1000))
     assert len(store.sealed) == 1000
-    # nothing live is left: no graph, membership, received root or request
-    assert store.live == {} and store.membership == {} and store.received_root == {}
+    # nothing live is left: no graph, membership or request
+    assert store.live == {} and store.membership == {}
     assert store._request_index == {}
 
 
