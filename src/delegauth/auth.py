@@ -135,13 +135,10 @@ def render_first_use_prompt(program_id: str, op: str, registry: Registry) -> str
 
 
 def prompt_marks(keys: list[PathKey], registry: Registry) -> list[list[str]]:
-    """(name, identity mark) pairs for every program named by the keys."""
-    seen: dict[str, str] = {}
-    for k in keys:
-        for pid in k.programs:
-            prog = registry.program(pid)
-            seen.setdefault(prog.name, prog.identity_mark)
-    return [[name, mark] for name, mark in seen.items()]
+    """(name, identity mark) pairs, one per program the keys name, in order of
+    first appearance: two programs of one name show both their marks."""
+    programs = map(registry.program, dict.fromkeys(pid for k in keys for pid in k.programs))
+    return [[prog.name, prog.identity_mark] for prog in programs]
 
 
 # -- authorizers -----------------------------------------------------------------

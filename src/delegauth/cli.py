@@ -53,6 +53,9 @@ def _print_report(report, out) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.interactive and args.trace:
+        # a trace records the scenario's policy, not the answers typed, so replay could not re-run it
+        raise ParseError("--interactive cannot be combined with --trace")
     scn = load_scenario(args.file)
     policy_rules = None
     if args.policy:
@@ -64,7 +67,7 @@ def cmd_run(args) -> int:
     if args.trace:
         report, _writer = run_with_trace(
             scn, args.trace, mode=args.mode, policy_rules=policy_rules,
-            window_ms=args.window_ms, seed=args.seed, interactive=args.interactive,
+            window_ms=args.window_ms, seed=args.seed,
         )
     else:
         report, _engine = run_scenario(

@@ -3,9 +3,11 @@
 Single event loop over a virtual millisecond clock. Occurrences (timeline
 submissions, handler actions, completions, window expiries, hold deadlines)
 are processed in (time, sequence) order, so identical inputs always produce
-identical transcripts. Timeline submissions come in time order, so they wait
-in their own FIFO; the heap holds only the occurrences a run creates, and the
-loop takes whichever head is earlier in (time, sequence).
+identical transcripts. Each is queued as one entry `(t, seq, fire, arg)`,
+and processing it is the call `fire(arg)`; `seq` is unique across all
+entries, so no comparison reaches `fire`. Timeline submissions come in time
+order, so they wait in their own FIFO; the heap holds only the occurrences a
+run creates, and the loop takes whichever head is earlier in (time, sequence).
 
 `EngineConfig.mode` picks one of four behaviours (`Mode`):
   * PASS_THROUGH: the unmediated baseline; every event is delivered at once,
@@ -267,7 +269,6 @@ class Engine:
         self._root_tickets: dict[str, list[Ticket]] = {}
         self._label_ids: dict[str, str] = {}
         self._pending: dict[str, dict[PathKey, list[OperationRequest]]] = {}  # root -> its requests on new paths
-        self._root_phase: dict[str, str] = {}  # live root -> the phase of its input
 
         self.decisions: list[Decision] = []
         self.prompts: list[dict] = []
@@ -280,11 +281,12 @@ class Engine:
         self._event_seq += 1
         return f"e{self._event_seq}"
 
-    def _push(self, t: int, tag: str, payload, seq: int | None = None) -> None:
+    def _push(self, t: int, fire, arg, seq: int | None = None) -> None:
+        """Queue the call `fire(arg)` for virtual time `t`."""
         if seq is None:
             self._occ_seq += 1
             seq = self._occ_seq
-        heapq.heappush(self._heap, (t, seq, tag, payload))
+        heapq.heappush(self._heap, (t, seq, fire, arg))
 
     def _emit(self, line, *fields) -> None:
         # every caller checks `self._trace` first, so an untraced run builds no line
@@ -312,7 +314,7 @@ class Engine:
             )
         self._timeline_t = t
         self._occ_seq += 1
-        self._timeline.append((t, self._occ_seq, "submit", spec))
+        self._timeline.append((t, self._occ_seq, self._admit_spec, spec))
 
     def submit(self, event: MediatedEvent, phase: str = "main") -> Ticket | None:
         """Admit an event now (advancing the clock to event.t first).
@@ -351,24 +353,15 @@ class Engine:
             if timeline and (not heap or timeline[0] < heap[0]):
                 if timeline[0][0] > t_limit:
                     return
-                t, _, tag, payload = timeline.popleft()
+                t, _, fire, arg = timeline.popleft()
             elif heap and heap[0][0] <= t_limit:
-                t, _, tag, payload = heapq.heappop(heap)
+                t, _, fire, arg = heapq.heappop(heap)
             else:
                 return
             if t < self.now:
                 raise InvariantViolation("clock went backwards")
             self.now = t
-            if tag == "submit":
-                self._admit_spec(payload)
-            elif tag == "action":
-                self._fire_action(*payload)
-            elif tag == "complete":
-                self._fire_complete(payload)
-            elif tag == "root_expiry":
-                self._fire_root_expiry(payload)
-            elif tag == "deadline":
-                self._fire_deadline(payload)
+            fire(arg)
 
     # -- admission ------------------------------------------------------------------
 
@@ -433,14 +426,13 @@ class Engine:
                         self._emit(_handoff_line, ev.event_id, root_id, "unattributable")
                     derived, root_id = False, None
 
-        priority = HIGH if derived else LOW
         ticket = Ticket(
-            event=ev, kind=kind, priority=priority, derived=derived, root_id=root_id,
+            event=ev, kind=kind, derived=derived, root_id=root_id,
             deadline=ev.t + self.config.window_ms, phase=phase,
         )
         self.stats.record_submit(kind, derived)
         if self._trace is not None:
-            self._emit(_admit_line, ev, priority, derived, phase)
+            self._emit(_admit_line, ev, HIGH if derived else LOW, derived, phase)
 
         if not self._holds:
             self._deliver(ticket)
@@ -458,7 +450,7 @@ class Engine:
         if state is None:
             state = self._programs[target] = ProgramState(program_id=target)
         try:
-            state.enqueue(ticket, self.config.queue_bound, self.config.two_level)
+            queue = state.enqueue(ticket, self.config.queue_bound, self.config.two_level)
         except Backpressure:
             ticket.status = REJECTED
             self.backpressure_rejections += 1
@@ -474,19 +466,21 @@ class Engine:
         deadline_seq = self._occ_seq
         self._try_dispatch(state, asked=ticket)
         if ticket.status == QUEUED:
-            self._push(ticket.deadline + 1, "deadline", ticket, deadline_seq)
+            self._push(ticket.deadline + 1, self._fire_deadline, ticket, deadline_seq)
             if self._trace is not None:
-                self._emit(_hold_line, ev.event_id, state.program_id, priority)
+                self._emit(_hold_line, ev.event_id, state.program_id, queue)
         return ticket
 
     # -- dispatch ----------------------------------------------------------------------
 
-    def _next_ticket(self, state: ProgramState) -> Ticket | None:
+    def _next_ticket(self, state: ProgramState) -> deque | None:
+        """The queue whose head is the program's next ticket, high before low;
+        None when both are empty. Tickets that left by expiry are dropped here."""
         for queue in (state.high, state.low):
             while queue and queue[0].status != QUEUED:
                 queue.popleft()
             if queue:
-                return queue[0]
+                return queue
         return None
 
     def _repeat_root(self, ev: InputEvent) -> str | None:
@@ -534,13 +528,14 @@ class Engine:
         The answer holds when the loop reaches it, since the loop records no
         input before it: delivering one leaves the program busy."""
         while state.program_id not in self._busy_exec:
-            ticket = self._next_ticket(state)
-            if ticket is None:
+            queue = self._next_ticket(state)
+            if queue is None:
                 break
+            ticket = queue[0]
             verdict = self._gate(ticket, ticket is asked)
             if verdict == "blocked":
                 break  # strict priority: never skip past a blocked high head
-            (state.high if state.high and state.high[0] is ticket else state.low).popleft()
+            queue.popleft()
             if verdict == "deliver":
                 self._deliver(ticket)
             elif verdict == "merge_rejected":
@@ -561,82 +556,61 @@ class Engine:
     # -- delivery ------------------------------------------------------------------------
 
     def _deliver(self, ticket: Ticket) -> None:
+        """Deliver a ticket's event: record the delivery, attach the event to its
+        root or root a graph, then start the handler of the program it reaches."""
         ev = ticket.event
+        root_id = ticket.root_id
         ticket.status = DELIVERED
         ticket.deliver_t = self.now
         self.stats.record_delivery(ticket.kind, ticket.delay, ticket.derived)
+        program_id = ev.program_id if ticket.kind == "input" else ev.dst
         if self._trace is not None:
-            target = ev.program_id if ticket.kind == "input" else ev.dst
-            self._emit(_deliver_line, ev.event_id, target, ticket.delay, ticket.kind)
+            self._emit(_deliver_line, ev.event_id, program_id, ticket.delay, ticket.kind)
 
         if ticket.kind == "input":
-            self._deliver_input(ev, ticket.phase, ticket.root_id)
-        else:
-            self._deliver_handoff(ticket, ev, ticket.phase)
-
-    def _deliver_input(self, ev: InputEvent, phase: str, repeat_root: str | None) -> None:
-        """Deliver an input: a fresh one roots a graph, a repeat joins `repeat_root`."""
-        root_id = repeat_root
-        if self._graphs:
-            if repeat_root is not None:
-                self.store.record_repeat_input(repeat_root, ev)
-            else:
+            # a repeat (`_repeat_root`, so only with holds) joins its root and keeps
+            # its receiver busy only if idle; a fresh input roots a graph
+            occupies_busy = root_id is None or program_id not in self._busy_exec
+            if root_id is not None:
+                self.store.record_repeat_input(root_id, ev)
+            elif self._graphs:
                 root_id = self.store.record_input(ev, delivered_at=self.now)
-                self._root_phase[root_id] = phase
-                self._push(self.store.live[root_id].deadline + 1, "root_expiry", root_id)
-        occupies_busy = repeat_root is None or ev.program_id not in self._busy_exec
-        self._run_handler(ev.program_id, "widget", ev.widget_id, ev, root_id, phase, occupies_busy)
+                self._push(self.store.live[root_id].deadline + 1, self._fire_root_expiry, (root_id, ticket.phase))
+            spec = self.handlers.lookup(program_id, "widget", ev.widget_id)
+        else:
+            occupies_busy = True
+            if self._graphs:
+                outcome = "unattributable"  # also the outcome of a handoff of no root
+                if ticket.derived:
+                    try:
+                        self.store.record_handoff(ev, delivered_at=self.now)
+                        outcome = "attached"
+                    except AmbiguousAttribution:
+                        outcome = "merge_rejected"
+                    except BrokenChain:
+                        outcome = "broken_chain"
+                    except UnattributableHandoff:
+                        pass
+                if self._trace is not None:
+                    self._emit(_handoff_line, ev.event_id, root_id, outcome)
+                if ticket.derived and outcome != "attached":
+                    return  # attach refused: the message does not reach a handler
+            spec = self.handlers.lookup(program_id, "handoff", "*" if ev.action is None else ev.action)
 
-    def _deliver_handoff(self, ticket: Ticket, ev: HandoffEvent, phase: str) -> None:
-        root_id = ticket.root_id
-        if self._graphs and ticket.derived:
-            try:
-                self.store.record_handoff(ev, delivered_at=self.now)
-                outcome = "attached"
-            except AmbiguousAttribution:
-                outcome = "merge_rejected"
-            except BrokenChain:
-                outcome = "broken_chain"
-            except UnattributableHandoff:
-                outcome = "unattributable"
-            if self._trace is not None:
-                self._emit(_handoff_line, ev.event_id, root_id, outcome)
-            if outcome != "attached":
-                return  # attach refused: the message does not reach a handler
-        elif self._graphs and self._trace is not None:
-            self._emit(_handoff_line, ev.event_id, None, "unattributable")
-        label = ev.action if ev.action is not None else "*"
-        self._run_handler(ev.dst, "handoff", label, ev, root_id, phase, True)
+        exec_ = _HandlerExec(program_id, ev.event_id, root_id, ticket.phase, occupies_busy and self._holds)
+        if exec_.occupies_busy:
+            self._busy_exec[program_id] = exec_
+        if spec is None:
+            self._push(self.now + self.config.default_lag_ms, self._fire_complete, exec_)
+            return
+        for action in spec.actions:
+            self._push(self.now + action.after_ms, self._fire_action, (exec_, action))
+        self._push(self.now + spec.complete.after_ms, self._fire_complete, exec_)
 
     # -- handler execution ------------------------------------------------------------------
 
-    def _run_handler(
-        self,
-        program_id: str,
-        trigger_kind: str,
-        trigger_value: str,
-        ev: MediatedEvent,
-        root_id: str | None,
-        phase: str,
-        occupies_busy: bool,
-    ) -> None:
-        spec = self.handlers.lookup(program_id, trigger_kind, trigger_value)
-        exec_ = _HandlerExec(
-            program_id=program_id,
-            trigger_event_id=ev.event_id,
-            root_id=root_id,
-            phase=phase,
-            occupies_busy=occupies_busy and self._holds,
-        )
-        if exec_.occupies_busy:
-            self._busy_exec[program_id] = exec_
-        complete_after = spec.complete.after_ms if spec else self.config.default_lag_ms
-        if spec:
-            for action in spec.actions:
-                self._push(self.now + action.after_ms, "action", (exec_, action))
-        self._push(self.now + complete_after, "complete", exec_)
-
-    def _fire_action(self, exec_: _HandlerExec, action) -> None:
+    def _fire_action(self, exec_action: tuple[_HandlerExec, EmitHandoff | EmitRequest]) -> None:
+        exec_, action = exec_action
         if exec_.cancelled:
             return
         if isinstance(action, EmitHandoff):
@@ -681,11 +655,11 @@ class Engine:
         target = ticket.event.program_id if ticket.kind == "input" else ticket.event.dst
         self._try_dispatch(self._programs[target])  # still queued, so in `_waiting`
 
-    def _fire_root_expiry(self, root_id: str) -> None:
+    def _fire_root_expiry(self, root: tuple[str, str]) -> None:
+        root_id, phase = root  # the root, and the phase of the input that rooted it
         # only a root that will prompt needs its snapshot: it goes into the cache
         if not self.store.expire_graph(root_id, self.now, snapshot=root_id in self._pending):
             return
-        phase = self._root_phase.pop(root_id)
         if self._trace is not None:
             self._emit(_expire_root_line, root_id)
         self._flush_root(root_id, phase)

@@ -26,7 +26,6 @@ class RunReport:
     expect_failures: list[str] = field(default_factory=list)
     delay_stats: dict = field(default_factory=dict)
     path_edge_histogram: dict = field(default_factory=dict)
-    cache_footprint: dict = field(default_factory=dict)
     ambiguous_requests: int = 0
 
     @property
@@ -148,7 +147,6 @@ def run_scenario(
     report.delay_stats = engine.stats.to_dict()
     edges = Counter(d.path_key.edge_count for d in engine.decisions if d.path_key is not None)
     report.path_edge_histogram = dict(sorted(edges.items()))
-    report.cache_footprint = engine.cache.footprint()
     report.ambiguous_requests = engine.ambiguous_requests
     report.expect_failures = _check_expectations(scn, report, mode)
     return report, engine
@@ -201,7 +199,6 @@ def run_with_trace(
     policy_rules: list[str] | None = None,
     window_ms: int | None = None,
     seed: int | None = None,
-    interactive: bool = False,
 ) -> tuple[RunReport, TraceWriter]:
     """Run with a trace file at `trace_path` (None: the trace is discarded).
 
@@ -211,8 +208,7 @@ def run_with_trace(
     with open(os.devnull if trace_path is None else trace_path, "w") as fh:
         writer = TraceWriter(fh, header)
         report, _engine = run_scenario(
-            scn, mode=mode, policy_rules=policy_rules, window_ms=window_ms,
-            trace=writer, interactive=interactive,
+            scn, mode=mode, policy_rules=policy_rules, window_ms=window_ms, trace=writer,
         )
     return report, writer
 

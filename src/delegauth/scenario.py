@@ -144,7 +144,8 @@ _RECORDS = {
     "expect": _object({"mode": _MODE}, {"preliminary_prompts": _count, "main_prompts": _count,
                                         "attack": _object({}, other=bool)}),
 }
-_ONCE = {"config", "mode", "policy"}  # the kinds that may not repeat; a policy, once per phase
+# the kinds that may not repeat: a policy once per phase, a program once per name
+_ONCE = {"config", "mode", "policy", "program"}
 _SCENARIO_HEADER = _object({"format": (SCENARIO_FORMAT,), "version": (FORMAT_VERSION,)})
 # a trace header writes null for each override not given: a null value counts as absent
 _TRACE_HEADER = _object(
@@ -269,7 +270,8 @@ def loads_scenario(text: str) -> Scenario:
             raise ParseError(f"unknown record kind {kind!r}", line=lineno)
         _check(lineno, kind, spec, rec)
         if kind in _ONCE:
-            single = f"{rec.get('phase', 'main')} policy" if kind == "policy" else kind
+            single = (f"{rec.get('phase', 'main')} policy" if kind == "policy"
+                      else f"program {rec['name']!r}" if kind == "program" else kind)
             first = seen.setdefault(single, lineno)
             if first != lineno:
                 raise ParseError(f"a second {single} record; the first is on line {first}", line=lineno)

@@ -95,8 +95,7 @@ class Ticket:
 
     event: MediatedEvent
     kind: str
-    priority: str
-    derived: bool
+    derived: bool  # input-derived, so high priority
     root_id: str | None  # provenance root of a derived event; for an input, the live root it repeats
     deadline: int  # last instant the event may still be delivered
     status: str = QUEUED
@@ -116,15 +115,18 @@ class ProgramState:
     high: deque = field(default_factory=deque)
     low: deque = field(default_factory=deque)
 
-    def enqueue(self, ticket: Ticket, bound: int, two_level: bool) -> None:
+    def enqueue(self, ticket: Ticket, bound: int, two_level: bool) -> str:
+        """Queue `ticket`; returns the queue it joined, HIGH or LOW. Without
+        `two_level` every ticket joins the one FIFO, `low`."""
         if len(self.high) + len(self.low) >= bound:
             raise Backpressure(
                 f"program {self.program_id} queue bound {bound} exceeded by {ticket.event.event_id}"
             )
-        if two_level and ticket.priority == HIGH:
+        if two_level and ticket.derived:
             self.high.append(ticket)
-        else:
-            self.low.append(ticket)
+            return HIGH
+        self.low.append(ticket)
+        return LOW
 
 
 # -- handler specifications (scenario-defined program behavior) --------------

@@ -35,8 +35,8 @@ MUTANTS = {
     # a repeat never occupies its idle receiver
     "repeat_never_busy": (
         "engine.py",
-        "occupies_busy = repeat_root is None or ev.program_id not in self._busy_exec",
-        "occupies_busy = repeat_root is None",
+        "occupies_busy = root_id is None or program_id not in self._busy_exec",
+        "occupies_busy = root_id is None",
     ),
     # a chain that is a prefix of the one before it loses its first program
     "prompt_prefix_chain": (
@@ -73,6 +73,22 @@ MUTANTS = {
     # a derived handoff to a program in another live root is delivered
     "attach_no_conflict": (
         "graph.py", "if self.live_memberships(h.dst, t) - {root_id}:", "if False:",
+    ),
+    # a root's prompt is put to the main phase's authorizer, whatever the phase of its input
+    "expiry_phase_main": (
+        "engine.py", "self._fire_root_expiry, (root_id, ticket.phase))", 'self._fire_root_expiry, (root_id, "main"))',
+    ),
+    # a prompt's marks are keyed by program name, so one of two namesakes hides the other
+    "marks_by_name": (
+        "auth.py",
+        "return [[prog.name, prog.identity_mark] for prog in programs]",
+        "return [[name, mark] for name, mark in {p.name: p.identity_mark for p in programs}.items()]",
+    ),
+    # a hold line names the high queue for a derived ticket, though one level queues it in the FIFO
+    "hold_names_priority": (
+        "engine.py",
+        "self._emit(_hold_line, ev.event_id, state.program_id, queue)",
+        "self._emit(_hold_line, ev.event_id, state.program_id, HIGH if derived else LOW)",
     ),
 }
 

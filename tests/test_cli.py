@@ -61,6 +61,17 @@ def test_second_event_with_one_id_is_validation_error(tmp_path, capsys):
     assert "line 21: event record: a second event with id 'i0'; the first is on line 20" in err
 
 
+def test_second_program_with_one_name_is_validation_error(tmp_path, capsys):
+    text = open(scenario_path("task_a")).read()
+    first = '{"kind":"program","name":"Notes","mark":"NO","display":"the Notes app"}\n'
+    assert text.splitlines().index(first.strip()) + 1 == 3
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(first, first + '{"kind":"program","name":"Notes","mark":"EVIL"}\n'))
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4: a second program 'Notes' record; the first is on line 3" in err
+
+
 def test_invalid_scenario_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text('{"format":"delegauth-scenario","version":1}\n{oops}\n')
@@ -334,6 +345,18 @@ def test_interactive_mode_reads_stdin(monkeypatch, capsys):
     assert main(["run", scenario_path("task_a"), "--interactive", "--mode", "entrust"]) in (0, 3)
     out = capsys.readouterr().out
     assert "[y/n]" in out
+
+
+def test_interactive_run_with_a_trace_is_refused(tmp_path, monkeypatch, capsys):
+    # the trace would not record the answers typed, so replay could not re-run it
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("n\nn\n"))
+    trace = tmp_path / "run.trace"
+    assert main(["run", scenario_path("task_a"), "--interactive", "--trace", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert "--interactive" in err and "--trace" in err
+    assert out == "" and not trace.exists()
 
 
 def test_console_script_entry_point():

@@ -188,6 +188,24 @@ def test_single_level_fifo_when_two_level_disabled():
     assert low.deliver_t < high.deliver_t  # strict arrival order
 
 
+@pytest.mark.parametrize("two_level", [True, False])
+def test_hold_line_names_the_queue_the_ticket_joined(two_level):
+    handlers = [
+        HandlerSpec(program_id="P2", trigger_kind="handoff", trigger_value="*",
+                    complete=Complete(after_ms=20)),
+    ]
+    records = []
+    engine, (a, b, c), _ = build_engine(
+        handlers=handlers, two_level=two_level, trace=lambda line: records.append(json.loads(line))
+    )
+    engine.submit(HandoffEvent("n1", a, b, 0))
+    engine.submit(HandoffEvent("n2", c, b, 1))
+    engine.submit(InputEvent("x1", wid(engine, "first cmd"), b, 2))
+    # an input is derived, so high priority; with one level it still waits in the one FIFO
+    holds = {r["event_id"]: r["queue"] for r in records if r["kind"] == "hold"}
+    assert holds == {"n2": "low", "x1": "high" if two_level else "low"}
+
+
 def test_advance_on_empty_system_returns_nothing():
     records = []
     engine, _, _ = build_engine(trace=records.append)

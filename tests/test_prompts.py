@@ -109,3 +109,20 @@ def test_first_use_texts_match_table(task_b, task_c):
         "Allow Basic Camera to capture pictures?",
         "Allow Mobile Banking to capture pictures?",
     ]
+
+
+def test_marks_show_each_program_though_two_share_a_name():
+    reg = Registry()
+    sa = reg.register_program("Smart Assistant", "SA")
+    notes = reg.register_program("Notes", "NO")
+    impostor = reg.register_program("Notes", "EVIL")
+    w = reg.register_widget("create a note", WidgetKind.VOICE)
+    reg.register_sensor("Screen", phrase="content on the screen")
+    reg.register_operation("capture_screen", ["Screen"], "capture")
+    keys = [
+        PathKey(w.id, (sa.id, notes.id), "capture_screen", "Screen"),
+        PathKey(w.id, (sa.id, impostor.id), "capture_screen", "Screen"),
+        PathKey(w.id, (sa.id, notes.id, impostor.id), "capture_screen", "Screen"),
+    ]
+    # one pair per program, in order of first appearance: the impostor's mark is not hidden
+    assert prompt_marks(keys, reg) == [["Smart Assistant", "SA"], ["Notes", "NO"], ["Notes", "EVIL"]]

@@ -204,9 +204,9 @@ def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
     pushes = Counter()
     real_push = Engine._push
 
-    def counting_push(self, t, tag, payload, seq=None):
-        pushes[tag] += 1
-        real_push(self, t, tag, payload, seq)
+    def counting_push(self, t, fire, arg, seq=None):
+        pushes[fire.__name__] += 1
+        real_push(self, t, fire, arg, seq)
 
     monkeypatch.setattr(Engine, "_push", counting_push)
     contention = loads_scenario((DATA / "contention.scn").read_text())
@@ -215,8 +215,8 @@ def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
         records = []
         run_scenario(scn, trace=lambda line: records.append(json.loads(line)))
         kinds = Counter(r["kind"] for r in records)
-        assert pushes["deadline"] == kinds["hold"] > 0
-        assert "submit" not in pushes
+        assert pushes["_fire_deadline"] == kinds["hold"] > 0
+        assert "_admit_spec" not in pushes
         if scn is contention:
             assert any(r["kind"] == "expire" and r.get("reason") == "hold_deadline" for r in records)
 
