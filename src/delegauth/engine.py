@@ -9,17 +9,16 @@ entries, so no comparison reaches `fire`. Timeline submissions come in time
 order, so they wait in their own FIFO; the heap holds only the occurrences a
 run creates, and the loop takes whichever head is earlier in (time, sequence).
 
-`EngineConfig.mode` picks one of four behaviours (`Mode`):
+`EngineConfig.mode` picks one of three behaviours (`Mode`):
   * PASS_THROUGH: the unmediated baseline; every event is delivered at once,
     no graph is built and no request is authorized;
   * FIRST_USE: the first-use baseline; events are delivered at once and each
     (program, op, sensor) triple prompts the first time it is requested;
-  * DELEGATION_NO_HOLDS: delegation graphs and path prompts without the
-    delivery gates, so a request may reach two live roots and be denied as
-    ambiguous;
-  * DELEGATION: EnTrust; graphs, path prompts and the delivery gates.
+  * DELEGATION: EnTrust; graphs, path prompts and, with `EngineConfig.scheduler`,
+    the delivery gates. Without them a request may reach two live roots and be
+    denied as ambiguous.
 
-In DELEGATION, delivery gates realize the ambiguity-prevention rules:
+The delivery gates realize the ambiguity-prevention rules:
   * a program processes one event at a time (busy exclusivity);
   * a fresh input is delivered only when the target belongs to no live root
     graph; same-key inputs ride along as repeats;
@@ -71,7 +70,6 @@ from .model import (
     MediatedEvent,
     OperationRequest,
     Registry,
-    event_kind,
 )
 from .scheduler import (
     DELIVERED,
@@ -94,7 +92,6 @@ class Mode(Enum):
 
     PASS_THROUGH = "pass_through"
     FIRST_USE = "first_use"
-    DELEGATION_NO_HOLDS = "delegation_no_holds"
     DELEGATION = "delegation"
 
 
@@ -109,6 +106,7 @@ class EngineConfig:
     queue_bound: int = 1024
     two_level: bool = True  # two-level priority scheduling of pending events
     cache_denials: bool = False
+    scheduler: bool = True  # in DELEGATION, the delivery gates, queues and busy exclusivity
     mode: Mode = Mode.DELEGATION
 
     def __post_init__(self) -> None:
@@ -216,16 +214,6 @@ def _prompt_line(seq: int, t: int, prompt: dict) -> str:
     return _dump_line({"seq": seq, "t": t, "kind": "prompt", **prompt})
 
 
-@dataclass
-class _HandlerExec:
-    program_id: str
-    trigger_event_id: str
-    root_id: str | None  # the root whose work this is, or None
-    phase: str
-    occupies_busy: bool
-    cancelled: bool = False
-
-
 class Engine:
     """Drives one simulation run; see module docstring."""
 
@@ -247,9 +235,8 @@ class Engine:
         self.store = GraphStore(self.config.window_ms)
         self.stats = DelayStats()
 
-        mode = self.config.mode
-        self._holds = mode is Mode.DELEGATION  # delivery gates, queues, busy exclusivity
-        self._graphs = mode in (Mode.DELEGATION, Mode.DELEGATION_NO_HOLDS)  # graphs and path prompts
+        self._graphs = self.config.mode is Mode.DELEGATION  # graphs and path prompts
+        self._holds = self._graphs and self.config.scheduler  # delivery gates, queues, busy exclusivity
 
         self.now = 0
         self._trace = trace
@@ -265,7 +252,7 @@ class Engine:
         # and `_try_dispatch`, where tickets leave queues, discards it when empty
         self._waiting: set[str] = set()
         self._rank: dict[str, int] = {}  # program -> registration order
-        self._busy_exec: dict[str, _HandlerExec] = {}  # busy program -> the handler it runs
+        self._busy_exec: dict[str, Ticket] = {}  # busy program -> the ticket whose handler it runs
         self._root_tickets: dict[str, list[Ticket]] = {}
         self._label_ids: dict[str, str] = {}
         self._pending: dict[str, dict[PathKey, list[OperationRequest]]] = {}  # root -> its requests on new paths
@@ -402,7 +389,7 @@ class Engine:
 
     def _admit(self, ev: MediatedEvent, phase: str, derived_root: str | None = None) -> Ticket | None:
         self.registry.validate_event(ev)
-        kind = event_kind(ev)
+        kind = ev.kind
 
         if kind == "request":
             derived = derived_root is not None
@@ -413,10 +400,10 @@ class Engine:
             self._mediate_request(ev, phase)
             return None
 
-        derived = kind == "input"
-        root_id = None
-        if kind == "handoff":
-            root_id = ev.provenance
+        if kind == "input":
+            program_id, derived, root_id = ev.program_id, True, None
+        else:
+            program_id, root_id = ev.dst, ev.provenance
             derived = root_id is not None
             if derived and self._holds:
                 g = self.store.live.get(root_id)
@@ -427,7 +414,7 @@ class Engine:
                     derived, root_id = False, None
 
         ticket = Ticket(
-            event=ev, kind=kind, derived=derived, root_id=root_id,
+            event=ev, program_id=program_id, derived=derived, root_id=root_id,
             deadline=ev.t + self.config.window_ms, phase=phase,
         )
         self.stats.record_submit(kind, derived)
@@ -445,10 +432,9 @@ class Engine:
                 self._deliver(ticket)
                 return ticket
 
-        target = ev.program_id if kind == "input" else ev.dst
-        state = self._programs.get(target)
+        state = self._programs.get(program_id)
         if state is None:
-            state = self._programs[target] = ProgramState(program_id=target)
+            state = self._programs[program_id] = ProgramState(program_id=program_id)
         try:
             queue = state.enqueue(ticket, self.config.queue_bound, self.config.two_level)
         except Backpressure:
@@ -507,7 +493,7 @@ class Engine:
         if self.now > ticket.deadline:
             return "hold_deadline"  # bounded delay: never delivered late, even if just unblocked
         ev = ticket.event
-        if ticket.kind == "input":
+        if ev.kind == "input":
             if not asked:
                 ticket.root_id = self._repeat_root(ev)
             if ticket.root_id is None and self.store.live_memberships(ev.program_id, self.now):
@@ -549,7 +535,7 @@ class Engine:
 
     def _expire_ticket(self, ticket: Ticket, reason: str) -> None:
         ticket.status = T_EXPIRED
-        self.stats.record_expiry(ticket.kind, ticket.derived)
+        self.stats.record_expiry(ticket.event.kind, ticket.derived)
         if self._trace is not None:
             self._emit(_expire_event_line, ticket.event.event_id, reason)
 
@@ -559,22 +545,21 @@ class Engine:
         """Deliver a ticket's event: record the delivery, attach the event to its
         root or root a graph, then start the handler of the program it reaches."""
         ev = ticket.event
-        root_id = ticket.root_id
+        program_id, root_id = ticket.program_id, ticket.root_id
         ticket.status = DELIVERED
         ticket.deliver_t = self.now
-        self.stats.record_delivery(ticket.kind, ticket.delay, ticket.derived)
-        program_id = ev.program_id if ticket.kind == "input" else ev.dst
+        self.stats.record_delivery(ev.kind, ticket.delay, ticket.derived)
         if self._trace is not None:
-            self._emit(_deliver_line, ev.event_id, program_id, ticket.delay, ticket.kind)
+            self._emit(_deliver_line, ev.event_id, program_id, ticket.delay, ev.kind)
 
-        if ticket.kind == "input":
+        if ev.kind == "input":
             # a repeat (`_repeat_root`, so only with holds) joins its root and keeps
             # its receiver busy only if idle; a fresh input roots a graph
             occupies_busy = root_id is None or program_id not in self._busy_exec
             if root_id is not None:
                 self.store.record_repeat_input(root_id, ev)
             elif self._graphs:
-                root_id = self.store.record_input(ev, delivered_at=self.now)
+                ticket.root_id = root_id = self.store.record_input(ev, delivered_at=self.now)
                 self._push(self.store.live[root_id].deadline + 1, self._fire_root_expiry, (root_id, ticket.phase))
             spec = self.handlers.lookup(program_id, "widget", ev.widget_id)
         else:
@@ -597,54 +582,54 @@ class Engine:
                     return  # attach refused: the message does not reach a handler
             spec = self.handlers.lookup(program_id, "handoff", "*" if ev.action is None else ev.action)
 
-        exec_ = _HandlerExec(program_id, ev.event_id, root_id, ticket.phase, occupies_busy and self._holds)
-        if exec_.occupies_busy:
-            self._busy_exec[program_id] = exec_
+        if occupies_busy and self._holds:
+            ticket.occupies_busy = True
+            self._busy_exec[program_id] = ticket
         if spec is None:
-            self._push(self.now + self.config.default_lag_ms, self._fire_complete, exec_)
+            self._push(self.now + self.config.default_lag_ms, self._fire_complete, ticket)
             return
         for action in spec.actions:
-            self._push(self.now + action.after_ms, self._fire_action, (exec_, action))
-        self._push(self.now + spec.complete.after_ms, self._fire_complete, exec_)
+            self._push(self.now + action.after_ms, self._fire_action, (ticket, action))
+        self._push(self.now + spec.complete.after_ms, self._fire_complete, ticket)
 
     # -- handler execution ------------------------------------------------------------------
 
-    def _fire_action(self, exec_action: tuple[_HandlerExec, EmitHandoff | EmitRequest]) -> None:
-        exec_, action = exec_action
-        if exec_.cancelled:
+    def _fire_action(self, ticket_action: tuple[Ticket, EmitHandoff | EmitRequest]) -> None:
+        ticket, action = ticket_action
+        if ticket.cancelled:
             return
         if isinstance(action, EmitHandoff):
             ev = HandoffEvent(
                 event_id=self.next_event_id(),
-                src=exec_.program_id,
+                src=ticket.program_id,
                 dst=action.to,
                 t=self.now,
-                provenance=exec_.root_id,
+                provenance=ticket.root_id,
                 action=action.label,
             )
             try:
-                self._admit(ev, phase=exec_.phase)
+                self._admit(ev, phase=ticket.phase)
             except Backpressure:
                 pass  # rejection already recorded
         elif isinstance(action, EmitRequest):
             ev = OperationRequest(
                 event_id=self.next_event_id(),
-                program_id=exec_.program_id,
+                program_id=ticket.program_id,
                 op=action.op,
                 sensor=action.sensor,
                 t=self.now,
             )
-            self._admit(ev, phase=exec_.phase, derived_root=exec_.root_id)
+            self._admit(ev, phase=ticket.phase, derived_root=ticket.root_id)
 
-    def _fire_complete(self, exec_: _HandlerExec) -> None:
-        if exec_.cancelled:
+    def _fire_complete(self, ticket: Ticket) -> None:
+        if ticket.cancelled:
             return
         if self._trace is not None:
-            self._emit(_complete_line, exec_.trigger_event_id, exec_.program_id, "handler")
-        if exec_.occupies_busy:
-            del self._busy_exec[exec_.program_id]
-            if exec_.program_id in self._waiting:
-                self._try_dispatch(self._programs[exec_.program_id])
+            self._emit(_complete_line, ticket.event.event_id, ticket.program_id, "handler")
+        if ticket.occupies_busy:
+            del self._busy_exec[ticket.program_id]
+            if ticket.program_id in self._waiting:
+                self._try_dispatch(self._programs[ticket.program_id])
 
     # -- expiries ---------------------------------------------------------------------------
 
@@ -652,25 +637,23 @@ class Engine:
         if ticket.status != QUEUED:
             return
         self._expire_ticket(ticket, "hold_deadline")
-        target = ticket.event.program_id if ticket.kind == "input" else ticket.event.dst
-        self._try_dispatch(self._programs[target])  # still queued, so in `_waiting`
+        self._try_dispatch(self._programs[ticket.program_id])  # still queued, so in `_waiting`
 
     def _fire_root_expiry(self, root: tuple[str, str]) -> None:
         root_id, phase = root  # the root, and the phase of the input that rooted it
         # only a root that will prompt needs its snapshot: it goes into the cache
-        if not self.store.expire_graph(root_id, self.now, snapshot=root_id in self._pending):
-            return
+        self.store.expire_graph(root_id, self.now, snapshot=root_id in self._pending)
         if self._trace is not None:
             self._emit(_expire_root_line, root_id)
         self._flush_root(root_id, phase)
         for ticket in self._root_tickets.pop(root_id, []):
             if ticket.status == QUEUED:
                 self._expire_ticket(ticket, "root_expired")
-        for pid, exec_ in list(self._busy_exec.items()):
-            if exec_.root_id == root_id:
-                exec_.cancelled = True
+        for pid, busy in list(self._busy_exec.items()):
+            if busy.root_id == root_id:
+                busy.cancelled = True
                 if self._trace is not None:
-                    self._emit(_complete_line, exec_.trigger_event_id, pid, "window_backstop")
+                    self._emit(_complete_line, busy.event.event_id, pid, "window_backstop")
                 del self._busy_exec[pid]
         # the sealed root, its dropped tickets and its freed programs can unblock
         # any waiting program, inside the root or not; the others have nothing queued

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import ClassVar, Iterable, Union
 
 from .errors import (
     AliasCollision,
@@ -63,6 +63,7 @@ class Operation:
 
 @dataclass(frozen=True)
 class InputEvent:
+    kind: ClassVar[str] = "input"
     event_id: str
     widget_id: str
     program_id: str  # receiver
@@ -71,6 +72,7 @@ class InputEvent:
 
 @dataclass(frozen=True)
 class HandoffEvent:
+    kind: ClassVar[str] = "handoff"
     event_id: str
     src: str
     dst: str
@@ -81,6 +83,7 @@ class HandoffEvent:
 
 @dataclass(frozen=True)
 class OperationRequest:
+    kind: ClassVar[str] = "request"
     event_id: str
     program_id: str  # requester
     op: str
@@ -89,14 +92,6 @@ class OperationRequest:
 
 
 MediatedEvent = Union[InputEvent, HandoffEvent, OperationRequest]
-
-
-def event_kind(ev: MediatedEvent) -> str:
-    if isinstance(ev, InputEvent):
-        return "input"
-    if isinstance(ev, HandoffEvent):
-        return "handoff"
-    return "request"
 
 
 @dataclass

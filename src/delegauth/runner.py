@@ -43,15 +43,12 @@ class RunReport:
 
 
 def resolve_mode(scn: Scenario, mode: Mode | str | None) -> Mode:
-    """The mode a run of `scn` uses: `mode`, a spelling of one, or (None) the
-    scenario's own. A scenario config with `"scheduler": false` drops the holds."""
+    """The mode a run of `scn` uses: `mode`, a spelling of one, or (None) the scenario's own."""
     if not isinstance(mode, Mode):
         spelling = scn.mode if mode is None else mode
         mode = MODE_SPELLINGS.get(spelling)
         if mode is None:
             raise ParseError(f"unknown mode {spelling!r}; expected one of {', '.join(MODE_SPELLINGS)}")
-    if mode is Mode.DELEGATION and not scn.config.get("scheduler", True):
-        return Mode.DELEGATION_NO_HOLDS
     return mode
 
 
@@ -133,11 +130,7 @@ def run_scenario(
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     mode = engine.config.mode
-    # a report names the authorization a run used; holds are not part of it
-    report = RunReport(
-        mode=Mode.DELEGATION.value if mode is Mode.DELEGATION_NO_HOLDS else mode.value,
-        final_t=final_t, wall_ms=wall_ms,
-    )
+    report = RunReport(mode=mode.value, final_t=final_t, wall_ms=wall_ms)
     report.prompts = list(engine.prompts)
     report.prompt_counts = {
         phase: engine.prompt_count(phase) for phase in ("preliminary", "main")

@@ -133,8 +133,8 @@ _RECORDS = {
             complete=_object({"complete": int}),
         ), one="complete"),
     }),
-    # `EngineConfig` checks the values; `runner.resolve_mode` reads `scheduler`
-    "config": _object({}, {**{f.name: object for f in fields(EngineConfig) if f.name != "mode"}, "scheduler": bool}),
+    # every `EngineConfig` field but `mode`; `EngineConfig` checks the values
+    "config": _object({}, {f.name: object for f in fields(EngineConfig) if f.name != "mode"}),
     "mode": _object({"mode": _MODE}),
     "policy": _object({"rules": _list(str)}, {"phase": _PHASE}),
     "event": _one_of(**{
@@ -144,8 +144,9 @@ _RECORDS = {
     "expect": _object({"mode": _MODE}, {"preliminary_prompts": _count, "main_prompts": _count,
                                         "attack": _object({}, other=bool)}),
 }
-# the kinds that may not repeat: a policy once per phase, a program once per name
-_ONCE = {"config", "mode", "policy", "program"}
+# the kinds that may not repeat: a policy once per phase (`Scenario.build` checks
+# that a program name comes once)
+_ONCE = {"config", "mode", "policy"}
 _SCENARIO_HEADER = _object({"format": (SCENARIO_FORMAT,), "version": (FORMAT_VERSION,)})
 # a trace header writes null for each override not given: a null value counts as absent
 _TRACE_HEADER = _object(
@@ -187,7 +188,7 @@ class Scenario:
 
     def engine_config(self, mode: Mode = Mode.DELEGATION, window_override: int | None = None) -> EngineConfig:
         """The settings of the config record, run in `mode`; `window_override` replaces `window_ms`."""
-        settings = {key: value for key, value in self.config.items() if key != "scheduler"}
+        settings = dict(self.config)
         if window_override is not None:
             settings["window_ms"] = window_override
         return EngineConfig(mode=mode, **settings)
@@ -195,12 +196,18 @@ class Scenario:
     def build(self) -> tuple[Registry, HandlerTable, dict[str, str]]:
         """Fresh registry + handler table; returns (registry, handlers, name->id).
 
-        A record the registry refuses raises `ParseError`, naming its line during `loads_scenario`.
+        A second program of one name, or a record the registry refuses, raises
+        `ParseError`, naming its line during `loads_scenario`.
         """
         registry = Registry()
         name_to_id: dict[str, str] = {}
         for p in self.programs:
-            prog = _check(p.get("_line"), "program", registry.register_program, p["name"], p["mark"], p.get("display"))
+            line = p.get("_line")
+            if p["name"] in name_to_id:
+                first = next(q.get("_line") for q in self.programs if q["name"] == p["name"])
+                where = "" if first is None else f"; the first is on line {first}"
+                raise ParseError(f"a second program {p['name']!r} record{where}", line=line)
+            prog = _check(line, "program", registry.register_program, p["name"], p["mark"], p.get("display"))
             name_to_id[p["name"]] = prog.id
         for w in self.widgets:
             _check(w.get("_line"), "widget", registry.register_widget,
@@ -270,8 +277,7 @@ def loads_scenario(text: str) -> Scenario:
             raise ParseError(f"unknown record kind {kind!r}", line=lineno)
         _check(lineno, kind, spec, rec)
         if kind in _ONCE:
-            single = (f"{rec.get('phase', 'main')} policy" if kind == "policy"
-                      else f"program {rec['name']!r}" if kind == "program" else kind)
+            single = f"{rec.get('phase', 'main')} policy" if kind == "policy" else kind
             first = seen.setdefault(single, lineno)
             if first != lineno:
                 raise ParseError(f"a second {single} record; the first is on line {first}", line=lineno)

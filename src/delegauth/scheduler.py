@@ -91,16 +91,21 @@ class DelayStats:
 
 @dataclass
 class Ticket:
-    """Admission record for one submitted event."""
+    """One submitted input or handoff, from admission to the end of the handler
+    run its delivery starts in `program_id`."""
 
     event: MediatedEvent
-    kind: str
+    program_id: str  # the program it reaches: an input's receiver, a handoff's dst
     derived: bool  # input-derived, so high priority
-    root_id: str | None  # provenance root of a derived event; for an input, the live root it repeats
+    # the root whose work this is: a derived handoff's provenance; for an input,
+    # the live root it repeats, or from delivery on the root it starts
+    root_id: str | None
     deadline: int  # last instant the event may still be delivered
     status: str = QUEUED
     deliver_t: int | None = None
     phase: str = "main"
+    occupies_busy: bool = False  # its handler run keeps `program_id` busy
+    cancelled: bool = False  # its handler run was cut off by its root's window
 
     @property
     def delay(self) -> int:

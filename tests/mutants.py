@@ -58,7 +58,7 @@ MUTANTS = {
     ),
     # a program that finishes its handler does not take its next ticket
     "no_dispatch_at_completion": (
-        "engine.py", "self._try_dispatch(self._programs[exec_.program_id])", "pass",
+        "engine.py", "if ticket.program_id in self._waiting:", "if False:",
     ),
     # an input repeats any live root its program is in, on the input's widget
     "repeat_any_member": (
@@ -89,6 +89,22 @@ MUTANTS = {
         "engine.py",
         "self._emit(_hold_line, ev.event_id, state.program_id, queue)",
         "self._emit(_hold_line, ev.event_id, state.program_id, HIGH if derived else LOW)",
+    ),
+    # a config with `"scheduler": false` keeps the delivery gates
+    "holds_ignore_scheduler": (
+        "engine.py",
+        "self._holds = self._graphs and self.config.scheduler",
+        "self._holds = self._graphs",
+    ),
+    # a handler run cut off by its root's window still acts and completes
+    "backstop_not_cancelled": (
+        "engine.py", "busy.cancelled = True", "pass",
+    ),
+    # a fresh input's handler run does not know the root it starts, so its handoffs carry no provenance
+    "fresh_input_no_root": (
+        "engine.py",
+        "ticket.root_id = root_id = self.store.record_input(ev, delivered_at=self.now)",
+        "root_id = self.store.record_input(ev, delivered_at=self.now)",
     ),
 }
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from delegauth import (
     AuthorizationCache,
-    Mode,
     WorkloadParams,
     compare_modes,
     generate_workload,
@@ -78,33 +78,41 @@ def test_prompt_text_goldens():
 
 
 def test_unambiguity_fuzz():
-    """1,000 seeded scenarios: scheduler on => engine path == oracle's unique
-    chain for every admitted request; scheduler off => the oracle exposes
-    multi-attribution somewhere in the corpus."""
-    n_scenarios = 1000
+    """1,000 seeded scenarios, and 800 more with 1-40 ms input gaps: scheduler
+    on => every decision matches the oracle, an attributed one its unique chain
+    and a denial its empty set; scheduler off => the oracle exposes
+    multi-attribution somewhere in the default corpus."""
+    n_scenarios, n_tight = 1000, 800
+    corpus = [(seed, (10, 400)) for seed in range(1, n_scenarios + 1)] + [(seed, (1, 40)) for seed in range(n_tight)]
     t0 = time.perf_counter()
     checked = 0
+    denials = 0
     mismatches = 0
     first_mismatch = ""
     ambiguous_on = 0
     multi_off = 0
-    for seed in range(1, n_scenarios + 1):
-        scn = fuzz_scenario(seed)
+    for seed, gaps in corpus:
+        scn = fuzz_scenario(seed, gaps_ms=gaps)
         records = []
         report, engine = run_scenario(scn, trace=lambda line: records.append(json.loads(line)))
         ambiguous_on += engine.ambiguous_requests
         window = engine.config.window_ms
         log = log_from_trace(records)
         for d in engine.decisions:
-            if d.path_key is None:
-                continue
             checked += 1
-            classes = attribution_classes(log, d.request_id, window)
-            if classes != {(d.path_key.widget_id, d.path_key.programs)}:
+            if d.path_key is None:
+                denials += d.outcome == "denied"
+                expected = set()
+            else:
+                expected = {(d.path_key.widget_id, d.path_key.programs)}
+            if attribution_classes(log, d.request_id, window) != expected:
                 mismatches += 1
-                first_mismatch = first_mismatch or f"; first mismatch: seed {seed}, request {d.request_id}"
+                first_mismatch = first_mismatch or f"; first mismatch: seed {seed} gaps {gaps}, request {d.request_id}"
+        if gaps != (10, 400):
+            continue
         records = []
-        run_scenario(scn, mode=Mode.DELEGATION_NO_HOLDS, trace=lambda line: records.append(json.loads(line)))
+        run_scenario(replace(scn, config={**scn.config, "scheduler": False}),
+                     trace=lambda line: records.append(json.loads(line)))
         log = log_from_trace(records)
         for entry in log:
             if entry[0] == "request":
@@ -112,11 +120,11 @@ def test_unambiguity_fuzz():
                     multi_off += 1
                     break
     elapsed = time.perf_counter() - t0
-    ok = mismatches == 0 and ambiguous_on == 0 and multi_off >= 1 and checked > 0 and elapsed < 120
+    ok = mismatches == 0 and ambiguous_on == 0 and multi_off >= 1 and denials > 0 and elapsed < 120
     _verdict(
         "unambiguity-fuzz",
         ok,
-        f"{checked} admitted requests across {n_scenarios} scenarios, "
+        f"{checked} decisions ({denials} denials) across {len(corpus)} scenarios, "
         f"{mismatches} oracle mismatches, {ambiguous_on} ambiguous with scheduler on, "
         f"{multi_off} scenarios multi-attributable with scheduler off ({elapsed:.1f} s){first_mismatch}",
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from oracle import log_from_trace
 WINDOW = 150
 
 
-def build_engine(handlers=None, two_level=True, mode=Mode.DELEGATION, cache_denials=False, trace=None):
+def build_engine(handlers=None, two_level=True, mode=Mode.DELEGATION, cache_denials=False, trace=None, scheduler=True):
     reg = Registry()
     a = reg.register_program("Alpha", "AL")
     b = reg.register_program("Beta", "BE")
@@ -27,7 +28,8 @@ def build_engine(handlers=None, two_level=True, mode=Mode.DELEGATION, cache_deni
     reg.register_widget("second cmd", WidgetKind.VOICE)
     reg.register_sensor("Camera")
     reg.register_operation("capture_picture", ["Camera"], "capture pictures")
-    config = EngineConfig(window_ms=WINDOW, two_level=two_level, mode=mode, cache_denials=cache_denials)
+    config = EngineConfig(window_ms=WINDOW, two_level=two_level, mode=mode, cache_denials=cache_denials,
+                          scheduler=scheduler)
     allow = ScriptedPolicy.allow_all()
     engine = Engine(
         reg,
@@ -46,7 +48,7 @@ def wid(engine, label):
 @pytest.mark.parametrize(
     "setting",
     [{"window_ms": True}, {"window_ms": 150.0}, {"default_lag_ms": None}, {"queue_bound": "8"},
-     {"two_level": 1}, {"cache_denials": "no"}, {"mode": "delegation"}],
+     {"two_level": 1}, {"cache_denials": "no"}, {"scheduler": 0}, {"mode": "delegation"}],
     ids=repr,
 )
 def test_engine_config_rejects_a_setting_of_the_wrong_type(setting):
@@ -136,7 +138,7 @@ def test_an_input_to_an_idle_member_on_the_roots_widget_is_no_repeat():
     assert ticket.status == "queued" and ticket.root_id is None
     engine.advance(WINDOW + 1)
     assert ticket.status == "delivered" and ticket.deliver_t == WINDOW + 1
-    assert ticket.root_id is None and engine.store.live["x2"].root.program_id == b
+    assert ticket.root_id == "x2" and engine.store.live["x2"].root.program_id == b
 
 
 def test_five_repeats_zero_holds():
@@ -296,7 +298,7 @@ def test_scheduler_off_allows_ambiguity_defense_in_depth():
             complete=Complete(after_ms=4),
         ),
     ]
-    engine, (a, b, _), _ = build_engine(handlers=handlers, mode=Mode.DELEGATION_NO_HOLDS)
+    engine, (a, b, _), _ = build_engine(handlers=handlers, scheduler=False)
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.submit(InputEvent("x2", wid(engine, "second cmd"), b, 1))
     engine.run_to_quiescence()
@@ -635,7 +637,7 @@ def test_held_tickets_deadline_keeps_the_sequence_of_its_admission():
     assert by_t[2 * WINDOW + 2] == [("expire", "e2"), ("complete", "n1")]
 
 
-def _finds_a_program_in_two_live_roots(scn, mode) -> bool:
+def _finds_a_program_in_two_live_roots(scn, scheduler: bool = True) -> bool:
     """Whether, at some trace line of a run, a program belongs to two live roots."""
     found = False
 
@@ -644,7 +646,8 @@ def _finds_a_program_in_two_live_roots(scn, mode) -> bool:
         store = engine.store
         found = found or any(len(store.live_memberships(p, engine.now)) > 1 for p in store.membership)
 
-    engine, name_to_id = runner.build_engine(scn, mode=mode, trace=check)
+    scn = replace(scn, config={**scn.config, "scheduler": scheduler})
+    engine, name_to_id = runner.build_engine(scn, mode=Mode.DELEGATION, trace=check)
     runner._schedule_timeline(engine, scn, name_to_id)
     engine.run_to_quiescence()
     return found
@@ -656,7 +659,7 @@ def test_a_program_is_in_at_most_one_live_root_with_holds():
     scenarios = [fuzz_scenario(seed, gaps_ms=gaps) for gaps in ((10, 400), (1, 40)) for seed in range(800)]
     scenarios.append(loads_scenario((DATA / "contention.scn").read_text()))
     scenarios += [load_scenario(scenario_path(task)) for task in ("task_a", "task_b", "task_c")]
-    broken = [i for i, scn in enumerate(scenarios) if _finds_a_program_in_two_live_roots(scn, Mode.DELEGATION)]
+    broken = [i for i, scn in enumerate(scenarios) if _finds_a_program_in_two_live_roots(scn)]
     assert broken == []
     # without holds the same check does find one, so it can see a violation
-    assert any(_finds_a_program_in_two_live_roots(scn, Mode.DELEGATION_NO_HOLDS) for scn in scenarios)
+    assert any(_finds_a_program_in_two_live_roots(scn, scheduler=False) for scn in scenarios)

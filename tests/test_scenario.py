@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delegauth import WorkloadParams, engine, generate_workload, run_with_trace, scenario
+from delegauth import Scenario, WorkloadParams, engine, generate_workload, run_scenario, run_with_trace, scenario
 from delegauth.auth import Decision
 from delegauth.engine import (
     _admit_line,
@@ -25,7 +26,7 @@ from delegauth.errors import InvariantViolation, ParseError, UnresolvedReference
 from delegauth.graph import PathKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest
 from delegauth.scenario import _dump_line, load_scenario, loads_scenario
-from conftest import scenario_path
+from conftest import DATA, scenario_path
 
 HEADER = '{"format":"delegauth-scenario","version":1}'
 
@@ -170,6 +171,25 @@ def test_dump_load_round_trip(task_b):
     text = task_b.dump()
     again = loads_scenario(text)
     assert again.dump() == text
+
+
+def test_dump_round_trip_keeps_event_ids_and_provenance():
+    scn = loads_scenario((DATA / "contention.scn").read_text())
+    assert any(e.get("label") for e in scn.timeline) and any(e.get("provenance") for e in scn.timeline)
+    again = loads_scenario(scn.dump())
+    assert replace(again, source_text="") == replace(scn, source_text="")
+    traces = []
+    for s in (scn, again):
+        lines = []
+        run_scenario(s, trace=lines.append)
+        traces.append(lines)
+    assert traces[0] == traces[1] and traces[0]
+
+
+def test_a_program_name_comes_once_in_a_scenario_built_in_python():
+    scn = Scenario(programs=[{"name": "Notes", "mark": "NO"}, {"name": "Notes", "mark": "EVIL"}])
+    with pytest.raises(ParseError, match="^a second program 'Notes' record$"):
+        scn.build()
 
 
 def test_provenance_label_must_name_earlier_event():
