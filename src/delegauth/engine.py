@@ -99,7 +99,9 @@ class Mode(Enum):
 class EngineConfig:
     """Settings of one engine. Every field but `mode` is a key of a scenario's
     config record, under its own name (`Scenario.engine_config`). `mode` is
-    read once, when the engine is built."""
+    read once, when the engine is built. `scheduler` is read only in
+    DELEGATION: the other modes keep no graphs and so hold nothing, and
+    `scheduler=False` runs them exactly as `True` does."""
 
     window_ms: int = 150
     default_lag_ms: int = 5  # service time of a delivery no handler answers

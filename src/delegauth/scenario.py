@@ -201,10 +201,11 @@ class Scenario:
         """
         registry = Registry()
         name_to_id: dict[str, str] = {}
+        first_line: dict[str, int | None] = {}
         for p in self.programs:
             line = p.get("_line")
+            first = first_line.setdefault(p["name"], line)
             if p["name"] in name_to_id:
-                first = next(q.get("_line") for q in self.programs if q["name"] == p["name"])
                 where = "" if first is None else f"; the first is on line {first}"
                 raise ParseError(f"a second program {p['name']!r} record{where}", line=line)
             prog = _check(line, "program", registry.register_program, p["name"], p["mark"], p.get("display"))

@@ -4,6 +4,7 @@ import gc
 import json
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -233,6 +234,7 @@ def test_untraced_runs_never_call_emit(task_a, task_b, task_c, monkeypatch):
     for scn in (task_a, task_b, task_c, contention):
         for mode in Mode:
             run_scenario(scn, mode=mode)
+        run_scenario(replace(scn, config={**scn.config, "scheduler": False}), mode=Mode.DELEGATION)
     assert calls == 0
     run_scenario(contention, trace=lambda line: None)
     assert calls > 0  # the count does see a traced run's records
