@@ -257,12 +257,11 @@ class AuthorizationCache:
             self.entries[input_key] = entry
         return entry
 
-    def store_allow(self, key: PathKey, graph_blob: bytes = b"") -> None:
+    def store_allow(self, key: PathKey, graph_blob: bytes) -> None:
         entry = self._entry(key.input_key)
         entry.decisions[key] = "allow"
-        if graph_blob:
-            entry.graph_blob = bytes(graph_blob)
-            entry.blob_crc = zlib.crc32(entry.graph_blob)
+        entry.graph_blob = bytes(graph_blob)
+        entry.blob_crc = zlib.crc32(entry.graph_blob)
 
     def store_deny(self, key: PathKey) -> None:
         self._entry(key.input_key).decisions[key] = "deny"

@@ -34,7 +34,7 @@ from .model import (
 )
 from .runner import replay, run_scenario, run_with_trace
 from .scenario import Scenario
-from .workload import WorkloadParams, generate_workload
+from .workload import WINDOW_MS, WorkloadParams, generate_workload
 
 def round_robin(batches, rounds: int) -> dict:
     """Per-op microseconds for several points measured in interleaved rounds.
@@ -255,7 +255,6 @@ def _chain_scenario(k: int) -> Scenario:
         }
     )
     scn.timeline = [{"phase": "main", "t": 0, "kind": "input", "widget": "go", "program": names[0]}]
-    scn.source_text = scn.dump()
     return scn
 
 
@@ -393,7 +392,7 @@ def ambiguity(params: WorkloadParams | None = None) -> dict:
     return {
         "suite": "ambiguity",
         "params": {"n_inputs": params.n_inputs, "gap_range_ms": list(params.gap_range_ms),
-                   "window_ms": params.window_ms, "seed": params.seed},
+                   "window_ms": WINDOW_MS, "seed": params.seed},
         "total_events": stats["total_events"],
         "delayed_events": stats["delayed_events"],
         "delayed_fraction": stats["delayed_fraction"],

@@ -66,8 +66,7 @@ def cmd_run(args) -> int:
         parse_policy_rules(policy_rules)  # validate eagerly
     if args.trace:
         report, _writer = run_with_trace(
-            scn, args.trace, mode=args.mode, policy_rules=policy_rules,
-            window_ms=args.window_ms, seed=args.seed,
+            scn, args.trace, mode=args.mode, policy_rules=policy_rules, window_ms=args.window_ms,
         )
     else:
         report, _engine = run_scenario(
@@ -99,7 +98,7 @@ def cmd_gen(args) -> int:
         noise_burst_prob=0.5 if args.noise_apps else 0.0,
     )
     scn = generate_workload(params)
-    Path(args.out).write_text(scn.source_text)
+    Path(args.out).write_text(scn.text())
     print(f"wrote {args.out}: {args.n} inputs, seed {args.seed}")
     return EXIT_OK
 
@@ -154,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--policy", help="policy file overriding the main-phase scripted policy")
     p_run.add_argument("--interactive", action="store_true", help="prompt on stdin/stdout")
     p_run.add_argument("--window-ms", type=int, default=None, help="overrides the scenario's window_ms")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--trace", help="write the run trace to this path")
     p_run.set_defaults(fn=cmd_run)
 

@@ -738,7 +738,7 @@ class Engine:
             self._emit(_prompt_line, {**prompt, "paths": [k.to_dict() for k in keys]})
         allowed = self._authorizer(phase).authorize_paths(keys, text, self.registry)
         outcome = ALLOWED if allowed else DENIED
-        blob = self.store.sealed.get(root_id, b"")
+        blob = self.store.sealed[root_id]  # a root with pending keys seals with its snapshot
         for key, requests in pending.items():
             if allowed:
                 self.cache.store_allow(key, blob)

@@ -8,7 +8,12 @@ from __future__ import annotations
 
 
 class DelegauthError(Exception):
-    """Base class for all simulator errors."""
+    """Base class for all simulator errors. One raised for a record of a file
+    names the record's `line`, which its message starts with."""
+
+    def __init__(self, msg: str, line: int | None = None):
+        super().__init__(msg if line is None else f"line {line}: {msg}")
+        self.line = line
 
 
 # -- registry / domain model ------------------------------------------------
@@ -84,19 +89,9 @@ class CorruptCache(DelegauthError):
 class ParseError(DelegauthError):
     """Scenario or trace file is syntactically invalid."""
 
-    def __init__(self, msg: str, line: int | None = None):
-        loc = f"line {line}: " if line is not None else ""
-        super().__init__(f"{loc}{msg}")
-        self.line = line
-
 
 class UnresolvedReference(DelegauthError):
     """A scenario record references an undeclared program/widget/sensor/op."""
-
-    def __init__(self, msg: str, line: int | None = None):
-        loc = f"line {line}: " if line is not None else ""
-        super().__init__(f"{loc}{msg}")
-        self.line = line
 
 
 class InfeasibleWorkload(DelegauthError):

@@ -10,7 +10,7 @@ request's path key is its requester's chain of parents.
 
 Requests are attributed by membership: the requester must belong to exactly
 one live graph at request time. The engine's delivery gates guarantee that;
-in its delegation-without-holds mode the same query surfaces
+with `EngineConfig.scheduler` off, the same query surfaces
 AmbiguousAttribution.
 
 When a root's window closes it is sealed: its live state is dropped, and each

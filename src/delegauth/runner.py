@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -11,7 +10,7 @@ from pathlib import Path
 from .auth import AuthorizationCache, Decision, InteractivePrompt, ScriptedPolicy
 from .engine import Engine, Mode
 from .errors import ParseError, TraceDivergence, TraceTruncated
-from .scenario import MODE_SPELLINGS, Scenario, TraceWriter, loads_scenario, read_trace_header
+from .scenario import MODE_SPELLINGS, Scenario, TraceWriter, loads_scenario, read_trace_header, timeline_specs
 
 
 @dataclass
@@ -79,24 +78,8 @@ def build_engine(
 
 
 def _schedule_timeline(engine: Engine, scn: Scenario, name_to_id: dict[str, str]) -> None:
-    registry = engine.registry
-    for e in scn.timeline:
-        spec = {"phase": e["phase"], "kind": e["kind"]}
-        if e.get("label"):
-            spec["label"] = e["label"]
-        if e["kind"] == "input":
-            spec["widget"] = registry.resolve_widget(e["widget"]).id
-            spec["program"] = name_to_id[e["program"]]
-        elif e["kind"] == "handoff":
-            spec["src"] = name_to_id[e["src"]]
-            spec["dst"] = name_to_id[e["dst"]]
-            spec["provenance"] = e.get("provenance")
-            spec["action"] = e.get("action")
-        else:
-            spec["program"] = name_to_id[e["program"]]
-            spec["op"] = e["op"]
-            spec["sensor"] = e["sensor"]
-        engine.schedule(e["t"], spec)
+    for t, spec in timeline_specs(scn, engine.registry, name_to_id):
+        engine.schedule(t, spec)
 
 
 def evaluate_attacks(engine: Engine, scn: Scenario, name_to_id: dict[str, str]) -> dict:
@@ -175,31 +158,30 @@ def compare_modes(scn: Scenario, window_ms: int | None = None) -> dict:
 
 
 def trace_header(scn: Scenario, mode: str | None, policy_rules, window_ms, seed) -> dict:
+    """The header of a trace of `scn`; a run draws no random numbers, so only an older trace has a `seed`."""
     return {
         "mode": mode,
         "policy_override": policy_rules,
         "window_override": window_ms,
         "seed": seed,
         "scenario_sha256": scn.sha256(),
-        "scenario": scn.source_text,
+        "scenario": scn.text(),
     }
 
 
 def run_with_trace(
     scn: Scenario,
-    trace_path: str | Path | None,
+    trace_path: str | Path,
     mode: str | None = None,
     policy_rules: list[str] | None = None,
     window_ms: int | None = None,
-    seed: int | None = None,
 ) -> tuple[RunReport, TraceWriter]:
-    """Run with a trace file at `trace_path` (None: the trace is discarded).
+    """Run with a trace file at `trace_path`.
 
     The file is closed, and so complete, also when the run raises.
     """
-    header = trace_header(scn, mode, policy_rules, window_ms, seed)
-    with open(os.devnull if trace_path is None else trace_path, "w") as fh:
-        writer = TraceWriter(fh, header)
+    with open(trace_path, "w") as fh:
+        writer = TraceWriter(fh, trace_header(scn, mode, policy_rules, window_ms, None))
         report, _engine = run_scenario(
             scn, mode=mode, policy_rules=policy_rules, window_ms=window_ms, trace=writer,
         )

@@ -11,13 +11,15 @@ definition of both formats. Each record is checked against it once, before
 anything reads it; one that does not fit raises `ParseError` naming its line,
 kind and key. `EngineConfig` checks a config record's values,
 `parse_policy_rules` a policy's rules, and `Scenario.build` and `_validate`,
-on the one registry that build makes, what needs the registry.
+on the one registry that build makes, what needs the registry. The timeline's
+checks are in `timeline_specs`, the one path from the timeline to the engine.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -181,10 +183,16 @@ class Scenario:
     timeline: list[dict] = field(default_factory=list)
     attacks: list[dict] = field(default_factory=list)
     expects: list[dict] = field(default_factory=list)
-    source_text: str = ""
+    # the text `loads_scenario` read or a generator wrote, which `replace` drops;
+    # a loaded scenario edited in place keeps its old text
+    source_text: str = field(default="", init=False, repr=False, compare=False)
+
+    def text(self) -> str:
+        """The scenario as text: the text it was read or generated as, else `dump()`."""
+        return self.source_text or self.dump()
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.source_text.encode()).hexdigest()
+        return hashlib.sha256(self.text().encode()).hexdigest()
 
     def engine_config(self, mode: Mode = Mode.DELEGATION, window_override: int | None = None) -> EngineConfig:
         """The settings of the config record, run in `mode`; `window_override` replaces `window_ms`."""
@@ -261,7 +269,8 @@ class Scenario:
 
 
 def loads_scenario(text: str) -> Scenario:
-    scn = Scenario(source_text=text)
+    scn = Scenario()
+    scn.source_text = text
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty scenario file", line=1)
@@ -354,38 +363,61 @@ def _event_record(e: dict) -> dict:
     return rec
 
 
-def _validate(scn: Scenario) -> None:
-    """The checks that need the registry: cross-references, timeline order and provenance labels."""
-    registry, _table, name_to_id = scn.build()
-    prev_t = -1
-    seen_main = False
-    labels: dict[str, int] = {}  # event id -> its line
+def timeline_specs(scn: Scenario, registry: Registry, name_to_id: dict[str, str]) -> Iterator[tuple[int, dict]]:
+    """Yield `(t, spec)` for each timeline entry of `scn`, the spec as `Engine.schedule` takes it.
+
+    Each entry is checked as it is resolved, and a failure names its line when
+    it has one (during `loads_scenario`). Each widget label is resolved once.
+    """
+    prev_t, seen_main = -1, False
+    labels: dict[str, int | None] = {}  # event id -> its line
+    widget_ids: dict[str, str] = {}  # widget label -> widget id
     for e in scn.timeline:
-        line = e["_line"]
-        if e["t"] < prev_t:
-            raise InvariantViolation(f"line {line}: timeline timestamps must be non-decreasing")
-        prev_t = e["t"]
+        t, kind, line = e["t"], e["kind"], e.get("_line")
+        if t < prev_t:
+            raise InvariantViolation("timeline timestamps must be non-decreasing", line=line)
+        prev_t = t
         if e["phase"] == "main":
             seen_main = True
         elif seen_main:
-            raise InvariantViolation(f"line {line}: preliminary events must precede main events")
-        if e["kind"] == "input":
-            _widget_id(registry, e["widget"], line)
-        for key in ("program", "src", "dst"):
-            if key in e:
-                _program_id(name_to_id, e[key], line)
-        if e["kind"] == "handoff":
+            raise InvariantViolation("preliminary events must precede main events", line=line)
+        spec = {"phase": e["phase"], "kind": kind}
+        label = e.get("label")
+        if label:
+            spec["label"] = label
+        if kind == "input":
+            widget_id = widget_ids.get(e["widget"])
+            if widget_id is None:
+                widget_id = widget_ids[e["widget"]] = _widget_id(registry, e["widget"], line)
+            spec["widget"] = widget_id
+            spec["program"] = _program_id(name_to_id, e["program"], line)
+        elif kind == "handoff":
+            spec["src"] = _program_id(name_to_id, e["src"], line)
+            spec["dst"] = _program_id(name_to_id, e["dst"], line)
             if e["src"] == e["dst"]:
                 raise ParseError(f"event record: a handoff from {e['src']!r} to itself", line=line)
-            if e["provenance"] is not None and e["provenance"] not in labels:
-                raise UnresolvedReference(f"provenance {e['provenance']!r} does not name an earlier event id", line=line)
-        if e["kind"] == "request":
+            provenance = e.get("provenance")
+            if provenance is not None and provenance not in labels:
+                raise UnresolvedReference(f"provenance {provenance!r} does not name an earlier event id", line=line)
+            spec["provenance"], spec["action"] = provenance, e.get("action")
+        else:
+            spec["program"] = _program_id(name_to_id, e["program"], line)
             _compatible(registry, e["op"], e["sensor"], line)
-        if e.get("label"):
-            first = labels.setdefault(e["label"], line)
-            if first != line:
-                raise ParseError(f"event record: a second event with id {e['label']!r}; the first is on line {first}", line=line)
+            spec["op"], spec["sensor"] = e["op"], e["sensor"]
+        if label:
+            if label in labels:
+                first = labels[label]
+                where = "" if first is None else f"; the first is on line {first}"
+                raise ParseError(f"event record: a second event with id {label!r}{where}", line=line)
+            labels[label] = line
+        yield t, spec
 
+
+def _validate(scn: Scenario) -> None:
+    """The checks that need the registry: cross-references, and the timeline's in `timeline_specs`."""
+    registry, _table, name_to_id = scn.build()
+    for _entry in timeline_specs(scn, registry, name_to_id):
+        pass
     for a in scn.attacks:
         _program_id(name_to_id, a["program"], a["_line"])
         _compatible(registry, a["op"], a["sensor"], a["_line"])

@@ -23,6 +23,14 @@ from .scenario import Scenario
 DEFAULT_HANDOFF_RATIO = 2037 / 15000
 DEFAULT_REQUEST_RATIO = 5252 / 15000
 
+# the fixed shape of every workload
+INPUT_LAG_RANGE = (1, 22)  # ms from an input's delivery to its handoff; the top is its handler's completion
+HANDOFF_LAG_RANGE = (1, 15)  # ms from a handoff's delivery to its actions; the top is its handler's completion
+THREE_EDGE_FRACTION = 0.87  # the share of chains with one handoff, whose paths have three edges
+WINDOW_MS = 150
+NOISE_BURST_SIZE = (1, 2)  # noise handoffs per burst
+NOISE_LAG_MS = 10  # the chain target's handler for a noise handoff completes after this
+
 
 @dataclass
 class WorkloadParams:
@@ -30,16 +38,10 @@ class WorkloadParams:
     gap_range_ms: tuple[int, int] = (140, 1500)
     handoff_ratio: float = DEFAULT_HANDOFF_RATIO
     request_ratio: float = DEFAULT_REQUEST_RATIO
-    input_lag_range: tuple[int, int] = (1, 22)
-    handoff_lag_range: tuple[int, int] = (1, 15)
-    three_edge_fraction: float = 0.87
-    window_ms: int = 150
     seed: int = 1
     widget_rotation: int = 8
     noise_apps: int = 0
     noise_burst_prob: float = 0.0
-    noise_burst_size: tuple[int, int] = (1, 2)
-    noise_lag_ms: int = 10
 
     def validate(self) -> None:
         if self.n_inputs < 0:
@@ -50,14 +52,6 @@ class WorkloadParams:
         for name, ratio in (("handoff_ratio", self.handoff_ratio), ("request_ratio", self.request_ratio)):
             if not 0.0 <= ratio <= 1.0:
                 raise InfeasibleWorkload(f"{name} must be in [0, 1]")
-        if not 0.0 <= self.three_edge_fraction <= 1.0:
-            raise InfeasibleWorkload("three_edge_fraction must be in [0, 1]")
-        for name, rng in (("input_lag_range", self.input_lag_range), ("handoff_lag_range", self.handoff_lag_range)):
-            if rng[0] < 1 or rng[1] < rng[0]:
-                raise InfeasibleWorkload(f"{name} must satisfy 1 <= lo <= hi")
-        depth_factor = 2.0 - self.three_edge_fraction
-        if self.handoff_ratio / depth_factor > 1.0:
-            raise InfeasibleWorkload("handoff_ratio implies more chains than inputs")
         if self.handoff_ratio == 0 and self.request_ratio > 0:
             raise InfeasibleWorkload("requests need chains: request_ratio > 0 requires handoff_ratio > 0")
         if self.noise_apps < 0 or not 0.0 <= self.noise_burst_prob <= 1.0:
@@ -66,7 +60,7 @@ class WorkloadParams:
     @property
     def chain_prob(self) -> float:
         # chains * (q*1 + (1-q)*2) = handoff target
-        return self.handoff_ratio / (2.0 - self.three_edge_fraction)
+        return self.handoff_ratio / (2.0 - THREE_EDGE_FRACTION)
 
     @property
     def requests_per_chain(self) -> float:
@@ -102,7 +96,7 @@ def generate_workload(params: WorkloadParams) -> Scenario:
     rng = random.Random(params.seed)
 
     scn = Scenario()
-    scn.config = {"window_ms": params.window_ms, "default_lag_ms": 5}
+    scn.config = {"window_ms": WINDOW_MS, "default_lag_ms": 5}
     scn.mode = "delegation"
     scn.policies = {"preliminary": ["allow * * * *"], "main": ["allow * * * *"]}
 
@@ -148,18 +142,18 @@ def generate_workload(params: WorkloadParams) -> Scenario:
                         "program": "ui shell",
                         "on": {"widget": label},
                         "actions": [
-                            {"handoff": "media service", "after": rng.randint(*params.input_lag_range),
+                            {"handoff": "media service", "after": rng.randint(*INPUT_LAG_RANGE),
                              "label": hop1},
-                            {"complete": params.input_lag_range[1]},
+                            {"complete": INPUT_LAG_RANGE[1]},
                         ],
                     }
                 )
-                req_lags = sorted(rng.randint(*params.handoff_lag_range) for _ in range(max(k, 1)))
+                req_lags = sorted(rng.randint(*HANDOFF_LAG_RANGE) for _ in range(max(k, 1)))
                 actions = [
                     {"request": list(_OPS[(i + j) % len(_OPS)]), "after": req_lags[j] if k else 1}
                     for j in range(k)
                 ]
-                actions.append({"complete": params.handoff_lag_range[1]})
+                actions.append({"complete": HANDOFF_LAG_RANGE[1]})
                 tail, trigger = "media service", hop1  # the program that requests, and its trigger
                 if depth == 2:
                     tail, trigger = "relay service", f"{hop1}-relay"
@@ -169,8 +163,8 @@ def generate_workload(params: WorkloadParams) -> Scenario:
                             "on": {"handoff": hop1},
                             "actions": [
                                 {"handoff": "relay service",
-                                 "after": rng.randint(*params.handoff_lag_range), "label": trigger},
-                                {"complete": params.handoff_lag_range[1]},
+                                 "after": rng.randint(*HANDOFF_LAG_RANGE), "label": trigger},
+                                {"complete": HANDOFF_LAG_RANGE[1]},
                             ],
                         }
                     )
@@ -182,12 +176,12 @@ def generate_workload(params: WorkloadParams) -> Scenario:
             {
                 "program": "media service",
                 "on": {"handoff": "noise"},
-                "actions": [{"complete": params.noise_lag_ms}],
+                "actions": [{"complete": NOISE_LAG_MS}],
             }
         )
 
     chain_carry = _Carry(params.chain_prob)
-    depth_carry = _Carry(params.three_edge_fraction)
+    depth_carry = _Carry(THREE_EDGE_FRACTION)
     req_carry = _Carry(rpc - k_lo if k_hi != k_lo else 0.0)
 
     events: list[dict] = []
@@ -204,7 +198,7 @@ def generate_workload(params: WorkloadParams) -> Scenario:
             if label == last_widget and len(options) > 1:
                 label = options[(options.index(label) + 1) % len(options)]
             if params.noise_apps and rng.random() < params.noise_burst_prob:
-                burst = rng.randint(*params.noise_burst_size)
+                burst = rng.randint(*NOISE_BURST_SIZE)
                 for _n in range(burst):
                     app = f"background app {rng.randint(1, params.noise_apps)}"
                     events.append(

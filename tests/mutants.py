@@ -106,6 +106,34 @@ MUTANTS = {
         "ticket.root_id = root_id = self.store.record_input(ev, delivered_at=self.now)",
         "root_id = self.store.record_input(ev, delivered_at=self.now)",
     ),
+    # a chain that parts from the one before and meets it again is named from where they meet
+    "prompt_common_past_the_branch": (
+        "auth.py", "break", "continue",
+    ),
+    # a timeline entry earlier than the one before it is scheduled
+    "timeline_no_order_check": (
+        "scenario.py", "if t < prev_t:", "if False:",
+    ),
+    # a handoff's provenance need not name an earlier event id
+    "timeline_no_provenance_check": (
+        "scenario.py", "if provenance is not None and provenance not in labels:", "if False:",
+    ),
+    # each input after the first resolves to the first widget resolved
+    "widget_memo_wrong_id": (
+        "scenario.py", 'widget_id = widget_ids.get(e["widget"])', "widget_id = next(iter(widget_ids.values()), None)",
+    ),
+    # a scenario with no source text has no text
+    "text_no_dump_fallback": (
+        "scenario.py", "return self.source_text or self.dump()", "return self.source_text",
+    ),
+    # a trace embeds the text the scenario was loaded from, though it was changed since
+    "trace_embeds_source_text": (
+        "runner.py", '"scenario": scn.text(),', '"scenario": scn.source_text,',
+    ),
+    # a workload may ask for requests but no chains to make them
+    "workload_requests_without_chains": (
+        "workload.py", "if self.handoff_ratio == 0 and self.request_ratio > 0:", "if False:",
+    ),
 }
 
 

@@ -176,6 +176,9 @@ OPERATION = ('{"kind":"operation","op":"capture_screen","sensors":["Screen"],"ph
         pytest.param('"after":3,"label":"add_note"', '"after":0,"label":"add_note"', id="handler-zero-lag"),
         pytest.param('{"complete":5}', '{"complete":3}', id="handler-complete-before-an-action"),
         pytest.param(NOTES_HANDLER, NOTES_HANDLER + "\n" + NOTES_HANDLER, id="second-handler-for-a-trigger"),
+        pytest.param('"attack":{"stealth_screen_grab":false}', '"attack":{"stealth_screen_grab":false,"nope":true}',
+                     id="expect-unknown-attack"),
+        pytest.param(MODE, '["kind","mode"]', id="record-a-json-array"),
     ],
 )
 def test_malformed_record_is_a_validation_error_naming_its_line(tmp_path, capsys, old, new):
@@ -188,6 +191,21 @@ def test_malformed_record_is_a_validation_error_naming_its_line(tmp_path, capsys
     bad.write_text(bad_text)
     assert main(["run", str(bad)]) == 2
     assert f"error: line {line}: " in capsys.readouterr().err
+
+
+def test_run_takes_no_seed(capsys):
+    # a run draws no random numbers; `gen` takes the seed of a workload
+    with pytest.raises(SystemExit) as exc:
+        main(["run", scenario_path("task_a"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_empty_scenario_file_is_a_validation_error(tmp_path, capsys):
+    empty = tmp_path / "empty.scn"
+    empty.write_text("")
+    assert main(["run", str(empty)]) == 2
+    assert capsys.readouterr().err == "error: line 1: empty scenario file\n"
 
 
 @pytest.mark.parametrize(

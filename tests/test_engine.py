@@ -257,6 +257,27 @@ def test_backpressure_on_queue_overflow():
     assert engine.backpressure_rejections == 1
 
 
+def test_a_handoff_a_handler_emits_past_the_queue_bound_is_dropped_and_the_run_goes_on():
+    lines = []
+    engine, (a, b, _), _ = build_engine(
+        handlers=[
+            HandlerSpec(program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+                        actions=tuple(EmitHandoff(to="P2", after_ms=i) for i in (1, 2, 3)),
+                        complete=Complete(after_ms=4)),
+            HandlerSpec(program_id="P2", trigger_kind="handoff", trigger_value="*", complete=Complete(after_ms=50)),
+        ],
+        trace=lines.append,
+    )
+    engine.config.queue_bound = 1
+    engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
+    engine.run_to_quiescence()
+    # e1 is delivered and keeps Beta busy, e2 waits in its queue, and e3 finds the queue full
+    assert engine.backpressure_rejections == 1
+    refused = [json.loads(line) for line in lines if '"reason":"backpressure"' in line]
+    assert [(r["kind"], r["event_id"], r["t"]) for r in refused] == [("expire", "e3", 3)]
+    assert engine.stats.per_kind["handoff"].delivered == 2
+
+
 def test_unattributed_request_denied_without_prompt():
     engine, (_, _, c), _ = build_engine()
     engine.submit(OperationRequest("r1", c, "capture_picture", "Camera", 5))

@@ -87,6 +87,29 @@ def test_a_chain_that_is_a_prefix_of_the_one_before_is_named_whole():
     )
 
 
+def test_chains_that_branch_after_their_receiver_are_each_named_from_it():
+    reg = Registry()
+    ga = reg.register_program("Google Assistant", "GA")
+    bc = reg.register_program("Basic Camera", "BC", display="the Basic Camera app")
+    sc = reg.register_program("Screen Capture", "SC", display="the Screen Capture service")
+    mb = reg.register_program("Mobile Banking", "MB", display="the Mobile Banking app")
+    w = reg.register_widget("deposit bank check", WidgetKind.VOICE)
+    reg.register_sensor("Camera")
+    reg.register_operation("capture_picture", ["Camera"], "capture pictures")
+    keys = [
+        PathKey(w.id, (ga.id, bc.id, mb.id), "capture_picture", "Camera"),
+        PathKey(w.id, (ga.id, sc.id, mb.id), "capture_picture", "Camera"),
+    ]
+    # the chains part after their first program and meet again at the last: the second
+    # is named from the program where they part, not from where they meet again
+    assert render_prompt(keys, reg) == (
+        'In response to your voice command "deposit bank check", allow Google Assistant'
+        " to activate the Basic Camera app to activate the Mobile Banking app to capture pictures."
+        " Also, allow Google Assistant to activate the Screen Capture service to activate"
+        " the Mobile Banking app to capture pictures?"
+    )
+
+
 def test_goldens_via_full_scenario_runs(task_a, task_b, task_c):
     for scn, name in ((task_a, "task_a"), (task_b, "task_b"), (task_c, "task_c")):
         report, _ = run_scenario(scn, mode="entrust")

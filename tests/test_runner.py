@@ -18,8 +18,8 @@ from delegauth import (
 )
 from delegauth.engine import Engine, Mode
 from delegauth.errors import TraceDivergence
-from delegauth.runner import replay
-from delegauth.scenario import loads_scenario
+from delegauth.runner import replay, trace_header
+from delegauth.scenario import TraceWriter, loads_scenario
 from delegauth.scheduler import HandlerTable
 from conftest import DATA
 
@@ -122,10 +122,29 @@ def test_expect_failures_surface_when_policy_flipped(task_a):
 
 def test_trace_replay_round_trip(task_b, tmp_path):
     trace_path = tmp_path / "b.trace"
-    report, writer = run_with_trace(task_b, trace_path, mode="entrust", seed=9)
+    report, writer = run_with_trace(task_b, trace_path, mode="entrust")
     assert trace_path.exists()
     replayed = replay(trace_path)
     assert replayed.main_prompts == report.main_prompts
+
+
+def test_a_trace_whose_header_records_a_seed_replays(task_b, tmp_path):
+    # older traces recorded a seed, which a run never read; replay still takes them
+    trace_path = tmp_path / "seeded.trace"
+    with open(trace_path, "w") as fh:
+        writer = TraceWriter(fh, trace_header(task_b, "entrust", None, None, 9))
+        report, _engine = run_scenario(task_b, mode="entrust", trace=writer)
+    assert json.loads(trace_path.read_text().splitlines()[0])["seed"] == 9
+    assert replay(trace_path).decisions == report.decisions
+
+
+def test_a_scenario_changed_by_replace_replays(task_a, tmp_path):
+    # `replace` drops the loaded text, so the trace embeds the changed scenario, not the file it came from
+    scn = replace(task_a, policies={**task_a.policies, "main": ["allow * * * *"]})
+    trace_path = tmp_path / "changed.trace"
+    report, _writer = run_with_trace(scn, trace_path)
+    assert report.decisions != run_scenario(task_a)[0].decisions
+    assert replay(trace_path).decisions == report.decisions
 
 
 def test_trace_mutation_detected(task_a, tmp_path):
@@ -299,11 +318,6 @@ def test_held_memory_does_not_grow_with_run_length():
     # after a run, what is held is the live roots and the cache; nothing per input
     small, large = held_after_run(2000), held_after_run(8000)
     assert (large - small) / 6000 < 16
-
-
-def test_run_with_trace_without_a_file(task_b):
-    report, _writer = run_with_trace(task_b, None, mode="entrust")
-    assert report.decisions == run_scenario(task_b, mode="entrust")[0].decisions
 
 
 def test_zero_prompt_replay_with_cache_roundtrip(task_b):

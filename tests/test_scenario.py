@@ -177,7 +177,7 @@ def test_dump_round_trip_keeps_event_ids_and_provenance():
     scn = loads_scenario((DATA / "contention.scn").read_text())
     assert any(e.get("label") for e in scn.timeline) and any(e.get("provenance") for e in scn.timeline)
     again = loads_scenario(scn.dump())
-    assert replace(again, source_text="") == replace(scn, source_text="")
+    assert again == scn
     traces = []
     for s in (scn, again):
         lines = []
@@ -190,6 +190,33 @@ def test_a_program_name_comes_once_in_a_scenario_built_in_python():
     scn = Scenario(programs=[{"name": "Notes", "mark": "NO"}, {"name": "Notes", "mark": "EVIL"}])
     with pytest.raises(ParseError, match="^a second program 'Notes' record$"):
         scn.build()
+
+
+GO_A = {"phase": "main", "kind": "input", "widget": "go", "program": "A"}
+
+
+@pytest.mark.parametrize(
+    "timeline, error, message",
+    [
+        pytest.param([{**GO_A, "t": 0, "program": "Zeta"}], UnresolvedReference, "unknown program 'Zeta'",
+                     id="unknown-program"),
+        pytest.param([{**GO_A, "t": 0, "widget": "stop"}], UnresolvedReference, "unknown widget 'stop'",
+                     id="unknown-widget"),
+        pytest.param([{**GO_A, "t": 9}, {**GO_A, "t": 5}], InvariantViolation,
+                     "timeline timestamps must be non-decreasing", id="out-of-order"),
+        pytest.param([{**GO_A, "t": 0}, {**GO_A, "t": 5, "phase": "preliminary"}], InvariantViolation,
+                     "preliminary events must precede main events", id="preliminary-after-main"),
+        pytest.param([{**GO_A, "t": 0, "label": "i1"}, {**GO_A, "t": 5, "label": "i1"}], ParseError,
+                     "event record: a second event with id 'i1'", id="repeated-id"),
+        pytest.param([{"phase": "main", "t": 5, "kind": "handoff", "src": "A", "dst": "B", "provenance": "i1"}],
+                     UnresolvedReference, "provenance 'i1' does not name an earlier event id", id="provenance"),
+    ],
+)
+def test_a_timeline_built_in_python_gets_the_checks_of_a_loaded_one(timeline, error, message):
+    # `run_scenario` schedules through the checks `loads_scenario` runs; an entry built in Python has no line
+    scn = replace(loads_scenario(MINIMAL), timeline=timeline)
+    with pytest.raises(error, match=f"^{message}$"):
+        run_scenario(scn)
 
 
 def test_provenance_label_must_name_earlier_event():
