@@ -33,7 +33,7 @@ from .model import (
     WidgetKind,
 )
 from .runner import replay, run_scenario, run_with_trace
-from .scenario import Scenario
+from .scenario import Scenario, loads_scenario
 from .workload import WINDOW_MS, WorkloadParams, generate_workload
 
 def round_robin(batches, rounds: int) -> dict:
@@ -223,39 +223,24 @@ def cache_rw(inner: int = 200, runs: int = 80) -> dict:
 
 
 def _chain_scenario(k: int) -> Scenario:
-    scn = Scenario()
-    scn.config = {"window_ms": 150}
-    scn.mode = "delegation"
-    scn.policies = {"main": ["allow * * * *"]}
+    """A widget whose input starts a chain of `k` handoffs, the last program of which asks for the Camera."""
     names = [f"prog {i}" for i in range(k + 1)]
-    scn.programs = [{"name": n, "mark": f"P{i}"} for i, n in enumerate(names)]
-    scn.widgets = [{"label": "go", "input": "voice"}]
-    scn.sensors = [{"id": "Camera"}]
-    scn.operations = [{"op": "capture_picture", "sensors": ["Camera"], "phrase": "capture pictures"}]
-    scn.handlers = [
-        {
-            "program": names[0],
-            "on": {"widget": "go"},
-            "actions": [{"handoff": names[1], "after": 2, "label": "hop0"}, {"complete": 3}],
-        }
+    handlers = [
+        {"program": names[i], "on": {"handoff": f"hop{i - 1}"} if i else {"widget": "go"},
+         "actions": [{"handoff": names[i + 1], "after": 2, "label": f"hop{i}"} if i < k
+                     else {"request": ["capture_picture", "Camera"], "after": 2}, {"complete": 3}]}
+        for i in range(k + 1)
     ]
-    for i in range(1, k):
-        scn.handlers.append(
-            {
-                "program": names[i],
-                "on": {"handoff": f"hop{i - 1}"},
-                "actions": [{"handoff": names[i + 1], "after": 2, "label": f"hop{i}"}, {"complete": 3}],
-            }
-        )
-    scn.handlers.append(
-        {
-            "program": names[k],
-            "on": {"handoff": f"hop{k - 1}"},
-            "actions": [{"request": ["capture_picture", "Camera"], "after": 2}, {"complete": 3}],
-        }
+    return Scenario(
+        programs=[{"name": n, "mark": f"P{i}"} for i, n in enumerate(names)],
+        widgets=[{"label": "go", "input": "voice"}],
+        sensors=[{"id": "Camera"}],
+        operations=[{"op": "capture_picture", "sensors": ["Camera"], "phrase": "capture pictures"}],
+        handlers=handlers,
+        config={"window_ms": 150},
+        policies={"main": ["allow * * * *"]},
+        timeline=[{"phase": "main", "t": 0, "kind": "input", "widget": "go", "program": names[0]}],
     )
-    scn.timeline = [{"phase": "main", "t": 0, "kind": "input", "widget": "go", "program": names[0]}]
-    return scn
 
 
 def enforcement(max_handoffs: int = 10, inner: int = 5, runs: int = 10) -> dict:
@@ -493,7 +478,7 @@ def e2e(params: WorkloadParams | None = None, runs: int = 10) -> dict:
     included, over the workload's inputs.
     """
     params = params or WorkloadParams()
-    scn = generate_workload(params)
+    scn = loads_scenario(generate_workload(params).dump())  # as a file is loaded: no trace dumps it again
     with tempfile.TemporaryDirectory() as tmp:
         traced_path, recorded_path = Path(tmp) / "traced.trace", Path(tmp) / "recorded.trace"
         run_with_trace(scn, recorded_path)

@@ -233,7 +233,6 @@ class Engine:
         self.config = config or EngineConfig()
         self.authorizers = authorizers or {}
         self.cache = cache or AuthorizationCache()
-        self.first_use: set[tuple[str, str, str]] = set()  # (program, op, sensor) granted in FIRST_USE
         self.store = GraphStore(self.config.window_ms)
         self.stats = DelayStats()
 
@@ -708,11 +707,14 @@ class Engine:
         self._pending.setdefault(root_id, {}).setdefault(key, []).append(r)
 
     def _first_use_decide(self, r: OperationRequest, phase: str) -> None:
-        if (r.program_id, r.op, r.sensor) in self.first_use:
+        """Prompt about the program alone, under no widget, unless the cache holds a grant of that key;
+        a grant is cached with an empty graph snapshot, a denial is not. A widget labelled `*` gives the
+        same key in DELEGATION: no run mixes modes, but a cache imported from the other mode could collide."""
+        key = PathKey("*", (r.program_id,), r.op, r.sensor)
+        if self.cache.lookup(key) == "allow":
             self._decide(ALLOWED, CACHED, r, phase)
             return
-        # a first-use prompt asks about the program alone, under no widget
-        keys = [PathKey("*", (r.program_id,), r.op, r.sensor)]
+        keys = [key]
         text = render_first_use_prompt(r.program_id, r.op, self.registry)
         prompt = {"mode": Mode.FIRST_USE.value, "phase": phase, "t": self.now, "text": text,
                   "marks": prompt_marks(keys, self.registry)}
@@ -721,7 +723,7 @@ class Engine:
             self._emit(_prompt_line, prompt)
         allowed = self._authorizer(phase).authorize_paths(keys, text, self.registry)
         if allowed:
-            self.first_use.add((r.program_id, r.op, r.sensor))
+            self.cache.store_allow(key, b"")
         self._decide(ALLOWED if allowed else DENIED, PROMPTED, r, phase)
 
     def _flush_root(self, root_id: str, phase: str) -> None:

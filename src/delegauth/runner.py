@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -159,13 +160,14 @@ def compare_modes(scn: Scenario, window_ms: int | None = None) -> dict:
 
 def trace_header(scn: Scenario, mode: str | None, policy_rules, window_ms, seed) -> dict:
     """The header of a trace of `scn`; a run draws no random numbers, so only an older trace has a `seed`."""
+    text = scn.text()
     return {
         "mode": mode,
         "policy_override": policy_rules,
         "window_override": window_ms,
         "seed": seed,
-        "scenario_sha256": scn.sha256(),
-        "scenario": scn.text(),
+        "scenario_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "scenario": text,
     }
 
 
@@ -199,12 +201,12 @@ def replay(trace_path: str | Path) -> RunReport:
     with open(trace_path, errors="replace") as recorded:  # a trace is ASCII: any other byte makes its line differ
         header = read_trace_header(recorded)
         scn = loads_scenario(header["scenario"])
-        if scn.sha256() != header["scenario_sha256"]:
-            raise TraceDivergence(0, "embedded scenario does not match its recorded digest")
         rerun_header = trace_header(
             scn, header.get("mode"), header.get("policy_override"), header.get("window_override"),
             header.get("seed"),
         )
+        if rerun_header["scenario_sha256"] != header["scenario_sha256"]:
+            raise TraceDivergence(0, "embedded scenario does not match its recorded digest")
         recorded.seek(0)  # the re-run's header line is checked too
         check = _TraceCheck(recorded)
         report, _engine = run_scenario(

@@ -7,21 +7,22 @@ event timeline (preliminary and main phases), scripted policies per phase,
 attack assertions, and per-mode expectations.
 
 The table below (`_RECORDS`, with `_ONCE` and the two headers) is the one
-definition of both formats. Each record is checked against it once, before
-anything reads it; one that does not fit raises `ParseError` naming its line,
-kind and key. `EngineConfig` checks a config record's values,
-`parse_policy_rules` a policy's rules, and `Scenario.build` and `_validate`,
-on the one registry that build makes, what needs the registry. The timeline's
-checks are in `timeline_specs`, the one path from the timeline to the engine.
+definition of both formats. `loads_scenario` checks each record against it,
+and `EngineConfig` a config's values and `parse_policy_rules` a policy's
+rules, as it reads them; a failure names the record's line. What needs the
+registry is checked at use, by the two steps of every run: `Scenario.build`
+and `timeline_specs`. `loads_scenario` takes the same two, so a loaded and a
+built scenario pass one set of checks.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
+from types import MappingProxyType
 
 from .auth import parse_policy_rules
 from .engine import EngineConfig, Mode, _dump_line
@@ -155,6 +156,8 @@ _TRACE_HEADER = _object(
     {"format": (TRACE_FORMAT,), "version": (FORMAT_VERSION,), "scenario": str, "scenario_sha256": str},
     {"mode": tuple(MODE_SPELLINGS), "policy_override": _list(str), "window_override": int, "seed": int},
 )
+# `_dump_line` for scenario records, whose objects may be read-only mappings
+_dump_record = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False, default=dict).encode
 
 
 def _check(lineno: int | None, kind: str, check, *args):
@@ -168,31 +171,38 @@ def _check(lineno: int | None, kind: str, check, *args):
         raise ParseError(f"{kind} record: {exc}", line=lineno) from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Parsed, validated scenario. `build()` produces fresh runtime objects."""
+    """A scenario's records, checked at use; `build()` produces fresh runtime objects.
 
-    programs: list[dict] = field(default_factory=list)
-    widgets: list[dict] = field(default_factory=list)
-    sensors: list[dict] = field(default_factory=list)
-    operations: list[dict] = field(default_factory=list)
-    handlers: list[dict] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
+    It has text of its own only when read-only: `loads_scenario` gives tuples
+    and read-only mappings, nested parts included, and keeps its text as
+    `source_text`. One made by `Scenario(...)` or `dataclasses.replace` has
+    none, so `text()` is its current `dump()`, whatever its maker changes.
+    """
+
+    programs: Sequence[Mapping] = ()
+    widgets: Sequence[Mapping] = ()
+    sensors: Sequence[Mapping] = ()
+    operations: Sequence[Mapping] = ()
+    handlers: Sequence[Mapping] = ()
+    config: Mapping = field(default_factory=dict)
     mode: str = "delegation"
-    policies: dict[str, list[str]] = field(default_factory=dict)  # phase -> rule lines
-    timeline: list[dict] = field(default_factory=list)
-    attacks: list[dict] = field(default_factory=list)
-    expects: list[dict] = field(default_factory=list)
-    # the text `loads_scenario` read or a generator wrote, which `replace` drops;
-    # a loaded scenario edited in place keeps its old text
+    policies: Mapping[str, Sequence[str]] = field(default_factory=dict)  # phase -> rule lines
+    timeline: Sequence[Mapping] = ()
+    attacks: Sequence[Mapping] = ()
+    expects: Sequence[Mapping] = ()
+    # set by `loads_scenario` alone, and dropped by `replace`: the text, and each kind's record lines in it
     source_text: str = field(default="", init=False, repr=False, compare=False)
+    _lines: Mapping[str, Sequence[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def text(self) -> str:
-        """The scenario as text: the text it was read or generated as, else `dump()`."""
+        """The scenario as text: the text it was read from, else `dump()`."""
         return self.source_text or self.dump()
 
-    def sha256(self) -> str:
-        return hashlib.sha256(self.text().encode()).hexdigest()
+    def _lines_of(self, kind: str) -> Iterable[int | None]:
+        """The line of each record of `kind`, or None for each if the scenario has no text."""
+        return self._lines.get(kind) or repeat(None)
 
     def engine_config(self, mode: Mode = Mode.DELEGATION, window_override: int | None = None) -> EngineConfig:
         """The settings of the config record, run in `mode`; `window_override` replaces `window_ms`."""
@@ -204,35 +214,42 @@ class Scenario:
     def build(self) -> tuple[Registry, HandlerTable, dict[str, str]]:
         """Fresh registry + handler table; returns (registry, handlers, name->id).
 
-        A second program of one name, or a record the registry refuses, raises
-        `ParseError`, naming its line during `loads_scenario`.
+        Checks every record but the timeline's: a second program of one name or
+        a record the registry refuses raises `ParseError`, a name it lacks
+        `UnresolvedReference`.
         """
         registry = Registry()
         name_to_id: dict[str, str] = {}
         first_line: dict[str, int | None] = {}
-        for p in self.programs:
-            line = p.get("_line")
+        for p, line in zip(self.programs, self._lines_of("program")):
             first = first_line.setdefault(p["name"], line)
             if p["name"] in name_to_id:
                 where = "" if first is None else f"; the first is on line {first}"
                 raise ParseError(f"a second program {p['name']!r} record{where}", line=line)
             prog = _check(line, "program", registry.register_program, p["name"], p["mark"], p.get("display"))
             name_to_id[p["name"]] = prog.id
-        for w in self.widgets:
-            _check(w.get("_line"), "widget", registry.register_widget,
+        for w, line in zip(self.widgets, self._lines_of("widget")):
+            _check(line, "widget", registry.register_widget,
                    w["label"], WidgetKind(w.get("input", "voice")), w.get("aliases", ()))
-        for s in self.sensors:
-            _check(s.get("_line"), "sensor", registry.register_sensor, s["id"], s.get("phrase", ""))
-        for o in self.operations:
-            _check(o.get("_line"), "operation", registry.register_operation,
+        for s, line in zip(self.sensors, self._lines_of("sensor")):
+            _check(line, "sensor", registry.register_sensor, s["id"], s.get("phrase", ""))
+        for o, line in zip(self.operations, self._lines_of("operation")):
+            _check(line, "operation", registry.register_operation,
                    o["op"], o["sensors"], o["phrase"], o.get("first_use_phrase"))
         table = HandlerTable()
-        for h in self.handlers:
-            _check(h.get("_line"), "handler", table.add, self._build_handler(h, registry, name_to_id))
+        for h, line in zip(self.handlers, self._lines_of("handler")):
+            _check(line, "handler", table.add, self._build_handler(h, line, registry, name_to_id))
+        for a, line in zip(self.attacks, self._lines_of("attack")):
+            _program_id(name_to_id, a["program"], line)
+            _compatible(registry, a["op"], a["sensor"], line)
+        attack_names = {a["name"] for a in self.attacks}
+        for x, line in zip(self.expects, self._lines_of("expect")):
+            for name in x.get("attack", {}):
+                if name not in attack_names:
+                    raise UnresolvedReference(f"expect names unknown attack {name!r}", line=line)
         return registry, table, name_to_id
 
-    def _build_handler(self, h: dict, registry: Registry, name_to_id: dict[str, str]) -> HandlerSpec:
-        line = h.get("_line")
+    def _build_handler(self, h: Mapping, line: int | None, registry: Registry, name_to_id: dict) -> HandlerSpec:
         [(trigger_kind, trigger_value)] = h["on"].items()
         if trigger_kind == "widget":
             trigger_value = _widget_id(registry, trigger_value, line)
@@ -261,21 +278,23 @@ class Scenario:
             "policy": [{"phase": phase, "rules": rules} for phase, rules in self.policies.items()],
             "event": map(_event_record, self.timeline),
         }
-        lines = [_dump_line({"format": SCENARIO_FORMAT, "version": FORMAT_VERSION})]
+        lines = [_dump_record({"format": SCENARIO_FORMAT, "version": FORMAT_VERSION})]
         for kind in _RECORDS:
             for rec in records[kind] if kind in records else getattr(self, f"{kind}s"):
-                lines.append(_dump_line({"kind": kind, **rec}))
+                lines.append(_dump_record({"kind": kind, **rec}))
         return "\n".join(lines) + "\n"
 
 
 def loads_scenario(text: str) -> Scenario:
-    scn = Scenario()
-    scn.source_text = text
+    """The read-only scenario of `text`, checked as a run checks it; it keeps `text` as its own."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty scenario file", line=1)
     _check(1, "scenario header", _SCENARIO_HEADER, _parse_json(lines[0], 1))
 
+    config, mode, policies = MappingProxyType({}), "delegation", {}
+    records: dict[str, list] = {kind: [] for kind in _RECORDS if kind not in _ONCE}  # the kinds held as lists
+    record_lines: dict[str, list[int]] = {kind: [] for kind in records}
     seen: dict[str, int] = {}  # the name of each record that may not repeat -> its line
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -291,26 +310,33 @@ def loads_scenario(text: str) -> Scenario:
             first = seen.setdefault(single, lineno)
             if first != lineno:
                 raise ParseError(f"a second {single} record; the first is on line {first}", line=lineno)
-        if kind == "event":
-            scn.timeline.append(_normalize_event(rec, lineno))
+        if kind in records:  # an event's entry is flat, so wrapping it is enough
+            records[kind].append(MappingProxyType(_normalize_event(rec)) if kind == "event" else _read_only(rec))
+            record_lines[kind].append(lineno)
         elif kind == "config":
-            scn.config = rec
-            _check(lineno, kind, scn.engine_config)
+            _check(lineno, kind, lambda: EngineConfig(**rec))
+            config = MappingProxyType(rec)
         elif kind == "mode":
-            scn.mode = rec["mode"]
+            mode = rec["mode"]
         elif kind == "policy":
             _check(lineno, kind, parse_policy_rules, rec["rules"])
-            scn.policies[rec.get("phase", "main")] = rec["rules"]
-        else:  # each other kind is a list of the scenario, named by its plural, as in `dump`
-            rec["_line"] = lineno
-            getattr(scn, kind + "s").append(rec)
+            policies[rec.get("phase", "main")] = tuple(rec["rules"])
 
-    _validate(scn)
-    for rec_list in (scn.programs, scn.widgets, scn.sensors, scn.operations, scn.handlers,
-                     scn.timeline, scn.attacks, scn.expects):
-        for rec in rec_list:
-            rec.pop("_line", None)
+    scn = Scenario(**{"timeline" if kind == "event" else f"{kind}s": tuple(recs) for kind, recs in records.items()},
+                   config=config, mode=mode, policies=MappingProxyType(policies))
+    object.__setattr__(scn, "source_text", text)  # the dataclass is frozen
+    object.__setattr__(scn, "_lines", record_lines)
+    registry, _table, name_to_id = scn.build()
+    for _entry in timeline_specs(scn, registry, name_to_id):
+        pass
     return scn
+
+
+def _read_only(value):
+    """The JSON value `value` with its arrays as tuples and its objects as read-only mappings."""
+    if type(value) is dict:
+        return MappingProxyType({key: _read_only(item) for key, item in value.items()})
+    return tuple(map(_read_only, value)) if type(value) is list else value
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -330,24 +356,23 @@ def _parse_json(raw: str, lineno: int) -> dict:
     return obj
 
 
-def _normalize_event(rec: dict, lineno: int) -> dict:
-    """The timeline entry of an event record: one flat dict, with `from` and `to` held as `src` and `dst`."""
-    out = {"phase": rec.get("phase", "main"), "t": rec["t"], "_line": lineno}
-    if rec.get("id"):
-        out["label"] = rec["id"]
-    out["kind"] = kind = "input" if "input" in rec else "handoff" if "handoff" in rec else "request"
-    body = rec[kind]
-    if kind == "input":
-        out["widget"], out["program"] = body["widget"], body["program"]
-    elif kind == "handoff":
-        out["src"], out["dst"] = body["from"], body["to"]
-        out["provenance"], out["action"] = body.get("provenance"), body.get("action")
-    else:
-        out["program"], out["op"], out["sensor"] = body["program"], body["op"], body["sensor"]
-    return out
+def _normalize_event(rec: dict) -> dict:
+    """Event record `rec` made in place into a timeline entry: one flat dict, `from` and `to` as `src` and `dst`."""
+    rec.setdefault("phase", "main")
+    label = rec.pop("id", None)
+    if label:
+        rec["label"] = label
+    rec["kind"] = kind = "input" if "input" in rec else "handoff" if "handoff" in rec else "request"
+    body = rec.pop(kind)
+    if kind == "handoff":
+        rec["src"], rec["dst"] = body["from"], body["to"]
+        rec["provenance"], rec["action"] = body.get("provenance"), body.get("action")
+    else:  # the keys of an input's or a request's body are those of its entry
+        rec.update(body)
+    return rec
 
 
-def _event_record(e: dict) -> dict:
+def _event_record(e: Mapping) -> dict:
     """The event record of timeline entry `e`: `_normalize_event` undone."""
     if e["kind"] == "input":
         body = {"widget": e["widget"], "program": e["program"]}
@@ -367,13 +392,13 @@ def timeline_specs(scn: Scenario, registry: Registry, name_to_id: dict[str, str]
     """Yield `(t, spec)` for each timeline entry of `scn`, the spec as `Engine.schedule` takes it.
 
     Each entry is checked as it is resolved, and a failure names its line when
-    it has one (during `loads_scenario`). Each widget label is resolved once.
+    the scenario was loaded. Each widget label is resolved once.
     """
     prev_t, seen_main = -1, False
     labels: dict[str, int | None] = {}  # event id -> its line
     widget_ids: dict[str, str] = {}  # widget label -> widget id
-    for e in scn.timeline:
-        t, kind, line = e["t"], e["kind"], e.get("_line")
+    for e, line in zip(scn.timeline, scn._lines_of("event")):
+        t, kind = e["t"], e["kind"]
         if t < prev_t:
             raise InvariantViolation("timeline timestamps must be non-decreasing", line=line)
         prev_t = t
@@ -411,21 +436,6 @@ def timeline_specs(scn: Scenario, registry: Registry, name_to_id: dict[str, str]
                 raise ParseError(f"event record: a second event with id {label!r}{where}", line=line)
             labels[label] = line
         yield t, spec
-
-
-def _validate(scn: Scenario) -> None:
-    """The checks that need the registry: cross-references, and the timeline's in `timeline_specs`."""
-    registry, _table, name_to_id = scn.build()
-    for _entry in timeline_specs(scn, registry, name_to_id):
-        pass
-    for a in scn.attacks:
-        _program_id(name_to_id, a["program"], a["_line"])
-        _compatible(registry, a["op"], a["sensor"], a["_line"])
-    attack_names = {a["name"] for a in scn.attacks}
-    for x in scn.expects:
-        for name in x.get("attack", {}):
-            if name not in attack_names:
-                raise UnresolvedReference(f"expect names unknown attack {name!r}", line=x["_line"])
 
 
 def _widget_id(registry: Registry, label: str, line: int | None) -> str:

@@ -95,24 +95,21 @@ def generate_workload(params: WorkloadParams) -> Scenario:
     params.validate()
     rng = random.Random(params.seed)
 
-    scn = Scenario()
-    scn.config = {"window_ms": WINDOW_MS, "default_lag_ms": 5}
-    scn.mode = "delegation"
-    scn.policies = {"preliminary": ["allow * * * *"], "main": ["allow * * * *"]}
-
-    scn.programs.append({"name": "ui shell", "mark": "UI"})
-    scn.programs.append({"name": "media service", "mark": "MS"})
-    scn.programs.append({"name": "relay service", "mark": "RS"})
+    programs = [
+        {"name": "ui shell", "mark": "UI"},
+        {"name": "media service", "mark": "MS"},
+        {"name": "relay service", "mark": "RS"},
+    ]
     for i in range(params.noise_apps):
-        scn.programs.append({"name": f"background app {i + 1}", "mark": f"B{i + 1}"})
+        programs.append({"name": f"background app {i + 1}", "mark": f"B{i + 1}"})
 
-    scn.sensors = [
+    sensors = [
         {"id": "Camera"},
         {"id": "Microphone"},
         {"id": "GpsReceiver", "phrase": "GPS receiver"},
         {"id": "Screen", "phrase": "content on the screen"},
     ]
-    scn.operations = [
+    operations = [
         {"op": "capture_picture", "sensors": ["Camera"], "phrase": "capture pictures"},
         {"op": "record_audio", "sensors": ["Microphone"], "phrase": "record audio"},
         {"op": "read_location", "sensors": ["GpsReceiver"], "phrase": "access"},
@@ -124,8 +121,8 @@ def generate_workload(params: WorkloadParams) -> Scenario:
     rotations = max(1, params.widget_rotation)
 
     # plain widgets: inputs that never touch sensors (the common case)
-    for i in range(rotations):
-        scn.widgets.append({"label": f"plain action {i + 1}", "input": "gui"})
+    widgets = [{"label": f"plain action {i + 1}", "input": "gui"} for i in range(rotations)]
+    handlers: list[dict] = []
 
     # one widget+handler family per (depth, request-count, rotation) combination
     chain_widgets: dict[tuple[int, int], list[str]] = {}
@@ -135,9 +132,9 @@ def generate_workload(params: WorkloadParams) -> Scenario:
             for i in range(rotations):
                 label = f"chain d{depth} k{k} v{i + 1}"
                 labels.append(label)
-                scn.widgets.append({"label": label, "input": "voice"})
+                widgets.append({"label": label, "input": "voice"})
                 hop1 = f"hop-d{depth}-k{k}-v{i + 1}"
-                scn.handlers.append(
+                handlers.append(
                     {
                         "program": "ui shell",
                         "on": {"widget": label},
@@ -157,7 +154,7 @@ def generate_workload(params: WorkloadParams) -> Scenario:
                 tail, trigger = "media service", hop1  # the program that requests, and its trigger
                 if depth == 2:
                     tail, trigger = "relay service", f"{hop1}-relay"
-                    scn.handlers.append(
+                    handlers.append(
                         {
                             "program": "media service",
                             "on": {"handoff": hop1},
@@ -168,11 +165,11 @@ def generate_workload(params: WorkloadParams) -> Scenario:
                             ],
                         }
                     )
-                scn.handlers.append({"program": tail, "on": {"handoff": trigger}, "actions": actions})
+                handlers.append({"program": tail, "on": {"handoff": trigger}, "actions": actions})
             chain_widgets[(depth, k)] = labels
 
     if params.noise_apps:
-        scn.handlers.append(
+        handlers.append(
             {
                 "program": "media service",
                 "on": {"handoff": "noise"},
@@ -212,9 +209,11 @@ def generate_workload(params: WorkloadParams) -> Scenario:
         events.append({"phase": "main", "t": t, "kind": "input", "widget": label, "program": "ui shell"})
 
     events.sort(key=lambda e: e["t"])  # stable: preserves insertion order at equal t
-    scn.timeline = events
-    scn.source_text = scn.dump()
-    return scn
+    return Scenario(
+        programs=programs, widgets=widgets, sensors=sensors, operations=operations, handlers=handlers,
+        config={"window_ms": WINDOW_MS, "default_lag_ms": 5}, mode="delegation",
+        policies={"preliminary": ["allow * * * *"], "main": ["allow * * * *"]}, timeline=events,
+    )
 
 
 def expected_counts(params: WorkloadParams) -> dict:

@@ -18,22 +18,19 @@ def fuzz_scenario(seed: int, gaps_ms: tuple[int, int] = (10, 400)) -> Scenario:
     n_programs = rng.randint(2, 6)
     names = [f"prog{i}" for i in range(n_programs)]
 
-    scn = Scenario()
-    scn.config = {"window_ms": 150, "default_lag_ms": rng.randint(1, 8)}
-    scn.mode = "delegation"
-    scn.policies = {"preliminary": ["allow * * * *"], "main": ["allow * * * *"]}
-    scn.programs = [{"name": n, "mark": f"P{i}"} for i, n in enumerate(names)]
-    scn.sensors = [{"id": "Camera"}, {"id": "Microphone"}]
-    scn.operations = [
+    config = {"window_ms": 150, "default_lag_ms": rng.randint(1, 8)}
+    operations = [
         {"op": "capture_picture", "sensors": ["Camera"], "phrase": "capture pictures"},
         {"op": "record_audio", "sensors": ["Microphone"], "phrase": "record audio"},
     ]
 
     n_widgets = rng.randint(2, 5)
+    widgets: list[dict] = []
+    handlers: list[dict] = []
     hop_seq = 0
     for w in range(n_widgets):
         label = f"cmd {w}"
-        scn.widgets.append({"label": label, "input": "voice"})
+        widgets.append({"label": label, "input": "voice"})
         receiver = rng.choice(names)
         depth = rng.randint(0, 4)
         chain = [receiver]
@@ -46,7 +43,7 @@ def fuzz_scenario(seed: int, gaps_ms: tuple[int, int] = (10, 400)) -> Scenario:
             lag = 0
             if rng.random() < 0.75 or idx == len(chain) - 1:
                 lag += rng.randint(1, 10)
-                op = rng.choice(scn.operations)
+                op = rng.choice(operations)
                 actions.append({"request": [op["op"], op["sensors"][0]], "after": lag})
             if idx < len(chain) - 1:
                 lag += rng.randint(1, 10)
@@ -55,26 +52,36 @@ def fuzz_scenario(seed: int, gaps_ms: tuple[int, int] = (10, 400)) -> Scenario:
                 trigger_label = f"hop{hop_seq}"
             actions.append({"complete": lag + rng.randint(0, 5)})
             if idx == 0:
-                scn.handlers.append({"program": prog, "on": {"widget": label}, "actions": actions})
+                handlers.append({"program": prog, "on": {"widget": label}, "actions": actions})
             else:
-                scn.handlers.append(
+                handlers.append(
                     {"program": prog, "on": {"handoff": prev_trigger}, "actions": actions}
                 )
             prev_trigger = trigger_label if idx < len(chain) - 1 else None
 
     t = 0
-    widgets = [w["label"] for w in scn.widgets]
+    timeline = []
+    labels = [w["label"] for w in widgets]
     for _ in range(rng.randint(3, 10)):
         t += rng.randint(*gaps_ms)
         receiver = None
-        label = rng.choice(widgets)
+        label = rng.choice(labels)
         # the receiver is fixed by the widget's first handler
-        for h in scn.handlers:
+        for h in handlers:
             if h["on"].get("widget") == label:
                 receiver = h["program"]
                 break
-        scn.timeline.append(
+        timeline.append(
             {"phase": "main", "t": t, "kind": "input", "widget": label, "program": receiver}
         )
-    scn.source_text = scn.dump()
-    return scn
+    return Scenario(
+        programs=[{"name": n, "mark": f"P{i}"} for i, n in enumerate(names)],
+        widgets=widgets,
+        sensors=[{"id": "Camera"}, {"id": "Microphone"}],
+        operations=operations,
+        handlers=handlers,
+        config=config,
+        mode="delegation",
+        policies={"preliminary": ["allow * * * *"], "main": ["allow * * * *"]},
+        timeline=timeline,
+    )

@@ -128,7 +128,25 @@ MUTANTS = {
     ),
     # a trace embeds the text the scenario was loaded from, though it was changed since
     "trace_embeds_source_text": (
-        "runner.py", '"scenario": scn.text(),', '"scenario": scn.source_text,',
+        "runner.py", "text = scn.text()", "text = scn.source_text",
+    ),
+    # an attack may name a program the scenario lacks
+    "attack_no_program_check": (
+        "scenario.py", '_program_id(name_to_id, a["program"], line)', "pass",
+    ),
+    # an expect may name an attack the scenario lacks
+    "expect_no_attack_check": (
+        "scenario.py", "if name not in attack_names:", "if False:",
+    ),
+    # a loaded scenario's records, and the objects nested in them, stay writable
+    "loaded_records_writable": (
+        "scenario.py",
+        "return MappingProxyType({key: _read_only(item) for key, item in value.items()})",
+        "return {key: _read_only(item) for key, item in value.items()}",
+    ),
+    # a first-use grant is not kept, so the next request for it prompts again
+    "first_use_no_grant": (
+        "engine.py", 'self.cache.store_allow(key, b"")', "pass",
     ),
     # a workload may ask for requests but no chains to make them
     "workload_requests_without_chains": (

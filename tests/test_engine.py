@@ -9,7 +9,7 @@ from delegauth import load_scenario, loads_scenario, runner
 from delegauth.auth import ScriptedPolicy
 from delegauth.engine import Engine, EngineConfig, Mode
 from delegauth.errors import Backpressure, InvariantViolation, ProtocolViolation
-from delegauth.graph import InputKey
+from delegauth.graph import InputKey, PathKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
 from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable
 from conftest import DATA, scenario_path
@@ -455,13 +455,14 @@ def test_first_use_mode_grants_and_stays_silent():
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.run_to_quiescence()
     assert engine.prompt_count() == 1
-    assert (a, "capture_picture", "Camera") in engine.first_use
+    grant = PathKey("*", (a,), "capture_picture", "Camera")
+    assert engine.cache.lookup(grant) == "allow"
     engine.submit(OperationRequest("r9", a, "capture_picture", "Camera", 5000))
     engine.run_to_quiescence()
     assert engine.prompt_count() == 1
     assert engine.decisions[-1].silent_allow
     # revoke, then the next request prompts again
-    engine.first_use.remove((a, "capture_picture", "Camera"))
+    del engine.cache.entries[grant.input_key].decisions[grant]
     engine.submit(OperationRequest("r10", a, "capture_picture", "Camera", 6000))
     engine.run_to_quiescence()
     assert engine.prompt_count() == 2

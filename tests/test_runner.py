@@ -85,9 +85,9 @@ def test_mode_override_aliases(task_a):
 def test_first_use_and_path_answers_under_non_default_rules(task_b):
     # a first-use prompt names no widget, so a rule that names one never
     # matches it; a rule that names the chain and op does
-    task_b.policies["preliminary"] = [
+    task_b = replace(task_b, policies={**task_b.policies, "preliminary": [
         'deny "take a selfie" * * *', 'deny * "Basic Camera" record_audio *', "allow * * * *",
-    ]
+    ]})
 
     def answers(report):
         return [(d.phase, d.op, d.outcome, d.reason) for d in report.engine_decisions]
@@ -144,6 +144,16 @@ def test_a_scenario_changed_by_replace_replays(task_a, tmp_path):
     trace_path = tmp_path / "changed.trace"
     report, _writer = run_with_trace(scn, trace_path)
     assert report.decisions != run_scenario(task_a)[0].decisions
+    assert replay(trace_path).decisions == report.decisions
+
+
+def test_a_generated_scenario_changed_in_place_replays(tmp_path):
+    # a scenario made in Python holds no text of its own, so its trace embeds what it holds when it runs
+    scn = generate_workload(WorkloadParams(n_inputs=300))
+    scn.policies["main"] = ["deny * * * *"]
+    trace_path = tmp_path / "changed.trace"
+    report, _writer = run_with_trace(scn, trace_path)
+    assert any(d["outcome"] == "denied" for d in report.decisions)
     assert replay(trace_path).decisions == report.decisions
 
 
@@ -291,8 +301,9 @@ def test_replay_reads_the_recorded_trace_line_by_line(tmp_path):
     trace_path = tmp_path / "w.trace"
     run_with_trace(scn, trace_path)
     size = trace_path.stat().st_size
+    text = scn.text()  # made outside the measured run, as a file's text would be
     replay_peak = traced_peak(lambda: replay(trace_path))
-    run_peak = traced_peak(lambda: run_scenario(loads_scenario(scn.source_text)))
+    run_peak = traced_peak(lambda: run_scenario(loads_scenario(text)))
     # what replay holds beyond the run itself: the header with the embedded
     # scenario (an eighth of this trace) and one line, not the whole trace
     assert replay_peak - run_peak < size / 4

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
+from operator import setitem
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,43 @@ def test_a_timeline_built_in_python_gets_the_checks_of_a_loaded_one(timeline, er
     scn = replace(loads_scenario(MINIMAL), timeline=timeline)
     with pytest.raises(error, match=f"^{message}$"):
         run_scenario(scn)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        pytest.param({"attacks": [{"name": "spy", "program": "Nobody", "op": "capture_screen", "sensor": "Screen"}]},
+                     "unknown program 'Nobody'", id="attack-program"),
+        pytest.param({"attacks": [{"name": "spy", "program": "Notes", "op": "capture_screen", "sensor": "Camera"}]},
+                     "incompatible op/sensor ('capture_screen', 'Camera')", id="attack-op-sensor"),
+        pytest.param({"expects": [{"mode": "delegation", "attack": {"nope": True}}]},
+                     "expect names unknown attack 'nope'", id="expect-attack"),
+    ],
+)
+def test_attacks_and_expects_built_in_python_get_the_checks_of_loaded_ones(task_a, changes, message):
+    with pytest.raises(UnresolvedReference, match=f"^{re.escape(message)}$"):
+        run_scenario(replace(task_a, **changes))
+
+
+# each edit would leave the loaded text stale, so that a trace of the run embeds the old text and does not replay
+IN_PLACE_EDITS = {
+    "policy": lambda scn: setitem(scn.policies, "main", ["allow * * * *"]),
+    "program": lambda scn: scn.programs.append({"name": "Spy", "mark": "SP"}),
+    "event-time": lambda scn: setitem(scn.timeline[0], "t", 99),
+    "handler-actions": lambda scn: scn.handlers[0]["actions"].append({"complete": 1}),
+    "handler-trigger": lambda scn: setitem(scn.handlers[0]["on"], "widget", "take a screenshot"),
+    "handler-action": lambda scn: setitem(scn.handlers[0]["actions"][0], "after", 1),
+    "config": lambda scn: setitem(scn.config, "window_ms", 5),
+    "mode": lambda scn: setattr(scn, "mode", "first_use"),
+}
+
+
+@pytest.mark.parametrize("edit", IN_PLACE_EDITS.values(), ids=list(IN_PLACE_EDITS))
+def test_a_loaded_scenario_cannot_be_changed_in_place(task_a, edit):
+    before = task_a.dump()
+    with pytest.raises((AttributeError, TypeError)):  # a frozen field, a tuple, or a read-only mapping
+        edit(task_a)
+    assert task_a.dump() == before
 
 
 def test_provenance_label_must_name_earlier_event():

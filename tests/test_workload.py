@@ -10,9 +10,9 @@ from delegauth.workload import HANDOFF_LAG_RANGE, INPUT_LAG_RANGE, WorkloadParam
 def test_same_seed_produces_byte_identical_files():
     a = generate_workload(WorkloadParams(n_inputs=500, seed=42))
     b = generate_workload(WorkloadParams(n_inputs=500, seed=42))
-    assert a.source_text == b.source_text
+    assert a.text() == b.text()
     c = generate_workload(WorkloadParams(n_inputs=500, seed=43))
-    assert c.source_text != a.source_text
+    assert c.text() != a.text()
 
 
 def test_zero_inputs_yield_empty_timeline():
@@ -31,7 +31,7 @@ def test_infeasible_parameters_rejected():
 
 def test_generated_scenario_is_loadable():
     scn = generate_workload(WorkloadParams(n_inputs=200, seed=7))
-    again = loads_scenario(scn.source_text)
+    again = loads_scenario(scn.text())
     assert len(again.timeline) == len(scn.timeline)
 
 
