@@ -462,23 +462,26 @@ def memory(n_programs: int = 1000, seed: int = 7) -> dict:
 
 
 def e2e(params: WorkloadParams | None = None, runs: int = 10) -> dict:
-    """One workload run five ways, each as one call the way a user makes it:
-    `untraced` (`run_scenario`), `traced` (`run_with_trace` to a temporary
-    file), `replayed` (`replay` of a trace written once beforehand),
-    `first_use` and `pass_through` (`run_scenario` in those modes).
+    """One workload loaded and run five ways, each as one call the way a user
+    makes it: `untraced` (`run_scenario`), `traced` (`run_with_trace` to a
+    temporary file), `replayed` (`replay` of a trace written once
+    beforehand), `first_use` and `pass_through` (`run_scenario` in those
+    modes), and `loaded` (`loads_scenario` of the workload's text, which
+    comes before any run of a file).
 
-    The five calls are timed by `round_robin` over `runs` rounds, each call
+    The six calls are timed by `round_robin` over `runs` rounds, each call
     after a `gc.collect()` outside its time. A row's `us_per_event` is the
     call's time over the events of the untraced run, so the ratio of two
     rows is the ratio of their run times. `ratios` are taken within each
     round, where the host's speed cancels, and given as the median and
     quartiles over the rounds; `mediated/pass_through` is untraced over
     pass-through. A separate pass under `tracemalloc` gives each row's
-    `held_bytes_per_input`: what the run leaves allocated, its report
-    included, over the workload's inputs.
+    `held_bytes_per_input`: what the call leaves allocated, its result
+    included (a report, or the loaded scenario), over the workload's inputs.
     """
     params = params or WorkloadParams()
-    scn = loads_scenario(generate_workload(params).dump())  # as a file is loaded: no trace dumps it again
+    text = generate_workload(params).dump()
+    scn = loads_scenario(text)  # as a file is loaded: no trace dumps it again
     with tempfile.TemporaryDirectory() as tmp:
         traced_path, recorded_path = Path(tmp) / "traced.trace", Path(tmp) / "recorded.trace"
         run_with_trace(scn, recorded_path)
@@ -488,6 +491,7 @@ def e2e(params: WorkloadParams | None = None, runs: int = 10) -> dict:
             "replayed": lambda: replay(recorded_path),
             "first_use": lambda: run_scenario(scn, mode=Mode.FIRST_USE)[0],
             "pass_through": lambda: run_scenario(scn, mode=Mode.PASS_THROUGH)[0],
+            "loaded": lambda: loads_scenario(text),
         }
         held = {name: _held_bytes(call) / params.n_inputs for name, call in calls.items()}
         events = calls["untraced"]().delay_stats["total_events"]

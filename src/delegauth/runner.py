@@ -79,7 +79,15 @@ def build_engine(
 
 
 def _schedule_timeline(engine: Engine, scn: Scenario, name_to_id: dict[str, str]) -> None:
-    for t, spec in timeline_specs(scn, engine.registry, name_to_id):
+    """Queue the timeline of `scn` on `engine`, whose registry and `name_to_id` come from `scn.build()`.
+
+    A loaded scenario's timeline was resolved as it was loaded, and its
+    specs are queued as they are: the engine only reads them, so every run
+    of the scenario shares them. Any other scenario's timeline is resolved
+    now, by `timeline_specs`, and checked as it is.
+    """
+    specs = scn._specs
+    for t, spec in timeline_specs(scn, engine.registry, name_to_id) if specs is None else specs:
         engine.schedule(t, spec)
 
 

@@ -7,12 +7,17 @@ event timeline (preliminary and main phases), scripted policies per phase,
 attack assertions, and per-mode expectations.
 
 The table below (`_RECORDS`, with `_ONCE` and the two headers) is the one
-definition of both formats. `loads_scenario` checks each record against it,
-and `EngineConfig` a config's values and `parse_policy_rules` a policy's
-rules, as it reads them; a failure names the record's line. What needs the
-registry is checked at use, by the two steps of every run: `Scenario.build`
-and `timeline_specs`. `loads_scenario` takes the same two, so a loaded and a
-built scenario pass one set of checks.
+definition of both formats, compiled at import into one check per record
+kind. `loads_scenario` splits the text at line feeds alone (JSON lets U+2028,
+U+2029 and U+0085 stand raw inside a string, where `str.splitlines` would
+break the line), decodes each line with the JSON decoder's scanner, and
+checks each record against the table, and `EngineConfig` a config's values
+and `parse_policy_rules` a policy's rules, as it reads them; a failure names
+the record's line. What needs the registry is checked at use, by the two
+steps of every run: `Scenario.build` and `timeline_specs`. `loads_scenario`
+takes the same two, so a loaded and a built scenario pass one set of checks,
+and it keeps what `timeline_specs` gave, so that a run of the loaded
+scenario schedules its timeline without resolving it again.
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ MODE_SPELLINGS = {
 # -- the record table -------------------------------------------------------------
 # A spec is a type, which a value must be exactly (so a bool is no int, and
 # `object` takes any value), a tuple of the values allowed, or one of the
-# checks below, which raise `_Bad`.
+# checks below, which raise `_Bad`. The table is compiled once, at import:
+# each builder turns the specs inside it into what its check compares a
+# value with, so a record is checked by one call of its kind's check.
 
 
 class _Bad(Exception):
@@ -55,24 +62,31 @@ class _Bad(Exception):
 
     path = ""
 
+    def at(self, key) -> None:
+        """Make this failure's path start from the object or array that holds the value at `key`."""
+        self.path = f"{key}.{self.path}" if self.path else str(key)
 
-def _fit(value, spec, key) -> None:
-    try:
-        if type(spec) is tuple:
-            if value not in spec:
-                raise _Bad(f"must be one of {', '.join(map(repr, spec))}, got {value!r}")
-        elif type(spec) is not type:
-            spec(value)
-        elif type(value) is not spec and spec is not object:
-            raise _Bad(f"must be {spec.__name__}, got {value!r}")
-    except _Bad as bad:
-        bad.path = f"{key}.{bad.path}" if bad.path else str(key)
-        raise
+
+def _compile(spec):
+    """`spec` as a check compares a value with it: a type as it is, anything else as a function that raises `_Bad`."""
+    if type(spec) is not tuple:
+        return spec
+
+    def check(value) -> None:
+        if value not in spec:
+            raise _Bad(f"must be one of {', '.join(map(repr, spec))}, got {value!r}")
+    return check
+
+
+def _not_a(spec: type, value) -> _Bad:
+    return _Bad(f"must be {spec.__name__}, got {value!r}")
 
 
 def _object(required: dict, optional: dict | None = None, other=None):
     """A JSON object with the `required` and `optional` keys; another key's value must fit `other`, if given."""
     specs, needed = {**required, **(optional or {})}, frozenset(required)
+    fits = {key: _compile(spec) for key, spec in specs.items()}
+    other = _compile(other)
 
     def check(value) -> None:
         if type(value) is not dict:
@@ -80,31 +94,61 @@ def _object(required: dict, optional: dict | None = None, other=None):
         if not value.keys() >= needed:
             raise _Bad(f"needs the key {min(needed - value.keys())!r}")
         for key, v in value.items():
-            spec = specs.get(key, other)
-            if spec is None:
+            fit = fits.get(key, other)
+            if fit is None:
                 raise _Bad(f"has the key {key!r}, not one of {', '.join(specs)}")
-            if type(spec) is not type or type(v) is not spec:
-                _fit(v, spec, key)
+            try:
+                if type(fit) is not type:
+                    fit(v)
+                elif type(v) is not fit and fit is not object:
+                    raise _not_a(fit, v)
+            except _Bad as bad:
+                bad.at(key)
+                raise
+    check.keys = None if other is not None else frozenset(specs)  # what `_one_of` relies on
     return check
 
 
 def _one_of(**shapes):
-    """A JSON object that fits one of `shapes`, each named by a key that it has and the others lack."""
+    """A JSON object that fits one of `shapes`, each named by a key that it has and the others lack.
+
+    Each shape is an `_object` that takes no other shape's name as a key, so a
+    value with two names fails the check of the first: only then are they counted.
+    """
+    for name, shape in shapes.items():
+        if shape.keys is None or not shape.keys.isdisjoint(shapes.keys() - {name}):
+            raise TypeError(f"the shape {name!r} may take another shape's name as a key")
+
     def check(value) -> None:
-        keys = shapes.keys() & value.keys() if type(value) is dict else ()
-        if len(keys) != 1:
-            raise _Bad(f"needs exactly one of the keys {', '.join(shapes)}, got {value!r}")
-        shapes[keys.pop()](value)
+        if type(value) is dict:
+            for name, shape in shapes.items():
+                if name in value:
+                    try:
+                        return shape(value)
+                    except _Bad:
+                        if sum(key in value for key in shapes) == 1:
+                            raise
+                    break
+        raise _Bad(f"needs exactly one of the keys {', '.join(shapes)}, got {value!r}")
     return check
 
 
 def _list(item, length: int | None = None, one: str | None = None):
     """A JSON array of `item`s: `length` of them, if given, and exactly one with the key `one`, if given."""
+    fit = _compile(item)
+
     def check(value) -> None:
         if type(value) is not list or len(value) != (length or len(value)):
             raise _Bad(f"must be a list{f' of {length}' if length else ''}, got {value!r}")
         for i, v in enumerate(value):
-            _fit(v, item, i)
+            try:
+                if type(fit) is not type:
+                    fit(v)
+                elif type(v) is not fit and fit is not object:
+                    raise _not_a(fit, v)
+            except _Bad as bad:
+                bad.at(i)
+                raise
         if one and sum(one in v for v in value) != 1:
             raise _Bad(f"needs exactly one {one!r} item")
     return check
@@ -165,10 +209,15 @@ def _check(lineno: int | None, kind: str, check, *args):
     try:
         return check(*args)
     except _Bad as bad:
-        where = f"{bad.path!r} " if bad.path else ""
-        raise ParseError(f"{kind} record: {where}{bad}", line=lineno) from None
+        raise _misfit(lineno, kind, bad) from None
     except DelegauthError as exc:  # a typed error of the check, such as `InvariantViolation`
         raise ParseError(f"{kind} record: {exc}", line=lineno) from None
+
+
+def _misfit(lineno: int | None, kind: str, bad: _Bad) -> ParseError:
+    """The error of a `kind` record on line `lineno` that fails a spec."""
+    where = f"{bad.path!r} " if bad.path else ""
+    return ParseError(f"{kind} record: {where}{bad}", line=lineno)
 
 
 @dataclass(frozen=True)
@@ -179,6 +228,12 @@ class Scenario:
     and read-only mappings, nested parts included, and keeps its text as
     `source_text`. One made by `Scenario(...)` or `dataclasses.replace` has
     none, so `text()` is its current `dump()`, whatever its maker changes.
+
+    `loads_scenario` also keeps its timeline resolved, as `_specs`: the
+    `(t, spec)` pairs of `timeline_specs`, which `runner._schedule_timeline`
+    queues as they are, so a run of a loaded scenario resolves no entry again.
+    The ids in a spec are those `build()` gives, the same on every call. One
+    made otherwise has None, and each run resolves its timeline anew.
     """
 
     programs: Sequence[Mapping] = ()
@@ -192,9 +247,11 @@ class Scenario:
     timeline: Sequence[Mapping] = ()
     attacks: Sequence[Mapping] = ()
     expects: Sequence[Mapping] = ()
-    # set by `loads_scenario` alone, and dropped by `replace`: the text, and each kind's record lines in it
+    # set by `loads_scenario` alone, and dropped by `replace`: the text, each kind's record lines in it,
+    # and the timeline's specs
     source_text: str = field(default="", init=False, repr=False, compare=False)
     _lines: Mapping[str, Sequence[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _specs: tuple[tuple[int, dict], ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def text(self) -> str:
         """The scenario as text: the text it was read from, else `dump()`."""
@@ -286,10 +343,17 @@ class Scenario:
 
 
 def loads_scenario(text: str) -> Scenario:
-    """The read-only scenario of `text`, checked as a run checks it; it keeps `text` as its own."""
-    lines = text.splitlines()
-    if not lines:
+    """The read-only scenario of `text`, checked as a run checks it; it keeps `text` as its own.
+
+    A line is one record, or blank. Each is decoded by the JSON decoder's
+    scanner; only a line the scanner cannot take whole, or that is no object,
+    goes through `json.loads`, which names what is wrong with it, or finds
+    nothing wrong: a line may end in whitespace, such as the carriage return
+    of a CRLF text. The timeline is resolved once, here, and kept as `_specs`.
+    """
+    if not text:
         raise ParseError("empty scenario file", line=1)
+    lines = text.split("\n")
     _check(1, "scenario header", _SCENARIO_HEADER, _parse_json(lines[0], 1))
 
     config, mode, policies = MappingProxyType({}), "delegation", {}
@@ -297,14 +361,22 @@ def loads_scenario(text: str) -> Scenario:
     record_lines: dict[str, list[int]] = {kind: [] for kind in records}
     seen: dict[str, int] = {}  # the name of each record that may not repeat -> its line
     for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        rec = _parse_json(raw, lineno)
+        try:
+            rec, end = _scan(raw, 0)
+        except (StopIteration, ValueError):  # no value at the line's start, or a bad one
+            end = -1
+        if end != len(raw) or type(rec) is not dict:
+            if not raw.strip():
+                continue
+            rec = _parse_json(raw, lineno)
         kind = rec.pop("kind", None)
         spec = _RECORDS.get(kind) if type(kind) is str else None
         if spec is None:
             raise ParseError(f"unknown record kind {kind!r}", line=lineno)
-        _check(lineno, kind, spec, rec)
+        try:  # `_check`, inline: it runs once per record
+            spec(rec)
+        except _Bad as bad:
+            raise _misfit(lineno, kind, bad) from None
         if kind in _ONCE:
             single = f"{rec.get('phase', 'main')} policy" if kind == "policy" else kind
             first = seen.setdefault(single, lineno)
@@ -327,8 +399,7 @@ def loads_scenario(text: str) -> Scenario:
     object.__setattr__(scn, "source_text", text)  # the dataclass is frozen
     object.__setattr__(scn, "_lines", record_lines)
     registry, _table, name_to_id = scn.build()
-    for _entry in timeline_specs(scn, registry, name_to_id):
-        pass
+    object.__setattr__(scn, "_specs", tuple(timeline_specs(scn, registry, name_to_id)))
     return scn
 
 
@@ -344,6 +415,10 @@ def load_scenario(path: str | Path) -> Scenario:
         return loads_scenario(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+# the scanner under `json.loads`: (the value at an index of a string, the index after it)
+_scan = json.JSONDecoder().scan_once
 
 
 def _parse_json(raw: str, lineno: int) -> dict:
@@ -392,33 +467,31 @@ def timeline_specs(scn: Scenario, registry: Registry, name_to_id: dict[str, str]
     """Yield `(t, spec)` for each timeline entry of `scn`, the spec as `Engine.schedule` takes it.
 
     Each entry is checked as it is resolved, and a failure names its line when
-    the scenario was loaded. Each widget label is resolved once.
+    the scenario was loaded. Inputs alike in all but their time share one
+    spec, resolved once: a timeline of 15,000 inputs may have a few dozen.
     """
     prev_t, seen_main = -1, False
     labels: dict[str, int | None] = {}  # event id -> its line
-    widget_ids: dict[str, str] = {}  # widget label -> widget id
+    inputs: dict[tuple, dict] = {}  # an input's (phase, id, widget label, program name) -> its spec
     for e, line in zip(scn.timeline, scn._lines_of("event")):
-        t, kind = e["t"], e["kind"]
+        t, phase, kind = e["t"], e["phase"], e["kind"]
         if t < prev_t:
             raise InvariantViolation("timeline timestamps must be non-decreasing", line=line)
         prev_t = t
-        if e["phase"] == "main":
+        if phase == "main":
             seen_main = True
         elif seen_main:
             raise InvariantViolation("preliminary events must precede main events", line=line)
-        spec = {"phase": e["phase"], "kind": kind}
         label = e.get("label")
-        if label:
-            spec["label"] = label
         if kind == "input":
-            widget_id = widget_ids.get(e["widget"])
-            if widget_id is None:
-                widget_id = widget_ids[e["widget"]] = _widget_id(registry, e["widget"], line)
-            spec["widget"] = widget_id
-            spec["program"] = _program_id(name_to_id, e["program"], line)
+            key = (phase, label, e["widget"], e["program"])
+            spec = inputs.get(key)
+            if spec is None:
+                spec = inputs[key] = {"phase": phase, "kind": kind, "widget": _widget_id(registry, e["widget"], line),
+                                      "program": _program_id(name_to_id, e["program"], line)}
         elif kind == "handoff":
-            spec["src"] = _program_id(name_to_id, e["src"], line)
-            spec["dst"] = _program_id(name_to_id, e["dst"], line)
+            spec = {"phase": phase, "kind": kind, "src": _program_id(name_to_id, e["src"], line),
+                    "dst": _program_id(name_to_id, e["dst"], line)}
             if e["src"] == e["dst"]:
                 raise ParseError(f"event record: a handoff from {e['src']!r} to itself", line=line)
             provenance = e.get("provenance")
@@ -426,7 +499,7 @@ def timeline_specs(scn: Scenario, registry: Registry, name_to_id: dict[str, str]
                 raise UnresolvedReference(f"provenance {provenance!r} does not name an earlier event id", line=line)
             spec["provenance"], spec["action"] = provenance, e.get("action")
         else:
-            spec["program"] = _program_id(name_to_id, e["program"], line)
+            spec = {"phase": phase, "kind": kind, "program": _program_id(name_to_id, e["program"], line)}
             _compatible(registry, e["op"], e["sensor"], line)
             spec["op"], spec["sensor"] = e["op"], e["sensor"]
         if label:
@@ -435,6 +508,7 @@ def timeline_specs(scn: Scenario, registry: Registry, name_to_id: dict[str, str]
                 where = "" if first is None else f"; the first is on line {first}"
                 raise ParseError(f"event record: a second event with id {label!r}{where}", line=line)
             labels[label] = line
+            spec["label"] = label  # an input's key holds its id, so its spec is its own
         yield t, spec
 
 

@@ -118,9 +118,23 @@ MUTANTS = {
     "timeline_no_provenance_check": (
         "scenario.py", "if provenance is not None and provenance not in labels:", "if False:",
     ),
-    # each input after the first resolves to the first widget resolved
-    "widget_memo_wrong_id": (
-        "scenario.py", 'widget_id = widget_ids.get(e["widget"])', "widget_id = next(iter(widget_ids.values()), None)",
+    # inputs on one widget share one spec, whichever program receives them
+    "input_spec_key_lacks_program": (
+        "scenario.py", 'key = (phase, label, e["widget"], e["program"])', 'key = (phase, label, e["widget"])',
+    ),
+    # a record line is taken whole once the scanner reads a record at its start, whatever follows it
+    "decode_takes_part_of_a_line": (
+        "scenario.py", "if end != len(raw) or type(rec) is not dict:", "if end < 0 or type(rec) is not dict:",
+    ),
+    # a scenario made by `dataclasses.replace` keeps the timeline specs of the one it was made from
+    "specs_survive_replace": (
+        "scenario.py",
+        "_specs: tuple[tuple[int, dict], ...] | None = field(default=None, init=False, repr=False, compare=False)",
+        "_specs: tuple[tuple[int, dict], ...] | None = field(default=None, repr=False, compare=False)",
+    ),
+    # an object with two shapes' names is checked as the first shape alone, and named by its error
+    "one_of_no_recount": (
+        "scenario.py", "if sum(key in value for key in shapes) == 1:", "if True:",
     ),
     # a scenario with no source text has no text
     "text_no_dump_fallback": (

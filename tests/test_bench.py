@@ -113,7 +113,7 @@ def test_scaling_rows_small():
 
 def test_e2e_rows_small():
     result = e2e(WorkloadParams(n_inputs=20), runs=3)
-    points = ["untraced", "traced", "replayed", "first_use", "pass_through"]
+    points = ["untraced", "traced", "replayed", "first_use", "pass_through", "loaded"]
     assert [r["point"] for r in result["rows"]] == points
     assert all(r["us_per_event"] > 0 and r["iqr_us"] >= 0 and r["held_bytes_per_input"] > 0 for r in result["rows"])
     assert list(result["ratios"]) == ["traced/untraced", "replay/untraced", "mediated/pass_through"]

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from operator import setitem
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delegauth import Scenario, WorkloadParams, engine, generate_workload, run_scenario, run_with_trace, scenario
+from delegauth import (
+    Scenario, WorkloadParams, compare_modes, engine, generate_workload, run_scenario, run_with_trace, runner, scenario,
+)
 from delegauth.auth import Decision
 from delegauth.engine import (
     _admit_line,
@@ -64,6 +67,60 @@ def test_bad_json_reports_line():
     with pytest.raises(ParseError) as exc:
         loads_scenario(HEADER + "\n{not json}")
     assert exc.value.line == 2
+
+
+GOOD_EVENT = '{"kind":"event","t":0,"input":{"widget":"go","program":"A"}}'
+
+
+# malformed record lines after MINIMAL's 8: (the lines, the line named, its message)
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        pytest.param(['{"kind":"event","t":1'], 9, "invalid JSON (Expecting ',' delimiter)", id="cut-short"),
+        pytest.param(['{"kind":"event","t":1,'], 9, "invalid JSON (Expecting property name enclosed in double quotes)",
+                     id="cut-after-comma"),
+        pytest.param([GOOD_EVENT + " x"], 9, "invalid JSON (Extra data)", id="trailing-garbage"),
+        pytest.param([GOOD_EVENT + "," + GOOD_EVENT], 9, "invalid JSON (Extra data)", id="two-records"),
+        pytest.param([GOOD_EVENT + GOOD_EVENT], 9, "invalid JSON (Extra data)", id="two-records-no-comma"),
+        pytest.param(["[1]"], 9, "record must be a JSON object", id="array"),
+        pytest.param(["null"], 9, "record must be a JSON object", id="null"),
+        pytest.param(["1,2"], 9, "invalid JSON (Extra data)", id="two-numbers"),
+        pytest.param([GOOD_EVENT, "", "   ", "\t", GOOD_EVENT, "", "[1]"], 15, "record must be a JSON object",
+                     id="after-blank-lines"),
+        pytest.param([GOOD_EVENT] * 1000 + ['{"kind":"event","t":1,"input":'], 1009, "invalid JSON (Expecting value)",
+                     id="after-1000-good"),
+        # one record split over two lines, after a line of two: as many records as lines, none of them whole
+        pytest.param(['{"kind":"sensor","id":"Screen"},{"kind":"widget","label":"stop","aliases":["halt"',
+                      '"quit"]}'], 9, "invalid JSON (Extra data)", id="record-split-over-two-lines"),
+    ],
+)
+def test_malformed_record_lines_name_their_line(lines, line, message):
+    with pytest.raises(ParseError) as exc:
+        loads_scenario("\n".join([MINIMAL, *lines]))
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+def test_records_are_split_at_newlines_only(char):
+    # JSON lets these stand raw inside a string; `str.splitlines` would break the record at them
+    text = Path(scenario_path("task_a")).read_text().replace('"the Notes app"', f'"the Note{char}s app"')
+    scn = loads_scenario(text)
+    assert scn.programs[1]["display"] == f"the Note{char}s app"
+    assert scn.text() == text
+    run_scenario(scn)
+
+
+def test_crlf_text_loads_as_its_lf_text(task_a):
+    crlf = task_a.text().replace("\n", "\r\n")
+    assert loads_scenario(crlf) == task_a
+    with pytest.raises(ParseError) as exc:
+        loads_scenario(crlf.replace('"Notes"', '"Notes', 1))
+    assert exc.value.line == 3
+
+
+def test_empty_text_is_an_empty_scenario_file():
+    with pytest.raises(ParseError, match="^line 1: empty scenario file$"):
+        loads_scenario("")
 
 
 def test_non_utf8_file_is_a_parse_error(tmp_path):
@@ -219,6 +276,92 @@ def test_a_timeline_built_in_python_gets_the_checks_of_a_loaded_one(timeline, er
     scn = replace(loads_scenario(MINIMAL), timeline=timeline)
     with pytest.raises(error, match=f"^{message}$"):
         run_scenario(scn)
+
+
+def scheduled(scn) -> list[int]:
+    """The time of each timeline entry that set-up queues for a run of `scn`."""
+    engine, name_to_id = runner.build_engine(scn)
+    runner._schedule_timeline(engine, scn, name_to_id)
+    return [t for t, *_ in engine._timeline]
+
+
+@pytest.fixture
+def resolved(monkeypatch) -> list[int]:
+    """The time of each timeline entry `timeline_specs` resolves, for loads and runs alike."""
+    times, timeline_specs = [], scenario.timeline_specs
+
+    def counting(scn, registry, name_to_id):
+        for t, spec in timeline_specs(scn, registry, name_to_id):
+            times.append(t)
+            yield t, spec
+
+    monkeypatch.setattr(scenario, "timeline_specs", counting)
+    monkeypatch.setattr(runner, "timeline_specs", counting)
+    return times
+
+
+def test_a_loaded_scenario_resolves_each_timeline_entry_once(resolved):
+    scn = loads_scenario((DATA / "contention.scn").read_text())
+    assert resolved == [e["t"] for e in scn.timeline]
+    compare_modes(scn)  # two runs
+    assert scheduled(scn) == resolved
+    assert resolved == [e["t"] for e in scn.timeline]
+
+
+def test_a_replaced_or_built_scenario_schedules_its_own_timeline(resolved):
+    loaded = loads_scenario((DATA / "contention.scn").read_text())
+    first = loaded.timeline[0]
+    shifted = replace(loaded, timeline=[{**first, "t": first["t"] + 7}])
+    assert scheduled(shifted) == [first["t"] + 7]
+    run_scenario(shifted)
+    built = Scenario(**{f.name: getattr(shifted, f.name) for f in fields(Scenario) if f.init})
+    assert scheduled(built) == [first["t"] + 7]
+    built.timeline.append({**first, "t": first["t"] + 9, "label": "i9"})  # a list: a run resolves what it holds then
+    assert scheduled(built) == [first["t"] + 7, first["t"] + 9]
+    assert resolved == [e["t"] for e in loaded.timeline] + [first["t"] + 7] * 3 + [first["t"] + 7, first["t"] + 9]
+
+
+def test_inputs_alike_share_one_spec_and_keep_their_own_programs():
+    at_1 = GOOD_EVENT.replace('"t":0', '"t":1')
+    text = "\n".join([MINIMAL, at_1, at_1.replace('"A"', '"B"'), GOOD_EVENT.replace('"t":0', '"t":2,"id":"i2"')])
+    specs = [spec for _t, spec in loads_scenario(text)._specs]
+    assert [(s["program"], s.get("label")) for s in specs] == [("P1", None), ("P1", None), ("P2", None), ("P1", "i2")]
+    assert specs[0] is specs[1] and len({id(s) for s in specs}) == 3
+
+
+# a record whose checks fail, after MINIMAL's 8 lines -> the message naming line 9
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        pytest.param('{"kind":"event","t":0,"input":{"widget":"go","program":"A"},"request":{}}',
+                     "event record: needs exactly one of the keys input, handoff, request, got "
+                     "{'t': 0, 'input': {'widget': 'go', 'program': 'A'}, 'request': {}}", id="two-bodies"),
+        pytest.param('{"kind":"event","t":0}', "event record: needs exactly one of the keys input, handoff, request, "
+                     "got {'t': 0}", id="no-body"),
+        pytest.param('{"kind":"event","t":-1,"input":{"widget":"go","program":"A"}}',
+                     "event record: 't' must be an int >= 0, got -1", id="negative-time"),
+        pytest.param('{"kind":"event","t":0,"input":{"widget":"go","program":7}}',
+                     "event record: 'input.program' must be str, got 7", id="nested-type"),
+        pytest.param('{"kind":"event","t":0,"input":{"widget":"go"}}',
+                     "event record: 'input' needs the key 'program'", id="nested-missing-key"),
+        pytest.param('{"kind":"event","t":0,"phase":"late","input":{"widget":"go","program":"A"}}',
+                     "event record: 'phase' must be one of 'preliminary', 'main', got 'late'", id="not-one-of"),
+        pytest.param('{"kind":"widget","label":"stop","aliases":["halt",3]}',
+                     "widget record: 'aliases.1' must be str, got 3", id="list-item"),
+        pytest.param('{"kind":"handler","program":"A","on":{"widget":"go"},"actions":[{"complete":3,"after":1}]}',
+                     "handler record: 'actions.0' has the key 'after', not one of complete", id="list-item-key"),
+        pytest.param('{"kind":"expect","mode":"delegation","attack":{"spy":1}}',
+                     "expect record: 'attack.spy' must be bool, got 1", id="other-key"),
+        pytest.param('{"kind":"sensor","id":"Mic","range":9}',
+                     "sensor record: has the key 'range', not one of id, phrase", id="unknown-key"),
+        pytest.param('{"kind":"config","window_ms":"9"}', "config record: window_ms must be int, got '9'",
+                     id="config-value"),
+    ],
+)
+def test_record_checks_name_the_key_path(record, message):
+    with pytest.raises(ParseError) as exc:
+        loads_scenario(MINIMAL + "\n" + record)
+    assert str(exc.value) == f"line 9: {message}"
 
 
 @pytest.mark.parametrize(
