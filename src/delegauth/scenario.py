@@ -364,7 +364,7 @@ def loads_scenario(text: str) -> Scenario:
         try:
             rec, end = _scan(raw, 0)
         except (StopIteration, ValueError):  # no value at the line's start, or a bad one
-            end = -1
+            rec, end = None, -1
         if end != len(raw) or type(rec) is not dict:
             if not raw.strip():
                 continue

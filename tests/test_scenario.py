@@ -103,7 +103,8 @@ def test_malformed_record_lines_name_their_line(lines, line, message):
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
 def test_records_are_split_at_newlines_only(char):
     # JSON lets these stand raw inside a string; `str.splitlines` would break the record at them
-    text = Path(scenario_path("task_a")).read_text().replace('"the Notes app"', f'"the Note{char}s app"')
+    text = Path(scenario_path("task_a")).read_text(encoding="utf-8")
+    text = text.replace('"the Notes app"', f'"the Note{char}s app"')
     scn = loads_scenario(text)
     assert scn.programs[1]["display"] == f"the Note{char}s app"
     assert scn.text() == text
