@@ -229,11 +229,11 @@ class Scenario:
     `source_text`. One made by `Scenario(...)` or `dataclasses.replace` has
     none, so `text()` is its current `dump()`, whatever its maker changes.
 
-    `loads_scenario` also keeps its timeline resolved, as `_specs`: the
-    `(t, spec)` pairs of `timeline_specs`, which `runner._schedule_timeline`
-    queues as they are, so a run of a loaded scenario resolves no entry again.
-    The ids in a spec are those `build()` gives, the same on every call. One
-    made otherwise has None, and each run resolves its timeline anew.
+    `loads_scenario` also keeps its timeline resolved, as `_specs`: the spec
+    of each entry, from `timeline_specs`, which `runner._schedule_timeline`
+    queues, so a run of a loaded scenario resolves no entry again. The ids in
+    a spec are those `build()` gives, the same on every call. One made
+    otherwise has None, and each run resolves its timeline anew.
     """
 
     programs: Sequence[Mapping] = ()
@@ -251,7 +251,7 @@ class Scenario:
     # and the timeline's specs
     source_text: str = field(default="", init=False, repr=False, compare=False)
     _lines: Mapping[str, Sequence[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _specs: tuple[tuple[int, dict], ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _specs: tuple[dict, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def text(self) -> str:
         """The scenario as text: the text it was read from, else `dump()`."""
@@ -463,8 +463,8 @@ def _event_record(e: Mapping) -> dict:
     return rec
 
 
-def timeline_specs(scn: Scenario, registry: Registry, name_to_id: dict[str, str]) -> Iterator[tuple[int, dict]]:
-    """Yield `(t, spec)` for each timeline entry of `scn`, the spec as `Engine.schedule` takes it.
+def timeline_specs(scn: Scenario, registry: Registry, name_to_id: dict[str, str]) -> Iterator[dict]:
+    """Yield the spec of each timeline entry of `scn`, as `Engine.schedule` takes it with the entry's `t`.
 
     Each entry is checked as it is resolved, and a failure names its line when
     the scenario was loaded. Inputs alike in all but their time share one
@@ -509,7 +509,7 @@ def timeline_specs(scn: Scenario, registry: Registry, name_to_id: dict[str, str]
                 raise ParseError(f"event record: a second event with id {label!r}{where}", line=line)
             labels[label] = line
             spec["label"] = label  # an input's key holds its id, so its spec is its own
-        yield t, spec
+        yield spec
 
 
 def _widget_id(registry: Registry, label: str, line: int | None) -> str:

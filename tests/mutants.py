@@ -129,8 +129,8 @@ MUTANTS = {
     # a scenario made by `dataclasses.replace` keeps the timeline specs of the one it was made from
     "specs_survive_replace": (
         "scenario.py",
-        "_specs: tuple[tuple[int, dict], ...] | None = field(default=None, init=False, repr=False, compare=False)",
-        "_specs: tuple[tuple[int, dict], ...] | None = field(default=None, repr=False, compare=False)",
+        "_specs: tuple[dict, ...] | None = field(default=None, init=False, repr=False, compare=False)",
+        "_specs: tuple[dict, ...] | None = field(default=None, repr=False, compare=False)",
     ),
     # an object with two shapes' names is checked as the first shape alone, and named by its error
     "one_of_no_recount": (

@@ -292,9 +292,9 @@ def resolved(monkeypatch) -> list[int]:
     times, timeline_specs = [], scenario.timeline_specs
 
     def counting(scn, registry, name_to_id):
-        for t, spec in timeline_specs(scn, registry, name_to_id):
-            times.append(t)
-            yield t, spec
+        for e, spec in zip(scn.timeline, timeline_specs(scn, registry, name_to_id)):
+            times.append(e["t"])
+            yield spec
 
     monkeypatch.setattr(scenario, "timeline_specs", counting)
     monkeypatch.setattr(runner, "timeline_specs", counting)
@@ -325,7 +325,7 @@ def test_a_replaced_or_built_scenario_schedules_its_own_timeline(resolved):
 def test_inputs_alike_share_one_spec_and_keep_their_own_programs():
     at_1 = GOOD_EVENT.replace('"t":0', '"t":1')
     text = "\n".join([MINIMAL, at_1, at_1.replace('"A"', '"B"'), GOOD_EVENT.replace('"t":0', '"t":2,"id":"i2"')])
-    specs = [spec for _t, spec in loads_scenario(text)._specs]
+    specs = loads_scenario(text)._specs
     assert [(s["program"], s.get("label")) for s in specs] == [("P1", None), ("P1", None), ("P2", None), ("P1", "i2")]
     assert specs[0] is specs[1] and len({id(s) for s in specs}) == 3
 
