@@ -584,7 +584,6 @@ class Engine:
             spec = self.handlers.lookup(program_id, "handoff", "*" if ev.action is None else ev.action)
 
         if occupies_busy and self._holds:
-            ticket.occupies_busy = True
             self._busy_exec[program_id] = ticket
         if spec is None:
             self._push(self.now + self.config.default_lag_ms, self._fire_complete, ticket)
@@ -627,7 +626,7 @@ class Engine:
             return
         if self._trace is not None:
             self._emit(_complete_line, ticket.event.event_id, ticket.program_id, "handler")
-        if ticket.occupies_busy:
+        if self._busy_exec.get(ticket.program_id) is ticket:
             del self._busy_exec[ticket.program_id]
             if ticket.program_id in self._waiting:
                 self._try_dispatch(self._programs[ticket.program_id])

@@ -71,7 +71,8 @@ class Backpressure(DelegauthError):
 
 
 class ProtocolViolation(DelegauthError):
-    """Scheduler API misuse, e.g. completing an event that is not in flight."""
+    """Engine API misuse against the virtual clock: scheduling an entry before the
+    timeline or the clock, submitting an event in the past, or advancing backwards."""
 
 
 # -- authorization ------------------------------------------------------------

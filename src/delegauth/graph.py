@@ -8,6 +8,11 @@ the graph strictly before t, and it joins no earlier than the event that
 brings it. So every path in a graph runs strictly forward in time, and a
 request's path key is its requester's chain of parents.
 
+A live graph keeps two records: its members, each program with its join
+time and parent, and its events, the repeat inputs, handoffs and requests
+attributed to it after its root, in record order. Only a snapshot groups the
+events, by input, edge and request key.
+
 Requests are attributed by membership: the requester must belong to exactly
 one live graph at request time. The engine's delivery gates guarantee that;
 with `EngineConfig.scheduler` off, the same query surfaces
@@ -99,37 +104,35 @@ class PathKey:
 
 @dataclass
 class _LiveGraph:
-    """Mutable per-root state while the root's window is open."""
+    """One root's records while its window is open: who joined it, and what it received after the root.
+
+    Only `to_dict`, at snapshot time, groups `events` by input, edge and request key."""
 
     root: InputEvent
     deadline: int  # last live instant: root.t + window
-    input_instances: list[InputEvent] = field(default_factory=list)
-    join_t: dict[str, int] = field(default_factory=dict)  # program -> join time
-    parent: dict[str, str | None] = field(default_factory=dict)  # program -> parent program
-    handoff_instances: dict[tuple[str, str], list[HandoffEvent]] = field(default_factory=dict)
-    request_instances: dict[tuple[str, str, str], list[OperationRequest]] = field(default_factory=dict)
+    members: dict[str, tuple[int, str | None]]  # program -> (join time, parent program; None for the receiver)
+    events: list[InputEvent | HandoffEvent | OperationRequest] = field(default_factory=list)  # in record order
 
     def live_at(self, t: int) -> bool:
         return t <= self.deadline
 
     def to_dict(self) -> dict:
+        root = self.root
+        inputs, handoffs, requests = [[root.event_id, root.t]], {}, {}
+        for e in self.events:
+            if type(e) is HandoffEvent:
+                handoffs.setdefault(f"{e.src}>{e.dst}", []).append([e.event_id, e.t])
+            elif type(e) is InputEvent:
+                inputs.append([e.event_id, e.t])
+            else:
+                requests.setdefault(f"{e.program_id}|{e.op}|{e.sensor}", []).append([e.event_id, e.t])
+        # `serialize_graph` sorts the keys, so an edge's or a request key's place is fixed by its string
         return {
-            "root": {
-                "event_id": self.root.event_id,
-                "widget": self.root.widget_id,
-                "program": self.root.program_id,
-                "t": self.root.t,
-            },
+            "root": {"event_id": root.event_id, "widget": root.widget_id, "program": root.program_id, "t": root.t},
             "deadline": self.deadline,
-            "inputs": [[i.event_id, i.t] for i in self.input_instances],
-            "handoffs": {
-                f"{src}>{dst}": [[h.event_id, h.t] for h in hs]
-                for (src, dst), hs in sorted(self.handoff_instances.items())
-            },
-            "requests": {
-                f"{p}|{o}|{s}": [[r.event_id, r.t] for r in rs]
-                for (p, o, s), rs in sorted(self.request_instances.items())
-            },
+            "inputs": inputs,
+            "handoffs": handoffs,
+            "requests": requests,
         }
 
 
@@ -172,7 +175,7 @@ class GraphStore:
         out = []
         for root_id in self.membership.get(program_id, set()):
             g = self.live[root_id]
-            if g.live_at(t) and g.join_t[program_id] < t:
+            if g.live_at(t) and g.members[program_id][0] < t:
                 out.append(root_id)
         out.sort()
         return out
@@ -194,7 +197,7 @@ class GraphStore:
             return "root_expired"
         if self.live_memberships(h.dst, t) - {root_id}:
             return "blocked"
-        if h.dst in g.join_t and g.parent[h.dst] != h.src:
+        if h.dst in g.members and g.members[h.dst][1] != h.src:
             return "merge_rejected"
         return "deliver"
 
@@ -208,11 +211,8 @@ class GraphStore:
         """
         if i.event_id in self.live:
             raise DuplicateEvent(f"input {i.event_id!r} already roots a live graph")
-        g = _LiveGraph(root=i, deadline=i.t + self.window_ms)
-        g.input_instances.append(i)
-        g.join_t[i.program_id] = _delivery_time(i, delivered_at)
-        g.parent[i.program_id] = None
-        self.live[i.event_id] = g
+        members = {i.program_id: (_delivery_time(i, delivered_at), None)}
+        self.live[i.event_id] = _LiveGraph(root=i, deadline=i.t + self.window_ms, members=members)
         self.membership.setdefault(i.program_id, set()).add(i.event_id)
         return i.event_id
 
@@ -223,7 +223,7 @@ class GraphStore:
             raise UnattributableHandoff(f"repeat input {i.event_id} names dead root {root_id}")
         if (i.widget_id, i.program_id) != (g.root.widget_id, g.root.program_id):
             raise InvariantViolation("repeat input key does not match root")
-        g.input_instances.append(i)
+        g.events.append(i)
 
     def record_handoff(self, h: HandoffEvent, delivered_at: int | None = None) -> str:
         """Attach a handoff to its provenance root; returns the root id."""
@@ -232,20 +232,19 @@ class GraphStore:
         g = self.live.get(root_id)
         if g is None or not g.live_at(now):  # also a handoff with no provenance
             raise UnattributableHandoff(f"handoff {h.event_id} provenance {root_id!r} is not live")
-        src_join = g.join_t.get(h.src)
-        if src_join is None or src_join >= h.t:
+        src = g.members.get(h.src)
+        if src is None or src[0] >= h.t:
             raise BrokenChain(f"handoff {h.event_id}: source {h.src} not reachable before t={h.t}")
-        if h.dst in g.join_t:
-            # tree shape: only re-traversal of the existing parent edge is allowed
-            if g.parent.get(h.dst) != h.src:
-                raise AmbiguousAttribution(
-                    f"handoff {h.event_id} would give {h.dst} a second parent in root {root_id}"
-                )
-        else:
-            g.join_t[h.dst] = now
-            g.parent[h.dst] = h.src
+        dst = g.members.get(h.dst)
+        if dst is None:
+            g.members[h.dst] = (now, h.src)
             self.membership.setdefault(h.dst, set()).add(root_id)
-        g.handoff_instances.setdefault((h.src, h.dst), []).append(h)
+        elif dst[1] != h.src:
+            # tree shape: only re-traversal of the existing parent edge is allowed
+            raise AmbiguousAttribution(
+                f"handoff {h.event_id} would give {h.dst} a second parent in root {root_id}"
+            )
+        g.events.append(h)
         return root_id
 
     def record_request(self, r: OperationRequest) -> str:
@@ -263,8 +262,7 @@ class GraphStore:
                 f"request {r.event_id} reachable from {len(roots)} live roots: {roots}"
             )
         root_id = roots[0]
-        g = self.live[root_id]
-        g.request_instances.setdefault((r.program_id, r.op, r.sensor), []).append(r)
+        self.live[root_id].events.append(r)
         self._request_index[r.event_id] = (root_id, r)
         return root_id
 
@@ -284,7 +282,7 @@ class GraphStore:
         prog = req.program_id
         while prog is not None:
             chain.append(prog)
-            prog = g.parent[prog]
+            prog = g.members[prog][1]
         chain.reverse()
         return PathKey(g.root.widget_id, tuple(chain), req.op, req.sensor)
 
@@ -301,17 +299,17 @@ class GraphStore:
             return False
         if snapshot:
             self.sealed[root_id] = self.serialize_graph(root_id)
-        for pid in g.join_t:
+        for pid in g.members:
             # min, not first: roots need not seal in deadline order
             self.expired_deadline[pid] = min(g.deadline, self.expired_deadline.get(pid, g.deadline))
-            members = self.membership.get(pid)
-            if members is not None:
-                members.discard(root_id)
-                if not members:
+            roots = self.membership.get(pid)
+            if roots is not None:
+                roots.discard(root_id)
+                if not roots:
                     del self.membership[pid]
-        for requests in g.request_instances.values():
-            for r in requests:
-                del self._request_index[r.event_id]
+        for e in g.events:
+            if type(e) is OperationRequest:
+                del self._request_index[e.event_id]
         del self.live[root_id]
         return True
 

@@ -363,7 +363,7 @@ def loads_scenario(text: str) -> Scenario:
     for lineno, raw in enumerate(lines[1:], start=2):
         try:
             rec, end = _scan(raw, 0)
-        except (StopIteration, ValueError):  # no value at the line's start, or a bad one
+        except (StopIteration, ValueError, RecursionError):  # no value at the line's start, or a bad one
             rec, end = None, -1
         if end != len(raw) or type(rec) is not dict:
             if not raw.strip():
@@ -426,6 +426,8 @@ def _parse_json(raw: str, lineno: int) -> dict:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+    except (ValueError, RecursionError) as exc:  # an int of too many digits, or arrays or objects nested too deep
+        raise ParseError(f"invalid JSON ({exc})", line=lineno) from None
     if not isinstance(obj, dict):
         raise ParseError("record must be a JSON object", line=lineno)
     return obj

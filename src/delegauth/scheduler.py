@@ -104,7 +104,6 @@ class Ticket:
     status: str = QUEUED
     deliver_t: int | None = None
     phase: str = "main"
-    occupies_busy: bool = False  # its handler run keeps `program_id` busy
     cancelled: bool = False  # its handler run was cut off by its root's window
 
     @property

@@ -68,7 +68,15 @@ MUTANTS = {
     ),
     # a derived handoff to a program already in the root under another parent is delivered
     "attach_no_merge": (
-        "graph.py", "if h.dst in g.join_t and g.parent[h.dst] != h.src:", "if False:",
+        "graph.py", "if h.dst in g.members and g.members[h.dst][1] != h.src:", "if False:",
+    ),
+    # a root's snapshot lists the root alone among its inputs, without the repeats that joined it
+    "snapshot_drops_repeats": (
+        "graph.py", "inputs.append([e.event_id, e.t])", "pass",
+    ),
+    # sealing a root leaves its requests in the index of live requests
+    "expire_keeps_request_index": (
+        "graph.py", "if type(e) is OperationRequest:", "if False:",
     ),
     # a derived handoff to a program in another live root is delivered
     "attach_no_conflict": (

@@ -348,6 +348,38 @@ def test_malformed_trace_header_is_validation_error(tmp_path, capsys, key, value
     assert "line 1: trace header" in capsys.readouterr().err
 
 
+DIGITS = "9" * 5000  # more digits than `int` converts from a string
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        pytest.param("run", '{"kind":"event","t":' + DIGITS + ',"input":{"widget":"x","program":"y"}}',
+                     id="run-a-record-with-a-5000-digit-int"),
+        pytest.param("run", DEEP, id="run-a-line-nested-100000-deep"),
+        pytest.param("run", '{"kind":"program","name":"Deep","mark":' + DEEP + "}",
+                     id="run-a-program-record-nested-100000-deep"),
+        pytest.param("replay", DIGITS, id="replay-a-header-with-a-5000-digit-seed"),
+    ],
+)
+def test_json_the_decoder_refuses_is_a_validation_error_naming_its_line(tmp_path, capsys, command, bad):
+    if command == "run":
+        lines = open(scenario_path("task_a")).read().split("\n")
+        lines.insert(1, bad)
+        path, line = tmp_path / "bad.scn", 2
+    else:
+        path, line = tmp_path / "a.trace", 1
+        assert main(["run", scenario_path("task_a"), "--trace", str(path)]) == 0
+        lines = path.read_text().split("\n")
+        assert lines[0].count('"seed":null') == 1
+        lines[0] = lines[0].replace('"seed":null', '"seed":' + bad)
+    path.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    assert f"error: line {line}: invalid JSON (" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("gaps", ["5", "a,b", "1,2,3"])
 def test_gen_bad_gaps_is_validation_error(tmp_path, capsys, gaps):
     out = tmp_path / "w.scn"

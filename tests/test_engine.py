@@ -116,7 +116,7 @@ def test_repeat_input_classification():
     # Alpha is busy with x1: only an input with x1's key gets through
     repeat = engine.submit(InputEvent("x2", wid(engine, "first cmd"), a, 10))
     assert repeat.status == "delivered" and repeat.delay == 0
-    assert [i.event_id for i in engine.store.live["x1"].input_instances] == ["x1", "x2"]
+    assert [i.event_id for i in engine.store.live["x1"].events] == ["x2"]
     held = engine.submit(InputEvent("x3", wid(engine, "second cmd"), a, 10))
     assert held.status == "queued"
 
@@ -134,7 +134,7 @@ def test_an_input_to_an_idle_member_on_the_roots_widget_is_no_repeat():
     engine, (a, b, _), _ = build_engine(handlers=handlers)
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     ticket = engine.submit(InputEvent("x2", wid(engine, "first cmd"), b, 10))
-    assert b in engine.store.live["x1"].join_t and b not in engine._busy_exec
+    assert b in engine.store.live["x1"].members and b not in engine._busy_exec
     assert ticket.status == "queued" and ticket.root_id is None
     engine.advance(WINDOW + 1)
     assert ticket.status == "delivered" and ticket.deliver_t == WINDOW + 1
@@ -158,7 +158,7 @@ def test_five_repeats_zero_holds():
     assert engine.stats.delayed_events == 0
     # all five repeats joined the original root
     g = engine.store.live["x1"]
-    assert len(g.input_instances) == 6
+    assert [i.event_id for i in g.events] == ["x2", "x3", "x4", "x5", "x6"]
 
 
 def test_two_level_priority_high_before_low():
@@ -520,7 +520,7 @@ def test_root_expiry_dispatches_programs_waiting_outside_the_root():
     plain = engine.submit(HandoffEvent("n1", b, c, 3))
     engine.advance(WINDOW)
     assert plain.status == "queued"
-    assert c not in engine.store.live["x1"].join_t
+    assert c not in engine.store.live["x1"].members
     engine.run_to_quiescence()
     assert plain.deliver_t == WINDOW + 1  # x1's expiry, not x2's at WINDOW + 2
 

@@ -40,9 +40,8 @@ def test_record_input_creates_rooted_graph(basic_registry):
     wid = basic_registry.resolve_widget("do the thing").id
     root = store.record_input(InputEvent("i1", wid, pid, 0))
     g = store.live[root]
-    assert [i.event_id for i in g.input_instances] == ["i1"]
-    assert g.join_t == {pid: 0} and g.parent == {pid: None}
-    assert g.handoff_instances == {} and g.request_instances == {}
+    assert g.root.event_id == "i1"
+    assert g.members == {pid: (0, None)} and g.events == []
 
 
 def test_duplicate_event_id_rejected(basic_registry):
@@ -88,7 +87,7 @@ def test_repeat_input_with_another_key_is_an_invariant_violation(basic_registry)
     root = store.record_input(InputEvent("i1", wid, alpha, 0))
     with pytest.raises(InvariantViolation, match="repeat input key does not match root"):
         store.record_repeat_input(root, InputEvent("i2", wid, beta, 10))
-    assert [i.event_id for i in store.live[root].input_instances] == ["i1"]
+    assert store.live[root].events == []
 
 
 def test_ten_inputs_make_ten_independent_graphs(basic_registry):
@@ -109,8 +108,8 @@ def test_handoff_attaches_and_extends_reachability(basic_registry):
     store.record_handoff(HandoffEvent("h1", a, b, 5, provenance="i1"))
     assert store.live_memberships(b, 5) == {"i1"}
     g = store.live["i1"]
-    assert g.join_t == {a: 0, b: 5} and g.parent == {a: None, b: a}
-    assert [h.event_id for h in g.handoff_instances[(a, b)]] == ["h1"]
+    assert g.members == {a: (0, None), b: (5, a)}
+    assert [h.event_id for h in g.events] == ["h1"]
 
 
 def test_handoff_without_live_provenance_is_unattributable(basic_registry):
@@ -326,6 +325,33 @@ def test_serialized_sealed_graph_survives_eviction(basic_registry):
     assert store.serialize_graph("i1") == live_blob
 
 
+def test_snapshot_bytes_are_pinned():
+    # program ids are not checked against a registry here; P10 is there so that the
+    # edge ("P1", "P10") sorts before ("P10", "P2") as a tuple but after it as a string
+    store = make_store()
+    store.record_input(InputEvent("i1", "go", "P1", 0))
+    store.record_repeat_input("i1", InputEvent("i2", "go", "P1", 3))
+    store.record_handoff(HandoffEvent("h1", "P1", "P10", 5, provenance="i1"))
+    store.record_handoff(HandoffEvent("h2", "P10", "P2", 8, provenance="i1"))
+    store.record_repeat_input("i1", InputEvent("i3", "go", "P1", 9))
+    store.record_handoff(HandoffEvent("h3", "P1", "P10", 10, provenance="i1"))
+    store.record_request(OperationRequest("r1", "P2", "capture_picture", "Camera", 12))
+    store.record_request(OperationRequest("r2", "P10", "record_audio", "Microphone", 13))
+    store.record_request(OperationRequest("r3", "P2", "capture_picture", "Camera", 14))
+    live_blob = store.serialize_graph("i1")
+    assert live_blob == (
+        b'{"deadline":150,'
+        b'"handoffs":{"P10>P2":[["h2",8]],"P1>P10":[["h1",5],["h3",10]]},'
+        b'"inputs":[["i1",0],["i2",3],["i3",9]],'
+        b'"requests":{"P10|record_audio|Microphone":[["r2",13]],'
+        b'"P2|capture_picture|Camera":[["r1",12],["r3",14]]},'
+        b'"root":{"event_id":"i1","program":"P1","t":0,"widget":"go"}}'
+    )
+    assert store.expire_graph("i1", WINDOW + 1)
+    assert store.sealed["i1"] == live_blob
+    assert store.serialize_graph("i1") == live_blob
+
+
 # -- property tests -------------------------------------------------------------
 
 
@@ -340,7 +366,7 @@ def test_delivery_before_the_event_is_an_invariant_violation(basic_registry):
     store.record_input(InputEvent("i1", wid, a, 10), delivered_at=10)
     with pytest.raises(InvariantViolation):
         store.record_handoff(HandoffEvent("h1", a, b, 20, provenance="i1"), delivered_at=19)
-    assert store.live["i1"].join_t == {a: 10} and store.live["i1"].handoff_instances == {}
+    assert store.live["i1"].members == {a: (10, None)} and store.live["i1"].events == []
 
 
 # -- property tests -------------------------------------------------------------
