@@ -286,15 +286,6 @@ class AuthorizationCache:
             del entry.decisions[k]
         return len(stale)
 
-    def invalidate(self, input_key: InputKey) -> int:
-        """Evict the entry of `input_key`, checking its graph snapshot; returns its allowed path count."""
-        entry = self.entries.pop(input_key, None)
-        if entry is None:
-            return 0
-        if entry.graph_blob and zlib.crc32(entry.graph_blob) != entry.blob_crc:
-            raise CorruptCache(f"graph snapshot for {input_key} corrupted in memory")
-        return list(entry.decisions.values()).count("allow")
-
     # -- serialization ----------------------------------------------------------
 
     @staticmethod

@@ -162,19 +162,17 @@ def graph_construction(max_handoffs: int = 10, inner: int = 20, runs: int = 100)
     return {"suite": "graph_construction", "rows": rows, "fit": fit}
 
 
-# -- suite 2: cache store / evict -------------------------------------------------
+# -- suite 2: cache store -----------------------------------------------------------
 
 
 def cache_rw(inner: int = 200, runs: int = 80) -> dict:
-    """Store/evict cost vs cached graph size, 1 KB to 16 KB in 512 B steps.
+    """Store cost vs cached graph size, 1 KB to 16 KB in 512 B steps.
 
-    Store and evict are each measured by `round_robin` over the 31 sizes for
-    `runs` rounds; each batch stores or evicts `inner` entries. The part of
-    both costs that grows with size is the blob checksum (`zlib.crc32`). An
-    evict batch starts from a copy of a cache filled once per size.
-    CPython's `zlib.crc32` releases the GIL for buffers over 5 KiB (5,120
-    bytes), which adds a step of 0.05-0.1 µs between 5,120 and 5,632 bytes;
-    it is small against the line's rise.
+    Measured by `round_robin` over the 31 sizes for `runs` rounds; each batch
+    stores `inner` entries. The part of the cost that grows with size is the
+    blob checksum (`zlib.crc32`). CPython's `zlib.crc32` releases the GIL for
+    buffers over 5 KiB (5,120 bytes), which adds a step of 0.05-0.1 µs
+    between 5,120 and 5,632 bytes; it is small against the line's rise.
     """
     sizes = list(range(1024, 16384 + 1, 512))
     key = PathKey("bench command", ("P1", "P2"), "capture_picture", "Camera")
@@ -190,33 +188,12 @@ def cache_rw(inner: int = 200, runs: int = 80) -> dict:
 
         return do_store
 
-    def evict_batch(blob: bytes):
-        filled = AuthorizationCache()
-        for i in range(inner):
-            filled.store_allow(PathKey(f"cmd {i}", ("P1",), "capture_picture", "Camera"), blob)
-        keys = list(filled.entries)
-
-        def do_evict():
-            target = AuthorizationCache()
-            target.entries = dict(filled.entries)  # invalidate only reads the entries it pops
-            invalidate = target.invalidate
-            t0 = time.perf_counter_ns()
-            for ik in keys:
-                invalidate(ik)
-            return inner, time.perf_counter_ns() - t0
-
-        return do_evict
-
-    blobs = [bytes(size) for size in sizes]
-    result = {"suite": "cache_rw"}
-    for name, batch in (("store", store_batch), ("evict", evict_batch)):
-        m = round_robin([batch(blob) for blob in blobs], rounds=runs)
-        result[name] = [
-            {"bytes": size, "us": us, "iqr_us": iqr}
-            for size, us, iqr in zip(sizes, m["us"], m["iqr_us"])
-        ]
-        result[f"{name}_fit"] = linear_fit(sizes, m["us"]) | {"round_spread": m["round_spread"]}
-    return result
+    m = round_robin([store_batch(bytes(size)) for size in sizes], rounds=runs)
+    return {
+        "suite": "cache_rw",
+        "store": [{"bytes": size, "us": us, "iqr_us": iqr} for size, us, iqr in zip(sizes, m["us"], m["iqr_us"])],
+        "store_fit": linear_fit(sizes, m["us"]) | {"round_spread": m["round_spread"]},
+    }
 
 
 # -- suite 3: enforcement overhead -----------------------------------------------

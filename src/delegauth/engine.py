@@ -29,6 +29,11 @@ The delivery gates realize the ambiguity-prevention rules:
 
 Requests are attributed through graph membership only, mirroring what an
 OS-level reference monitor can actually observe.
+
+Each event is checked against the registry once, at the door it enters by:
+`submit` checks an outside event, `_admit_spec` a timeline entry once its
+event is built, and construction checks each event the handlers can emit,
+since every event a handler emits is built from one of its actions.
 """
 
 from __future__ import annotations
@@ -235,6 +240,15 @@ class Engine:
         self.cache = cache or AuthorizationCache()
         self.store = GraphStore(self.config.window_ms)
         self.stats = DelayStats()
+        # every event a handler emits is one of these but for its id and time:
+        # each is checked once, not once per action that emits it
+        for example in dict.fromkeys(
+            HandoffEvent(f"from {spec.program_id}'s handlers", spec.program_id, action.to, 0)
+            if isinstance(action, EmitHandoff)
+            else OperationRequest(f"from {spec.program_id}'s handlers", spec.program_id, action.op, action.sensor, 0)
+            for spec in self.handlers for action in spec.actions
+        ):
+            registry.validate_event(example)
 
         self._graphs = self.config.mode is Mode.DELEGATION  # graphs and path prompts
         self._holds = self._graphs and self.config.scheduler  # delivery gates, queues, busy exclusivity
@@ -295,6 +309,7 @@ class Engine:
         Entries wait in a FIFO that the loop merges with the heap by (time,
         sequence), so they must come in time order: a `t` earlier than the
         clock or than the entry scheduled before it raises ProtocolViolation.
+        The entry's event is checked against the registry when it is admitted.
         """
         if t < self._timeline_t or t < self.now:
             raise ProtocolViolation(
@@ -308,10 +323,12 @@ class Engine:
         """Admit an event now (advancing the clock to event.t first).
 
         Returns the ticket of an input or a handoff. A request is decided at
-        admission, so it gets none: None.
+        admission, so it gets none: None. An event the registry rejects raises
+        InvariantViolation before the clock moves.
         """
         if event.t < self.now:
             raise ProtocolViolation(f"cannot submit {event.event_id} in the past")
+        self.registry.validate_event(event)
         self._run_until(event.t)
         self.now = max(self.now, event.t)
         return self._admit(event, phase=phase)
@@ -383,13 +400,13 @@ class Engine:
             ev = OperationRequest(
                 event_id=eid, program_id=spec["program"], op=spec["op"], sensor=spec["sensor"], t=self.now
             )
+        self.registry.validate_event(ev)
         try:
             self._admit(ev, phase=phase)
         except Backpressure:
             pass  # rejection recorded; the run continues
 
     def _admit(self, ev: MediatedEvent, phase: str, derived_root: str | None = None) -> Ticket | None:
-        self.registry.validate_event(ev)
         kind = ev.kind
 
         if kind == "request":

@@ -27,8 +27,8 @@ snapshot is what their cache entries keep. A reused event id is caught only
 for a live root or a live graph's request. The engine mints every id of a
 scenario run; only direct `Engine.submit` or `GraphStore` callers can reuse one.
 
-The store does not check events against the registry: `Engine._admit` checks
-each event once, before any of them reaches the store.
+The store does not check events against the registry: the engine checks
+each event once, where it enters, before any of them reaches the store.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Domain model: programs, widgets, sensors, operations, and mediated events.
 
 The registry is populated once during scenario load and read-only afterwards.
-All mediated events reference registry objects by id; constructors reject
-references that do not resolve, so malformed tuples never reach the graph
-or scheduler.
+All mediated events reference registry objects by id. Their constructors
+check nothing: `Registry.validate_event` rejects references that do not
+resolve, and the engine calls it where events enter (`Engine.submit`, each
+timeline entry as it is admitted, and each event a handler can emit once,
+when the engine is built), so malformed tuples never reach the graph or
+scheduler.
 """
 
 from __future__ import annotations

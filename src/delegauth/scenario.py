@@ -208,14 +208,20 @@ def _check(lineno: int | None, kind: str, check, *args):
     """Return `check(*args)`, a spec or another module's check, run on a record; a failure names its line."""
     try:
         return check(*args)
-    except _Bad as bad:
+    except (_Bad, RecursionError) as bad:
         raise _misfit(lineno, kind, bad) from None
     except DelegauthError as exc:  # a typed error of the check, such as `InvariantViolation`
         raise ParseError(f"{kind} record: {exc}", line=lineno) from None
 
 
-def _misfit(lineno: int | None, kind: str, bad: _Bad) -> ParseError:
-    """The error of a `kind` record on line `lineno` that fails a spec."""
+def _misfit(lineno: int | None, kind: str, bad: _Bad | RecursionError) -> ParseError:
+    """The error of a `kind` record on line `lineno` that fails a spec.
+
+    A value nested nearly as deep as the JSON decoder reads decodes, but its
+    `repr` in the error then exceeds the recursion limit.
+    """
+    if type(bad) is RecursionError:
+        return ParseError(f"{kind} record: a value nested too deep", line=lineno)
     where = f"{bad.path!r} " if bad.path else ""
     return ParseError(f"{kind} record: {where}{bad}", line=lineno)
 
@@ -375,7 +381,7 @@ def loads_scenario(text: str) -> Scenario:
             raise ParseError(f"unknown record kind {kind!r}", line=lineno)
         try:  # `_check`, inline: it runs once per record
             spec(rec)
-        except _Bad as bad:
+        except (_Bad, RecursionError) as bad:
             raise _misfit(lineno, kind, bad) from None
         if kind in _ONCE:
             single = f"{rec.get('phase', 'main')} policy" if kind == "policy" else kind

@@ -188,6 +188,10 @@ class HandlerTable:
             raise InvariantViolation(f"duplicate handler for {key}")
         self._table[key] = spec
 
+    def __iter__(self):
+        """The specs, in the order they were added."""
+        return iter(self._table.values())
+
     def lookup(self, program_id: str, trigger_kind: str, trigger_value: str) -> HandlerSpec | None:
         spec = self._table.get((program_id, trigger_kind, trigger_value))
         if spec is None and trigger_kind == "handoff":

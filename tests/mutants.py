@@ -174,6 +174,22 @@ MUTANTS = {
     "workload_requests_without_chains": (
         "workload.py", "if self.handoff_ratio == 0 and self.request_ratio > 0:", "if False:",
     ),
+    # an event submitted from outside reaches the engine unchecked
+    "submit_unchecked": (
+        "engine.py", "self.registry.validate_event(event)", "pass",
+    ),
+    # a timeline entry's event reaches the engine unchecked
+    "timeline_entry_unchecked": (
+        "engine.py", "self.registry.validate_event(ev)", "pass",
+    ),
+    # an engine is built with handlers whose actions the registry rejects
+    "handlers_unchecked_at_construction": (
+        "engine.py", "registry.validate_event(example)", "pass",
+    ),
+    # a record's value nested too deep to show in its error escapes as a RecursionError
+    "deep_value_unnamed": (
+        "scenario.py", "if type(bad) is RecursionError:", "if False:",
+    ),
 }
 
 

@@ -15,7 +15,7 @@ from delegauth.auth import (
     render_prompt,
 )
 from delegauth.errors import CorruptCache, InvariantViolation, MixedRoots
-from delegauth.graph import InputKey, PathKey
+from delegauth.graph import PathKey
 from delegauth.model import Registry, WidgetKind
 from delegauth.runner import run_scenario
 from delegauth.scenario import load_scenario
@@ -36,11 +36,6 @@ def test_store_and_lookup():
     cache.store_allow(k, b"blob")
     assert cache.lookup(k) == "allow"
     assert cache.entries[k.input_key].decisions == {k: "allow"}
-
-
-def test_invalidate_unknown_key_returns_zero():
-    cache = AuthorizationCache()
-    assert cache.invalidate(InputKey("go", "P1")) == 0
 
 
 def test_supersession_evicts_conflicting_chain_variant():
@@ -126,19 +121,6 @@ def test_export_import_export_is_byte_identical_after_a_run(task):
     other.import_(blob)
     assert other.export() == blob
     assert other.footprint() == engine.cache.footprint()
-
-
-def test_invalidate_counts_authorized_paths_and_checks_the_snapshot():
-    cache = AuthorizationCache()
-    cache.store_allow(key(), b"g1")
-    cache.store_allow(key(op="record_audio", sensor="Microphone"), b"g1")
-    cache.store_deny(key(op="read_location", sensor="GpsReceiver"))
-    assert cache.invalidate(key().input_key) == 2
-    assert cache.entries == {}
-    cache.store_allow(key(), b"g1")
-    cache.entries[key().input_key].graph_blob = b"g2"  # a snapshot changed after its checksum
-    with pytest.raises(CorruptCache):
-        cache.invalidate(key().input_key)
 
 
 def test_import_rejects_corrupt_blobs():

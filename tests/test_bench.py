@@ -84,12 +84,11 @@ def test_graph_construction_rows_and_fit_shape():
 def test_cache_rw_rows_and_fit_shape():
     result = cache_rw(inner=5, runs=3)
     sizes = list(range(1024, 16384 + 1, 512))
-    for name in ("store", "evict"):
-        assert [r["bytes"] for r in result[name]] == sizes
-        assert all(r["us"] > 0 and r["iqr_us"] >= 0 for r in result[name])
-        fit = result[f"{name}_fit"]
-        assert {"slope", "intercept", "r2"} <= fit.keys()
-        assert fit["round_spread"] >= 1.0
+    assert [r["bytes"] for r in result["store"]] == sizes
+    assert all(r["us"] > 0 and r["iqr_us"] >= 0 for r in result["store"])
+    fit = result["store_fit"]
+    assert {"slope", "intercept", "r2"} <= fit.keys()
+    assert fit["round_spread"] >= 1.0
 
 
 def test_enforcement_reports_overhead():

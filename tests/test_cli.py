@@ -380,6 +380,33 @@ def test_json_the_decoder_refuses_is_a_validation_error_naming_its_line(tmp_path
     assert f"error: line {line}: invalid JSON (" in capsys.readouterr().err
 
 
+# a record of task_a's, as its second line, holding a value `depth` arrays or objects deep
+NESTED = {
+    "config-in-nested-arrays": lambda depth: '{"kind":"config","window_ms":' + "[" * depth + "]" * depth + "}",
+    "config-in-nested-objects":
+        lambda depth: '{"kind":"config","window_ms":' + '{"a":' * depth + "1" + "}" * depth + "}",
+    "expect-with-a-nested-attack":
+        lambda depth: '{"kind":"expect","mode":"delegation","attack":' + '{"a":' * depth + "true" + "}" * depth + "}",
+}
+
+
+@pytest.mark.parametrize("record", NESTED)
+def test_a_value_nested_near_the_decoders_limit_is_a_validation_error_naming_its_line(tmp_path, capsys, record):
+    # Just under the decoder's depth limit a value decodes, and then its `repr`
+    # in the error message recurses too deep. Where that band lies moves with
+    # the caller's stack depth, so every depth around the limit is run.
+    lines = open(scenario_path("task_a")).read().split("\n")
+    path = tmp_path / "deep.scn"
+    errors = []
+    for depth in range(900, 1001):
+        path.write_text("\n".join([lines[0], NESTED[record](depth), *lines[1:]]))
+        assert main(["run", str(path)]) == 2, depth
+        errors.append(capsys.readouterr().err)
+    assert all(err.startswith("error: line 2: ") for err in errors)
+    kind = record.split("-")[0]
+    assert any(err.startswith(f"error: line 2: {kind} record: a value nested too deep") for err in errors)
+
+
 @pytest.mark.parametrize("gaps", ["5", "a,b", "1,2,3"])
 def test_gen_bad_gaps_is_validation_error(tmp_path, capsys, gaps):
     out = tmp_path / "w.scn"

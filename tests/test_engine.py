@@ -12,6 +12,7 @@ from delegauth.errors import Backpressure, InvariantViolation, ProtocolViolation
 from delegauth.graph import InputKey, PathKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
 from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable
+from delegauth.workload import WorkloadParams, generate_workload
 from conftest import DATA, scenario_path
 from fuzzgen import fuzz_scenario
 from oracle import log_from_trace
@@ -590,6 +591,76 @@ def test_schedule_out_of_time_order_is_a_protocol_violation():
         engine.schedule(15, spec)  # earlier than the clock
     engine.run_to_quiescence()
     assert [r["t"] for r in records if r["kind"] == "admit"] == [10]
+
+
+# what the registry rejects, as an event at t=300 and as its timeline spec: an
+# input or a handoff to an unknown program, and a request pairing an op with a
+# sensor it cannot use
+_REJECTED = {
+    "input": (InputEvent("bad", "first cmd", "P9", 300), {"widget": "first cmd", "program": "P9"},
+              "unknown program 'P9'"),
+    "handoff": (HandoffEvent("bad", "P1", "P9", 300), {"src": "P1", "dst": "P9"}, "unknown program 'P9'"),
+    "request": (OperationRequest("bad", "P1", "capture_picture", "Microphone", 300),
+                {"program": "P1", "op": "capture_picture", "sensor": "Microphone"}, "incompatible op/sensor"),
+}
+
+
+@pytest.mark.parametrize("kind", _REJECTED)
+def test_submit_of_an_event_the_registry_rejects_leaves_the_engine_as_it_was(kind):
+    handlers = [
+        HandlerSpec(
+            program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+            actions=(EmitRequest(op="capture_picture", sensor="Camera", after_ms=2),), complete=Complete(after_ms=3),
+        ),
+    ]
+    engine, (a, _, _), _ = build_engine(handlers=handlers)
+    engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
+    engine.advance(5)  # x1's request waits for its root's prompt, at t=151
+    event, _spec, message = _REJECTED[kind]
+    with pytest.raises(InvariantViolation, match=message):
+        engine.submit(event)
+    assert engine.now == 5
+    assert engine.store.live.keys() == {"x1"} and engine.decisions == [] and engine.prompts == []
+    assert engine.stats.total_events == 2
+
+
+@pytest.mark.parametrize("kind", _REJECTED)
+def test_a_scheduled_entry_the_registry_rejects_raises_when_it_is_admitted(kind):
+    engine, _, _ = build_engine()
+    _event, spec, message = _REJECTED[kind]
+    engine.schedule(300, {"kind": kind, **spec})
+    engine.advance(299)
+    with pytest.raises(InvariantViolation, match=message):
+        engine.advance(300)
+    assert engine.stats.total_events == 0
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [(EmitHandoff(to="P9", after_ms=2), "names unknown program 'P9'"),
+     (EmitHandoff(to="P1", after_ms=2), "has src == dst"),
+     (EmitRequest(op="capture_picture", sensor="Microphone", after_ms=2), "pairs incompatible op/sensor")],
+    ids=["handoff_to_unknown_program", "handoff_to_itself", "incompatible_request"],
+)
+def test_an_engine_is_not_built_with_a_handler_whose_action_the_registry_rejects(action, message):
+    handlers = [HandlerSpec(program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+                            actions=(action,), complete=Complete(after_ms=3))]
+    with pytest.raises(InvariantViolation, match=f"from P1's handlers {message}"):
+        build_engine(handlers=handlers)
+
+
+def test_a_run_checks_each_timeline_entry_once_and_each_event_handlers_emit_at_construction(monkeypatch):
+    scn = generate_workload(WorkloadParams(n_inputs=300))
+    checked = []
+    check = Registry.validate_event
+    monkeypatch.setattr(Registry, "validate_event", lambda registry, ev: checked.append(ev) or check(registry, ev))
+    engine, name_to_id = runner.build_engine(scn)
+    built = len(checked)  # one check per distinct event the handlers can emit, fewer than their actions
+    assert 0 < len(set(checked)) == built < sum(len(spec.actions) for spec in engine.handlers)
+    runner._schedule_timeline(engine, scn, name_to_id)
+    engine.run_to_quiescence()
+    assert len(checked) == built + len(scn.timeline)
+    assert engine.stats.total_events > len(scn.timeline)  # handlers emitted events, and none was checked again
 
 
 def test_timeline_entry_and_handler_action_due_together_run_in_sequence_order():
