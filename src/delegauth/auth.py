@@ -34,7 +34,7 @@ NO_ATTRIBUTION = "no_attribution"
 EXPIRED = "expired"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Decision:
     outcome: str  # allowed | denied
     reason: str  # cached | prompted | policy | no_attribution | expired

@@ -27,6 +27,11 @@ The delivery gates realize the ambiguity-prevention rules:
   * pending events wait in per-program two-level queues (input-derived =
     high) and expire rather than deliver late.
 
+An input or handoff whose target is idle with both queues empty, the
+common case, is gated and settled as it is admitted: delivered, rejected or
+expired there, never queued. Only a ticket the gates block, or one that
+finds its program busy or other tickets queued, joins a queue.
+
 Requests are attributed through graph membership only, mirroring what an
 OS-level reference monitor can actually observe.
 
@@ -268,7 +273,7 @@ class Engine:
         self._waiting: set[str] = set()
         self._rank: dict[str, int] = {}  # program -> registration order
         self._busy_exec: dict[str, Ticket] = {}  # busy program -> the ticket whose handler it runs
-        self._root_tickets: dict[str, list[Ticket]] = {}
+        self._root_tickets: dict[str, list[Ticket]] = {}  # root -> the derived tickets held for it
         self._label_ids: dict[str, str] = {}
         self._pending: dict[str, dict[PathKey, list[OperationRequest]]] = {}  # root -> its requests on new paths
 
@@ -407,6 +412,15 @@ class Engine:
             pass  # rejection recorded; the run continues
 
     def _admit(self, ev: MediatedEvent, phase: str, derived_root: str | None = None) -> Ticket | None:
+        """Admit an event at the current instant; returns its ticket, or None for a request.
+
+        A request is mediated at once. Without holds, an input or handoff is
+        delivered at once; with them, a repeat input is too. Any other ticket
+        whose program is idle with empty queues is gated here and settled by
+        `_settle`, unless the gate blocks it. A blocked ticket, or one that
+        finds its program busy or tickets queued, joins a queue: it is held
+        until `_try_dispatch` settles it or its deadline expires it.
+        """
         kind = ev.kind
 
         if kind == "request":
@@ -450,7 +464,17 @@ class Engine:
                 self._deliver(ticket)
                 return ticket
 
+        # the deadline takes its sequence number now, before delivery or dispatch
+        # pushes anything, but enters the heap only if the ticket is held; so the
+        # numbers of later entries do not depend on whether a ticket was held
         state = self._programs.get(program_id)
+        idle = program_id not in self._busy_exec and (state is None or not (state.high or state.low))
+        if idle:
+            verdict = self._gate(ticket, asked=True)
+            if verdict != "blocked":
+                self._occ_seq += 1  # the number of a deadline never pushed
+                self._settle(ticket, verdict)
+                return ticket
         if state is None:
             state = self._programs[program_id] = ProgramState(program_id=program_id)
         try:
@@ -464,11 +488,10 @@ class Engine:
         self._waiting.add(state.program_id)
         if derived and root_id is not None:
             self._root_tickets.setdefault(root_id, []).append(ticket)
-        # the deadline takes its sequence number now, before dispatch pushes
-        # anything, but enters the heap only if the ticket is held
         self._occ_seq += 1
         deadline_seq = self._occ_seq
-        self._try_dispatch(state, asked=ticket)
+        if not idle:  # the new ticket may head the queues, or find a head that time unblocked
+            self._try_dispatch(state, asked=ticket)
         if ticket.status == QUEUED:
             self._push(ticket.deadline + 1, self._fire_deadline, ticket, deadline_seq)
             if self._trace is not None:
@@ -528,8 +551,11 @@ class Engine:
         there is nothing to dispatch. It leaves `_waiting` here once both of its
         queues are empty.
 
-        `asked` is the input `_admit` has just queued after asking `_repeat_root`.
-        The answer holds when the loop reaches it, since the loop records no
+        `asked` is the input `_admit` has just queued after asking `_repeat_root`,
+        behind other tickets or while its program is busy: a ticket for an idle
+        program with empty queues is settled in `_admit`. So it is gated here
+        only when it becomes the head of a queue set that was not empty. The
+        answer still holds when the loop reaches it, since the loop records no
         input before it: delivering one leaves the program busy."""
         while state.program_id not in self._busy_exec:
             queue = self._next_ticket(state)
@@ -540,16 +566,21 @@ class Engine:
             if verdict == "blocked":
                 break  # strict priority: never skip past a blocked high head
             queue.popleft()
-            if verdict == "deliver":
-                self._deliver(ticket)
-            elif verdict == "merge_rejected":
-                ticket.status = REJECTED
-                if self._trace is not None:
-                    self._emit(_handoff_line, ticket.event.event_id, ticket.root_id, verdict)
-            else:
-                self._expire_ticket(ticket, verdict)
+            self._settle(ticket, verdict)
         if not (state.high or state.low):
             self._waiting.discard(state.program_id)
+
+    def _settle(self, ticket: Ticket, verdict: str) -> None:
+        """Act on a verdict of `_gate` other than `blocked`: deliver the ticket,
+        reject it as `merge_rejected`, or expire it for the reason given."""
+        if verdict == "deliver":
+            self._deliver(ticket)
+        elif verdict == "merge_rejected":
+            ticket.status = REJECTED
+            if self._trace is not None:
+                self._emit(_handoff_line, ticket.event.event_id, ticket.root_id, verdict)
+        else:
+            self._expire_ticket(ticket, verdict)
 
     def _expire_ticket(self, ticket: Ticket, reason: str) -> None:
         ticket.status = T_EXPIRED

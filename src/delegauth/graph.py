@@ -47,9 +47,11 @@ from .errors import (
 from .model import HandoffEvent, InputEvent, OperationRequest
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InputKey:
-    """Timestamp-free identity of an input interaction: (widget, receiver)."""
+    """Timestamp-free identity of an input interaction: (widget, receiver).
+
+    Compares and hashes by its fields; none is assigned after construction."""
 
     widget_id: str
     program_id: str
@@ -62,9 +64,11 @@ class InputKey:
         return cls(widget_id=d["widget"], program_id=d["program"])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PathKey:
-    """Timestamp-free identity of a delegation path, used for cache lookups."""
+    """Timestamp-free identity of a delegation path, used for cache lookups.
+
+    Compares and hashes by its fields; none is assigned after construction."""
 
     widget_id: str
     programs: tuple[str, ...]  # receiver first, requester last

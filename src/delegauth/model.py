@@ -7,6 +7,15 @@ resolve, and the engine calls it where events enter (`Engine.submit`, each
 timeline entry as it is admitted, and each event a handler can emit once,
 when the engine is built), so malformed tuples never reach the graph or
 scheduler.
+
+The value types built once per occurrence are slotted dataclasses, not
+frozen ones, since a frozen dataclass's constructor costs about three times
+as much: the events here, `Ticket` (scheduler.py), `Decision` (auth.py), and
+`PathKey` and `InputKey` (graph.py). All but `Ticket` compare and hash by
+their fields, as a frozen dataclass does, and nothing assigns a field after
+construction; the cache is keyed on `PathKey` and `InputKey`. A `Ticket`
+changes as it moves through the scheduler; it compares by its fields and does
+not hash. The registry's records, built once per run, stay frozen.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ class Operation:
     first_use_phrase: str  # phrase for first-use prompts; defaults to composed form
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InputEvent:
     kind: ClassVar[str] = "input"
     event_id: str
@@ -73,7 +82,7 @@ class InputEvent:
     t: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HandoffEvent:
     kind: ClassVar[str] = "handoff"
     event_id: str
@@ -84,7 +93,7 @@ class HandoffEvent:
     action: str | None = None  # routing label for handler matching (plumbing)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OperationRequest:
     kind: ClassVar[str] = "request"
     event_id: str

@@ -89,7 +89,7 @@ class DelayStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Ticket:
     """One submitted input or handoff, from admission to the end of the handler
     run its delivery starts in `program_id`."""

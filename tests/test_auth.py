@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from delegauth.auth import (
     render_prompt,
 )
 from delegauth.errors import CorruptCache, InvariantViolation, MixedRoots
-from delegauth.graph import PathKey
+from delegauth.graph import InputKey, PathKey
 from delegauth.model import Registry, WidgetKind
 from delegauth.runner import run_scenario
 from delegauth.scenario import load_scenario
@@ -121,6 +122,31 @@ def test_export_import_export_is_byte_identical_after_a_run(task):
     other.import_(blob)
     assert other.export() == blob
     assert other.footprint() == engine.cache.footprint()
+
+
+def test_cache_keys_compare_and_hash_as_their_fields():
+    """The cache is keyed on `PathKey` and `InputKey`, so how they compare and hash is part of it."""
+    fields = ("go", ("P1", "P2"), "capture_picture", "Camera")
+    path_key, again = PathKey(*fields), PathKey(*fields)
+    assert path_key is not again and path_key == again
+    assert hash(path_key) == hash(again) == hash(fields)
+    input_key = path_key.input_key
+    assert input_key == InputKey("go", "P1") and hash(input_key) == hash(("go", "P1"))
+    # not a bare tuple of the fields, nor another class with the same fields and name
+    assert path_key != fields and input_key != ("go", "P1")
+    assert path_key != make_dataclass("PathKey", ["widget_id", "programs", "op", "sensor"], frozen=True)(*fields)
+    assert input_key != make_dataclass("InputKey", ["widget_id", "program_id"], frozen=True)("go", "P1")
+    assert fields not in {path_key: "allow"} and {path_key: "allow"}[again] == "allow"
+
+
+def test_an_imported_cache_hits_on_keys_built_anew():
+    _report, engine = run_scenario(load_scenario(scenario_path("task_a")), policy_rules=["allow * * * *"])
+    granted = [d.path_key for d in engine.decisions if d.outcome == "allowed" and d.path_key is not None]
+    assert granted
+    other = AuthorizationCache()
+    other.import_(engine.cache.export())
+    for k in granted:
+        assert other.lookup(PathKey.from_dict(json.loads(json.dumps(k.to_dict())))) == "allow"
 
 
 def test_import_rejects_corrupt_blobs():

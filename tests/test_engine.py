@@ -11,7 +11,7 @@ from delegauth.engine import Engine, EngineConfig, Mode
 from delegauth.errors import Backpressure, InvariantViolation, ProtocolViolation
 from delegauth.graph import InputKey, PathKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
-from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable
+from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable, ProgramState
 from delegauth.workload import WorkloadParams, generate_workload
 from conftest import DATA, scenario_path
 from fuzzgen import fuzz_scenario
@@ -68,6 +68,73 @@ def test_input_to_idle_program_delivers_with_zero_delay():
     ticket = engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     assert ticket.status == "delivered"
     assert ticket.delay == 0
+
+
+def _count_enqueues(monkeypatch) -> list:
+    """Make every `ProgramState.enqueue` call append its ticket's event id to the list returned."""
+    queued, enqueue = [], ProgramState.enqueue
+
+    def counted(state, ticket, *args):
+        queued.append(ticket.event.event_id)
+        return enqueue(state, ticket, *args)
+
+    monkeypatch.setattr(ProgramState, "enqueue", counted)
+    return queued
+
+
+def test_a_ticket_settled_at_admission_is_never_queued(monkeypatch):
+    queued = _count_enqueues(monkeypatch)
+    handlers = [HandlerSpec(program_id="P2", trigger_kind="handoff", trigger_value="*", complete=Complete(after_ms=20))]
+    engine, (a, b, c), _ = build_engine(handlers=handlers)
+    idle = engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
+    busy_work = engine.submit(HandoffEvent("n1", c, b, 1))
+    # Beta belongs to no root, so only its busy handler run holds the input
+    held = engine.submit(InputEvent("x2", wid(engine, "second cmd"), b, 2))
+    assert (idle.status, busy_work.status, held.status) == ("delivered", "delivered", "queued")
+    assert queued == ["x2"]
+    engine.run_to_quiescence()
+    assert held.deliver_t == 21
+
+
+def test_settling_enqueues_only_what_a_run_holds(monkeypatch):
+    queued = _count_enqueues(monkeypatch)
+    lines = []
+    _report, engine = runner.run_scenario(generate_workload(WorkloadParams(n_inputs=1500)), trace=lines.append)
+    holds = sum('"kind":"hold"' in line for line in lines)
+    assert holds > 0 and len(queued) == holds
+    assert engine._waiting == set() and engine._root_tickets == {}
+
+
+def test_a_settled_ticket_takes_the_sequence_number_of_its_deadline():
+    # as a held ticket does, so no entry is numbered by whether a ticket was held
+    handlers = [
+        HandlerSpec(
+            program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+            actions=(EmitRequest(op="capture_picture", sensor="Camera", after_ms=2),),
+            complete=Complete(after_ms=3),
+        )
+    ]
+    engine, (a, _, _), _ = build_engine(handlers=handlers)
+    engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
+    # 1 went to the deadline; then the root's expiry, the request and the completion
+    assert sorted(seq for _t, seq, _fire, _arg in engine._heap) == [2, 3, 4]
+
+
+def test_with_one_level_a_ticket_for_an_idle_program_waits_behind_a_blocked_one():
+    handlers = [
+        HandlerSpec(
+            program_id="P1", trigger_kind="widget", trigger_value="first cmd",
+            actions=(EmitHandoff(to="P3", after_ms=2),), complete=Complete(after_ms=3),
+        ),
+    ]
+    engine, (a, b, c), _ = build_engine(handlers=handlers, two_level=False)
+    engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
+    engine.advance(10)  # Gamma joined x1 at t=2 and is idle again
+    blocked = engine.submit(InputEvent("x2", wid(engine, "second cmd"), c, 10))
+    plain = engine.submit(HandoffEvent("n1", b, c, 20))
+    assert (blocked.status, plain.status) == ("queued", "queued")
+    engine.run_to_quiescence()
+    assert blocked.deliver_t == WINDOW + 1 and plain.deliver_t > blocked.deliver_t
 
 
 def test_second_distinct_input_held_and_delay_recorded():
