@@ -32,6 +32,14 @@ common case, is gated and settled as it is admitted: delivered, rejected or
 expired there, never queued. Only a ticket the gates block, or one that
 finds its program busy or other tickets queued, joins a queue.
 
+Every fresh input roots a graph and queues that root's expiry for the
+instant after its window closes. The expiry seals the root and writes its
+`expire` line; the rest is paid only by a root that leaves something to do.
+A root with requests on new paths keeps its snapshot and prompts; its held
+tickets expire; a handler run it still keeps busy is cut off; and each
+waiting program is dispatched, since the sealed root may have blocked it.
+Most roots, one member and no events, do none of these.
+
 Requests are attributed through graph membership only, mirroring what an
 OS-level reference monitor can actually observe.
 
@@ -276,6 +284,7 @@ class Engine:
         self._root_tickets: dict[str, list[Ticket]] = {}  # root -> the derived tickets held for it
         self._label_ids: dict[str, str] = {}
         self._pending: dict[str, dict[PathKey, list[OperationRequest]]] = {}  # root -> its requests on new paths
+        self._keys: dict[PathKey, PathKey] = {}  # each path key mediated so far, to itself
 
         self.decisions: list[Decision] = []
         self.prompts: list[dict] = []
@@ -287,13 +296,6 @@ class Engine:
     def next_event_id(self) -> str:
         self._event_seq += 1
         return f"e{self._event_seq}"
-
-    def _push(self, t: int, fire, arg, seq: int | None = None) -> None:
-        """Queue the call `fire(arg)` for virtual time `t`."""
-        if seq is None:
-            self._occ_seq += 1
-            seq = self._occ_seq
-        heapq.heappush(self._heap, (t, seq, fire, arg))
 
     def _emit(self, line, *fields) -> None:
         # every caller checks `self._trace` first, so an untraced run builds no line
@@ -378,7 +380,8 @@ class Engine:
     def _admit_spec(self, spec: dict) -> None:
         """Build the typed event for a timeline entry and admit it."""
         phase = spec.get("phase", "main")
-        eid = self.next_event_id()
+        self._event_seq += 1  # the id `next_event_id` would give
+        eid = f"e{self._event_seq}"
         if spec.get("label"):
             self._label_ids[spec["label"]] = eid
         kind = spec["kind"]
@@ -417,16 +420,17 @@ class Engine:
         A request is mediated at once. Without holds, an input or handoff is
         delivered at once; with them, a repeat input is too. Any other ticket
         whose program is idle with empty queues is gated here and settled by
-        `_settle`, unless the gate blocks it. A blocked ticket, or one that
-        finds its program busy or tickets queued, joins a queue: it is held
-        until `_try_dispatch` settles it or its deadline expires it.
+        `_settle`, unless the gate blocks it: an input on the one scan of
+        `_input_gate` that found it no repeat, a handoff by `_gate`. A blocked
+        ticket, or one that finds its program busy or tickets queued, joins a
+        queue: it is held until `_try_dispatch` settles it or its deadline
+        expires it.
         """
         kind = ev.kind
 
         if kind == "request":
             derived = derived_root is not None
-            self.stats.record_submit(kind, derived)
-            self.stats.record_delivery(kind, 0, derived)
+            self.stats.record_request(derived)
             if self._trace is not None:
                 self._emit(_admit_line, ev, HIGH, derived, phase)
             self._mediate_request(ev, phase)
@@ -459,7 +463,7 @@ class Engine:
 
         # immediate repeats bypass queues and busy exclusivity
         if kind == "input":
-            ticket.root_id = self._repeat_root(ev)
+            ticket.root_id, blocked = self._input_gate(ev)
             if ticket.root_id is not None:
                 self._deliver(ticket)
                 return ticket
@@ -470,7 +474,8 @@ class Engine:
         state = self._programs.get(program_id)
         idle = program_id not in self._busy_exec and (state is None or not (state.high or state.low))
         if idle:
-            verdict = self._gate(ticket, asked=True)
+            # no deadline has passed at admission, so an input's verdict is its scan's
+            verdict = ("blocked" if blocked else "deliver") if kind == "input" else self._gate(ticket)
             if verdict != "blocked":
                 self._occ_seq += 1  # the number of a deadline never pushed
                 self._settle(ticket, verdict)
@@ -491,9 +496,9 @@ class Engine:
         self._occ_seq += 1
         deadline_seq = self._occ_seq
         if not idle:  # the new ticket may head the queues, or find a head that time unblocked
-            self._try_dispatch(state, asked=ticket)
+            self._try_dispatch(state)
         if ticket.status == QUEUED:
-            self._push(ticket.deadline + 1, self._fire_deadline, ticket, deadline_seq)
+            heapq.heappush(self._heap, (ticket.deadline + 1, deadline_seq, self._fire_deadline, ticket))
             if self._trace is not None:
                 self._emit(_hold_line, ev.event_id, state.program_id, queue)
         return ticket
@@ -510,59 +515,56 @@ class Engine:
                 return queue
         return None
 
-    def _repeat_root(self, ev: InputEvent) -> str | None:
-        """The live root an input repeats: one its program received on the input's widget.
+    def _input_gate(self, ev: InputEvent) -> tuple[str | None, bool]:
+        """One pass over the live roots of an input's program: the root the
+        input repeats, if any, and whether the gate blocks it.
 
-        With holds a program is in at most one live root, so at most one
-        matches. Asked at admission too, where a repeat bypasses queues and
-        busy exclusivity.
+        The input repeats a root its program received on the input's widget,
+        and is delivered with it. Otherwise it is blocked while its program is
+        in any live root. With holds a program is in at most one live root, so
+        at most one matches.
         """
+        now, live = self.now, self.store.live
+        blocked = False
         for root_id in self.store.membership.get(ev.program_id, ()):
-            g = self.store.live[root_id]
-            if g.live_at(self.now) and g.root.program_id == ev.program_id and g.root.widget_id == ev.widget_id:
-                return root_id
-        return None
+            g = live[root_id]
+            if g.deadline >= now:  # `g.live_at(now)`
+                if g.root.program_id == ev.program_id and g.root.widget_id == ev.widget_id:
+                    return root_id, False
+                blocked = True
+        return None, blocked
 
-    def _gate(self, ticket: Ticket, asked: bool) -> str:
+    def _gate(self, ticket: Ticket) -> str:
         """Delivery verdict for the head-of-queue ticket of an idle program.
 
         `deliver`, `blocked`, or the reason the ticket is dropped:
         `hold_deadline`, `root_expired` or `merge_rejected`. An input is
-        delivered as a repeat when `ticket.root_id` is set (`_repeat_root`);
-        with `asked`, it already holds the answer for this instant.
+        gated by `_input_gate`, which also sets `ticket.root_id` to the root
+        it repeats. A new input whose program is idle with empty queues is
+        not gated here: `_admit` settles it on the scan it has already made.
         """
         if self.now > ticket.deadline:
             return "hold_deadline"  # bounded delay: never delivered late, even if just unblocked
         ev = ticket.event
         if ev.kind == "input":
-            if not asked:
-                ticket.root_id = self._repeat_root(ev)
-            if ticket.root_id is None and self.store.live_memberships(ev.program_id, self.now):
-                return "blocked"
-            return "deliver"
+            ticket.root_id, blocked = self._input_gate(ev)
+            return "blocked" if blocked else "deliver"
         if ticket.derived:
             return self.store.attachability(ev, ticket.root_id, self.now)
         return "deliver"
 
-    def _try_dispatch(self, state: ProgramState, asked: Ticket | None = None) -> None:
+    def _try_dispatch(self, state: ProgramState) -> None:
         """Deliver or drop head tickets until the program is busy or its head is blocked.
 
         Called only for a program in `_waiting`: any other has empty queues, so
         there is nothing to dispatch. It leaves `_waiting` here once both of its
-        queues are empty.
-
-        `asked` is the input `_admit` has just queued after asking `_repeat_root`,
-        behind other tickets or while its program is busy: a ticket for an idle
-        program with empty queues is settled in `_admit`. So it is gated here
-        only when it becomes the head of a queue set that was not empty. The
-        answer still holds when the loop reaches it, since the loop records no
-        input before it: delivering one leaves the program busy."""
+        queues are empty."""
         while state.program_id not in self._busy_exec:
             queue = self._next_ticket(state)
             if queue is None:
                 break
             ticket = queue[0]
-            verdict = self._gate(ticket, ticket is asked)
+            verdict = self._gate(ticket)
             if verdict == "blocked":
                 break  # strict priority: never skip past a blocked high head
             queue.popleft()
@@ -596,20 +598,23 @@ class Engine:
         ev = ticket.event
         program_id, root_id = ticket.program_id, ticket.root_id
         ticket.status = DELIVERED
-        ticket.deliver_t = self.now
+        ticket.deliver_t = now = self.now
         self.stats.record_delivery(ev.kind, ticket.delay, ticket.derived)
         if self._trace is not None:
             self._emit(_deliver_line, ev.event_id, program_id, ticket.delay, ev.kind)
 
         if ev.kind == "input":
-            # a repeat (`_repeat_root`, so only with holds) joins its root and keeps
-            # its receiver busy only if idle; a fresh input roots a graph
+            # a repeat (`_input_gate`, so only with holds) joins its root and keeps
+            # its receiver busy only if idle; a fresh input roots a graph, whose
+            # window closes with the input's ticket's
             occupies_busy = root_id is None or program_id not in self._busy_exec
             if root_id is not None:
                 self.store.record_repeat_input(root_id, ev)
             elif self._graphs:
-                ticket.root_id = root_id = self.store.record_input(ev, delivered_at=self.now)
-                self._push(self.store.live[root_id].deadline + 1, self._fire_root_expiry, (root_id, ticket.phase))
+                ticket.root_id = root_id = self.store.record_input(ev, delivered_at=now)
+                self._occ_seq += 1
+                heapq.heappush(self._heap, (ticket.deadline + 1, self._occ_seq,
+                                            self._fire_root_expiry, (root_id, ticket.phase)))
             spec = self.handlers.lookup(program_id, "widget", ev.widget_id)
         else:
             occupies_busy = True
@@ -617,7 +622,7 @@ class Engine:
                 outcome = "unattributable"  # also the outcome of a handoff of no root
                 if ticket.derived:
                     try:
-                        self.store.record_handoff(ev, delivered_at=self.now)
+                        self.store.record_handoff(ev, delivered_at=now)
                         outcome = "attached"
                     except AmbiguousAttribution:
                         outcome = "merge_rejected"
@@ -633,12 +638,17 @@ class Engine:
 
         if occupies_busy and self._holds:
             self._busy_exec[program_id] = ticket
+        # the handler's entries, each numbered as it is pushed
+        heap, push, seq = self._heap, heapq.heappush, self._occ_seq
         if spec is None:
-            self._push(self.now + self.config.default_lag_ms, self._fire_complete, ticket)
-            return
-        for action in spec.actions:
-            self._push(self.now + action.after_ms, self._fire_action, (ticket, action))
-        self._push(self.now + spec.complete.after_ms, self._fire_complete, ticket)
+            complete_t = now + self.config.default_lag_ms
+        else:
+            for action in spec.actions:
+                seq += 1
+                push(heap, (now + action.after_ms, seq, self._fire_action, (ticket, action)))
+            complete_t = now + spec.complete.after_ms
+        self._occ_seq = seq = seq + 1
+        push(heap, (complete_t, seq, self._fire_complete, ticket))
 
     # -- handler execution ------------------------------------------------------------------
 
@@ -688,25 +698,39 @@ class Engine:
         self._try_dispatch(self._programs[ticket.program_id])  # still queued, so in `_waiting`
 
     def _fire_root_expiry(self, root: tuple[str, str]) -> None:
+        """Seal a root the instant after its window closes, and settle what it leaves.
+
+        Every root seals and writes its `expire` line. Each further step runs
+        only when there is something for it: a root with requests on new paths
+        keeps its snapshot and prompts; its held tickets expire; the handler
+        runs it keeps busy are cut off; and the waiting programs are
+        dispatched. Most roots have none of these.
+        """
         root_id, phase = root  # the root, and the phase of the input that rooted it
+        pending = self._pending.pop(root_id, None)
         # only a root that will prompt needs its snapshot: it goes into the cache
-        self.store.expire_graph(root_id, self.now, snapshot=root_id in self._pending)
+        self.store.expire_graph(root_id, self.now, snapshot=pending is not None)
         if self._trace is not None:
             self._emit(_expire_root_line, root_id)
-        self._flush_root(root_id, phase)
-        for ticket in self._root_tickets.pop(root_id, []):
-            if ticket.status == QUEUED:
-                self._expire_ticket(ticket, "root_expired")
-        for pid, busy in list(self._busy_exec.items()):
-            if busy.root_id == root_id:
-                busy.cancelled = True
-                if self._trace is not None:
-                    self._emit(_complete_line, busy.event.event_id, pid, "window_backstop")
-                del self._busy_exec[pid]
+        if pending is not None:
+            self._flush_root(root_id, phase, pending)
+        tickets = self._root_tickets.pop(root_id, None)
+        if tickets is not None:
+            for ticket in tickets:
+                if ticket.status == QUEUED:
+                    self._expire_ticket(ticket, "root_expired")
+        if self._busy_exec:
+            for pid, busy in list(self._busy_exec.items()):
+                if busy.root_id == root_id:
+                    busy.cancelled = True
+                    if self._trace is not None:
+                        self._emit(_complete_line, busy.event.event_id, pid, "window_backstop")
+                    del self._busy_exec[pid]
         # the sealed root, its dropped tickets and its freed programs can unblock
         # any waiting program, inside the root or not; the others have nothing queued
-        for pid in sorted(self._waiting, key=self._registration_rank):
-            self._try_dispatch(self._programs[pid])
+        if self._waiting:
+            for pid in sorted(self._waiting, key=self._registration_rank):
+                self._try_dispatch(self._programs[pid])
 
     def _registration_rank(self, program_id: str) -> int:
         rank = self._rank.get(program_id)
@@ -737,6 +761,7 @@ class Engine:
             self._decide(DENIED, NO_ATTRIBUTION, r, phase, detail="ambiguous")
             return
         key = self.store.compute_path(r)
+        key = self._keys.setdefault(key, key)  # so decisions on one path share one key
         cached = self.cache.lookup(key)
         if cached == "allow":
             if self._trace is not None:
@@ -773,10 +798,8 @@ class Engine:
             self.cache.store_allow(key, b"")
         self._decide(ALLOWED if allowed else DENIED, PROMPTED, r, phase)
 
-    def _flush_root(self, root_id: str, phase: str) -> None:
-        pending = self._pending.pop(root_id, None)
-        if pending is None:
-            return
+    def _flush_root(self, root_id: str, phase: str, pending: dict[PathKey, list[OperationRequest]]) -> None:
+        """Prompt for the new paths of a sealed root, and decide the requests on them."""
         keys = list(pending)
         text = render_prompt(keys, self.registry)
         marks = prompt_marks(keys, self.registry)

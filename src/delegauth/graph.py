@@ -18,6 +18,13 @@ one live graph at request time. The engine's delivery gates guarantee that;
 with `EngineConfig.scheduler` off, the same query surfaces
 AmbiguousAttribution.
 
+`GraphStore.membership` maps each program to the live roots it belongs to,
+and holds a program only while one of them is unsealed: a program's set is
+made when it first joins a root and dropped when its last root seals. With
+the delivery gates a set holds at most one live root, and the engine reads
+it once per input, in one pass that finds both the root the input repeats
+and whether the input is blocked.
+
 When a root's window closes it is sealed: its live state is dropped, and each
 of its programs keeps only the earliest deadline of a sealed root it was in,
 which is all an unattributed request needs to be told "expired". A JSON
@@ -106,7 +113,7 @@ class PathKey:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _LiveGraph:
     """One root's records while its window is open: who joined it, and what it received after the root.
 
@@ -217,7 +224,11 @@ class GraphStore:
             raise DuplicateEvent(f"input {i.event_id!r} already roots a live graph")
         members = {i.program_id: (_delivery_time(i, delivered_at), None)}
         self.live[i.event_id] = _LiveGraph(root=i, deadline=i.t + self.window_ms, members=members)
-        self.membership.setdefault(i.program_id, set()).add(i.event_id)
+        roots = self.membership.get(i.program_id)
+        if roots is None:
+            self.membership[i.program_id] = {i.event_id}
+        else:
+            roots.add(i.event_id)
         return i.event_id
 
     def record_repeat_input(self, root_id: str, i: InputEvent) -> None:

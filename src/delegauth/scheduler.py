@@ -72,6 +72,16 @@ class DelayStats:
                 self.derived.delayed += 1
                 self.derived.max_delay_ms = max(self.derived.max_delay_ms, delay)
 
+    def record_request(self, derived: bool) -> None:
+        """`record_submit` and `record_delivery` of a request in one call: a
+        request is delivered as it is submitted, with no delay."""
+        ks = self.per_kind["request"]
+        ks.submitted += 1
+        ks.delivered += 1
+        if derived:  # input-derived, like the request's handler run
+            self.derived.submitted += 1
+            self.derived.delivered += 1
+
     def record_expiry(self, kind: str, derived: bool) -> None:
         self.per_kind[kind].expired += 1
         if derived:

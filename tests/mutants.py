@@ -75,8 +75,8 @@ MUTANTS = {
     # an input repeats any live root its program is in, on the input's widget
     "repeat_any_member": (
         "engine.py",
-        "if g.live_at(self.now) and g.root.program_id == ev.program_id and g.root.widget_id == ev.widget_id:",
-        "if g.live_at(self.now) and g.root.widget_id == ev.widget_id:",
+        "if g.root.program_id == ev.program_id and g.root.widget_id == ev.widget_id:",
+        "if g.root.widget_id == ev.widget_id:",
         "tests/test_engine.py::test_an_input_to_an_idle_member_on_the_roots_widget_is_no_repeat",
     ),
     # a derived handoff to a program already in the root under another parent is delivered
@@ -133,8 +133,8 @@ MUTANTS = {
     # a fresh input's handler run does not know the root it starts, so its handoffs carry no provenance
     "fresh_input_no_root": (
         "engine.py",
-        "ticket.root_id = root_id = self.store.record_input(ev, delivered_at=self.now)",
-        "root_id = self.store.record_input(ev, delivered_at=self.now)",
+        "ticket.root_id = root_id = self.store.record_input(ev, delivered_at=now)",
+        "root_id = self.store.record_input(ev, delivered_at=now)",
         "tests/test_acceptance.py::test_prompt_text_goldens",
     ),
     # a chain that parts from the one before and meets it again is named from where they meet
@@ -249,6 +249,26 @@ MUTANTS = {
         "idle = program_id not in self._busy_exec and (state is None or not (state.high or state.low))",
         "idle = program_id not in self._busy_exec and (state is None or not state.high)",
         "tests/test_engine.py::test_with_one_level_a_ticket_for_an_idle_program_waits_behind_a_blocked_one",
+    ),
+    # a root's expiry never looks at busy programs, so the handler runs it keeps busy go on
+    "expiry_skips_busy": (
+        "engine.py", "if self._busy_exec:", "if False:",
+        "tests/test_trace_digests.py::test_trace_digest_is_pinned[contention]",
+    ),
+    # an input at the last instant of its program's root is neither its repeat nor blocked by it
+    "input_gate_deadline_exclusive": (
+        "engine.py", "if g.deadline >= now:", "if g.deadline > now:",
+        "tests/test_engine.py::test_a_finished_run_leaves_no_scheduling_state[workload_1500]",
+    ),
+    # an input-derived request is not counted among the derived events
+    "request_stats_not_derived": (
+        "scheduler.py", "if derived:  # input-derived, like the request's handler run", "if False:",
+        "tests/test_engine.py::test_a_finished_run_leaves_no_scheduling_state[workload_1500]",
+    ),
+    # each decision keeps the key its own path computation built
+    "decision_keys_not_interned": (
+        "engine.py", "key = self._keys.setdefault(key, key)  # so decisions on one path share one key", "pass",
+        "tests/test_engine.py::test_decisions_on_one_path_share_one_key",
     ),
 }
 

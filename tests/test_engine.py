@@ -823,3 +823,45 @@ def test_a_program_is_in_at_most_one_live_root_with_holds():
     assert broken == []
     # without holds the same check does find one, so it can see a violation
     assert any(_finds_a_program_in_two_live_roots(scn, scheduler=False) for scn in scenarios)
+
+
+# `stats.to_dict()` of a `WorkloadParams(n_inputs=1500)` run: every event is
+# input-derived there, and a request is delivered as it is submitted
+STATS_1500 = {
+    "total_events": 2228, "delayed_events": 12, "expired_events": 0, "max_delay_ms": 10,
+    "delayed_fraction": 12 / 2228,
+    "per_kind": {
+        "input": {"submitted": 1500, "delivered": 1500, "delayed": 12, "expired": 0, "max_delay_ms": 10},
+        "handoff": {"submitted": 204, "delivered": 204, "delayed": 0, "expired": 0, "max_delay_ms": 0},
+        "request": {"submitted": 524, "delivered": 524, "delayed": 0, "expired": 0, "max_delay_ms": 0},
+    },
+    "derived": {"submitted": 2228, "delivered": 2228, "delayed": 12, "expired": 0, "max_delay_ms": 10},
+}
+
+
+@pytest.mark.parametrize("which", ["workload_1500", "contention"])
+def test_a_finished_run_leaves_no_scheduling_state(which):
+    if which == "contention":
+        scn = loads_scenario((DATA / "contention.scn").read_text())
+    else:
+        scn = generate_workload(WorkloadParams(n_inputs=1500))
+    engine, name_to_id = runner.build_engine(scn)
+    runner._schedule_timeline(engine, scn, name_to_id)
+    engine.run_to_quiescence()
+    store = engine.store
+    assert store.live == {} and store.membership == {}
+    assert engine._root_tickets == {} and engine._busy_exec == {} and engine._waiting == set()
+    assert engine._heap == []
+    prompted = [p["root"] for p in engine.prompts]
+    assert prompted and store.sealed.keys() == set(prompted)
+    if which == "workload_1500":
+        assert engine.stats.to_dict() == STATS_1500
+
+
+def test_decisions_on_one_path_share_one_key():
+    _report, engine = runner.run_scenario(generate_workload(WorkloadParams(n_inputs=1500)))
+    keys = [d.path_key for d in engine.decisions if d.path_key is not None]
+    first = {}  # each distinct key -> the first decision's object
+    for key in keys:
+        assert first.setdefault(key, key) is key
+    assert len(first) < len(keys)  # some path was decided more than once

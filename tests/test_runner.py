@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import heapq
 import json
 import tracemalloc
 from collections import Counter
@@ -230,15 +231,17 @@ def test_run_that_raises_leaves_every_emitted_record_on_disk(task_a, tmp_path, m
 
 def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
     # timeline submissions wait beside the heap, and a deadline is pushed
-    # only for a ticket that is held
+    # only for a ticket that is held; every heap entry passes through
+    # `heapq.heappush`, which the engine looks up when it pushes
     pushes = Counter()
-    real_push = Engine._push
+    real_push = heapq.heappush
 
-    def counting_push(self, t, fire, arg, seq=None):
+    def counting_push(heap, entry):
+        _t, _seq, fire, _arg = entry
         pushes[fire.__name__] += 1
-        real_push(self, t, fire, arg, seq)
+        real_push(heap, entry)
 
-    monkeypatch.setattr(Engine, "_push", counting_push)
+    monkeypatch.setattr(heapq, "heappush", counting_push)
     contention = loads_scenario((DATA / "contention.scn").read_text())
     for scn in (contention, generate_workload(WorkloadParams(n_inputs=600))):
         pushes.clear()
@@ -246,6 +249,7 @@ def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
         run_scenario(scn, trace=lambda line: records.append(json.loads(line)))
         kinds = Counter(r["kind"] for r in records)
         assert pushes["_fire_deadline"] == kinds["hold"] > 0
+        assert pushes["_fire_root_expiry"] == sum(r["kind"] == "expire" and "root" in r for r in records) > 0
         assert "_admit_spec" not in pushes
         if scn is contention:
             assert any(r["kind"] == "expire" and r.get("reason") == "hold_deadline" for r in records)
