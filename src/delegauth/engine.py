@@ -32,13 +32,11 @@ common case, is gated and settled as it is admitted: delivered, rejected or
 expired there, never queued. Only a ticket the gates block, or one that
 finds its program busy or other tickets queued, joins a queue.
 
-Every fresh input roots a graph and queues that root's expiry for the
-instant after its window closes. The expiry seals the root and writes its
-`expire` line; the rest is paid only by a root that leaves something to do.
-A root with requests on new paths keeps its snapshot and prompts; its held
-tickets expire; a handler run it still keeps busy is cut off; and each
-waiting program is dispatched, since the sealed root may have blocked it.
-Most roots, one member and no events, do none of these.
+Every fresh input roots a graph and queues the root's expiry for the
+instant after its window closes, where the root seals and writes its
+`expire` line. The expiry does more only for a root that leaves something
+to do (`_fire_root_expiry`); most roots, one member and no events, leave
+nothing.
 
 Requests are attributed through graph membership only, mirroring what an
 OS-level reference monitor can actually observe.
@@ -704,7 +702,7 @@ class Engine:
         only when there is something for it: a root with requests on new paths
         keeps its snapshot and prompts; its held tickets expire; the handler
         runs it keeps busy are cut off; and the waiting programs are
-        dispatched. Most roots have none of these.
+        dispatched.
         """
         root_id, phase = root  # the root, and the phase of the input that rooted it
         pending = self._pending.pop(root_id, None)
