@@ -15,6 +15,7 @@ suites take the host as it is.
 from __future__ import annotations
 
 import gc
+import random
 import statistics
 import tempfile
 import time
@@ -34,6 +35,7 @@ from .model import (
 )
 from .runner import replay, run_scenario, run_with_trace
 from .scenario import Scenario, loads_scenario
+from .trace import dump_line
 from .workload import WINDOW_MS, WorkloadParams, generate_workload
 
 def round_robin(batches, rounds: int) -> dict:
@@ -403,9 +405,6 @@ def two_level(
 
 def memory(n_programs: int = 1000, seed: int = 7) -> dict:
     """Cache footprint with field-like path counts (3-4 authorized paths each)."""
-    import json as _json
-    import random
-
     rng = random.Random(seed)
     cache = AuthorizationCache()
     ops = [("capture_picture", "Camera"), ("record_audio", "Microphone"), ("read_location", "GpsReceiver")]
@@ -421,7 +420,7 @@ def memory(n_programs: int = 1000, seed: int = 7) -> dict:
                 "handoffs": {f"{pid}>{c}": [[f"h{i}-{j}", j * 500 + rng.randint(1, 20)]] for c in chain[1:]},
                 "requests": {f"{chain[-1]}|{op}|{sensor}": [[f"r{i}-{j}", j * 500 + 30]]},
             }
-            blob = _json.dumps(graph, sort_keys=True, separators=(",", ":")).encode()
+            blob = dump_line(graph).encode()
             cache.store_allow(key, blob)
     fp = cache.footprint()
     sizes = list(fp["per_program"].values())

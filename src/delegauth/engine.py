@@ -45,12 +45,15 @@ Each event is checked against the registry once, at the door it enters by:
 `submit` checks an outside event, `_admit_spec` a timeline entry once its
 event is built, and construction checks each event the handlers can emit,
 since every event a handler emits is built from one of its actions.
+
+A traced run hands each record to its `trace` callable as one line, numbered
+by `_emit` and written by the record's encoder in `trace`, the module that
+holds the whole trace format; an untraced run builds no line.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, fields
@@ -101,6 +104,10 @@ from .scheduler import (
     ProgramState,
     Ticket,
 )
+from .trace import (
+    admit_line, cached_request_line, complete_line, decision_line, deliver_line, expire_event_line, expire_root_line,
+    handoff_line, hold_line, missed_request_line, prompt_line, request_line,
+)
 
 
 class Mode(Enum):
@@ -137,99 +144,6 @@ class EngineConfig:
             raise InvariantViolation("default_lag_ms must be >= 0")
         if self.queue_bound < 1:
             raise InvariantViolation("queue_bound must be >= 1")
-
-
-# -- trace lines -------------------------------------------------------------------
-
-# One encoder for every JSON line: `json.dumps` with these options builds a new
-# JSONEncoder per call. `check_circular` only changes how a cycle fails.
-_dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
-
-# One function per record shape, called as `line(seq, t, *fields)` by
-# `Engine._emit`, which hands the line, without its newline, to the engine's
-# `trace` callable. Each writes the text `_dump_line` gives the record's dict:
-# keys in sorted order, no spaces, strings through the escaper the C encoder
-# uses with `ensure_ascii`, ints as `int.__repr__` writes them, and `null`
-# for a `root`, `provenance` or `action` that is None. A decision's `t` is the
-# time of its request, not the clock: a prompted decision is written when its
-# root expires.
-_s = json.encoder.encode_basestring_ascii
-
-
-def _admit_line(seq: int, t: int, ev: MediatedEvent, priority: str, derived: bool, phase: str) -> str:
-    cls = type(ev)
-    if cls is InputEvent:
-        event = f'{{"id":{_s(ev.event_id)},"program":{_s(ev.program_id)},"t":{ev.t},"widget":{_s(ev.widget_id)}}}'
-    elif cls is HandoffEvent:
-        action = "null" if ev.action is None else _s(ev.action)
-        provenance = "null" if ev.provenance is None else _s(ev.provenance)
-        event = (f'{{"action":{action},"dst":{_s(ev.dst)},"id":{_s(ev.event_id)},'
-                 f'"provenance":{provenance},"src":{_s(ev.src)},"t":{ev.t}}}')
-    else:
-        event = (f'{{"id":{_s(ev.event_id)},"op":{_s(ev.op)},"program":{_s(ev.program_id)},'
-                 f'"sensor":{_s(ev.sensor)},"t":{ev.t}}}')
-    return (f'{{"derived":{"true" if derived else "false"},"event":{event},"kind":"admit",'
-            f'"phase":{_s(phase)},"priority":{_s(priority)},"seq":{seq},"t":{t}}}')
-
-
-def _deliver_line(seq: int, t: int, event_id: str, program: str, delay: int, event_kind: str) -> str:
-    return (f'{{"delay":{delay},"event_id":{_s(event_id)},"event_kind":{_s(event_kind)},'
-            f'"kind":"deliver","program":{_s(program)},"seq":{seq},"t":{t}}}')
-
-
-def _complete_line(seq: int, t: int, event_id: str, program: str, reason: str) -> str:
-    return (f'{{"event_id":{_s(event_id)},"kind":"complete","program":{_s(program)},'
-            f'"reason":{_s(reason)},"seq":{seq},"t":{t}}}')
-
-
-def _hold_line(seq: int, t: int, event_id: str, program: str, queue: str) -> str:
-    return (f'{{"event_id":{_s(event_id)},"kind":"hold","program":{_s(program)},'
-            f'"queue":{_s(queue)},"seq":{seq},"t":{t}}}')
-
-
-def _expire_event_line(seq: int, t: int, event_id: str, reason: str) -> str:
-    return f'{{"event_id":{_s(event_id)},"kind":"expire","reason":{_s(reason)},"seq":{seq},"t":{t},"what":"event"}}'
-
-
-def _expire_root_line(seq: int, t: int, root: str) -> str:
-    return f'{{"kind":"expire","root":{_s(root)},"seq":{seq},"t":{t},"what":"root"}}'
-
-
-def _handoff_line(seq: int, t: int, event_id: str, root: str | None, outcome: str) -> str:
-    root = "null" if root is None else _s(root)
-    return f'{{"event_id":{_s(event_id)},"kind":"handoff","outcome":{_s(outcome)},"root":{root},"seq":{seq},"t":{t}}}'
-
-
-def _request_line(seq: int, t: int, event_id: str, outcome: str) -> str:
-    """A request that reaches no root, so no cache."""
-    return f'{{"event_id":{_s(event_id)},"kind":"request","outcome":{_s(outcome)},"root":null,"seq":{seq},"t":{t}}}'
-
-
-def _cached_request_line(seq: int, t: int, event_id: str, root: str, cache: str) -> str:
-    """An attributed request answered by the cache: a hit, or a cached denial."""
-    return (f'{{"cache":{_s(cache)},"event_id":{_s(event_id)},"kind":"request","outcome":"attributed",'
-            f'"root":{_s(root)},"seq":{seq},"t":{t}}}')
-
-
-def _missed_request_line(seq: int, t: int, event_id: str, root: str, evicted: int) -> str:
-    return (f'{{"cache":"miss","event_id":{_s(event_id)},"evicted":{evicted},"kind":"request",'
-            f'"outcome":"attributed","root":{_s(root)},"seq":{seq},"t":{t}}}')
-
-
-def _decision_line(seq: int, t: int, d: Decision) -> str:
-    head = f'{{"detail":{_s(d.detail)},' if d.detail else "{"
-    key = d.path_key
-    path_key = "" if key is None else (
-        f'"path_key":{{"op":{_s(key.op)},"programs":[{",".join(map(_s, key.programs))}],'
-        f'"sensor":{_s(key.sensor)},"widget":{_s(key.widget_id)}}},'
-    )
-    return (f'{head}"kind":"decision","op":{_s(d.op)},"outcome":{_s(d.outcome)},{path_key}'
-            f'"phase":{_s(d.phase)},"program":{_s(d.program_id)},"reason":{_s(d.reason)},'
-            f'"request_id":{_s(d.request_id)},"sensor":{_s(d.sensor)},"seq":{seq},"t":{d.t}}}')
-
-
-def _prompt_line(seq: int, t: int, prompt: dict) -> str:
-    return _dump_line({"seq": seq, "t": t, "kind": "prompt", **prompt})
 
 
 class Engine:
@@ -430,7 +344,7 @@ class Engine:
             derived = derived_root is not None
             self.stats.record_request(derived)
             if self._trace is not None:
-                self._emit(_admit_line, ev, HIGH, derived, phase)
+                self._emit(admit_line, ev, HIGH, derived, phase)
             self._mediate_request(ev, phase)
             return None
 
@@ -444,7 +358,7 @@ class Engine:
                 if g is None or not g.live_at(self.now):
                     # provenance died before admission: downgrade to plain busy work
                     if self._trace is not None:
-                        self._emit(_handoff_line, ev.event_id, root_id, "unattributable")
+                        self._emit(handoff_line, ev.event_id, root_id, "unattributable")
                     derived, root_id = False, None
 
         ticket = Ticket(
@@ -453,7 +367,7 @@ class Engine:
         )
         self.stats.record_submit(kind, derived)
         if self._trace is not None:
-            self._emit(_admit_line, ev, HIGH if derived else LOW, derived, phase)
+            self._emit(admit_line, ev, HIGH if derived else LOW, derived, phase)
 
         if not self._holds:
             self._deliver(ticket)
@@ -486,7 +400,7 @@ class Engine:
             ticket.status = REJECTED
             self.backpressure_rejections += 1
             if self._trace is not None:
-                self._emit(_expire_event_line, ev.event_id, "backpressure")
+                self._emit(expire_event_line, ev.event_id, "backpressure")
             raise
         self._waiting.add(state.program_id)
         if derived and root_id is not None:
@@ -498,7 +412,7 @@ class Engine:
         if ticket.status == QUEUED:
             heapq.heappush(self._heap, (ticket.deadline + 1, deadline_seq, self._fire_deadline, ticket))
             if self._trace is not None:
-                self._emit(_hold_line, ev.event_id, state.program_id, queue)
+                self._emit(hold_line, ev.event_id, state.program_id, queue)
         return ticket
 
     # -- dispatch ----------------------------------------------------------------------
@@ -578,7 +492,7 @@ class Engine:
         elif verdict == "merge_rejected":
             ticket.status = REJECTED
             if self._trace is not None:
-                self._emit(_handoff_line, ticket.event.event_id, ticket.root_id, verdict)
+                self._emit(handoff_line, ticket.event.event_id, ticket.root_id, verdict)
         else:
             self._expire_ticket(ticket, verdict)
 
@@ -586,7 +500,7 @@ class Engine:
         ticket.status = T_EXPIRED
         self.stats.record_expiry(ticket.event.kind, ticket.derived)
         if self._trace is not None:
-            self._emit(_expire_event_line, ticket.event.event_id, reason)
+            self._emit(expire_event_line, ticket.event.event_id, reason)
 
     # -- delivery ------------------------------------------------------------------------
 
@@ -599,7 +513,7 @@ class Engine:
         ticket.deliver_t = now = self.now
         self.stats.record_delivery(ev.kind, ticket.delay, ticket.derived)
         if self._trace is not None:
-            self._emit(_deliver_line, ev.event_id, program_id, ticket.delay, ev.kind)
+            self._emit(deliver_line, ev.event_id, program_id, ticket.delay, ev.kind)
 
         if ev.kind == "input":
             # a repeat (`_input_gate`, so only with holds) joins its root and keeps
@@ -629,7 +543,7 @@ class Engine:
                     except UnattributableHandoff:
                         pass
                 if self._trace is not None:
-                    self._emit(_handoff_line, ev.event_id, root_id, outcome)
+                    self._emit(handoff_line, ev.event_id, root_id, outcome)
                 if ticket.derived and outcome != "attached":
                     return  # attach refused: the message does not reach a handler
             spec = self.handlers.lookup(program_id, "handoff", "*" if ev.action is None else ev.action)
@@ -681,7 +595,7 @@ class Engine:
         if ticket.cancelled:
             return
         if self._trace is not None:
-            self._emit(_complete_line, ticket.event.event_id, ticket.program_id, "handler")
+            self._emit(complete_line, ticket.event.event_id, ticket.program_id, "handler")
         if self._busy_exec.get(ticket.program_id) is ticket:
             del self._busy_exec[ticket.program_id]
             if ticket.program_id in self._waiting:
@@ -709,7 +623,7 @@ class Engine:
         # only a root that will prompt needs its snapshot: it goes into the cache
         self.store.expire_graph(root_id, self.now, snapshot=pending is not None)
         if self._trace is not None:
-            self._emit(_expire_root_line, root_id)
+            self._emit(expire_root_line, root_id)
         if pending is not None:
             self._flush_root(root_id, phase, pending)
         tickets = self._root_tickets.pop(root_id, None)
@@ -722,7 +636,7 @@ class Engine:
                 if busy.root_id == root_id:
                     busy.cancelled = True
                     if self._trace is not None:
-                        self._emit(_complete_line, busy.event.event_id, pid, "window_backstop")
+                        self._emit(complete_line, busy.event.event_id, pid, "window_backstop")
                     del self._busy_exec[pid]
         # the sealed root, its dropped tickets and its freed programs can unblock
         # any waiting program, inside the root or not; the others have nothing queued
@@ -749,13 +663,13 @@ class Engine:
         except NoAttributableInput as exc:
             reason = EXPIRED if exc.expired else NO_ATTRIBUTION
             if self._trace is not None:
-                self._emit(_request_line, r.event_id, reason)
+                self._emit(request_line, r.event_id, reason)
             self._decide(DENIED, reason, r, phase)
             return
         except AmbiguousAttribution:
             self.ambiguous_requests += 1
             if self._trace is not None:
-                self._emit(_request_line, r.event_id, "ambiguous")
+                self._emit(request_line, r.event_id, "ambiguous")
             self._decide(DENIED, NO_ATTRIBUTION, r, phase, detail="ambiguous")
             return
         key = self.store.compute_path(r)
@@ -763,17 +677,17 @@ class Engine:
         cached = self.cache.lookup(key)
         if cached == "allow":
             if self._trace is not None:
-                self._emit(_cached_request_line, r.event_id, root_id, "hit")
+                self._emit(cached_request_line, r.event_id, root_id, "hit")
             self._decide(ALLOWED, CACHED, r, phase, key)
             return
         if cached == "deny" and self.config.cache_denials:
             if self._trace is not None:
-                self._emit(_cached_request_line, r.event_id, root_id, "deny")
+                self._emit(cached_request_line, r.event_id, root_id, "deny")
             self._decide(DENIED, POLICY, r, phase, key)
             return
         evicted = self.cache.invalidate_conflicting(key)
         if self._trace is not None:
-            self._emit(_missed_request_line, r.event_id, root_id, evicted)
+            self._emit(missed_request_line, r.event_id, root_id, evicted)
         self._pending.setdefault(root_id, {}).setdefault(key, []).append(r)
 
     def _first_use_decide(self, r: OperationRequest, phase: str) -> None:
@@ -790,7 +704,7 @@ class Engine:
                   "marks": prompt_marks(keys, self.registry)}
         self.prompts.append(prompt)
         if self._trace is not None:
-            self._emit(_prompt_line, prompt)
+            self._emit(prompt_line, prompt)
         allowed = self._authorizer(phase).authorize_paths(keys, text, self.registry)
         if allowed:
             self.cache.store_allow(key, b"")
@@ -805,7 +719,7 @@ class Engine:
                   "root": root_id}
         self.prompts.append(prompt)
         if self._trace is not None:
-            self._emit(_prompt_line, {**prompt, "paths": [k.to_dict() for k in keys]})
+            self._emit(prompt_line, {**prompt, "paths": [k.to_dict() for k in keys]})
         allowed = self._authorizer(phase).authorize_paths(keys, text, self.registry)
         outcome = ALLOWED if allowed else DENIED
         blob = self.store.sealed[root_id]  # a root with pending keys seals with its snapshot
@@ -825,4 +739,4 @@ class Engine:
         decision = Decision(outcome, reason, r.event_id, r.program_id, r.op, r.sensor, r.t, phase, path_key, detail)
         self.decisions.append(decision)
         if self._trace is not None:
-            self._emit(_decision_line, decision)
+            self._emit(decision_line, decision)

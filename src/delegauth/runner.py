@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -10,8 +9,9 @@ from pathlib import Path
 
 from .auth import AuthorizationCache, Decision, InteractivePrompt, ScriptedPolicy
 from .engine import Engine, Mode
-from .errors import ParseError, TraceDivergence, TraceTruncated
-from .scenario import MODE_SPELLINGS, Scenario, TraceWriter, loads_scenario, read_trace_header, timeline_specs
+from .errors import ParseError, TraceDivergence
+from .scenario import MODE_SPELLINGS, Scenario, loads_scenario, read_trace_header, timeline_specs
+from .trace import TraceCheck, TraceWriter, trace_header
 
 
 @dataclass
@@ -168,19 +168,6 @@ def compare_modes(scn: Scenario, window_ms: int | None = None) -> dict:
 # -- tracing and replay --------------------------------------------------------------
 
 
-def trace_header(scn: Scenario, mode: str | None, policy_rules, window_ms, seed) -> dict:
-    """The header of a trace of `scn`; a run draws no random numbers, so only an older trace has a `seed`."""
-    text = scn.text()
-    return {
-        "mode": mode,
-        "policy_override": policy_rules,
-        "window_override": window_ms,
-        "seed": seed,
-        "scenario_sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "scenario": text,
-    }
-
-
 def run_with_trace(
     scn: Scenario,
     trace_path: str | Path,
@@ -203,46 +190,18 @@ def run_with_trace(
 def replay(trace_path: str | Path) -> RunReport:
     """Re-execute the embedded scenario and verify a byte-identical trace.
 
-    The recorded file is read one line at a time, as the re-run writes. A
-    file that ends before the re-run does, at a line boundary or inside the
-    line the re-run writes there, raises `TraceTruncated`; any other
-    difference raises `TraceDivergence`.
+    `TraceCheck` compares the re-run's lines with the recorded file's as they
+    are written, and raises at the first that differs.
     """
-    with open(trace_path, errors="replace") as recorded:  # a trace is ASCII: any other byte makes its line differ
-        header = read_trace_header(recorded)
+    with TraceCheck(trace_path) as check:
+        header = read_trace_header(check.recorded)
         scn = loads_scenario(header["scenario"])
-        rerun_header = trace_header(
-            scn, header.get("mode"), header.get("policy_override"), header.get("window_override"),
-            header.get("seed"),
-        )
+        mode, policy_rules, window_ms = header.get("mode"), header.get("policy_override"), header.get("window_override")
+        rerun_header = trace_header(scn, mode, policy_rules, window_ms, header.get("seed"))
         if rerun_header["scenario_sha256"] != header["scenario_sha256"]:
             raise TraceDivergence(0, "embedded scenario does not match its recorded digest")
-        recorded.seek(0)  # the re-run's header line is checked too
-        check = _TraceCheck(recorded)
-        report, _engine = run_scenario(
-            scn,
-            mode=header.get("mode"),
-            policy_rules=header.get("policy_override"),
-            window_ms=header.get("window_override"),
-            trace=TraceWriter(check, rerun_header),
-        )
-        if recorded.readline():
-            raise TraceDivergence(check.written, "recorded and re-executed traces differ")
+        check.recorded.seek(0)  # the re-run's header line is checked too
+        report, _engine = run_scenario(scn, mode=mode, policy_rules=policy_rules, window_ms=window_ms,
+                                       trace=TraceWriter(check, rerun_header))
+        check.finish()
     return report
-
-
-class _TraceCheck:
-    """Write target for a replay: compares each re-executed line with the next recorded one."""
-
-    def __init__(self, recorded):
-        self._readline = recorded.readline
-        self.written = 0
-
-    def write(self, line: str) -> None:
-        i = self.written
-        expected = self._readline()
-        if expected != line and expected != line[:-1]:  # the last line may lack its newline
-            if not expected or (not expected.endswith("\n") and line.startswith(expected)):
-                raise TraceTruncated(i)  # the file ends before the re-run does, or inside this line
-            raise TraceDivergence(i, "recorded and re-executed traces differ")
-        self.written = i + 1

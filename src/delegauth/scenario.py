@@ -1,23 +1,27 @@
-"""Scenario files and trace streams.
+"""Scenario files, and the grammar of every file the CLI reads.
 
-Both formats are line-delimited JSON with a one-line version header, so they
-diff cleanly and replay exactly. Scenario records declare the registry
+A scenario is line-delimited JSON with a one-line version header, so it
+diffs cleanly and replays exactly. Scenario records declare the registry
 (programs, widgets, sensors, operations), program behavior (handlers), the
 event timeline (preliminary and main phases), scripted policies per phase,
-attack assertions, and per-mode expectations.
+attack assertions, and per-mode expectations. Traces are written, read and
+compared in `trace`; only a trace's header is checked here
+(`read_trace_header`), against its entry of the record table below, so that a
+bad header fails as a bad scenario record does.
 
 The table below (`_RECORDS`, with `_ONCE` and the two headers) is the one
-definition of both formats, compiled at import into one check per record
-kind. `loads_scenario` splits the text at line feeds alone (JSON lets U+2028,
-U+2029 and U+0085 stand raw inside a string, where `str.splitlines` would
-break the line), decodes each line with the JSON decoder's scanner, and
-checks each record against the table, and `EngineConfig` a config's values
-and `parse_policy_rules` a policy's rules, as it reads them; a failure names
-the record's line. What needs the registry is checked at use, by the two
-steps of every run: `Scenario.build` and `timeline_specs`. `loads_scenario`
-takes the same two, so a loaded and a built scenario pass one set of checks,
-and it keeps what `timeline_specs` gave, so that a run of the loaded
-scenario schedules its timeline without resolving it again.
+definition of the scenario's records and of both headers, compiled at import
+into one check per record kind. `loads_scenario` splits the text at line feeds
+alone (JSON lets U+2028, U+2029 and U+0085 stand raw inside a string, where
+`str.splitlines` would break the line), decodes each line with the JSON
+decoder's scanner, and checks each record against the table, and
+`EngineConfig` a config's values and `parse_policy_rules` a policy's rules, as
+it reads them; a failure names the record's line. What needs the registry is
+checked at use, by the two steps of every run: `Scenario.build` and
+`timeline_specs`. `loads_scenario` takes the same two, so a loaded and a built
+scenario pass one set of checks, and it keeps what `timeline_specs` gave, so
+that a run of the loaded scenario schedules its timeline without resolving it
+again.
 """
 
 from __future__ import annotations
@@ -30,14 +34,14 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .auth import parse_policy_rules
-from .engine import EngineConfig, Mode, _dump_line
+from .engine import EngineConfig, Mode
 from .errors import DelegauthError, InvariantViolation, ParseError, TraceTruncated, UnknownWidget, UnresolvedReference
 from .model import Registry, WidgetKind
 from .scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable
+from .trace import TRACE_FORMAT, TRACE_VERSION, TraceWriter, dump_line  # `TraceWriter` is imported from here too
 
 SCENARIO_FORMAT = "delegauth-scenario"
-TRACE_FORMAT = "delegauth-trace"
-FORMAT_VERSION = 1
+SCENARIO_VERSION = 1  # a trace's is `trace.TRACE_VERSION`
 
 # Spellings of a mode in the CLI's `--mode` and in trace headers; the
 # scenario's `mode` and `expect` records take the last two
@@ -194,14 +198,12 @@ _RECORDS = {
 # the kinds that may not repeat: a policy once per phase (`Scenario.build` checks
 # that a program name comes once)
 _ONCE = {"config", "mode", "policy"}
-_SCENARIO_HEADER = _object({"format": (SCENARIO_FORMAT,), "version": (FORMAT_VERSION,)})
+_SCENARIO_HEADER = _object({"format": (SCENARIO_FORMAT,), "version": (SCENARIO_VERSION,)})
 # a trace header writes null for each override not given: a null value counts as absent
 _TRACE_HEADER = _object(
-    {"format": (TRACE_FORMAT,), "version": (FORMAT_VERSION,), "scenario": str, "scenario_sha256": str},
+    {"format": (TRACE_FORMAT,), "version": (TRACE_VERSION,), "scenario": str, "scenario_sha256": str},
     {"mode": tuple(MODE_SPELLINGS), "policy_override": _list(str), "window_override": int, "seed": int},
 )
-# `_dump_line` for scenario records, whose objects may be read-only mappings
-_dump_record = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False, default=dict).encode
 
 
 def _check(lineno: int | None, kind: str, check, *args):
@@ -341,10 +343,10 @@ class Scenario:
             "policy": [{"phase": phase, "rules": rules} for phase, rules in self.policies.items()],
             "event": map(_event_record, self.timeline),
         }
-        lines = [_dump_record({"format": SCENARIO_FORMAT, "version": FORMAT_VERSION})]
+        lines = [dump_line({"format": SCENARIO_FORMAT, "version": SCENARIO_VERSION})]
         for kind in _RECORDS:
             for rec in records[kind] if kind in records else getattr(self, f"{kind}s"):
-                lines.append(_dump_record({"kind": kind, **rec}))
+                lines.append(dump_line({"kind": kind, **rec}))
         return "\n".join(lines) + "\n"
 
 
@@ -538,31 +540,7 @@ def _compatible(registry: Registry, op: str, sensor: str, line: int | None) -> N
         raise UnresolvedReference(f"incompatible op/sensor ({op!r}, {sensor!r})", line=line)
 
 
-# -- traces ---------------------------------------------------------------------
-
-class TraceWriter:
-    """Ordered JSONL trace stream: the header line, then one line per record.
-
-    The engine hands the writer each record as a finished line: it writes the
-    line where it knows the fields (`engine._admit_line` and its siblings),
-    and the text is `json.dumps(record, sort_keys=True, separators=(",", ":"))`
-    of the record's dict. The writer adds the newline.
-
-    Each line goes to `fh.write` as one call, buffered by `fh` itself, so the
-    trace on disk is complete once `fh` is closed; a process killed before
-    that loses the buffered tail. `runner.replay` reports such a file as
-    truncated (`TraceTruncated`, exit code 4) when it ends before the re-run
-    does, at a line boundary or inside the line the re-run writes next. `fh`
-    may be any object with a `write` method.
-    """
-
-    def __init__(self, fh, header: dict):
-        self._write = fh.write
-        self._write(_dump_line({"format": TRACE_FORMAT, "version": FORMAT_VERSION, **header}) + "\n")
-
-    def __call__(self, line: str) -> None:
-        self._write(line + "\n")
-
+# -- trace headers -------------------------------------------------------------
 
 def read_trace_header(fh) -> dict:
     """Read and check the header line of an open trace file."""

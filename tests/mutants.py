@@ -114,8 +114,8 @@ MUTANTS = {
     # a hold line names the high queue for a derived ticket, though one level queues it in the FIFO
     "hold_names_priority": (
         "engine.py",
-        "self._emit(_hold_line, ev.event_id, state.program_id, queue)",
-        "self._emit(_hold_line, ev.event_id, state.program_id, HIGH if derived else LOW)",
+        "self._emit(hold_line, ev.event_id, state.program_id, queue)",
+        "self._emit(hold_line, ev.event_id, state.program_id, HIGH if derived else LOW)",
         "tests/test_engine.py::test_hold_line_names_the_queue_the_ticket_joined[False]",
     ),
     # a config with `"scheduler": false` keeps the delivery gates
@@ -181,7 +181,7 @@ MUTANTS = {
     ),
     # a trace embeds the text the scenario was loaded from, though it was changed since
     "trace_embeds_source_text": (
-        "runner.py", "text = scn.text()", "text = scn.source_text",
+        "trace.py", "text = scn.text()", "text = scn.source_text",
         "tests/test_runner.py::test_a_scenario_changed_by_replace_replays",
     ),
     # an attack may name a program the scenario lacks
@@ -269,6 +269,23 @@ MUTANTS = {
     "decision_keys_not_interned": (
         "engine.py", "key = self._keys.setdefault(key, key)  # so decisions on one path share one key", "pass",
         "tests/test_engine.py::test_decisions_on_one_path_share_one_key",
+    ),
+    # a recorded trace whose last line lacks its newline diverges there
+    "replay_needs_last_newline": (
+        "trace.py", "if expected != line and expected != line[:-1]:", "if expected != line:",
+        "tests/test_runner.py::test_replay_accepts_a_trace_without_its_final_newline",
+    ),
+    # a file cut inside a line is reported as diverging, not as truncated
+    "replay_cut_line_diverges": (
+        "trace.py",
+        'if not expected or (not expected.endswith("\\n") and line.startswith(expected)):',
+        "if not expected:",
+        "tests/test_cli.py::test_replay_reports_a_cut_trace_as_truncated[inside_a_line-truncated]",
+    ),
+    # replay reads the recorded file with universal newlines, so CRLF line endings pass as LF
+    "replay_translates_line_endings": (
+        "trace.py", 'open(path, errors="replace", newline="")', 'open(path, errors="replace")',
+        "tests/test_cli.py::test_replay_of_a_trace_whose_line_endings_changed_diverges_at_its_header",
     ),
 }
 

@@ -4,9 +4,10 @@ Independent of the graph store: enumerates every feasible input-to-request
 chain over a run's trace, using only facts a reference monitor observes
 (event tuples, delivery times, the window).
 
-`log_from_trace` turns trace records, parsed by `json.loads` from the lines
-the engine hands its `trace` callable or from a trace file, into the
-oracle's log. It reads three record kinds:
+`log_from_trace` turns trace lines, those the engine hands its `trace`
+callable or a trace file's after its header, into the oracle's log. It
+decodes them with `delegauth.trace.records`, the package's one trace reader,
+and reads three record kinds:
   * `admit` gives each event's fields, and a request entry for a request
     (requests are mediated at admission);
   * `deliver` gives an input entry for `event_kind == "input"`, and the
@@ -35,13 +36,15 @@ Log entry shapes:
 
 from __future__ import annotations
 
+from delegauth.trace import records
 
-def log_from_trace(records) -> list[tuple]:
-    """The oracle's log of a run, in delivery order, from its trace records."""
+
+def log_from_trace(lines) -> list[tuple]:
+    """The oracle's log of a run, in delivery order, from its trace lines."""
     admitted: dict[str, dict] = {}  # event id -> admitted input or handoff
     handoff_delivered: dict[str, int] = {}
     log: list[tuple] = []
-    for rec in records:
+    for rec in records(lines):
         kind = rec["kind"]
         if kind == "admit":
             ev = rec["event"]

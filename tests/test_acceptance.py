@@ -93,11 +93,11 @@ def test_unambiguity_fuzz():
     multi_off = 0
     for seed, gaps in corpus:
         scn = fuzz_scenario(seed, gaps_ms=gaps)
-        records = []
-        report, engine = run_scenario(scn, trace=lambda line: records.append(json.loads(line)))
+        lines = []
+        report, engine = run_scenario(scn, trace=lines.append)
         ambiguous_on += engine.ambiguous_requests
         window = engine.config.window_ms
-        log = log_from_trace(records)
+        log = log_from_trace(lines)
         for d in engine.decisions:
             checked += 1
             if d.path_key is None:
@@ -110,10 +110,9 @@ def test_unambiguity_fuzz():
                 first_mismatch = first_mismatch or f"; first mismatch: seed {seed} gaps {gaps}, request {d.request_id}"
         if gaps != (10, 400):
             continue
-        records = []
-        run_scenario(replace(scn, config={**scn.config, "scheduler": False}),
-                     trace=lambda line: records.append(json.loads(line)))
-        log = log_from_trace(records)
+        lines = []
+        run_scenario(replace(scn, config={**scn.config, "scheduler": False}), trace=lines.append)
+        log = log_from_trace(lines)
         for entry in log:
             if entry[0] == "request":
                 if len(attribution_classes(log, entry[1], window)) > 1:

@@ -304,6 +304,29 @@ def test_replay_reports_a_cut_trace_as_truncated(tmp_path, capsys, cut, seq, mes
     assert ("truncated" in err) == (message == "truncated")
 
 
+def test_replay_of_a_trace_whose_line_endings_changed_diverges_at_its_header(tmp_path, capsys):
+    trace, crlf = tmp_path / "a.trace", tmp_path / "crlf.trace"
+    assert main(["run", scenario_path("task_a"), "--trace", str(trace)]) == 0
+    crlf.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    assert main(["replay", str(trace)]) == 0
+    assert main(["replay", str(crlf)]) == 4
+    err = capsys.readouterr().err
+    assert "trace diverges at seq 0: recorded and re-executed traces differ" in err
+
+
+@pytest.mark.parametrize("command, path", [("run", "{trace}"), ("replay", "{task_a}")],
+                         ids=["run-a-trace", "replay-a-scenario"])
+def test_a_trace_in_place_of_a_scenario_or_a_scenario_in_place_of_a_trace_is_validation_error(
+        tmp_path, capsys, command, path):
+    trace = tmp_path / "a.trace"
+    assert main(["run", scenario_path("task_a"), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert main([command, path.format(trace=trace, task_a=scenario_path("task_a"))]) == 2
+    kind = "scenario" if command == "run" else "trace"
+    assert capsys.readouterr().err.startswith(f"error: line 1: {kind} header record: ")
+
+
 def test_empty_trace_file_is_validation_error(tmp_path, capsys):
     trace = tmp_path / "empty.trace"
     trace.write_text("")
@@ -332,6 +355,8 @@ def test_unknown_mode_in_trace_header_is_validation_error(tmp_path, capsys):
         ("window_override", True),
         ("seed", 2.5),
         pytest.param("policy_override", [5], id="policy_override-[5]"),
+        ("format", "delegauth-scenario"),
+        ("version", 2),
     ],
 )
 def test_malformed_trace_header_is_validation_error(tmp_path, capsys, key, value):

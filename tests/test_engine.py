@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -12,6 +11,7 @@ from delegauth.errors import Backpressure, InvariantViolation, ProtocolViolation
 from delegauth.graph import InputKey, PathKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest, Registry, WidgetKind
 from delegauth.scheduler import Complete, EmitHandoff, EmitRequest, HandlerSpec, HandlerTable, ProgramState
+from delegauth.trace import records
 from delegauth.workload import WorkloadParams, generate_workload
 from conftest import DATA, scenario_path
 from fuzzgen import fuzz_scenario
@@ -264,15 +264,13 @@ def test_hold_line_names_the_queue_the_ticket_joined(two_level):
         HandlerSpec(program_id="P2", trigger_kind="handoff", trigger_value="*",
                     complete=Complete(after_ms=20)),
     ]
-    records = []
-    engine, (a, b, c), _ = build_engine(
-        handlers=handlers, two_level=two_level, trace=lambda line: records.append(json.loads(line))
-    )
+    lines = []
+    engine, (a, b, c), _ = build_engine(handlers=handlers, two_level=two_level, trace=lines.append)
     engine.submit(HandoffEvent("n1", a, b, 0))
     engine.submit(HandoffEvent("n2", c, b, 1))
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), b, 2))
     # an input is derived, so high priority; with one level it still waits in the one FIFO
-    holds = {r["event_id"]: r["queue"] for r in records if r["kind"] == "hold"}
+    holds = {r["event_id"]: r["queue"] for r in records(lines) if r["kind"] == "hold"}
     assert holds == {"n2": "low", "x1": "high" if two_level else "low"}
 
 
@@ -297,11 +295,11 @@ def test_task_a_style_delivery_order():
             complete=Complete(after_ms=5),
         ),
     ]
-    records = []
-    engine, (a, _, _), _ = build_engine(handlers=handlers, trace=lambda line: records.append(json.loads(line)))
+    lines = []
+    engine, (a, _, _), _ = build_engine(handlers=handlers, trace=lines.append)
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.run_to_quiescence()
-    kinds_and_times = [(e[0], e[4] if e[0] != "request" else e[5]) for e in log_from_trace(records)]
+    kinds_and_times = [(e[0], e[4] if e[0] != "request" else e[5]) for e in log_from_trace(lines)]
     assert kinds_and_times == [("input", 0), ("handoff", 5), ("request", 9)]
     assert len(engine.decisions) == 1
     d = engine.decisions[0]
@@ -341,7 +339,7 @@ def test_a_handoff_a_handler_emits_past_the_queue_bound_is_dropped_and_the_run_g
     engine.run_to_quiescence()
     # e1 is delivered and keeps Beta busy, e2 waits in its queue, and e3 finds the queue full
     assert engine.backpressure_rejections == 1
-    refused = [json.loads(line) for line in lines if '"reason":"backpressure"' in line]
+    refused = [r for r in records(lines) if r.get("reason") == "backpressure"]
     assert [(r["kind"], r["event_id"], r["t"]) for r in refused] == [("expire", "e3", 3)]
     assert engine.stats.per_kind["handoff"].delivered == 2
 
@@ -421,21 +419,21 @@ def test_scheduler_on_same_workload_is_unambiguous():
 
 
 def test_stale_provenance_handoff_downgraded_to_busy_work():
-    records = []
-    engine, (a, b, _), _ = build_engine(trace=lambda line: records.append(json.loads(line)))
+    lines = []
+    engine, (a, b, _), _ = build_engine(trace=lines.append)
     engine.submit(InputEvent("x1", wid(engine, "first cmd"), a, 0))
     engine.advance(WINDOW + 1)
     ticket = engine.submit(HandoffEvent("h1", a, b, WINDOW + 5, provenance="x1"))
     assert ticket.derived is False
     engine.run_to_quiescence()
-    h1 = [(r["kind"], r["t"], r.get("root"), r.get("outcome")) for r in records if r.get("event_id") == "h1"]
+    h1 = [(r["kind"], r["t"], r.get("root"), r.get("outcome")) for r in records(lines) if r.get("event_id") == "h1"]
     assert h1 == [
         ("handoff", WINDOW + 5, "x1", "unattributable"),  # downgraded at admission
         ("deliver", WINDOW + 5, None, None),  # plain busy work: delivered at once
         ("handoff", WINDOW + 5, None, "unattributable"),  # and attached to no graph
         ("complete", WINDOW + 10, None, None),
     ]
-    assert [e for e in log_from_trace(records) if e[0] == "handoff"] == []
+    assert [e for e in log_from_trace(lines) if e[0] == "handoff"] == []
 
 
 def test_cache_hit_is_silent_second_time_around():
@@ -647,8 +645,8 @@ def test_advance_backwards_is_a_protocol_violation():
 
 
 def test_schedule_out_of_time_order_is_a_protocol_violation():
-    records = []
-    engine, (a, _, _), _ = build_engine(trace=lambda line: records.append(json.loads(line)))
+    lines = []
+    engine, (a, _, _), _ = build_engine(trace=lines.append)
     spec = {"kind": "input", "widget": "first cmd", "program": a}
     engine.schedule(10, spec)
     with pytest.raises(ProtocolViolation, match="t=9"):
@@ -657,7 +655,7 @@ def test_schedule_out_of_time_order_is_a_protocol_violation():
     with pytest.raises(ProtocolViolation, match="t=15"):
         engine.schedule(15, spec)  # earlier than the clock
     engine.run_to_quiescence()
-    assert [r["t"] for r in records if r["kind"] == "admit"] == [10]
+    assert [r["t"] for r in records(lines) if r["kind"] == "admit"] == [10]
 
 
 # what the registry rejects, as an event at t=300 and as its timeline spec: an
@@ -743,8 +741,8 @@ def test_timeline_entry_and_handler_action_due_together_run_in_sequence_order():
     ]
 
     def requesters_at_5(schedule_mid_run: bool) -> list[str]:
-        records = []
-        engine, (a, b, _), _ = build_engine(handlers=handlers, trace=lambda line: records.append(json.loads(line)))
+        lines = []
+        engine, (a, b, _), _ = build_engine(handlers=handlers, trace=lines.append)
         spec = {"kind": "request", "program": b, "op": "capture_picture", "sensor": "Camera"}
         if not schedule_mid_run:
             engine.schedule(5, spec)
@@ -753,7 +751,7 @@ def test_timeline_entry_and_handler_action_due_together_run_in_sequence_order():
         if schedule_mid_run:
             engine.schedule(5, spec)  # the handler's action at t=5 is already pending
         engine.run_to_quiescence()
-        return [r["event"]["program"] for r in records if r["kind"] == "admit" and r["t"] == 5]
+        return [r["event"]["program"] for r in records(lines) if r["kind"] == "admit" and r["t"] == 5]
 
     assert requesters_at_5(schedule_mid_run=True) == ["P1", "P2"]
     assert requesters_at_5(schedule_mid_run=False) == ["P2", "P1"]
@@ -780,15 +778,15 @@ def test_held_tickets_deadline_keeps_the_sequence_of_its_admission():
             complete=Complete(after_ms=WINDOW + 1),
         ),
     ]
-    records = []
-    engine, (a, b, c), _ = build_engine(handlers=handlers, trace=lambda line: records.append(json.loads(line)))
+    lines = []
+    engine, (a, b, c), _ = build_engine(handlers=handlers, trace=lines.append)
     engine.schedule(WINDOW + 1, {"kind": "handoff", "src": b, "dst": c})
     engine.submit(InputEvent("x0", wid(engine, "first cmd"), a, 0))
     engine.submit(InputEvent("x1", wid(engine, "second cmd"), c, 1))  # Gamma joins a root of its own
     engine.submit(HandoffEvent("n1", b, c, 3))
     engine.run_to_quiescence()
     by_t = {}
-    for r in records:
+    for r in records(lines):
         by_t.setdefault(r["t"], []).append((r["kind"], r.get("event_id") or r.get("root") or r["event"]["id"]))
     # e1 is Alpha's handoff from x0 to Gamma, held behind x1's root; e2 is the timeline's n2
     assert by_t[WINDOW + 1] == [

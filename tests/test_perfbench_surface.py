@@ -16,6 +16,7 @@ import sys
 import time
 from pathlib import Path
 
+from delegauth import runner, scenario, trace
 from delegauth.runner import _schedule_timeline, build_engine
 from delegauth.workload import WorkloadParams, generate_workload
 
@@ -60,3 +61,9 @@ def test_spans_wrap_and_metrics_read_a_short_run(monkeypatch):
     facts = metrics.layer_facts(engine, calls)
     assert facts["auth.cache.footprint_bytes"][0] == engine.cache.footprint()["total"] > 0
     assert facts["graph.sealed_bytes"][0] > 0
+
+
+def test_the_trace_names_perfbench_imports_are_those_of_the_trace_module():
+    # perfbench imports the writer from `scenario` and the header from `runner`
+    assert scenario.TraceWriter is trace.TraceWriter
+    assert runner.trace_header is trace.trace_header

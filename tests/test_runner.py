@@ -22,6 +22,7 @@ from delegauth.errors import TraceDivergence
 from delegauth.runner import replay, trace_header
 from delegauth.scenario import TraceWriter, loads_scenario
 from delegauth.scheduler import HandlerTable
+from delegauth.trace import records
 from conftest import DATA
 
 
@@ -245,14 +246,15 @@ def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
     contention = loads_scenario((DATA / "contention.scn").read_text())
     for scn in (contention, generate_workload(WorkloadParams(n_inputs=600))):
         pushes.clear()
-        records = []
-        run_scenario(scn, trace=lambda line: records.append(json.loads(line)))
-        kinds = Counter(r["kind"] for r in records)
+        lines = []
+        run_scenario(scn, trace=lines.append)
+        recs = list(records(lines))
+        kinds = Counter(r["kind"] for r in recs)
         assert pushes["_fire_deadline"] == kinds["hold"] > 0
-        assert pushes["_fire_root_expiry"] == sum(r["kind"] == "expire" and "root" in r for r in records) > 0
+        assert pushes["_fire_root_expiry"] == sum(r["kind"] == "expire" and "root" in r for r in recs) > 0
         assert "_admit_spec" not in pushes
         if scn is contention:
-            assert any(r["kind"] == "expire" and r.get("reason") == "hold_deadline" for r in records)
+            assert any(r["kind"] == "expire" and r.get("reason") == "hold_deadline" for r in recs)
 
 
 def test_untraced_runs_never_call_emit(task_a, task_b, task_c, monkeypatch):

@@ -11,26 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delegauth import (
-    Scenario, WorkloadParams, compare_modes, engine, generate_workload, run_scenario, run_with_trace, runner, scenario,
+    Scenario, WorkloadParams, compare_modes, generate_workload, run_scenario, run_with_trace, runner, scenario, trace,
 )
 from delegauth.auth import Decision
-from delegauth.engine import (
-    _admit_line,
-    _cached_request_line,
-    _complete_line,
-    _decision_line,
-    _deliver_line,
-    _expire_event_line,
-    _expire_root_line,
-    _handoff_line,
-    _hold_line,
-    _missed_request_line,
-    _request_line,
-)
 from delegauth.errors import InvariantViolation, ParseError, UnresolvedReference
 from delegauth.graph import PathKey
 from delegauth.model import HandoffEvent, InputEvent, OperationRequest
-from delegauth.scenario import _dump_line, load_scenario, loads_scenario
+from delegauth.scenario import load_scenario, loads_scenario
+from delegauth.trace import (
+    admit_line,
+    cached_request_line,
+    complete_line,
+    decision_line,
+    deliver_line,
+    dump_line,
+    expire_event_line,
+    expire_root_line,
+    handoff_line,
+    hold_line,
+    missed_request_line,
+    request_line,
+)
 from conftest import DATA, scenario_path
 
 HEADER = '{"format":"delegauth-scenario","version":1}'
@@ -437,7 +438,7 @@ JSON_VALUES = st.recursive(
 
 @given(st.dictionaries(st.text(), JSON_VALUES, max_size=6))
 def test_dump_line_matches_json_dumps(obj):
-    assert _dump_line(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert dump_line(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # -- trace lines -----------------------------------------------------------------
@@ -491,56 +492,56 @@ def keys(*names) -> frozenset:
 # `_emit` built them before the engine wrote lines itself
 SHAPES = {
     keys("derived", "event", "phase", "priority"): [(
-        _admit_line,
+        admit_line,
         st.tuples(EVENTS, TEXT, st.booleans(), TEXT),
         lambda ev, priority, derived, phase: (
             "admit", {"event": event_payload(ev), "priority": priority, "derived": derived, "phase": phase}
         ),
     )],
     keys("delay", "event_id", "event_kind", "program"): [(
-        _deliver_line,
+        deliver_line,
         st.tuples(TEXT, TEXT, INT, TEXT),
         lambda event_id, program, delay, event_kind: (
             "deliver", {"event_id": event_id, "program": program, "delay": delay, "event_kind": event_kind}
         ),
     )],
     keys("event_id", "program", "reason"): [(
-        _complete_line,
+        complete_line,
         st.tuples(TEXT, TEXT, TEXT),
         lambda event_id, program, reason: ("complete", {"program": program, "event_id": event_id, "reason": reason}),
     )],
     keys("event_id", "program", "queue"): [(
-        _hold_line,
+        hold_line,
         st.tuples(TEXT, TEXT, TEXT),
         lambda event_id, program, queue: ("hold", {"event_id": event_id, "program": program, "queue": queue}),
     )],
     keys("event_id", "reason", "what"): [(
-        _expire_event_line,
+        expire_event_line,
         st.tuples(TEXT, TEXT),
         lambda event_id, reason: ("expire", {"what": "event", "event_id": event_id, "reason": reason}),
     )],
-    keys("root", "what"): [(_expire_root_line, st.tuples(TEXT), lambda root: ("expire", {"what": "root", "root": root}))],
+    keys("root", "what"): [(expire_root_line, st.tuples(TEXT), lambda root: ("expire", {"what": "root", "root": root}))],
     keys("event_id", "outcome", "root"): [
         (
-            _handoff_line,
+            handoff_line,
             st.tuples(TEXT, MAYBE_TEXT, TEXT),
             lambda event_id, root, outcome: ("handoff", {"event_id": event_id, "root": root, "outcome": outcome}),
         ),
         (
-            _request_line,
+            request_line,
             st.tuples(TEXT, TEXT),
             lambda event_id, outcome: ("request", {"event_id": event_id, "root": None, "outcome": outcome}),
         ),
     ],
     keys("cache", "event_id", "outcome", "root"): [(
-        _cached_request_line,
+        cached_request_line,
         st.tuples(TEXT, TEXT, TEXT),
         lambda event_id, root, cache: (
             "request", {"event_id": event_id, "root": root, "outcome": "attributed", "cache": cache}
         ),
     )],
     keys("cache", "event_id", "evicted", "outcome", "root"): [(
-        _missed_request_line,
+        missed_request_line,
         st.tuples(TEXT, TEXT, INT),
         lambda event_id, root, evicted: (
             "request",
@@ -557,7 +558,7 @@ for extra, strategy in [
     (("detail",), decisions(NO_PATH_KEY, DETAIL)),
     (("detail", "path_key"), decisions(PATH_KEYS, DETAIL)),  # no engine path writes both yet
 ]:
-    SHAPES[DECISION | set(extra)] = [(_decision_line, strategy, lambda decision: ("decision", decision.to_dict()))]
+    SHAPES[DECISION | set(extra)] = [(decision_line, strategy, lambda decision: ("decision", decision.to_dict()))]
 
 
 @pytest.mark.parametrize("keys", sorted(SHAPES, key=sorted), ids=lambda k: ",".join(sorted(k)))
@@ -574,16 +575,15 @@ def test_template_lines_equal_json_dumps(keys, data):
 
 def test_templates_serve_every_record_but_prompts(tmp_path, monkeypatch):
     """Every record but a prompt is written by its own line function: only
-    the header and the prompts go through `_dump_line`."""
+    the header and the prompts go through `dump_line`."""
     fallback = []
 
     def counting_dump_line(obj):
         fallback.append(obj)
-        return _dump_line(obj)
+        return dump_line(obj)
 
     scn = generate_workload(WorkloadParams(n_inputs=2000))
-    monkeypatch.setattr(engine, "_dump_line", counting_dump_line)
-    monkeypatch.setattr(scenario, "_dump_line", counting_dump_line)
+    monkeypatch.setattr(trace, "dump_line", counting_dump_line)
     path = tmp_path / "w.trace"
     run_with_trace(scn, path)
     header, *records = fallback

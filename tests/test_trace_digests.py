@@ -132,14 +132,14 @@ def test_trace_digest_is_pinned(name, tmp_path):
 @pytest.mark.parametrize("name", ["task_a", "task_b", "task_c", "contention"])
 def test_oracle_log_from_a_trace_file_matches_the_in_memory_records(name, tmp_path):
     make, mode = SCENARIOS[name]
-    records = []
-    run_scenario(make(), mode=mode, trace=lambda line: records.append(json.loads(line)))
+    lines = []
+    run_scenario(make(), mode=mode, trace=lines.append)
     path = tmp_path / f"{name}.trace"
     run_with_trace(make(), path, mode=mode)
     with open(path) as fh:
         read_trace_header(fh)
-        from_file = log_from_trace(json.loads(line) for line in fh)
-    assert from_file == log_from_trace(records)
+        from_file = log_from_trace(fh)
+    assert from_file == log_from_trace(lines)
     assert any(e[0] == "handoff" for e in from_file)
 
 
