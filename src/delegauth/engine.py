@@ -33,10 +33,10 @@ expired there, never queued. Only a ticket the gates block, or one that
 finds its program busy or other tickets queued, joins a queue.
 
 Every fresh input roots a graph and queues the root's expiry for the
-instant after its window closes, where the root seals and writes its
-`expire` line. The expiry does more only for a root that leaves something
-to do (`_fire_root_expiry`); most roots, one member and no events, leave
-nothing.
+instant after its window closes, where the root seals. The expiry does more
+only for a root that leaves something to do (`_fire_root_expiry`); most
+roots, one member and no events, leave nothing, and write no line: a seal
+shows in the trace only through what it causes.
 
 Requests are attributed through graph membership only, mirroring what an
 OS-level reference monitor can actually observe.
@@ -93,8 +93,6 @@ from .model import (
 from .scheduler import (
     DELIVERED,
     EXPIRED as T_EXPIRED,
-    HIGH,
-    LOW,
     QUEUED,
     REJECTED,
     DelayStats,
@@ -105,8 +103,8 @@ from .scheduler import (
     Ticket,
 )
 from .trace import (
-    admit_line, cached_request_line, complete_line, decision_line, deliver_line, expire_event_line, expire_root_line,
-    handoff_line, hold_line, missed_request_line, prompt_line, request_line,
+    admit_line, complete_line, decision_line, deliver_line, expire_line, handoff_line, hold_line, missed_request_line,
+    prompt_line,
 )
 
 
@@ -344,7 +342,7 @@ class Engine:
             derived = derived_root is not None
             self.stats.record_request(derived)
             if self._trace is not None:
-                self._emit(admit_line, ev, HIGH, derived, phase)
+                self._emit(admit_line, ev, derived, phase)
             self._mediate_request(ev, phase)
             return None
 
@@ -367,7 +365,7 @@ class Engine:
         )
         self.stats.record_submit(kind, derived)
         if self._trace is not None:
-            self._emit(admit_line, ev, HIGH if derived else LOW, derived, phase)
+            self._emit(admit_line, ev, derived, phase)
 
         if not self._holds:
             self._deliver(ticket)
@@ -400,7 +398,7 @@ class Engine:
             ticket.status = REJECTED
             self.backpressure_rejections += 1
             if self._trace is not None:
-                self._emit(expire_event_line, ev.event_id, "backpressure")
+                self._emit(expire_line, ev.event_id, "backpressure")
             raise
         self._waiting.add(state.program_id)
         if derived and root_id is not None:
@@ -500,7 +498,7 @@ class Engine:
         ticket.status = T_EXPIRED
         self.stats.record_expiry(ticket.event.kind, ticket.derived)
         if self._trace is not None:
-            self._emit(expire_event_line, ticket.event.event_id, reason)
+            self._emit(expire_line, ticket.event.event_id, reason)
 
     # -- delivery ------------------------------------------------------------------------
 
@@ -612,18 +610,16 @@ class Engine:
     def _fire_root_expiry(self, root: tuple[str, str]) -> None:
         """Seal a root the instant after its window closes, and settle what it leaves.
 
-        Every root seals and writes its `expire` line. Each further step runs
-        only when there is something for it: a root with requests on new paths
-        keeps its snapshot and prompts; its held tickets expire; the handler
-        runs it keeps busy are cut off; and the waiting programs are
-        dispatched.
+        Every root seals, with no line of its own. Each further step runs only
+        when there is something for it, and writes the lines that show the
+        seal: a root with requests on new paths keeps its snapshot and prompts;
+        its held tickets expire; the handler runs it keeps busy are cut off;
+        and the waiting programs are dispatched.
         """
         root_id, phase = root  # the root, and the phase of the input that rooted it
         pending = self._pending.pop(root_id, None)
         # only a root that will prompt needs its snapshot: it goes into the cache
         self.store.expire_graph(root_id, self.now, snapshot=pending is not None)
-        if self._trace is not None:
-            self._emit(expire_root_line, root_id)
         if pending is not None:
             self._flush_root(root_id, phase, pending)
         tickets = self._root_tickets.pop(root_id, None)
@@ -661,29 +657,20 @@ class Engine:
         try:
             root_id = self.store.record_request(r)
         except NoAttributableInput as exc:
-            reason = EXPIRED if exc.expired else NO_ATTRIBUTION
-            if self._trace is not None:
-                self._emit(request_line, r.event_id, reason)
-            self._decide(DENIED, reason, r, phase)
+            self._decide(DENIED, EXPIRED if exc.expired else NO_ATTRIBUTION, r, phase)
             return
         except AmbiguousAttribution:
             self.ambiguous_requests += 1
-            if self._trace is not None:
-                self._emit(request_line, r.event_id, "ambiguous")
             self._decide(DENIED, NO_ATTRIBUTION, r, phase, detail="ambiguous")
             return
         key = self.store.compute_path(r)
         key = self._keys.setdefault(key, key)  # so decisions on one path share one key
         cached = self.cache.lookup(key)
         if cached == "allow":
-            if self._trace is not None:
-                self._emit(cached_request_line, r.event_id, root_id, "hit")
-            self._decide(ALLOWED, CACHED, r, phase, key)
+            self._decide(ALLOWED, CACHED, r, phase, root_id, key)
             return
         if cached == "deny" and self.config.cache_denials:
-            if self._trace is not None:
-                self._emit(cached_request_line, r.event_id, root_id, "deny")
-            self._decide(DENIED, POLICY, r, phase, key)
+            self._decide(DENIED, POLICY, r, phase, root_id, key)
             return
         evicted = self.cache.invalidate_conflicting(key)
         if self._trace is not None:
@@ -729,14 +716,14 @@ class Engine:
             elif self.config.cache_denials:
                 self.cache.store_deny(key)
             for r in requests:
-                self._decide(outcome, PROMPTED, r, phase, key)
+                self._decide(outcome, PROMPTED, r, phase, root_id, key)
 
     def _decide(
-        self, outcome: str, reason: str, r: OperationRequest, phase: str, path_key: PathKey | None = None,
-        detail: str = "",
+        self, outcome: str, reason: str, r: OperationRequest, phase: str, root: str | None = None,
+        path_key: PathKey | None = None, detail: str = "",
     ) -> None:
-        """Record the decision on request `r`."""
+        """Record the decision on request `r`, attributed to `root`, or to none."""
         decision = Decision(outcome, reason, r.event_id, r.program_id, r.op, r.sensor, r.t, phase, path_key, detail)
         self.decisions.append(decision)
         if self._trace is not None:
-            self._emit(decision_line, decision)
+            self._emit(decision_line, decision, root)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .auth import AuthorizationCache, Decision, InteractivePrompt, ScriptedPolicy
 from .engine import Engine, Mode
-from .errors import ParseError, TraceDivergence
+from .errors import InvariantViolation, ParseError, TraceDivergence
 from .scenario import MODE_SPELLINGS, Scenario, loads_scenario, read_trace_header, timeline_specs
 from .trace import TraceCheck, TraceWriter, trace_header
 
@@ -171,14 +171,21 @@ def compare_modes(scn: Scenario, window_ms: int | None = None) -> dict:
 def run_with_trace(
     scn: Scenario,
     trace_path: str | Path,
-    mode: str | None = None,
+    mode: Mode | str | None = None,
     policy_rules: list[str] | None = None,
     window_ms: int | None = None,
 ) -> tuple[RunReport, TraceWriter]:
     """Run with a trace file at `trace_path`.
 
-    The file is closed, and so complete, also when the run raises.
+    The header names a `Mode` member by its spelling, and a spelling as
+    given. `Mode.PASS_THROUGH` has none, so no replay could re-run it: it
+    raises InvariantViolation before the file is created. The file is closed,
+    and so complete, also when the run raises.
     """
+    if isinstance(mode, Mode):
+        if mode.value not in MODE_SPELLINGS:
+            raise InvariantViolation(f"mode {mode.value!r} has no spelling in a trace header")
+        mode = mode.value
     with open(trace_path, "w") as fh:
         writer = TraceWriter(fh, trace_header(scn, mode, policy_rules, window_ms, None))
         report, _engine = run_scenario(

@@ -19,7 +19,7 @@ from .errors import TraceDivergence, TraceTruncated
 from .model import HandoffEvent, InputEvent, MediatedEvent
 
 TRACE_FORMAT = "delegauth-trace"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 # One encoder for every JSON line, a scenario's too: `json.dumps` builds a new
 # JSONEncoder per call. `check_circular` only changes how a cycle fails, and
@@ -33,13 +33,15 @@ dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circul
 # `trace` callable. Each writes the text `dump_line` gives the record's dict:
 # keys in sorted order, no spaces, strings through the escaper the C encoder
 # uses with `ensure_ascii`, ints as `int.__repr__` writes them, and `null`
-# for a `root`, `provenance` or `action` that is None. A decision's `t` is the
-# time of its request, not the clock: a prompted decision is written when its
-# root expires.
+# for a `root`, `provenance` or `action` that is None. Each fact is written
+# once: a root's expiry has no line of its own, and shows only through what it
+# causes; a request decided at admission has only its `decision` line, which
+# names the request's root. A decision's `t` is the time of its request, not
+# the clock: a prompted decision is written when its root expires.
 _s = json.encoder.encode_basestring_ascii
 
 
-def admit_line(seq: int, t: int, ev: MediatedEvent, priority: str, derived: bool, phase: str) -> str:
+def admit_line(seq: int, t: int, ev: MediatedEvent, derived: bool, phase: str) -> str:
     cls = type(ev)
     if cls is InputEvent:
         event = f'{{"id":{_s(ev.event_id)},"program":{_s(ev.program_id)},"t":{ev.t},"widget":{_s(ev.widget_id)}}}'
@@ -52,7 +54,7 @@ def admit_line(seq: int, t: int, ev: MediatedEvent, priority: str, derived: bool
         event = (f'{{"id":{_s(ev.event_id)},"op":{_s(ev.op)},"program":{_s(ev.program_id)},'
                  f'"sensor":{_s(ev.sensor)},"t":{ev.t}}}')
     return (f'{{"derived":{"true" if derived else "false"},"event":{event},"kind":"admit",'
-            f'"phase":{_s(phase)},"priority":{_s(priority)},"seq":{seq},"t":{t}}}')
+            f'"phase":{_s(phase)},"seq":{seq},"t":{t}}}')
 
 
 def deliver_line(seq: int, t: int, event_id: str, program: str, delay: int, event_kind: str) -> str:
@@ -70,12 +72,8 @@ def hold_line(seq: int, t: int, event_id: str, program: str, queue: str) -> str:
             f'"queue":{_s(queue)},"seq":{seq},"t":{t}}}')
 
 
-def expire_event_line(seq: int, t: int, event_id: str, reason: str) -> str:
-    return f'{{"event_id":{_s(event_id)},"kind":"expire","reason":{_s(reason)},"seq":{seq},"t":{t},"what":"event"}}'
-
-
-def expire_root_line(seq: int, t: int, root: str) -> str:
-    return f'{{"kind":"expire","root":{_s(root)},"seq":{seq},"t":{t},"what":"root"}}'
+def expire_line(seq: int, t: int, event_id: str, reason: str) -> str:
+    return f'{{"event_id":{_s(event_id)},"kind":"expire","reason":{_s(reason)},"seq":{seq},"t":{t}}}'
 
 
 def handoff_line(seq: int, t: int, event_id: str, root: str | None, outcome: str) -> str:
@@ -83,24 +81,13 @@ def handoff_line(seq: int, t: int, event_id: str, root: str | None, outcome: str
     return f'{{"event_id":{_s(event_id)},"kind":"handoff","outcome":{_s(outcome)},"root":{root},"seq":{seq},"t":{t}}}'
 
 
-def request_line(seq: int, t: int, event_id: str, outcome: str) -> str:
-    """A request that reaches no root, so no cache."""
-    return f'{{"event_id":{_s(event_id)},"kind":"request","outcome":{_s(outcome)},"root":null,"seq":{seq},"t":{t}}}'
-
-
-def cached_request_line(seq: int, t: int, event_id: str, root: str, cache: str) -> str:
-    """An attributed request answered by the cache: a hit, or a cached denial."""
-    return (f'{{"cache":{_s(cache)},"event_id":{_s(event_id)},"kind":"request","outcome":"attributed",'
-            f'"root":{_s(root)},"seq":{seq},"t":{t}}}')
-
-
 def missed_request_line(seq: int, t: int, event_id: str, root: str, evicted: int) -> str:
-    return (f'{{"cache":"miss","event_id":{_s(event_id)},"evicted":{evicted},"kind":"request",'
-            f'"outcome":"attributed","root":{_s(root)},"seq":{seq},"t":{t}}}')
+    """An attributed request the cache does not answer: its decision waits for its root's prompt."""
+    return f'{{"event_id":{_s(event_id)},"evicted":{evicted},"kind":"request","root":{_s(root)},"seq":{seq},"t":{t}}}'
 
 
-def decision_line(seq: int, t: int, d) -> str:
-    """The line of `auth.Decision` `d`."""
+def decision_line(seq: int, t: int, d, root: str | None) -> str:
+    """The line of `auth.Decision` `d` on a request attributed to `root`, or to none."""
     head = f'{{"detail":{_s(d.detail)},' if d.detail else "{"
     key = d.path_key
     path_key = "" if key is None else (
@@ -109,7 +96,8 @@ def decision_line(seq: int, t: int, d) -> str:
     )
     return (f'{head}"kind":"decision","op":{_s(d.op)},"outcome":{_s(d.outcome)},{path_key}'
             f'"phase":{_s(d.phase)},"program":{_s(d.program_id)},"reason":{_s(d.reason)},'
-            f'"request_id":{_s(d.request_id)},"sensor":{_s(d.sensor)},"seq":{seq},"t":{d.t}}}')
+            f'"request_id":{_s(d.request_id)},"root":{"null" if root is None else _s(root)},'
+            f'"sensor":{_s(d.sensor)},"seq":{seq},"t":{d.t}}}')
 
 
 def prompt_line(seq: int, t: int, prompt: dict) -> str:

@@ -115,7 +115,7 @@ MUTANTS = {
     "hold_names_priority": (
         "engine.py",
         "self._emit(hold_line, ev.event_id, state.program_id, queue)",
-        "self._emit(hold_line, ev.event_id, state.program_id, HIGH if derived else LOW)",
+        'self._emit(hold_line, ev.event_id, state.program_id, "high" if derived else "low")',
         "tests/test_engine.py::test_hold_line_names_the_queue_the_ticket_joined[False]",
     ),
     # a config with `"scheduler": false` keeps the delivery gates
@@ -269,6 +269,23 @@ MUTANTS = {
     "decision_keys_not_interned": (
         "engine.py", "key = self._keys.setdefault(key, key)  # so decisions on one path share one key", "pass",
         "tests/test_engine.py::test_decisions_on_one_path_share_one_key",
+    ),
+    # a cache hit's decision line names no root, so the trace no longer ties it to its input
+    "cache_hit_decision_no_root": (
+        "engine.py", "self._decide(ALLOWED, CACHED, r, phase, root_id, key)",
+        "self._decide(ALLOWED, CACHED, r, phase, None, key)",
+        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[contention]",
+    ),
+    # a prompted decision's line names no root, so the trace no longer ties it to its prompt
+    "prompted_decision_no_root": (
+        "engine.py", "self._decide(outcome, PROMPTED, r, phase, root_id, key)",
+        "self._decide(outcome, PROMPTED, r, phase, None, key)",
+        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[task_a]",
+    ),
+    # a request the cache misses writes no line, so its root and evictions are not in the trace
+    "miss_writes_no_request": (
+        "engine.py", "self._emit(missed_request_line, r.event_id, root_id, evicted)", "pass",
+        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[task_a]",
     ),
     # a recorded trace whose last line lacks its newline diverges there
     "replay_needs_last_newline": (

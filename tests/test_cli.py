@@ -356,7 +356,7 @@ def test_unknown_mode_in_trace_header_is_validation_error(tmp_path, capsys):
         ("seed", 2.5),
         pytest.param("policy_override", [5], id="policy_override-[5]"),
         ("format", "delegauth-scenario"),
-        ("version", 2),
+        ("version", 1),  # a v1 trace
     ],
 )
 def test_malformed_trace_header_is_validation_error(tmp_path, capsys, key, value):

@@ -787,10 +787,10 @@ def test_held_tickets_deadline_keeps_the_sequence_of_its_admission():
     engine.run_to_quiescence()
     by_t = {}
     for r in records(lines):
-        by_t.setdefault(r["t"], []).append((r["kind"], r.get("event_id") or r.get("root") or r["event"]["id"]))
+        by_t.setdefault(r["t"], []).append((r["kind"], r.get("event_id") or r["event"]["id"]))
     # e1 is Alpha's handoff from x0 to Gamma, held behind x1's root; e2 is the timeline's n2
     assert by_t[WINDOW + 1] == [
-        ("admit", "e2"), ("expire", "e1"), ("deliver", "n1"), ("handoff", "n1"), ("hold", "e2"), ("expire", "x0"),
+        ("admit", "e2"), ("expire", "e1"), ("deliver", "n1"), ("handoff", "n1"), ("hold", "e2"),
     ]
     assert by_t[2 * WINDOW + 2] == [("expire", "e2"), ("complete", "n1")]
 

@@ -18,7 +18,8 @@ from delegauth import (
     run_with_trace,
 )
 from delegauth.engine import Engine, Mode
-from delegauth.errors import TraceDivergence
+from delegauth.errors import InvariantViolation, TraceDivergence
+from delegauth.graph import GraphStore
 from delegauth.runner import replay, trace_header
 from delegauth.scenario import TraceWriter, loads_scenario
 from delegauth.scheduler import HandlerTable
@@ -130,6 +131,18 @@ def test_trace_replay_round_trip(task_b, tmp_path):
     assert replayed.main_prompts == report.main_prompts
 
 
+def test_a_trace_run_in_a_mode_member_writes_its_spelling_and_replays(task_a, tmp_path):
+    trace_path = tmp_path / "first_use.trace"
+    report, _writer = run_with_trace(task_a, trace_path, mode=Mode.FIRST_USE)
+    assert json.loads(trace_path.read_text().splitlines()[0])["mode"] == "first_use"
+    assert report.decisions == run_scenario(task_a, mode=Mode.FIRST_USE)[0].decisions
+    assert replay(trace_path).decisions == report.decisions
+    # no spelling re-runs the unmediated baseline, so no trace of it is begun
+    with pytest.raises(InvariantViolation):
+        run_with_trace(task_a, tmp_path / "pass_through.trace", mode=Mode.PASS_THROUGH)
+    assert not (tmp_path / "pass_through.trace").exists()
+
+
 def test_a_trace_whose_header_records_a_seed_replays(task_b, tmp_path):
     # older traces recorded a seed, which a run never read; replay still takes them
     trace_path = tmp_path / "seeded.trace"
@@ -231,9 +244,9 @@ def test_run_that_raises_leaves_every_emitted_record_on_disk(task_a, tmp_path, m
 
 
 def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
-    # timeline submissions wait beside the heap, and a deadline is pushed
-    # only for a ticket that is held; every heap entry passes through
-    # `heapq.heappush`, which the engine looks up when it pushes
+    # timeline submissions wait beside the heap, a deadline is pushed only
+    # for a ticket that is held, and an expiry once per root; every heap entry
+    # passes through `heapq.heappush`, which the engine looks up when it pushes
     pushes = Counter()
     real_push = heapq.heappush
 
@@ -242,7 +255,14 @@ def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
         pushes[fire.__name__] += 1
         real_push(heap, entry)
 
+    real_record_input = GraphStore.record_input
+
+    def counting_record_input(store, *args, **kwargs):
+        pushes["record_input"] += 1
+        return real_record_input(store, *args, **kwargs)
+
     monkeypatch.setattr(heapq, "heappush", counting_push)
+    monkeypatch.setattr(GraphStore, "record_input", counting_record_input)
     contention = loads_scenario((DATA / "contention.scn").read_text())
     for scn in (contention, generate_workload(WorkloadParams(n_inputs=600))):
         pushes.clear()
@@ -251,7 +271,7 @@ def test_heap_holds_one_entry_per_real_occurrence(monkeypatch):
         recs = list(records(lines))
         kinds = Counter(r["kind"] for r in recs)
         assert pushes["_fire_deadline"] == kinds["hold"] > 0
-        assert pushes["_fire_root_expiry"] == sum(r["kind"] == "expire" and "root" in r for r in recs) > 0
+        assert pushes["_fire_root_expiry"] == pushes["record_input"] > 0
         assert "_admit_spec" not in pushes
         if scn is contention:
             assert any(r["kind"] == "expire" and r.get("reason") == "hold_deadline" for r in recs)

@@ -20,17 +20,14 @@ from delegauth.model import HandoffEvent, InputEvent, OperationRequest
 from delegauth.scenario import load_scenario, loads_scenario
 from delegauth.trace import (
     admit_line,
-    cached_request_line,
     complete_line,
     decision_line,
     deliver_line,
     dump_line,
-    expire_event_line,
-    expire_root_line,
+    expire_line,
     handoff_line,
     hold_line,
     missed_request_line,
-    request_line,
 )
 from conftest import DATA, scenario_path
 
@@ -475,9 +472,10 @@ def event_payload(ev) -> dict:
 
 
 def decisions(path_key, detail):
+    """A decision and the root its line names."""
     return st.tuples(st.builds(
         Decision, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, INT, phase=TEXT, path_key=path_key, detail=detail,
-    ))
+    ), MAYBE_TEXT)
 
 
 NO_PATH_KEY, NO_DETAIL, DETAIL = st.none(), st.just(""), st.text(min_size=1)
@@ -491,12 +489,10 @@ def keys(*names) -> frozenset:
 # for its fields and the record's kind and payload from those fields, as
 # `_emit` built them before the engine wrote lines itself
 SHAPES = {
-    keys("derived", "event", "phase", "priority"): [(
+    keys("derived", "event", "phase"): [(
         admit_line,
-        st.tuples(EVENTS, TEXT, st.booleans(), TEXT),
-        lambda ev, priority, derived, phase: (
-            "admit", {"event": event_payload(ev), "priority": priority, "derived": derived, "phase": phase}
-        ),
+        st.tuples(EVENTS, st.booleans(), TEXT),
+        lambda ev, derived, phase: ("admit", {"event": event_payload(ev), "derived": derived, "phase": phase}),
     )],
     keys("delay", "event_id", "event_kind", "program"): [(
         deliver_line,
@@ -515,54 +511,38 @@ SHAPES = {
         st.tuples(TEXT, TEXT, TEXT),
         lambda event_id, program, queue: ("hold", {"event_id": event_id, "program": program, "queue": queue}),
     )],
-    keys("event_id", "reason", "what"): [(
-        expire_event_line,
+    keys("event_id", "reason"): [(
+        expire_line,
         st.tuples(TEXT, TEXT),
-        lambda event_id, reason: ("expire", {"what": "event", "event_id": event_id, "reason": reason}),
+        lambda event_id, reason: ("expire", {"event_id": event_id, "reason": reason}),
     )],
-    keys("root", "what"): [(expire_root_line, st.tuples(TEXT), lambda root: ("expire", {"what": "root", "root": root}))],
-    keys("event_id", "outcome", "root"): [
-        (
-            handoff_line,
-            st.tuples(TEXT, MAYBE_TEXT, TEXT),
-            lambda event_id, root, outcome: ("handoff", {"event_id": event_id, "root": root, "outcome": outcome}),
-        ),
-        (
-            request_line,
-            st.tuples(TEXT, TEXT),
-            lambda event_id, outcome: ("request", {"event_id": event_id, "root": None, "outcome": outcome}),
-        ),
-    ],
-    keys("cache", "event_id", "outcome", "root"): [(
-        cached_request_line,
-        st.tuples(TEXT, TEXT, TEXT),
-        lambda event_id, root, cache: (
-            "request", {"event_id": event_id, "root": root, "outcome": "attributed", "cache": cache}
-        ),
+    keys("event_id", "outcome", "root"): [(
+        handoff_line,
+        st.tuples(TEXT, MAYBE_TEXT, TEXT),
+        lambda event_id, root, outcome: ("handoff", {"event_id": event_id, "root": root, "outcome": outcome}),
     )],
-    keys("cache", "event_id", "evicted", "outcome", "root"): [(
+    keys("event_id", "evicted", "root"): [(
         missed_request_line,
         st.tuples(TEXT, TEXT, INT),
-        lambda event_id, root, evicted: (
-            "request",
-            {"event_id": event_id, "root": root, "outcome": "attributed", "cache": "miss", "evicted": evicted},
-        ),
+        lambda event_id, root, evicted: ("request", {"event_id": event_id, "root": root, "evicted": evicted}),
     )],
 }
 # `to_dict` brings the decision's own `t`, which replaces the clock's: the
 # line carries the request's time
-DECISION = keys("op", "outcome", "phase", "program", "reason", "request_id", "sensor")
+DECISION = keys("op", "outcome", "phase", "program", "reason", "request_id", "root", "sensor")
 for extra, strategy in [
     ((), decisions(NO_PATH_KEY, NO_DETAIL)),
     (("path_key",), decisions(PATH_KEYS, NO_DETAIL)),
     (("detail",), decisions(NO_PATH_KEY, DETAIL)),
     (("detail", "path_key"), decisions(PATH_KEYS, DETAIL)),  # no engine path writes both yet
 ]:
-    SHAPES[DECISION | set(extra)] = [(decision_line, strategy, lambda decision: ("decision", decision.to_dict()))]
+    SHAPES[DECISION | set(extra)] = [
+        (decision_line, strategy, lambda decision, root: ("decision", {**decision.to_dict(), "root": root}))
+    ]
 
 
 @pytest.mark.parametrize("keys", sorted(SHAPES, key=sorted), ids=lambda k: ",".join(sorted(k)))
-@settings(max_examples=50)  # 650 lines over the 13 key sets
+@settings(max_examples=50)  # 550 lines over the 11 key sets
 @given(data=st.data())
 def test_template_lines_equal_json_dumps(keys, data):
     line, fields, record = data.draw(st.sampled_from(SHAPES[keys]))
