@@ -48,7 +48,9 @@ since every event a handler emits is built from one of its actions.
 
 A traced run hands each record to its `trace` callable as one line, numbered
 by `_emit` and written by the record's encoder in `trace`, the module that
-holds the whole trace format; an untraced run builds no line.
+holds the whole trace format; an untraced run builds no line. An event
+settled as it is admitted gets one `admit` record, written once `_admit`
+knows how it was settled; a handler run that ends on its own writes no line.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ from .scheduler import (
     Ticket,
 )
 from .trace import (
-    admit_line, complete_line, decision_line, deliver_line, expire_line, handoff_line, hold_line, missed_request_line,
-    prompt_line,
+    admit_line, complete_line, decided_admit_line, decision_line, deliver_line, expire_line, handoff_line, hold_line,
+    missed_request_line, prompt_line,
 )
 
 
@@ -329,21 +331,20 @@ class Engine:
 
         A request is mediated at once. Without holds, an input or handoff is
         delivered at once; with them, a repeat input is too. Any other ticket
-        whose program is idle with empty queues is gated here and settled by
-        `_settle`, unless the gate blocks it: an input on the one scan of
-        `_input_gate` that found it no repeat, a handoff by `_gate`. A blocked
-        ticket, or one that finds its program busy or tickets queued, joins a
-        queue: it is held until `_try_dispatch` settles it or its deadline
-        expires it.
+        whose program is idle with empty queues is gated here and settled,
+        unless the gate blocks it: an input on the one scan of `_input_gate`
+        that found it no repeat, a handoff by `_gate`. A blocked ticket, or one
+        that finds its program busy or tickets queued, joins a queue: it is
+        held until `_try_dispatch` settles it or its deadline expires it.
+        The admit record is written once the ticket is delivered or found
+        not to be, so a delivery at admission is part of it.
         """
         kind = ev.kind
 
         if kind == "request":
             derived = derived_root is not None
             self.stats.record_request(derived)
-            if self._trace is not None:
-                self._emit(admit_line, ev, derived, phase)
-            self._mediate_request(ev, phase)
+            self._mediate_request(ev, phase, derived)
             return None
 
         if kind == "input":
@@ -364,32 +365,37 @@ class Engine:
             deadline=ev.t + self.config.window_ms, phase=phase,
         )
         self.stats.record_submit(kind, derived)
-        if self._trace is not None:
-            self._emit(admit_line, ev, derived, phase)
 
-        if not self._holds:
-            self._deliver(ticket)
+        # without holds, and for an immediate repeat, which bypasses queues and
+        # busy exclusivity, a ticket is delivered as it is admitted
+        verdict = "deliver"
+        if self._holds:
+            if kind == "input":
+                ticket.root_id, blocked = self._input_gate(ev)
+            if kind != "input" or ticket.root_id is None:  # no repeat
+                state = self._programs.get(program_id)
+                idle = program_id not in self._busy_exec and (state is None or not (state.high or state.low))
+                if not idle:
+                    verdict = "blocked"
+                elif kind == "input":
+                    # no deadline has passed at admission, so an input's verdict is its scan's
+                    verdict = "blocked" if blocked else "deliver"
+                else:
+                    verdict = self._gate(ticket)
+                if verdict != "blocked":
+                    # the deadline takes its sequence number now, before delivery or
+                    # dispatch pushes anything, but enters the heap only if the ticket
+                    # is held; so the numbers of later entries do not depend on
+                    # whether a ticket was held
+                    self._occ_seq += 1  # the number of a deadline never pushed
+        outcome = self._deliver(ticket) if verdict == "deliver" else None
+        if self._trace is not None:
+            self._emit(admit_line, ev, derived, phase, verdict == "deliver", outcome)
+        if verdict != "blocked":
+            if verdict != "deliver":
+                self._settle(ticket, verdict)
             return ticket
 
-        # immediate repeats bypass queues and busy exclusivity
-        if kind == "input":
-            ticket.root_id, blocked = self._input_gate(ev)
-            if ticket.root_id is not None:
-                self._deliver(ticket)
-                return ticket
-
-        # the deadline takes its sequence number now, before delivery or dispatch
-        # pushes anything, but enters the heap only if the ticket is held; so the
-        # numbers of later entries do not depend on whether a ticket was held
-        state = self._programs.get(program_id)
-        idle = program_id not in self._busy_exec and (state is None or not (state.high or state.low))
-        if idle:
-            # no deadline has passed at admission, so an input's verdict is its scan's
-            verdict = ("blocked" if blocked else "deliver") if kind == "input" else self._gate(ticket)
-            if verdict != "blocked":
-                self._occ_seq += 1  # the number of a deadline never pushed
-                self._settle(ticket, verdict)
-                return ticket
         if state is None:
             state = self._programs[program_id] = ProgramState(program_id=program_id)
         try:
@@ -483,10 +489,16 @@ class Engine:
             self._waiting.discard(state.program_id)
 
     def _settle(self, ticket: Ticket, verdict: str) -> None:
-        """Act on a verdict of `_gate` other than `blocked`: deliver the ticket,
-        reject it as `merge_rejected`, or expire it for the reason given."""
+        """Act on a verdict of `_gate` other than `blocked`: deliver the ticket
+        from its queue, reject it as `merge_rejected`, or expire it for the
+        reason given. `_admit` delivers a ticket settled at admission itself."""
         if verdict == "deliver":
-            self._deliver(ticket)
+            outcome = self._deliver(ticket)
+            if self._trace is not None:
+                ev = ticket.event
+                self._emit(deliver_line, ev.event_id, ticket.program_id, ticket.delay, ev.kind)
+                if outcome is not None:
+                    self._emit(handoff_line, ev.event_id, ticket.root_id, outcome)
         elif verdict == "merge_rejected":
             ticket.status = REJECTED
             if self._trace is not None:
@@ -502,16 +514,19 @@ class Engine:
 
     # -- delivery ------------------------------------------------------------------------
 
-    def _deliver(self, ticket: Ticket) -> None:
+    def _deliver(self, ticket: Ticket) -> str | None:
         """Deliver a ticket's event: record the delivery, attach the event to its
-        root or root a graph, then start the handler of the program it reaches."""
+        root or root a graph, then start the handler of the program it reaches.
+
+        Returns a handoff's outcome in DELEGATION, and None otherwise. It
+        writes no line: its caller knows whether the delivery is part of the
+        ticket's admit record."""
         ev = ticket.event
         program_id, root_id = ticket.program_id, ticket.root_id
         ticket.status = DELIVERED
         ticket.deliver_t = now = self.now
         self.stats.record_delivery(ev.kind, ticket.delay, ticket.derived)
-        if self._trace is not None:
-            self._emit(deliver_line, ev.event_id, program_id, ticket.delay, ev.kind)
+        outcome = None
 
         if ev.kind == "input":
             # a repeat (`_input_gate`, so only with holds) joins its root and keeps
@@ -540,10 +555,8 @@ class Engine:
                         outcome = "broken_chain"
                     except UnattributableHandoff:
                         pass
-                if self._trace is not None:
-                    self._emit(handoff_line, ev.event_id, root_id, outcome)
                 if ticket.derived and outcome != "attached":
-                    return  # attach refused: the message does not reach a handler
+                    return outcome  # attach refused: the message does not reach a handler
             spec = self.handlers.lookup(program_id, "handoff", "*" if ev.action is None else ev.action)
 
         if occupies_busy and self._holds:
@@ -559,6 +572,7 @@ class Engine:
             complete_t = now + spec.complete.after_ms
         self._occ_seq = seq = seq + 1
         push(heap, (complete_t, seq, self._fire_complete, ticket))
+        return outcome
 
     # -- handler execution ------------------------------------------------------------------
 
@@ -590,10 +604,10 @@ class Engine:
             self._admit(ev, phase=ticket.phase, derived_root=ticket.root_id)
 
     def _fire_complete(self, ticket: Ticket) -> None:
+        # a run that ends on its own writes no line: the trace gives its end
+        # time from its delivery and its handler, as `trace` says
         if ticket.cancelled:
             return
-        if self._trace is not None:
-            self._emit(complete_line, ticket.event.event_id, ticket.program_id, "handler")
         if self._busy_exec.get(ticket.program_id) is ticket:
             del self._busy_exec[ticket.program_id]
             if ticket.program_id in self._waiting:
@@ -649,33 +663,40 @@ class Engine:
 
     # -- authorization ------------------------------------------------------------------------
 
-    def _mediate_request(self, r: OperationRequest, phase: str) -> None:
-        if not self._graphs:
-            if self.config.mode is Mode.FIRST_USE:
-                self._first_use_decide(r, phase)
-            return
-        try:
-            root_id = self.store.record_request(r)
-        except NoAttributableInput as exc:
-            self._decide(DENIED, EXPIRED if exc.expired else NO_ATTRIBUTION, r, phase)
-            return
-        except AmbiguousAttribution:
-            self.ambiguous_requests += 1
-            self._decide(DENIED, NO_ATTRIBUTION, r, phase, detail="ambiguous")
-            return
-        key = self.store.compute_path(r)
-        key = self._keys.setdefault(key, key)  # so decisions on one path share one key
-        cached = self.cache.lookup(key)
-        if cached == "allow":
-            self._decide(ALLOWED, CACHED, r, phase, root_id, key)
-            return
-        if cached == "deny" and self.config.cache_denials:
-            self._decide(DENIED, POLICY, r, phase, root_id, key)
-            return
-        evicted = self.cache.invalidate_conflicting(key)
+    def _mediate_request(self, r: OperationRequest, phase: str, derived: bool) -> None:
+        """Decide request `r` at admission, or leave it to its root's prompt.
+
+        In DELEGATION a request decided here, `derived` or not, is written as
+        one record, by `_decide`. Any other request has its admit record
+        written here, and in DELEGATION the `request` record of its miss.
+        """
+        if self._graphs:
+            try:
+                root_id = self.store.record_request(r)
+            except NoAttributableInput as exc:
+                self._decide(DENIED, EXPIRED if exc.expired else NO_ATTRIBUTION, r, phase, derived=derived)
+                return
+            except AmbiguousAttribution:
+                self.ambiguous_requests += 1
+                self._decide(DENIED, NO_ATTRIBUTION, r, phase, detail="ambiguous", derived=derived)
+                return
+            key = self.store.compute_path(r)
+            key = self._keys.setdefault(key, key)  # so decisions on one path share one key
+            cached = self.cache.lookup(key)
+            if cached == "allow":
+                self._decide(ALLOWED, CACHED, r, phase, root_id, key, derived=derived)
+                return
+            if cached == "deny" and self.config.cache_denials:
+                self._decide(DENIED, POLICY, r, phase, root_id, key, derived=derived)
+                return
+            evicted = self.cache.invalidate_conflicting(key)
+            self._pending.setdefault(root_id, {}).setdefault(key, []).append(r)
         if self._trace is not None:
-            self._emit(missed_request_line, r.event_id, root_id, evicted)
-        self._pending.setdefault(root_id, {}).setdefault(key, []).append(r)
+            self._emit(admit_line, r, derived, phase)
+            if self._graphs:
+                self._emit(missed_request_line, r.event_id, root_id, evicted)
+        if self.config.mode is Mode.FIRST_USE:
+            self._first_use_decide(r, phase)
 
     def _first_use_decide(self, r: OperationRequest, phase: str) -> None:
         """Prompt about the program alone, under no widget, unless the cache holds a grant of that key;
@@ -720,10 +741,16 @@ class Engine:
 
     def _decide(
         self, outcome: str, reason: str, r: OperationRequest, phase: str, root: str | None = None,
-        path_key: PathKey | None = None, detail: str = "",
+        path_key: PathKey | None = None, detail: str = "", derived: bool | None = None,
     ) -> None:
-        """Record the decision on request `r`, attributed to `root`, or to none."""
+        """Record the decision on request `r`, attributed to `root`, or to none.
+
+        `derived` is given for a decision made in DELEGATION as `r` is
+        admitted: its record is then the request's admit record."""
         decision = Decision(outcome, reason, r.event_id, r.program_id, r.op, r.sensor, r.t, phase, path_key, detail)
         self.decisions.append(decision)
         if self._trace is not None:
-            self._emit(decision_line, decision, root)
+            if derived is None:
+                self._emit(decision_line, decision, root)
+            else:
+                self._emit(decided_admit_line, decision, root, derived)

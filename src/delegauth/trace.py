@@ -7,6 +7,21 @@ The format's version, `TRACE_VERSION`, is its own. The header's grammar is an
 entry of the scenario module's record table, the one grammar of every file
 the CLI reads (`scenario.read_trace_header`). This module imports the
 standard library, `errors` and `model` alone, since the engine imports it.
+
+Each fact is written once, and a record leaves out what the trace or its
+header already holds:
+  * an event settled as it is admitted has one `admit` record, which says how:
+    an input or handoff delivered then is `delivered`, with a handoff's
+    `outcome` in DELEGATION, and a request decided then (in DELEGATION)
+    carries its decision's outcome, reason, detail, path key and root. A
+    ticket delivered later, from a queue, has its own `deliver` record, and a
+    handoff's `handoff` record follows it; a request left to its root's
+    prompt has a `request` record and, once decided, a `decision` record;
+  * a root's expiry has no line: a seal shows only through what it causes;
+  * a handler run that ends on its own has no line: it ends at its delivery's
+    `t` plus its handler's `complete.after_ms`, or plus the config's
+    `default_lag_ms` when no handler answers, both in the scenario the header
+    embeds. A run cut off by its root's window has a `complete` record.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ from .errors import TraceDivergence, TraceTruncated
 from .model import HandoffEvent, InputEvent, MediatedEvent
 
 TRACE_FORMAT = "delegauth-trace"
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 # One encoder for every JSON line, a scenario's too: `json.dumps` builds a new
 # JSONEncoder per call. `check_circular` only changes how a cycle fails, and
@@ -33,15 +48,17 @@ dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circul
 # `trace` callable. Each writes the text `dump_line` gives the record's dict:
 # keys in sorted order, no spaces, strings through the escaper the C encoder
 # uses with `ensure_ascii`, ints as `int.__repr__` writes them, and `null`
-# for a `root`, `provenance` or `action` that is None. Each fact is written
-# once: a root's expiry has no line of its own, and shows only through what it
-# causes; a request decided at admission has only its `decision` line, which
-# names the request's root. A decision's `t` is the time of its request, not
-# the clock: a prompted decision is written when its root expires.
+# for a `root`, `provenance` or `action` that is None. A decision's `t` is the
+# time of its request, not the clock: a prompted decision is written when its
+# root expires.
 _s = json.encoder.encode_basestring_ascii
 
 
-def admit_line(seq: int, t: int, ev: MediatedEvent, derived: bool, phase: str) -> str:
+def admit_line(
+    seq: int, t: int, ev: MediatedEvent, derived: bool, phase: str, delivered: bool = False, outcome: str | None = None,
+) -> str:
+    """The admission of `ev`: `delivered` as it was admitted or not, and the
+    `outcome` of a handoff delivered then in DELEGATION (`handoff_line`'s)."""
     cls = type(ev)
     if cls is InputEvent:
         event = f'{{"id":{_s(ev.event_id)},"program":{_s(ev.program_id)},"t":{ev.t},"widget":{_s(ev.widget_id)}}}'
@@ -53,8 +70,21 @@ def admit_line(seq: int, t: int, ev: MediatedEvent, derived: bool, phase: str) -
     else:
         event = (f'{{"id":{_s(ev.event_id)},"op":{_s(ev.op)},"program":{_s(ev.program_id)},'
                  f'"sensor":{_s(ev.sensor)},"t":{ev.t}}}')
-    return (f'{{"derived":{"true" if derived else "false"},"event":{event},"kind":"admit",'
+    head = '{"delivered":true,' if delivered else "{"
+    tail = "" if outcome is None else f'"outcome":{_s(outcome)},'
+    return (f'{head}"derived":{"true" if derived else "false"},"event":{event},"kind":"admit",{tail}'
             f'"phase":{_s(phase)},"seq":{seq},"t":{t}}}')
+
+
+def decided_admit_line(seq: int, t: int, d, root: str | None, derived: bool) -> str:
+    """The admission of the request of `auth.Decision` `d`, decided as it was
+    admitted: `admit_line`'s record with `decision_line`'s outcome, reason,
+    detail, path key and root."""
+    detail = f'"detail":{_s(d.detail)},' if d.detail else ""
+    return (f'{{"derived":{"true" if derived else "false"},{detail}"event":{{"id":{_s(d.request_id)},'
+            f'"op":{_s(d.op)},"program":{_s(d.program_id)},"sensor":{_s(d.sensor)},"t":{d.t}}},"kind":"admit",'
+            f'"outcome":{_s(d.outcome)},{_path_key(d.path_key)}"phase":{_s(d.phase)},"reason":{_s(d.reason)},'
+            f'"root":{"null" if root is None else _s(root)},"seq":{seq},"t":{t}}}')
 
 
 def deliver_line(seq: int, t: int, event_id: str, program: str, delay: int, event_kind: str) -> str:
@@ -87,17 +117,20 @@ def missed_request_line(seq: int, t: int, event_id: str, root: str, evicted: int
 
 
 def decision_line(seq: int, t: int, d, root: str | None) -> str:
-    """The line of `auth.Decision` `d` on a request attributed to `root`, or to none."""
+    """The line of `auth.Decision` `d` on a request attributed to `root`, decided after its admission."""
     head = f'{{"detail":{_s(d.detail)},' if d.detail else "{"
-    key = d.path_key
-    path_key = "" if key is None else (
-        f'"path_key":{{"op":{_s(key.op)},"programs":[{",".join(map(_s, key.programs))}],'
-        f'"sensor":{_s(key.sensor)},"widget":{_s(key.widget_id)}}},'
-    )
-    return (f'{head}"kind":"decision","op":{_s(d.op)},"outcome":{_s(d.outcome)},{path_key}'
+    return (f'{head}"kind":"decision","op":{_s(d.op)},"outcome":{_s(d.outcome)},{_path_key(d.path_key)}'
             f'"phase":{_s(d.phase)},"program":{_s(d.program_id)},"reason":{_s(d.reason)},'
             f'"request_id":{_s(d.request_id)},"root":{"null" if root is None else _s(root)},'
             f'"sensor":{_s(d.sensor)},"seq":{seq},"t":{d.t}}}')
+
+
+def _path_key(key) -> str:
+    """The `path_key` entry of a decision's record, with its comma; none for no key."""
+    if key is None:
+        return ""
+    return (f'"path_key":{{"op":{_s(key.op)},"programs":[{",".join(map(_s, key.programs))}],'
+            f'"sensor":{_s(key.sensor)},"widget":{_s(key.widget_id)}}},')
 
 
 def prompt_line(seq: int, t: int, prompt: dict) -> str:

@@ -272,8 +272,8 @@ MUTANTS = {
     ),
     # a cache hit's decision line names no root, so the trace no longer ties it to its input
     "cache_hit_decision_no_root": (
-        "engine.py", "self._decide(ALLOWED, CACHED, r, phase, root_id, key)",
-        "self._decide(ALLOWED, CACHED, r, phase, None, key)",
+        "engine.py", "self._decide(ALLOWED, CACHED, r, phase, root_id, key, derived=derived)",
+        "self._decide(ALLOWED, CACHED, r, phase, None, key, derived=derived)",
         "tests/test_trace.py::test_a_trace_alone_explains_every_decision[contention]",
     ),
     # a prompted decision's line names no root, so the trace no longer ties it to its prompt
@@ -286,6 +286,41 @@ MUTANTS = {
     "miss_writes_no_request": (
         "engine.py", "self._emit(missed_request_line, r.event_id, root_id, evicted)", "pass",
         "tests/test_trace.py::test_a_trace_alone_explains_every_decision[task_a]",
+    ),
+    # a ticket delivered as it is admitted also writes the `deliver` and `handoff` lines of a queued one
+    "admission_delivery_writes_deliver": (
+        "engine.py",
+        'outcome = self._deliver(ticket) if verdict == "deliver" else None',
+        'outcome = self._settle(ticket, verdict) if verdict == "deliver" else None',
+        "tests/test_trace.py::test_a_trace_alone_gives_each_handler_runs_end[task_a]",
+    ),
+    # a handoff delivered as it is admitted loses its outcome, so the trace no longer says whether it attached
+    "admission_delivery_drops_outcome": (
+        "engine.py",
+        'self._emit(admit_line, ev, derived, phase, verdict == "deliver", outcome)',
+        'self._emit(admit_line, ev, derived, phase, verdict == "deliver", None)',
+        "tests/test_trace.py::test_a_trace_alone_gives_each_handler_runs_end[task_a]",
+    ),
+    # a handoff delivered from its queue writes no `handoff` line, so the trace no longer says whether it attached
+    "queued_delivery_drops_outcome": (
+        "engine.py", "if outcome is not None:", "if False:",
+        "tests/test_trace.py::test_a_trace_alone_gives_each_handler_runs_end[contention]",
+    ),
+    # a request decided at admission gets a `decision` record and no admit record
+    "admission_decision_not_merged": (
+        "engine.py", "if derived is None:", "if True:",
+        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[contention]",
+    ),
+    # the record of a request decided at admission names no root, so the trace no longer ties it to its input
+    "admission_decision_no_root": (
+        "engine.py", "self._emit(decided_admit_line, decision, root, derived)",
+        "self._emit(decided_admit_line, decision, None, derived)",
+        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[contention]",
+    ),
+    # a handler run cut off by its root's window writes no line, so the trace gives it the end of a whole run
+    "backstop_writes_no_line": (
+        "engine.py", 'self._emit(complete_line, busy.event.event_id, pid, "window_backstop")', "pass",
+        "tests/test_trace.py::test_a_trace_alone_gives_each_handler_runs_end[contention]",
     ),
     # a recorded trace whose last line lacks its newline diverges there
     "replay_needs_last_newline": (

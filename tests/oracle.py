@@ -9,9 +9,13 @@ callable or a trace file's after its header, into the oracle's log. It
 decodes them with `delegauth.trace.records`, the package's one trace reader,
 and reads three record kinds:
   * `admit` gives each event's fields, and a request entry for a request
-    (requests are mediated at admission);
-  * `deliver` gives an input entry for `event_kind == "input"`, and the
-    delivery time (the record's `t`) of a handoff;
+    (requests are mediated at admission). An input `delivered` as it was
+    admitted gives an input entry, and a handoff delivered then whose
+    `outcome` is `attached` a handoff entry, each delivered at the record's
+    `t`;
+  * `deliver`, the delivery of a held ticket, gives an input entry for
+    `event_kind == "input"`, and the delivery time (the record's `t`) of a
+    handoff;
   * `handoff` with `outcome == "attached"` gives a handoff entry. A handoff
     that did not attach reaches no graph, so it links nothing.
 
@@ -50,8 +54,12 @@ def log_from_trace(lines) -> list[tuple]:
             ev = rec["event"]
             if "op" in ev:
                 log.append(("request", ev["id"], ev["program"], ev["op"], ev["sensor"], ev["t"]))
-            else:
+            elif not rec.get("delivered"):
                 admitted[ev["id"]] = ev
+            elif "widget" in ev:
+                log.append(("input", ev["id"], ev["widget"], ev["program"], ev["t"], rec["t"]))
+            elif rec.get("outcome") == "attached":
+                log.append(("handoff", ev["id"], ev["src"], ev["dst"], ev["t"], rec["t"]))
         elif kind == "deliver":
             if rec["event_kind"] == "input":
                 ev = admitted.pop(rec["event_id"])

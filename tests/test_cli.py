@@ -285,7 +285,7 @@ def test_trace_and_replay(tmp_path, capsys):
 )
 def test_replay_reports_a_cut_trace_as_truncated(tmp_path, capsys, cut, seq, message):
     scn, trace = tmp_path / "w.scn", tmp_path / "w.trace"
-    assert main(["gen", str(scn), "--n", "50"]) == 0
+    assert main(["gen", str(scn), "--n", "100"]) == 0  # 216 records
     assert main(["run", str(scn), "--trace", str(trace)]) == 0
     lines = trace.read_text().splitlines(keepends=True)
     head, record = "".join(lines[:143]), lines[143]  # the header, records 1-142, and record 143
@@ -357,6 +357,7 @@ def test_unknown_mode_in_trace_header_is_validation_error(tmp_path, capsys):
         pytest.param("policy_override", [5], id="policy_override-[5]"),
         ("format", "delegauth-scenario"),
         ("version", 1),  # a v1 trace
+        ("version", 2),  # a v2 trace
     ],
 )
 def test_malformed_trace_header_is_validation_error(tmp_path, capsys, key, value):

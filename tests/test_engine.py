@@ -426,12 +426,15 @@ def test_stale_provenance_handoff_downgraded_to_busy_work():
     ticket = engine.submit(HandoffEvent("h1", a, b, WINDOW + 5, provenance="x1"))
     assert ticket.derived is False
     engine.run_to_quiescence()
-    h1 = [(r["kind"], r["t"], r.get("root"), r.get("outcome")) for r in records(lines) if r.get("event_id") == "h1"]
+    h1 = [
+        (r["kind"], r["t"], r.get("root"), r.get("delivered"), r.get("derived"), r.get("outcome"))
+        for r in records(lines) if r.get("event_id", r.get("event", {}).get("id")) == "h1"
+    ]
     assert h1 == [
-        ("handoff", WINDOW + 5, "x1", "unattributable"),  # downgraded at admission
-        ("deliver", WINDOW + 5, None, None),  # plain busy work: delivered at once
-        ("handoff", WINDOW + 5, None, "unattributable"),  # and attached to no graph
-        ("complete", WINDOW + 10, None, None),
+        ("handoff", WINDOW + 5, "x1", None, None, "unattributable"),  # downgraded at admission
+        # plain busy work, delivered as it is admitted and attached to no graph;
+        # its handler run ends on its own, with no line
+        ("admit", WINDOW + 5, None, True, False, "unattributable"),
     ]
     assert [e for e in log_from_trace(lines) if e[0] == "handoff"] == []
 
@@ -764,6 +767,8 @@ def test_held_tickets_deadline_keeps_the_sequence_of_its_admission():
     # completes at t=302, the instant n2's hold deadline fires. The deadline
     # takes its sequence number at n2's admission, before n1's completion is
     # pushed, so n2 expires first, as it did when every deadline was pushed.
+    # n1's run ends on its own and writes no line, so the order is read from
+    # the engine's own calls.
     handlers = [
         HandlerSpec(
             program_id="P1", trigger_kind="widget", trigger_value="first cmd",
@@ -780,6 +785,19 @@ def test_held_tickets_deadline_keeps_the_sequence_of_its_admission():
     ]
     lines = []
     engine, (a, b, c), _ = build_engine(handlers=handlers, trace=lines.append)
+    fired = []  # (t, what fired, the event of its ticket), in the order the loop runs them
+
+    def recording(name):
+        method = getattr(engine, name)
+
+        def fire(ticket):
+            fired.append((engine.now, name, ticket.event.event_id))
+            method(ticket)
+        return fire
+
+    # the heap holds the bound method each entry was pushed with, so wrap before any push
+    engine._fire_deadline = recording("_fire_deadline")
+    engine._fire_complete = recording("_fire_complete")
     engine.schedule(WINDOW + 1, {"kind": "handoff", "src": b, "dst": c})
     engine.submit(InputEvent("x0", wid(engine, "first cmd"), a, 0))
     engine.submit(InputEvent("x1", wid(engine, "second cmd"), c, 1))  # Gamma joins a root of its own
@@ -792,7 +810,10 @@ def test_held_tickets_deadline_keeps_the_sequence_of_its_admission():
     assert by_t[WINDOW + 1] == [
         ("admit", "e2"), ("expire", "e1"), ("deliver", "n1"), ("handoff", "n1"), ("hold", "e2"),
     ]
-    assert by_t[2 * WINDOW + 2] == [("expire", "e2"), ("complete", "n1")]
+    assert by_t[2 * WINDOW + 2] == [("expire", "e2")]
+    assert [(name, eid) for t, name, eid in fired if t == 2 * WINDOW + 2] == [
+        ("_fire_deadline", "e2"), ("_fire_complete", "n1"),
+    ]
 
 
 def _finds_a_program_in_two_live_roots(scn, scheduler: bool = True) -> bool:

@@ -21,6 +21,7 @@ from delegauth.scenario import load_scenario, loads_scenario
 from delegauth.trace import (
     admit_line,
     complete_line,
+    decided_admit_line,
     decision_line,
     deliver_line,
     dump_line,
@@ -471,11 +472,19 @@ def event_payload(ev) -> dict:
     return {"id": ev.event_id, "t": ev.t, "program": ev.program_id, "op": ev.op, "sensor": ev.sensor}
 
 
-def decisions(path_key, detail):
-    """A decision and the root its line names."""
+def decisions(path_key, detail, *more):
+    """A decision, the root its line names, and any `more` fields."""
     return st.tuples(st.builds(
         Decision, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, INT, phase=TEXT, path_key=path_key, detail=detail,
-    ), MAYBE_TEXT)
+    ), MAYBE_TEXT, *more)
+
+
+def decided_admission(decision, root, derived) -> tuple[str, dict]:
+    """The record of a request decided as it was admitted: its admission and its decision's outcome."""
+    d = decision.to_dict()
+    event = {"id": d.pop("request_id"), "op": d.pop("op"), "program": d.pop("program"),
+             "sensor": d.pop("sensor"), "t": d.pop("t")}
+    return "admit", {**d, "derived": derived, "event": event, "root": root}
 
 
 NO_PATH_KEY, NO_DETAIL, DETAIL = st.none(), st.just(""), st.text(min_size=1)
@@ -493,6 +502,22 @@ SHAPES = {
         admit_line,
         st.tuples(EVENTS, st.booleans(), TEXT),
         lambda ev, derived, phase: ("admit", {"event": event_payload(ev), "derived": derived, "phase": phase}),
+    )],
+    # an input or handoff delivered as it was admitted, and a handoff with its outcome in DELEGATION
+    keys("delivered", "derived", "event", "phase"): [(
+        admit_line,
+        st.tuples(EVENTS, st.booleans(), TEXT, st.just(True)),
+        lambda ev, derived, phase, delivered: (
+            "admit", {"event": event_payload(ev), "derived": derived, "phase": phase, "delivered": delivered}
+        ),
+    )],
+    keys("delivered", "derived", "event", "outcome", "phase"): [(
+        admit_line,
+        st.tuples(EVENTS, st.booleans(), TEXT, st.just(True), TEXT),
+        lambda ev, derived, phase, delivered, outcome: ("admit", {
+            "event": event_payload(ev), "derived": derived, "phase": phase, "delivered": delivered,
+            "outcome": outcome,
+        }),
     )],
     keys("delay", "event_id", "event_kind", "program"): [(
         deliver_line,
@@ -539,10 +564,19 @@ for extra, strategy in [
     SHAPES[DECISION | set(extra)] = [
         (decision_line, strategy, lambda decision, root: ("decision", {**decision.to_dict(), "root": root}))
     ]
+# a request decided as it was admitted: the admission's `t` is the clock's
+DECIDED_ADMISSION = keys("derived", "event", "outcome", "phase", "reason", "root")
+for extra, strategy in [
+    ((), decisions(NO_PATH_KEY, NO_DETAIL, st.booleans())),
+    (("path_key",), decisions(PATH_KEYS, NO_DETAIL, st.booleans())),
+    (("detail",), decisions(NO_PATH_KEY, DETAIL, st.booleans())),
+    (("detail", "path_key"), decisions(PATH_KEYS, DETAIL, st.booleans())),  # no engine path writes both yet
+]:
+    SHAPES[DECIDED_ADMISSION | set(extra)] = [(decided_admit_line, strategy, decided_admission)]
 
 
 @pytest.mark.parametrize("keys", sorted(SHAPES, key=sorted), ids=lambda k: ",".join(sorted(k)))
-@settings(max_examples=50)  # 550 lines over the 11 key sets
+@settings(max_examples=50)  # 850 lines over the 17 key sets
 @given(data=st.data())
 def test_template_lines_equal_json_dumps(keys, data):
     line, fields, record = data.draw(st.sampled_from(SHAPES[keys]))
