@@ -117,7 +117,8 @@ def missed_request_line(seq: int, t: int, event_id: str, root: str, evicted: int
 
 
 def decision_line(seq: int, t: int, d, root: str | None) -> str:
-    """The line of `auth.Decision` `d` on a request attributed to `root`, decided after its admission."""
+    """The line of `auth.Decision` `d` on a request attributed to `root`, or to none, when the
+    request's admit record does not hold it: a prompted decision, or any in FIRST_USE."""
     head = f'{{"detail":{_s(d.detail)},' if d.detail else "{"
     return (f'{head}"kind":"decision","op":{_s(d.op)},"outcome":{_s(d.outcome)},{_path_key(d.path_key)}'
             f'"phase":{_s(d.phase)},"program":{_s(d.program_id)},"reason":{_s(d.reason)},'
