@@ -16,17 +16,23 @@ alone (JSON lets U+2028, U+2029 and U+0085 stand raw inside a string, where
 `str.splitlines` would break the line), decodes each line with the JSON
 decoder's scanner, and checks each record against the table, and
 `EngineConfig` a config's values and `parse_policy_rules` a policy's rules, as
-it reads them; a failure names the record's line. What needs the registry is
-checked at use, by the two steps of every run: `Scenario.build` and
-`timeline_specs`. `loads_scenario` takes the same two, so a loaded and a built
-scenario pass one set of checks, and it keeps what `timeline_specs` gave, so
-that a run of the loaded scenario schedules its timeline without resolving it
-again.
+it reads them; a failure names the record's line. Event lines that differ only
+in their time, as most of a generated timeline's do, are decoded and checked
+once per load: a line whose text up to its last `,"t":` is that of a line
+already read, and whose rest is a plain JSON int and the object's end, takes
+that line's entry at its own time (see `loads_scenario`). What needs the
+registry is checked at use, by the two steps of every run: `Scenario.build`
+and `timeline_specs`. `loads_scenario` takes the same two, so a loaded and a
+built scenario pass one set of checks, and it keeps what `timeline_specs`
+gave, so that a run of the loaded scenario schedules its timeline without
+resolving it again. `Scenario.build` also refuses a cycle of handoff handlers,
+which a run would follow for ever.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -279,9 +285,9 @@ class Scenario:
     def build(self) -> tuple[Registry, HandlerTable, dict[str, str]]:
         """Fresh registry + handler table; returns (registry, handlers, name->id).
 
-        Checks every record but the timeline's: a second program of one name or
-        a record the registry refuses raises `ParseError`, a name it lacks
-        `UnresolvedReference`.
+        Checks every record but the timeline's: a second program of one name, a
+        record the registry refuses or a cycle of handoff handlers raises
+        `ParseError`, a name it lacks `UnresolvedReference`.
         """
         registry = Registry()
         name_to_id: dict[str, str] = {}
@@ -302,8 +308,13 @@ class Scenario:
             _check(line, "operation", registry.register_operation,
                    o["op"], o["sensors"], o["phrase"], o.get("first_use_phrase"))
         table = HandlerTable()
+        on_handoff: dict[tuple[str, str], tuple[HandlerSpec, int | None]] = {}  # (program id, trigger) -> handler
         for h, line in zip(self.handlers, self._lines_of("handler")):
-            _check(line, "handler", table.add, self._build_handler(h, line, registry, name_to_id))
+            spec = self._build_handler(h, line, registry, name_to_id)
+            _check(line, "handler", table.add, spec)
+            if spec.trigger_kind == "handoff":
+                on_handoff[spec.program_id, spec.trigger_value] = spec, line
+        _refuse_handler_cycles(on_handoff, name_to_id)
         for a, line in zip(self.attacks, self._lines_of("attack")):
             _program_id(name_to_id, a["program"], line)
             _compatible(registry, a["op"], a["sensor"], line)
@@ -358,6 +369,17 @@ def loads_scenario(text: str) -> Scenario:
     goes through `json.loads`, which names what is wrong with it, or finds
     nothing wrong: a line may end in whitespace, such as the carriage return
     of a CRLF text. The timeline is resolved once, here, and kept as `_specs`.
+
+    Each event line's entry is kept, for this call alone, under the line's
+    text up to its last `,"t":` when the line is exactly that text, `,"t":`,
+    its time as `json.dumps` writes it and `}`, as every line of `dump()` is,
+    and the event has no id, which no other event may have.
+    A later line of that text whose rest is a JSON int >= 0 without a leading
+    zero, of fewer than 19 digits, and `}` decodes to the same record but for
+    its time. So it is neither decoded nor checked: it takes a copy of the
+    kept entry, which shares its strings, with its own `t` in the same place
+    among the keys. Any other line is read as above, so each error, and the
+    line it names, is the same. `timeline_specs` still checks every entry.
     """
     if not text:
         raise ParseError("empty scenario file", line=1)
@@ -368,7 +390,19 @@ def loads_scenario(text: str) -> Scenario:
     records: dict[str, list] = {kind: [] for kind in _RECORDS if kind not in _ONCE}  # the kinds held as lists
     record_lines: dict[str, list[int]] = {kind: [] for kind in records}
     seen: dict[str, int] = {}  # the name of each record that may not repeat -> its line
+    events, event_lines = records["event"], record_lines["event"]
+    shapes: dict[str, dict] = {}  # a checked event line's text up to its last `,"t":` -> its entry
     for lineno, raw in enumerate(lines[1:], start=2):
+        head, cut, tail = raw.rpartition(',"t":')
+        shape = shapes.get(head)
+        if shape is not None:
+            at = _T_TAIL.fullmatch(tail)
+            if at is not None:  # the line of a stored entry but for its time: that entry at this time
+                entry = shape.copy()
+                entry["t"] = int(at[1])
+                events.append(MappingProxyType(entry))
+                event_lines.append(lineno)
+                continue
         try:
             rec, end = _scan(raw, 0)
         except (StopIteration, ValueError, RecursionError):  # no value at the line's start, or a bad one
@@ -390,8 +424,14 @@ def loads_scenario(text: str) -> Scenario:
             first = seen.setdefault(single, lineno)
             if first != lineno:
                 raise ParseError(f"a second {single} record; the first is on line {first}", line=lineno)
-        if kind in records:  # an event's entry is flat, so wrapping it is enough
-            records[kind].append(MappingProxyType(_normalize_event(rec)) if kind == "event" else _read_only(rec))
+        if kind == "event":  # an event's entry is flat, so wrapping it is enough
+            entry = _normalize_event(rec)
+            if cut and "label" not in entry and tail == f"{entry['t']}}}":  # the line is its head and its time alone
+                entry = shapes[head] = dict(entry)  # sized to its keys, as each copy of it then is
+            events.append(MappingProxyType(entry))
+            event_lines.append(lineno)
+        elif kind in records:
+            records[kind].append(_read_only(rec))
             record_lines[kind].append(lineno)
         elif kind == "config":
             _check(lineno, kind, lambda: EngineConfig(**rec))
@@ -427,6 +467,9 @@ def load_scenario(path: str | Path) -> Scenario:
 
 # the scanner under `json.loads`: (the value at an index of a string, the index after it)
 _scan = json.JSONDecoder().scan_once
+# the rest of an event line after its last `,"t":` that gives only its time: a JSON int >= 0, written
+# as `json.dumps` writes it and short enough to read at once, and the object's end
+_T_TAIL = re.compile(r"(0|[1-9][0-9]{0,17})\}")
 
 
 def _parse_json(raw: str, lineno: int) -> dict:
@@ -520,6 +563,45 @@ def timeline_specs(scn: Scenario, registry: Registry, name_to_id: dict[str, str]
             labels[label] = line
             spec["label"] = label  # an input's key holds its id, so its spec is its own
         yield spec
+
+
+def _refuse_handler_cycles(on_handoff: dict[tuple[str, str], tuple[HandlerSpec, int | None]],
+                           name_to_id: dict[str, str]) -> None:
+    """Refuse handoff handlers whose handoffs lead back to one of them, naming its line.
+
+    A handoff action reaches the handler `HandlerTable.lookup` gives it: its
+    target's handler of the action's label, else the target's `"*"` handler.
+    A handoff that no input started has no root, so no window ends the runs
+    of such a cycle, and FIRST_USE keeps no roots at all: the run would go on
+    for ever. `on_handoff` maps (program id, trigger) to each handoff
+    handler and its line. The walk is by hand, so that a long chain of
+    handlers is no deeper a recursion than a short one.
+    """
+    def reached(key):
+        for action in on_handoff[key][0].actions:
+            if type(action) is EmitHandoff:
+                to = (action.to, action.label) if (action.to, action.label) in on_handoff else (action.to, "*")
+                if to in on_handoff:
+                    yield to
+
+    done: set[tuple[str, str]] = set()  # handlers from which no path leads to a cycle
+    for start in on_handoff:
+        if start in done:
+            continue
+        path, steps = [start], [reached(start)]  # the handlers walked to and what each reaches next
+        while path:
+            key = next(steps[-1], None)
+            if key is None:
+                done.add(path.pop())
+                steps.pop()
+            elif key in path:
+                names = {pid: name for name, pid in name_to_id.items()}
+                cycle = " -> ".join(names[pid] for pid, _trigger in path[path.index(key):] + [key])
+                raise ParseError(f"handler record: a cycle of handoffs, {cycle}, which a run would follow for ever",
+                                 line=on_handoff[key][1])
+            elif key not in done:
+                path.append(key)
+                steps.append(reached(key))
 
 
 def _widget_id(registry: Registry, label: str, line: int | None) -> str:

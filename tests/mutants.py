@@ -169,6 +169,29 @@ MUTANTS = {
         "_specs: tuple[dict, ...] | None = field(default=None, repr=False, compare=False)",
         "tests/test_scenario.py::test_a_replaced_or_built_scenario_schedules_its_own_timeline",
     ),
+    # an event line whose time has a leading zero takes the stored entry of its head, though it is no JSON
+    "shape_time_leading_zero": (
+        "scenario.py", '_T_TAIL = re.compile(r"(0|[1-9][0-9]{0,17})\\}")', '_T_TAIL = re.compile(r"([0-9]{1,18})\\}")',
+        "tests/test_scenario.py::test_malformed_record_lines_name_their_line[repeated-head-t-leading-zero]",
+    ),
+    # an event line's entry is stored under its text up to its last `,"t":` though more than its time follows
+    "shape_stored_unchecked": (
+        "scenario.py", """if cut and "label" not in entry and tail == f"{entry['t']}}}":""",
+        """if cut and "label" not in entry:""",
+        "tests/test_scenario.py::test_malformed_record_lines_name_their_line[head-of-a-t-inside-line]",
+    ),
+    # the scenario's handlers are not checked for a cycle of handoffs
+    "handler_cycles_unchecked": (
+        "scenario.py", "_refuse_handler_cycles(on_handoff, name_to_id)", "pass",
+        "tests/test_scenario.py::test_a_cycle_of_handlers_is_refused_naming_its_first_handler[three]",
+    ),
+    # a labelled handoff is followed to its target's `*` handler, though the target has one of its label
+    "handler_cycles_ignore_label": (
+        "scenario.py",
+        'to = (action.to, action.label) if (action.to, action.label) in on_handoff else (action.to, "*")',
+        'to = (action.to, "*")',
+        "tests/test_scenario.py::test_a_cycle_of_handlers_is_refused_naming_its_first_handler[label-leads-back]",
+    ),
     # an object with two shapes' names is checked as the first shape alone, and named by its error
     "one_of_no_recount": (
         "scenario.py", "if sum(key in value for key in shapes) == 1:", "if True:",

@@ -470,3 +470,36 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "mitm_check_capture: blocked" in proc.stdout
+
+
+# two programs whose handoff handlers hand off to each other, started by a handoff that no input started
+HANDLER_LOOP = [
+    '{"format":"delegauth-scenario","version":1}',
+    '{"kind":"program","name":"A","mark":"A"}',
+    '{"kind":"program","name":"B","mark":"B"}',
+    '{"kind":"widget","label":"go","input":"voice"}',
+    '{"kind":"sensor","id":"Camera"}',
+    '{"kind":"operation","op":"capture_picture","sensors":["Camera"],"phrase":"capture pictures"}',
+    '{"kind":"handler","program":"A","on":{"handoff":"*"},"actions":[{"handoff":"B","after":1},{"complete":1}]}',
+    '{"kind":"handler","program":"B","on":{"handoff":"*"},"actions":[{"handoff":"A","after":1},{"complete":1}]}',
+    '{"kind":"event","t":0,"handoff":{"from":"A","to":"B"}}',
+]
+# the same handlers, started by an input on A, in FIRST_USE, which keeps no root whose window could end them
+HANDLER_LOOP_FROM_AN_INPUT = HANDLER_LOOP[:8] + [
+    '{"kind":"handler","program":"A","on":{"widget":"go"},"actions":[{"handoff":"B","after":1},{"complete":1}]}',
+    '{"kind":"mode","mode":"first_use"}',
+    '{"kind":"event","t":0,"input":{"widget":"go","program":"A"}}',
+]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("lines", [HANDLER_LOOP, HANDLER_LOOP_FROM_AN_INPUT], ids=["from-a-handoff", "from-an-input"])
+def test_a_cycle_of_handlers_is_a_validation_error_not_a_run_for_ever(tmp_path, lines, command):
+    path = tmp_path / "loop.scn"
+    path.write_text("\n".join(lines) + "\n")
+    # in a process of its own, so that a run that does not end fails at the timeout
+    proc = subprocess.run([sys.executable, "-m", "delegauth.cli", command, str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: line 7: handler record: a cycle of handoffs, A -> B -> A, "
+                           "which a run would follow for ever\n")

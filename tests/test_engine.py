@@ -833,7 +833,7 @@ def _finds_a_program_in_two_live_roots(scn, scheduler: bool = True) -> bool:
 
 
 def test_a_program_is_in_at_most_one_live_root_with_holds():
-    # `_repeat_root` relies on this: it takes the first matching root of a
+    # `_input_gate` relies on this: it takes the first matching root of a
     # program's memberships
     scenarios = [fuzz_scenario(seed, gaps_ms=gaps) for gaps in ((10, 400), (1, 40)) for seed in range(800)]
     scenarios.append(loads_scenario((DATA / "contention.scn").read_text()))

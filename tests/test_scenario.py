@@ -31,6 +31,7 @@ from delegauth.trace import (
     missed_request_line,
 )
 from conftest import DATA, scenario_path
+from test_trace_digests import SCENARIOS, fuzz_tight_gaps
 
 HEADER = '{"format":"delegauth-scenario","version":1}'
 
@@ -69,6 +70,10 @@ def test_bad_json_reports_line():
 
 
 GOOD_EVENT = '{"kind":"event","t":0,"input":{"widget":"go","program":"A"}}'
+# a good event line as `dump()` writes it, `t` last, cut before its time; a second line of one head
+# whose time `loads_scenario` cannot read at once takes the path of any other line
+T_LAST = '{"input":{"program":"A","widget":"go"},"kind":"event"'
+T_LAST_ID = '{"id":"x","input":{"program":"A","widget":"go"},"kind":"event"'
 
 
 # malformed record lines after MINIMAL's 8: (the lines, the line named, its message)
@@ -91,6 +96,27 @@ GOOD_EVENT = '{"kind":"event","t":0,"input":{"widget":"go","program":"A"}}'
         # one record split over two lines, after a line of two: as many records as lines, none of them whole
         pytest.param(['{"kind":"sensor","id":"Screen"},{"kind":"widget","label":"stop","aliases":["halt"',
                       '"quit"]}'], 9, "invalid JSON (Extra data)", id="record-split-over-two-lines"),
+        pytest.param([T_LAST + ',"t":0}', T_LAST + ',"t":012}'], 10, "invalid JSON (Expecting ',' delimiter)",
+                     id="repeated-head-t-leading-zero"),
+        pytest.param([T_LAST + ',"t":0}', T_LAST + ',"t":-1}'], 10, "event record: 't' must be an int >= 0, got -1",
+                     id="repeated-head-t-negative"),
+        pytest.param([T_LAST + ',"t":0}', T_LAST + ',"t":1.5}'], 10,
+                     "event record: 't' must be an int >= 0, got 1.5", id="repeated-head-t-fraction"),
+        pytest.param([T_LAST + ',"t":0}', T_LAST + ',"t":1e3}'], 10,
+                     "event record: 't' must be an int >= 0, got 1000.0", id="repeated-head-t-exponent"),
+        pytest.param([T_LAST + ',"t":0}', T_LAST + ',"t":' + "9" * 5000 + "}"], 10,
+                     "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion: value has 5000 "
+                     "digits; use sys.set_int_max_str_digits() to increase the limit)",
+                     id="repeated-head-t-5000-digits"),
+        # `5 }` is good JSON: the line is read, and its id is the first line's
+        pytest.param([T_LAST_ID + ',"t":0}', T_LAST_ID + ',"t":5 }'], 10,
+                     "event record: a second event with id 'x'; the first is on line 9", id="repeated-head-t-space"),
+        pytest.param([T_LAST_ID + ',"t":0}', T_LAST_ID + ',"t":1}'], 10,
+                     "event record: a second event with id 'x'; the first is on line 9", id="repeated-head-same-id"),
+        # a good line whose `t` is not last, then its text up to `,"t":` with a time and no kind
+        pytest.param(['{"input":{"program":"A","widget":"go"},"t":5,"kind":"event"}',
+                      '{"input":{"program":"A","widget":"go"},"t":7}'], 10, "unknown record kind None",
+                     id="head-of-a-t-inside-line"),
     ],
 )
 def test_malformed_record_lines_name_their_line(lines, line, message):
@@ -118,6 +144,47 @@ def test_crlf_text_loads_as_its_lf_text(task_a):
     assert exc.value.line == 3
 
 
+def labelled_workload(n_inputs: int) -> Scenario:
+    """A workload whose every event has an id of its own, so that no two event lines are alike but for `t`."""
+    scn = generate_workload(WorkloadParams(n_inputs=n_inputs))
+    scn.timeline[:] = [{**e, "label": f"e{i}"} for i, e in enumerate(scn.timeline)]
+    return scn
+
+
+# event lines of one head whose times are read as any other line's: with a space, `-0`, 19 digits
+ODD_TIMES = "\n".join([MINIMAL, *(T_LAST + f',"t":{t}}}' for t in ["0", "-0", "0", "5 ", "5", "1" * 18, "1" * 19])])
+
+# name -> the scenarios whose texts are loaded: the digest cases, workloads with noise apps and with
+# labelled events, and a text of odd times
+LOADED = {
+    **{name: make for name, (make, _mode) in SCENARIOS.items() if name not in ("pass_through", "fuzz_tight_gaps")},
+    "fuzz_tight_gaps": lambda: fuzz_tight_gaps(range(0, 800, 40)),
+    "noise_apps": lambda: generate_workload(WorkloadParams(n_inputs=2000, noise_apps=300, noise_burst_prob=0.5)),
+    "labelled": lambda: labelled_workload(2000),
+    "odd_times": lambda: loads_scenario(ODD_TIMES),
+}
+
+
+def loaded(text: str) -> tuple:
+    """What `loads_scenario` keeps of `text`, with the key order of each timeline entry and the `dump()`."""
+    scn = loads_scenario(text)
+    return scn, scn._lines, scn._specs, [list(e.items()) for e in scn.timeline], scn.dump()
+
+
+@pytest.mark.parametrize("name", list(LOADED))
+def test_each_text_loads_as_its_crlf_copy(name):
+    # every line of a CRLF copy ends in a carriage return, so none is read but by the decoder
+    made = LOADED[name]()
+    for scn in made if isinstance(made, list) else [made]:
+        text = scn.text()
+        got = loaded(text)
+        assert got == loaded(text.replace("\n", "\r\n"))
+        dump = got[-1]
+        assert loaded(dump)[-1] == dump
+        if not scn.source_text:  # a generated scenario: its text is its `dump()`
+            assert dump == text
+
+
 def test_empty_text_is_an_empty_scenario_file():
     with pytest.raises(ParseError, match="^line 1: empty scenario file$"):
         loads_scenario("")
@@ -133,6 +200,41 @@ def test_non_utf8_file_is_a_parse_error(tmp_path):
 def test_wrong_header_rejected():
     with pytest.raises(ParseError):
         loads_scenario('{"format":"something-else","version":1}')
+
+
+def handler(program: str, on: str, to: str | None = None, label: str | None = None) -> str:
+    """A handler line of `program` for a handoff of action `on` (`"go"` is the widget), handing off to `to`."""
+    actions = [] if to is None else [{"handoff": to, "after": 1, **({"label": label} if label else {})}]
+    trigger = {"widget": on} if on == "go" else {"handoff": on}
+    return dump_line({"kind": "handler", "program": program, "on": trigger, "actions": [*actions, {"complete": 1}]})
+
+
+# handlers of A, B and C, from line 10 on: (the handler lines, the cycle named on line 10, or None if none)
+@pytest.mark.parametrize(
+    "handlers, cycle",
+    [
+        pytest.param([handler("A", "*", "B"), handler("B", "*", "C"), handler("C", "*", "A")], "A -> B -> C -> A",
+                     id="three"),
+        pytest.param([handler("A", "*", "B"), handler("B", "*", "C"), handler("C", "*")], None, id="chain"),
+        # a labelled handoff reaches its target's handler of that label, else its `*` handler
+        pytest.param([handler("A", "*", "B", "x"), handler("B", "x", "C"), handler("B", "*", "A")], None,
+                     id="label-leads-out"),
+        pytest.param([handler("A", "*", "B", "x"), handler("B", "x", "A"), handler("B", "*", "C")], "A -> B -> A",
+                     id="label-leads-back"),
+        pytest.param([handler("A", "*", "B", "y"), handler("B", "x", "C"), handler("B", "*", "A")], "A -> B -> A",
+                     id="label-falls-back"),
+        # an input's handler is run by inputs alone, so no handoff leads back to it
+        pytest.param([handler("A", "go", "B"), handler("B", "*", "A")], None, id="from-an-input"),
+    ],
+)
+def test_a_cycle_of_handlers_is_refused_naming_its_first_handler(handlers, cycle):
+    text = "\n".join([MINIMAL, '{"kind":"program","name":"C","mark":"C"}', *handlers])
+    if cycle is None:
+        loads_scenario(text)
+        return
+    with pytest.raises(ParseError) as exc:
+        loads_scenario(text)
+    assert str(exc.value) == f"line 10: handler record: a cycle of handoffs, {cycle}, which a run would follow for ever"
 
 
 def test_out_of_order_timeline_rejected():
