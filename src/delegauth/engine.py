@@ -48,9 +48,11 @@ since every event a handler emits is built from one of its actions.
 
 A traced run hands each record to its `trace` callable as one line, numbered
 by `_emit` and written by the record's encoder in `trace`, the module that
-holds the whole trace format; an untraced run builds no line. An event
-settled as it is admitted gets one `admit` record, written once `_admit`
-knows how it was settled; a handler run that ends on its own writes no line.
+holds the whole trace format; an untraced run builds no line. Each event gets
+one `admit` record, written once the engine knows how it was settled at
+admission. A prompted decision writes no record: its prompt's record carries
+the answer. A queued ticket's delivery is one `deliver` record, and a handler
+run that ends on its own writes no line.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ from .scheduler import (
     Ticket,
 )
 from .trace import (
-    admit_line, complete_line, decided_admit_line, decision_line, deliver_line, expire_line, handoff_line, hold_line,
-    missed_request_line, prompt_line,
+    admit_line, complete_line, decided_admit_line, deliver_line, expire_line, handoff_line, hold_line,
+    pending_admit_line, prompt_line,
 )
 
 
@@ -496,9 +498,7 @@ class Engine:
             outcome = self._deliver(ticket)
             if self._trace is not None:
                 ev = ticket.event
-                self._emit(deliver_line, ev.event_id, ticket.program_id, ticket.delay, ev.kind)
-                if outcome is not None:
-                    self._emit(handoff_line, ev.event_id, ticket.root_id, outcome)
+                self._emit(deliver_line, ev.event_id, ticket.program_id, ticket.delay, ev.kind, outcome)
         elif verdict == "merge_rejected":
             ticket.status = REJECTED
             if self._trace is not None:
@@ -646,7 +646,7 @@ class Engine:
                 if busy.root_id == root_id:
                     busy.cancelled = True
                     if self._trace is not None:
-                        self._emit(complete_line, busy.event.event_id, pid, "window_backstop")
+                        self._emit(complete_line, busy.event.event_id, pid)
                     del self._busy_exec[pid]
         # the sealed root, its dropped tickets and its freed programs can unblock
         # any waiting program, inside the root or not; the others have nothing queued
@@ -666,9 +666,9 @@ class Engine:
     def _mediate_request(self, r: OperationRequest, phase: str, derived: bool) -> None:
         """Decide request `r` at admission, or leave it to its root's prompt.
 
-        In DELEGATION a request decided here, `derived` or not, is written as
-        one record, by `_decide`. Any other request has its admit record
-        written here, and in DELEGATION the `request` record of its miss.
+        Its admit record holds its decision, written by `_decide`, or in
+        DELEGATION its root and path key when the cache misses; in PASS_THROUGH
+        it holds the request alone.
         """
         if self._graphs:
             try:
@@ -691,20 +691,20 @@ class Engine:
                 return
             evicted = self.cache.invalidate_conflicting(key)
             self._pending.setdefault(root_id, {}).setdefault(key, []).append(r)
-        if self._trace is not None:
+            if self._trace is not None:
+                self._emit(pending_admit_line, r, derived, phase, root_id, key, evicted)
+        elif self.config.mode is Mode.FIRST_USE:
+            self._first_use_decide(r, phase, derived)
+        elif self._trace is not None:
             self._emit(admit_line, r, derived, phase)
-            if self._graphs:
-                self._emit(missed_request_line, r.event_id, root_id, evicted)
-        if self.config.mode is Mode.FIRST_USE:
-            self._first_use_decide(r, phase)
 
-    def _first_use_decide(self, r: OperationRequest, phase: str) -> None:
+    def _first_use_decide(self, r: OperationRequest, phase: str, derived: bool) -> None:
         """Prompt about the program alone, under no widget, unless the cache holds a grant of that key;
         a grant is cached with an empty graph snapshot, a denial is not. A widget labelled `*` gives the
         same key in DELEGATION: no run mixes modes, but a cache imported from the other mode could collide."""
         key = PathKey("*", (r.program_id,), r.op, r.sensor)
         if self.cache.lookup(key) == "allow":
-            self._decide(ALLOWED, CACHED, r, phase)
+            self._decide(ALLOWED, CACHED, r, phase, derived=derived)
             return
         keys = [key]
         text = render_first_use_prompt(r.program_id, r.op, self.registry)
@@ -716,7 +716,7 @@ class Engine:
         allowed = self._authorizer(phase).authorize_paths(keys, text, self.registry)
         if allowed:
             self.cache.store_allow(key, b"")
-        self._decide(ALLOWED if allowed else DENIED, PROMPTED, r, phase)
+        self._decide(ALLOWED if allowed else DENIED, PROMPTED, r, phase, derived=derived)
 
     def _flush_root(self, root_id: str, phase: str, pending: dict[PathKey, list[OperationRequest]]) -> None:
         """Prompt for the new paths of a sealed root, and decide the requests on them."""
@@ -726,9 +726,9 @@ class Engine:
         prompt = {"mode": Mode.DELEGATION.value, "phase": phase, "t": self.now, "text": text, "marks": marks,
                   "root": root_id}
         self.prompts.append(prompt)
-        if self._trace is not None:
-            self._emit(prompt_line, {**prompt, "paths": [k.to_dict() for k in keys]})
         allowed = self._authorizer(phase).authorize_paths(keys, text, self.registry)
+        if self._trace is not None:
+            self._emit(prompt_line, {**prompt, "paths": [k.to_dict() for k in keys], "allowed": allowed})
         outcome = ALLOWED if allowed else DENIED
         blob = self.store.sealed[root_id]  # a root with pending keys seals with its snapshot
         for key, requests in pending.items():
@@ -736,21 +736,17 @@ class Engine:
                 self.cache.store_allow(key, blob)
             elif self.config.cache_denials:
                 self.cache.store_deny(key)
-            for r in requests:
-                self._decide(outcome, PROMPTED, r, phase, root_id, key)
+            for r in requests:  # a decision made here writes no record: the prompt's carries its outcome
+                decision = Decision(outcome, PROMPTED, r.event_id, r.program_id, r.op, r.sensor, r.t, phase, key)
+                self.decisions.append(decision)
 
     def _decide(
         self, outcome: str, reason: str, r: OperationRequest, phase: str, root: str | None = None,
-        path_key: PathKey | None = None, detail: str = "", derived: bool | None = None,
+        path_key: PathKey | None = None, detail: str = "", *, derived: bool,
     ) -> None:
-        """Record the decision on request `r`, attributed to `root`, or to none.
-
-        `derived` is given for a decision made in DELEGATION as `r` is
-        admitted: its record is then the request's admit record."""
+        """Record the decision on request `r`, made as it was admitted and attributed to `root`, or to
+        none: its record is the request's admit record."""
         decision = Decision(outcome, reason, r.event_id, r.program_id, r.op, r.sensor, r.t, phase, path_key, detail)
         self.decisions.append(decision)
         if self._trace is not None:
-            if derived is None:
-                self._emit(decision_line, decision, root)
-            else:
-                self._emit(decided_admit_line, decision, root, derived)
+            self._emit(decided_admit_line, decision, root, derived)

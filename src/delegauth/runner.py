@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .auth import AuthorizationCache, Decision, InteractivePrompt, ScriptedPolicy
+from .auth import AuthorizationCache, Decision, InteractivePrompt, ScriptedPolicy, parse_policy_rules
 from .engine import Engine, Mode
 from .errors import InvariantViolation, ParseError, TraceDivergence
 from .scenario import MODE_SPELLINGS, Scenario, loads_scenario, read_trace_header, timeline_specs
@@ -178,14 +178,18 @@ def run_with_trace(
     """Run with a trace file at `trace_path`.
 
     The header names a `Mode` member by its spelling, and a spelling as
-    given. `Mode.PASS_THROUGH` has none, so no replay could re-run it: it
-    raises InvariantViolation before the file is created. The file is closed,
-    and so complete, also when the run raises.
+    given. `Mode.PASS_THROUGH` has none, so no replay could re-run it. It, an
+    unknown spelling, a bad window and bad policy rules each raise before the
+    file is created. The file is closed, and so complete, also when the run
+    raises.
     """
     if isinstance(mode, Mode):
         if mode.value not in MODE_SPELLINGS:
             raise InvariantViolation(f"mode {mode.value!r} has no spelling in a trace header")
         mode = mode.value
+    scn.engine_config(resolve_mode(scn, mode), window_override=window_ms)  # as `build_engine` will
+    if policy_rules:  # `build_engine` takes no rules, or an empty list, as allowing all
+        parse_policy_rules(policy_rules)
     with open(trace_path, "w") as fh:
         writer = TraceWriter(fh, trace_header(scn, mode, policy_rules, window_ms, None))
         report, _engine = run_scenario(

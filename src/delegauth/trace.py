@@ -10,13 +10,14 @@ standard library, `errors` and `model` alone, since the engine imports it.
 
 Each fact is written once, and a record leaves out what the trace or its
 header already holds:
-  * an event settled as it is admitted has one `admit` record, which says how:
-    an input or handoff delivered then is `delivered`, with a handoff's
-    `outcome` in DELEGATION, and a request decided then (in DELEGATION)
-    carries its decision's outcome, reason, detail, path key and root. A
-    ticket delivered later, from a queue, has its own `deliver` record, and a
-    handoff's `handoff` record follows it; a request left to its root's
-    prompt has a `request` record and, once decided, a `decision` record;
+  * each event has one `admit` record. An input or handoff delivered as it was
+    admitted is `delivered`, with a handoff's `outcome` in DELEGATION; one
+    delivered later, from a queue, has a `deliver` record, with that outcome.
+    A request decided as it was admitted, which in FIRST_USE follows its
+    prompt if it has one, carries its decision's outcome, reason, detail,
+    path key and root. A request left to its root's prompt carries its root,
+    path key and `evicted`, and its decision writes no record: its outcome is
+    the `allowed` answer of the next `prompt` record of its root;
   * a root's expiry has no line: a seal shows only through what it causes;
   * a handler run that ends on its own has no line: it ends at its delivery's
     `t` plus its handler's `complete.after_ms`, or plus the config's
@@ -34,7 +35,7 @@ from .errors import TraceDivergence, TraceTruncated
 from .model import HandoffEvent, InputEvent, MediatedEvent
 
 TRACE_FORMAT = "delegauth-trace"
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
 # One encoder for every JSON line, a scenario's too: `json.dumps` builds a new
 # JSONEncoder per call. `check_circular` only changes how a cycle fails, and
@@ -48,9 +49,7 @@ dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circul
 # `trace` callable. Each writes the text `dump_line` gives the record's dict:
 # keys in sorted order, no spaces, strings through the escaper the C encoder
 # uses with `ensure_ascii`, ints as `int.__repr__` writes them, and `null`
-# for a `root`, `provenance` or `action` that is None. A decision's `t` is the
-# time of its request, not the clock: a prompted decision is written when its
-# root expires.
+# for a `root`, `provenance` or `action` that is None.
 _s = json.encoder.encode_basestring_ascii
 
 
@@ -68,8 +67,7 @@ def admit_line(
         event = (f'{{"action":{action},"dst":{_s(ev.dst)},"id":{_s(ev.event_id)},'
                  f'"provenance":{provenance},"src":{_s(ev.src)},"t":{ev.t}}}')
     else:
-        event = (f'{{"id":{_s(ev.event_id)},"op":{_s(ev.op)},"program":{_s(ev.program_id)},'
-                 f'"sensor":{_s(ev.sensor)},"t":{ev.t}}}')
+        event = _request(ev.event_id, ev.op, ev.program_id, ev.sensor, ev.t)
     head = '{"delivered":true,' if delivered else "{"
     tail = "" if outcome is None else f'"outcome":{_s(outcome)},'
     return (f'{head}"derived":{"true" if derived else "false"},"event":{event},"kind":"admit",{tail}'
@@ -78,23 +76,33 @@ def admit_line(
 
 def decided_admit_line(seq: int, t: int, d, root: str | None, derived: bool) -> str:
     """The admission of the request of `auth.Decision` `d`, decided as it was
-    admitted: `admit_line`'s record with `decision_line`'s outcome, reason,
-    detail, path key and root."""
+    admitted: `admit_line`'s record with the decision's outcome, reason,
+    detail, path key and `root`, the root of its path or, with no path, None."""
     detail = f'"detail":{_s(d.detail)},' if d.detail else ""
-    return (f'{{"derived":{"true" if derived else "false"},{detail}"event":{{"id":{_s(d.request_id)},'
-            f'"op":{_s(d.op)},"program":{_s(d.program_id)},"sensor":{_s(d.sensor)},"t":{d.t}}},"kind":"admit",'
+    event = _request(d.request_id, d.op, d.program_id, d.sensor, d.t)
+    return (f'{{"derived":{"true" if derived else "false"},{detail}"event":{event},"kind":"admit",'
             f'"outcome":{_s(d.outcome)},{_path_key(d.path_key)}"phase":{_s(d.phase)},"reason":{_s(d.reason)},'
             f'"root":{"null" if root is None else _s(root)},"seq":{seq},"t":{t}}}')
 
 
-def deliver_line(seq: int, t: int, event_id: str, program: str, delay: int, event_kind: str) -> str:
+def pending_admit_line(seq: int, t: int, r, derived: bool, phase: str, root: str, key, evicted: int) -> str:
+    """The admission of request `r`, attributed to `root` on path `key`, that the cache does not
+    answer: it evicted `evicted` entries, and its root's prompt decides it."""
+    event = _request(r.event_id, r.op, r.program_id, r.sensor, r.t)
+    return (f'{{"derived":{"true" if derived else "false"},"event":{event},"evicted":{evicted},"kind":"admit",'
+            f'{_path_key(key)}"phase":{_s(phase)},"root":{_s(root)},"seq":{seq},"t":{t}}}')
+
+
+def deliver_line(seq: int, t: int, event_id: str, program: str, delay: int, event_kind: str,
+                 outcome: str | None = None) -> str:
+    """The delivery of a queued ticket, with a handoff's `outcome` in DELEGATION (`admit_line`'s)."""
+    tail = "" if outcome is None else f'"outcome":{_s(outcome)},'
     return (f'{{"delay":{delay},"event_id":{_s(event_id)},"event_kind":{_s(event_kind)},'
-            f'"kind":"deliver","program":{_s(program)},"seq":{seq},"t":{t}}}')
+            f'"kind":"deliver",{tail}"program":{_s(program)},"seq":{seq},"t":{t}}}')
 
 
-def complete_line(seq: int, t: int, event_id: str, program: str, reason: str) -> str:
-    return (f'{{"event_id":{_s(event_id)},"kind":"complete","program":{_s(program)},'
-            f'"reason":{_s(reason)},"seq":{seq},"t":{t}}}')
+def complete_line(seq: int, t: int, event_id: str, program: str) -> str:  # a run cut off by its root's window
+    return f'{{"event_id":{_s(event_id)},"kind":"complete","program":{_s(program)},"seq":{seq},"t":{t}}}'
 
 
 def hold_line(seq: int, t: int, event_id: str, program: str, queue: str) -> str:
@@ -107,23 +115,14 @@ def expire_line(seq: int, t: int, event_id: str, reason: str) -> str:
 
 
 def handoff_line(seq: int, t: int, event_id: str, root: str | None, outcome: str) -> str:
+    """A handoff's outcome apart from its delivery: the root it lost at admission, or its rejection from a queue."""
     root = "null" if root is None else _s(root)
     return f'{{"event_id":{_s(event_id)},"kind":"handoff","outcome":{_s(outcome)},"root":{root},"seq":{seq},"t":{t}}}'
 
 
-def missed_request_line(seq: int, t: int, event_id: str, root: str, evicted: int) -> str:
-    """An attributed request the cache does not answer: its decision waits for its root's prompt."""
-    return f'{{"event_id":{_s(event_id)},"evicted":{evicted},"kind":"request","root":{_s(root)},"seq":{seq},"t":{t}}}'
-
-
-def decision_line(seq: int, t: int, d, root: str | None) -> str:
-    """The line of `auth.Decision` `d` on a request attributed to `root`, or to none, when the
-    request's admit record does not hold it: a prompted decision, or any in FIRST_USE."""
-    head = f'{{"detail":{_s(d.detail)},' if d.detail else "{"
-    return (f'{head}"kind":"decision","op":{_s(d.op)},"outcome":{_s(d.outcome)},{_path_key(d.path_key)}'
-            f'"phase":{_s(d.phase)},"program":{_s(d.program_id)},"reason":{_s(d.reason)},'
-            f'"request_id":{_s(d.request_id)},"root":{"null" if root is None else _s(root)},'
-            f'"sensor":{_s(d.sensor)},"seq":{seq},"t":{d.t}}}')
+def _request(event_id: str, op: str, program: str, sensor: str, t: int) -> str:
+    """The `event` of a request's admit record."""
+    return f'{{"id":{_s(event_id)},"op":{_s(op)},"program":{_s(program)},"sensor":{_s(sensor)},"t":{t}}}'
 
 
 def _path_key(key) -> str:

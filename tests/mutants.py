@@ -299,18 +299,7 @@ MUTANTS = {
         "self._decide(ALLOWED, CACHED, r, phase, None, key, derived=derived)",
         "tests/test_trace.py::test_a_trace_alone_explains_every_decision[contention]",
     ),
-    # a prompted decision's line names no root, so the trace no longer ties it to its prompt
-    "prompted_decision_no_root": (
-        "engine.py", "self._decide(outcome, PROMPTED, r, phase, root_id, key)",
-        "self._decide(outcome, PROMPTED, r, phase, None, key)",
-        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[task_a]",
-    ),
-    # a request the cache misses writes no line, so its root and evictions are not in the trace
-    "miss_writes_no_request": (
-        "engine.py", "self._emit(missed_request_line, r.event_id, root_id, evicted)", "pass",
-        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[task_a]",
-    ),
-    # a ticket delivered as it is admitted also writes the `deliver` and `handoff` lines of a queued one
+    # a ticket delivered as it is admitted also writes the `deliver` line of a queued one
     "admission_delivery_writes_deliver": (
         "engine.py",
         'outcome = self._deliver(ticket) if verdict == "deliver" else None',
@@ -324,15 +313,11 @@ MUTANTS = {
         'self._emit(admit_line, ev, derived, phase, verdict == "deliver", None)',
         "tests/test_trace.py::test_a_trace_alone_gives_each_handler_runs_end[task_a]",
     ),
-    # a handoff delivered from its queue writes no `handoff` line, so the trace no longer says whether it attached
+    # a handoff delivered from its queue loses its outcome, so the trace no longer says whether it attached
     "queued_delivery_drops_outcome": (
-        "engine.py", "if outcome is not None:", "if False:",
-        "tests/test_trace.py::test_a_trace_alone_gives_each_handler_runs_end[contention]",
-    ),
-    # a request decided at admission gets a `decision` record and no admit record
-    "admission_decision_not_merged": (
-        "engine.py", "if derived is None:", "if True:",
-        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[contention]",
+        "engine.py", "self._emit(deliver_line, ev.event_id, ticket.program_id, ticket.delay, ev.kind, outcome)",
+        "self._emit(deliver_line, ev.event_id, ticket.program_id, ticket.delay, ev.kind)",
+        "tests/test_trace.py::test_a_trace_alone_gives_each_handler_runs_end[many_programs]",
     ),
     # the record of a request decided at admission names no root, so the trace no longer ties it to its input
     "admission_decision_no_root": (
@@ -342,8 +327,36 @@ MUTANTS = {
     ),
     # a handler run cut off by its root's window writes no line, so the trace gives it the end of a whole run
     "backstop_writes_no_line": (
-        "engine.py", 'self._emit(complete_line, busy.event.event_id, pid, "window_backstop")', "pass",
+        "engine.py", "self._emit(complete_line, busy.event.event_id, pid)", "pass",
         "tests/test_trace.py::test_a_trace_alone_gives_each_handler_runs_end[contention]",
+    ),
+    # a request left to its root's prompt writes no admit record, so the trace does not hold it
+    "pending_admit_not_written": (
+        "engine.py", "self._emit(pending_admit_line, r, derived, phase, root_id, key, evicted)", "pass",
+        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[task_a]",
+    ),
+    # a request left to its root's prompt is written without its path key, so the trace no longer gives its path
+    "pending_admit_no_path_key": (
+        "engine.py", "self._emit(pending_admit_line, r, derived, phase, root_id, key, evicted)",
+        "self._emit(pending_admit_line, r, derived, phase, root_id, None, evicted)",
+        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[task_a]",
+    ),
+    # a prompt's record drops its answer, so the trace no longer gives the decisions it made
+    "prompt_drops_allowed": (
+        "engine.py", '"paths": [k.to_dict() for k in keys], "allowed": allowed})',
+        '"paths": [k.to_dict() for k in keys]})',
+        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[task_a]",
+    ),
+    # a first-use prompt writes no record, so the trace no longer says which decisions were prompted
+    "first_use_prompt_no_record": (
+        "engine.py", "self._emit(prompt_line, prompt)", "pass",
+        "tests/test_trace.py::test_a_trace_alone_explains_every_decision[task_a_first_use]",
+    ),
+    # a traced run with a bad window or mode creates its trace file before it is refused
+    "trace_file_before_checks": (
+        "runner.py", "scn.engine_config(resolve_mode(scn, mode), window_override=window_ms)  # as `build_engine` will",
+        "pass",
+        "tests/test_runner.py::test_run_with_trace_checks_its_arguments_before_it_creates_the_file[window]",
     ),
     # a recorded trace whose last line lacks its newline diverges there
     "replay_needs_last_newline": (

@@ -7,17 +7,14 @@ chain over a run's trace, using only facts a reference monitor observes
 `log_from_trace` turns trace lines, those the engine hands its `trace`
 callable or a trace file's after its header, into the oracle's log. It
 decodes them with `delegauth.trace.records`, the package's one trace reader,
-and reads three record kinds:
+and reads two record kinds:
   * `admit` gives each event's fields, and a request entry for a request
-    (requests are mediated at admission). An input `delivered` as it was
-    admitted gives an input entry, and a handoff delivered then whose
-    `outcome` is `attached` a handoff entry, each delivered at the record's
-    `t`;
-  * `deliver`, the delivery of a held ticket, gives an input entry for
-    `event_kind == "input"`, and the delivery time (the record's `t`) of a
-    handoff;
-  * `handoff` with `outcome == "attached"` gives a handoff entry. A handoff
-    that did not attach reaches no graph, so it links nothing.
+    (requests are mediated at admission). An input or handoff `delivered` as
+    it was admitted is delivered at the record's `t`;
+  * `deliver`, the delivery of a held ticket, at the record's `t`.
+A delivered input gives an input entry, and a delivered handoff whose
+`outcome` is `attached` a handoff entry. A handoff that did not attach
+reaches no graph, so it links nothing.
 
 Rules mirrored by enumeration:
   * input instances group into roots: a same-key instance arriving within
@@ -45,8 +42,7 @@ from delegauth.trace import records
 
 def log_from_trace(lines) -> list[tuple]:
     """The oracle's log of a run, in delivery order, from its trace lines."""
-    admitted: dict[str, dict] = {}  # event id -> admitted input or handoff
-    handoff_delivered: dict[str, int] = {}
+    admitted: dict[str, dict] = {}  # event id -> admitted input or handoff, held
     log: list[tuple] = []
     for rec in records(lines):
         kind = rec["kind"]
@@ -54,22 +50,18 @@ def log_from_trace(lines) -> list[tuple]:
             ev = rec["event"]
             if "op" in ev:
                 log.append(("request", ev["id"], ev["program"], ev["op"], ev["sensor"], ev["t"]))
-            elif not rec.get("delivered"):
+                continue
+            if not rec.get("delivered"):
                 admitted[ev["id"]] = ev
-            elif "widget" in ev:
-                log.append(("input", ev["id"], ev["widget"], ev["program"], ev["t"], rec["t"]))
-            elif rec.get("outcome") == "attached":
-                log.append(("handoff", ev["id"], ev["src"], ev["dst"], ev["t"], rec["t"]))
+                continue
         elif kind == "deliver":
-            if rec["event_kind"] == "input":
-                ev = admitted.pop(rec["event_id"])
-                log.append(("input", ev["id"], ev["widget"], ev["program"], ev["t"], rec["t"]))
-            else:
-                handoff_delivered[rec["event_id"]] = rec["t"]
-        elif kind == "handoff" and rec["outcome"] == "attached":
             ev = admitted.pop(rec["event_id"])
-            t_deliver = handoff_delivered.pop(rec["event_id"])
-            log.append(("handoff", ev["id"], ev["src"], ev["dst"], ev["t"], t_deliver))
+        else:
+            continue
+        if "widget" in ev:
+            log.append(("input", ev["id"], ev["widget"], ev["program"], ev["t"], rec["t"]))
+        elif rec.get("outcome") == "attached":
+            log.append(("handoff", ev["id"], ev["src"], ev["dst"], ev["t"], rec["t"]))
     return log
 
 

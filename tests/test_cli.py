@@ -358,6 +358,7 @@ def test_unknown_mode_in_trace_header_is_validation_error(tmp_path, capsys):
         ("format", "delegauth-scenario"),
         ("version", 1),  # a v1 trace
         ("version", 2),  # a v2 trace
+        ("version", 3),  # a v3 trace
     ],
 )
 def test_malformed_trace_header_is_validation_error(tmp_path, capsys, key, value):
@@ -460,6 +461,13 @@ def test_interactive_run_with_a_trace_is_refused(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "--interactive" in err and "--trace" in err
     assert out == "" and not trace.exists()
+
+
+def test_a_run_refused_for_its_window_creates_no_trace_file(tmp_path, capsys):
+    trace = tmp_path / "run.trace"
+    assert main(["run", scenario_path("task_a"), "--trace", str(trace), "--window-ms", "0"]) == 2
+    assert "window_ms must be > 0" in capsys.readouterr().err
+    assert not trace.exists()
 
 
 def test_console_script_entry_point():

@@ -808,7 +808,7 @@ def test_held_tickets_deadline_keeps_the_sequence_of_its_admission():
         by_t.setdefault(r["t"], []).append((r["kind"], r.get("event_id") or r["event"]["id"]))
     # e1 is Alpha's handoff from x0 to Gamma, held behind x1's root; e2 is the timeline's n2
     assert by_t[WINDOW + 1] == [
-        ("admit", "e2"), ("expire", "e1"), ("deliver", "n1"), ("handoff", "n1"), ("hold", "e2"),
+        ("admit", "e2"), ("expire", "e1"), ("deliver", "n1"), ("hold", "e2"),
     ]
     assert by_t[2 * WINDOW + 2] == [("expire", "e2")]
     assert [(name, eid) for t, name, eid in fired if t == 2 * WINDOW + 2] == [

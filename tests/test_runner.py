@@ -18,7 +18,7 @@ from delegauth import (
     run_with_trace,
 )
 from delegauth.engine import Engine, Mode
-from delegauth.errors import InvariantViolation, TraceDivergence
+from delegauth.errors import InvariantViolation, ParseError, TraceDivergence
 from delegauth.graph import GraphStore
 from delegauth.runner import replay, trace_header
 from delegauth.scenario import TraceWriter, loads_scenario
@@ -141,6 +141,19 @@ def test_a_trace_run_in_a_mode_member_writes_its_spelling_and_replays(task_a, tm
     with pytest.raises(InvariantViolation):
         run_with_trace(task_a, tmp_path / "pass_through.trace", mode=Mode.PASS_THROUGH)
     assert not (tmp_path / "pass_through.trace").exists()
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [({"mode": "bogus"}, ParseError), ({"window_ms": 0}, InvariantViolation),
+     ({"policy_rules": ["allow * *"]}, InvariantViolation)],
+    ids=["mode", "window", "policy"],
+)
+def test_run_with_trace_checks_its_arguments_before_it_creates_the_file(task_a, tmp_path, kwargs, error):
+    path = tmp_path / "refused.trace"
+    with pytest.raises(error):
+        run_with_trace(task_a, path, **kwargs)
+    assert not path.exists()
 
 
 def test_a_trace_whose_header_records_a_seed_replays(task_b, tmp_path):

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from delegauth import Mode, run_scenario, run_with_trace
-from delegauth.auth import CACHED, POLICY, PROMPTED
+from delegauth.auth import ALLOWED, CACHED, DENIED, POLICY, PROMPTED
 from delegauth.engine import Engine
 from delegauth.runner import replay, resolve_mode
 from delegauth.scenario import loads_scenario, read_trace_header
@@ -59,31 +59,42 @@ def decision_records(recs) -> dict[str, list[tuple[int, dict]]]:
     """Request id -> the (index, record) of each record of a decision on it.
 
     A decision made as its request was admitted is that request's `admit`
-    record; any other is a `decision` record."""
+    record. A prompted one in DELEGATION is read from its request's pending
+    `admit` record, which names its root and path key, and the answer,
+    `allowed`, of the next `prompt` record of that root: the record given is
+    the admit's, with the outcome, reason and phase that prompt gives it, and
+    the prompt itself, as `prompt`."""
     found: dict[str, list[tuple[int, dict]]] = {}
     for i, r in enumerate(recs):
-        if r["kind"] == "decision":
-            found.setdefault(r["request_id"], []).append((i, r))
-        elif r["kind"] == "admit" and "reason" in r:
+        if r["kind"] != "admit" or "op" not in r["event"]:
+            continue
+        if "evicted" in r:
+            prompt = next(p for p in recs[i + 1:] if p["kind"] == "prompt" and p.get("root") == r["root"])
+            r = {**r, "outcome": ALLOWED if prompt["allowed"] else DENIED, "reason": PROMPTED, "phase": prompt["phase"],
+                 "prompt": prompt}
+        if "reason" in r:
             found.setdefault(r["event"]["id"], []).append((i, r))
     return found
 
 
 def check_trace_explains(path, decisions) -> None:
-    """Check that the trace file at `path` alone explains each of `decisions`, those of a DELEGATION run that wrote it.
+    """Check that the trace file at `path` alone explains each of `decisions`, those of the run that wrote it.
 
-    Each decision has one record, with its outcome, reason, detail and path
-    key, naming the root of its path or, with no path, none. A decision made
-    as its request was admitted, any but a prompted one, is the request's
-    `admit` record. A prompted decision is a `decision` record that follows
-    its request's `request` record and the prompt of its root, whose paths
-    hold its key. A decision the cache answered names an admitted input of
-    the key's widget and first program, whose window holds the request's time.
+    Each decision is read from its request's admit record, with its outcome,
+    reason, detail and path key, naming the root of its path or, with no
+    path, none. A prompted decision in DELEGATION is its request's pending
+    admit and the next prompt of its root, whose paths hold its key and whose
+    answer is its outcome; one in FIRST_USE is an admit that follows its
+    prompt at once. A decision the cache answered on a path names an admitted
+    input of the key's widget and first program, whose window holds the
+    request's time.
     """
     with open(path) as fh:
         header = read_trace_header(fh)
         recs = list(records(fh))
-    config = loads_scenario(header["scenario"]).engine_config(window_override=header.get("window_override"))
+    scn = loads_scenario(header["scenario"])
+    mode = resolve_mode(scn, header["mode"])
+    config = scn.engine_config(mode, window_override=header.get("window_override"))
     inputs = {r["event"]["id"]: r["event"] for r in recs if r["kind"] == "admit" and "widget" in r["event"]}
     found = decision_records(recs)
     assert sorted(found) == sorted(d.request_id for d in decisions)
@@ -91,24 +102,26 @@ def check_trace_explains(path, decisions) -> None:
         assert len(found[d.request_id]) == 1, d
         (at, rec), = found[d.request_id]
         expected = d.to_dict()
-        assert [rec.get(k) for k in ("outcome", "reason", "detail", "path_key")] == [
-            expected.get(k) for k in ("outcome", "reason", "detail", "path_key")
+        assert [rec.get(k) for k in ("outcome", "reason", "detail", "path_key", "phase")] == [
+            expected.get(k) for k in ("outcome", "reason", "detail", "path_key", "phase")
         ]
-        assert (rec["kind"] == "admit") == (d.reason != PROMPTED), d
+        assert rec["event"]["t"] == d.t
         root = rec["root"]
         assert (root is None) == (d.path_key is None), d
-        before = recs[:at]
-        if d.reason == PROMPTED and root is not None:
-            assert {r["event_id"]: r["root"] for r in before if r["kind"] == "request"}.get(d.request_id) == root
-            assert any(r["kind"] == "prompt" and r["root"] == root and rec["path_key"] in r["paths"] for r in before)
-        elif d.reason in (CACHED, POLICY):
+        assert ("evicted" in rec) == (d.reason == PROMPTED and mode is Mode.DELEGATION), d
+        if "prompt" in rec:
+            assert rec["path_key"] in rec["prompt"]["paths"]
+        elif d.reason == PROMPTED:  # in FIRST_USE
+            assert recs[at - 1]["kind"] == "prompt" and recs[at - 1]["phase"] == d.phase
+        elif d.reason in (CACHED, POLICY) and root is not None:
             i = inputs[root]
             assert (i["widget"], i["program"]) == (d.path_key.widget_id, d.path_key.programs[0])
             assert i["t"] <= d.t <= i["t"] + config.window_ms
 
 
 @pytest.mark.parametrize(
-    "name", ["task_a", "task_b", "task_c", "contention", "contention_unscheduled", "task_a_cache_denials"]
+    "name",
+    ["task_a", "task_b", "task_c", "contention", "contention_unscheduled", "task_a_cache_denials", "task_a_first_use"],
 )
 def test_a_trace_alone_explains_every_decision(name, tmp_path):
     make, mode = SCENARIOS[name]
@@ -170,7 +183,7 @@ def handler_run_ends(path) -> list[tuple[str, int]]:
     mode = resolve_mode(scn, header["mode"])
     config = scn.engine_config(mode, window_override=header.get("window_override"))
     graphs = mode is Mode.DELEGATION
-    admitted, delivering, ends, cut = {}, {}, [], set()
+    admitted, ends, cut = {}, [], set()
 
     def delivered(ev, derived, outcome, t):
         if "widget" in ev:
@@ -190,13 +203,7 @@ def handler_run_ends(path) -> list[tuple[str, int]]:
                 admitted[r["event"]["id"]] = (r["event"], r["derived"])
         elif kind == "deliver":
             ev, derived = admitted.pop(r["event_id"])
-            if r["event_kind"] == "input" or not graphs:
-                delivered(ev, derived, None, r["t"])
-            else:
-                delivering[r["event_id"]] = (ev, derived, r["t"])  # its `handoff` record follows
-        elif kind == "handoff" and r["event_id"] in delivering:
-            ev, derived, t = delivering.pop(r["event_id"])
-            delivered(ev, derived, r["outcome"], t)
+            delivered(ev, derived, r.get("outcome"), r["t"])
         elif kind == "complete":
             cut.add(r["event_id"])
     return sorted(end for end in ends if end[0] not in cut)
